@@ -577,6 +577,16 @@ def cofiber_homotopy(f, N, T, W):
     return base, flags, certified
 
 
+def power_cofiber_closed_form(r, s, upto):
+    """Closed-form tables of the rational cofiber of the s-th power of the
+    degree-2r generator: homotopy dims 0..upto (1 at degrees 2ri for
+    0 <= i < s, else 0) and the homology GradedDims (1 at 2r and at 2rs+1).
+    """
+    pi = [1 if m % (2 * r) == 0 and m // (2 * r) < s else 0
+          for m in range(upto + 1)]
+    return pi, GradedDims({2 * r: 1, 2 * r * s + 1: 1})
+
+
 def power_cofiber_tables(r, s, T=None, W=None, N=None):
     """Cofiber of the map representing the s-th power of the degree-2r
     polynomial generator, rationally: computed homotopy against the closed
@@ -617,15 +627,13 @@ def power_cofiber_tables(r, s, T=None, W=None, N=None):
                          source_W=max(1, (W + 1) // s))
     pi, flags, certified = cofiber_homotopy(f, N, T, W)
     notes = []
-    expected = {m: (1 if m % nB == 0 and m // nB < s else 0)
-                for m in range(T + 1)}
+    expected, hq = power_cofiber_closed_form(r, s, T)
     for m in range(certified + 1):
         if flags[m] and pi[m] != expected[m]:
             raise TableMismatch(
                 "pi_%d of the (r=%d, s=%d) cofiber is %d, table says %d"
                 % (m, r, s, pi[m], expected[m])
             )
-    hq = GradedDims({nB: 1, nA + 1: 1})
     if s == 1:
         notes.append(
             "s=1: homotopy is that of the ground field; the generic homology "

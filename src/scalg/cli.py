@@ -7,24 +7,24 @@ violation.  Identical invocations, including the seed of property-test,
 produce byte-identical output.
 
 A config file of ``key = value`` lines (# comments allowed) supplies
-defaults which explicit flags override; keys use the long flag names.  The
-environment variable SCALG_THREADS is accepted as a thread-count hint and
-validated; the computations themselves are deterministic and run single
-threaded, so the hint never changes any output.
+defaults which explicit flags override; keys use the long flag names.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
 from .exactfield import FieldError, FieldSpec, Mat, QQ, kernel_basis, rank
 from .simplicial import SimplicialError, eilenberg_maclane, gamma
 from .symalg import indecomposables, sphere_algebra, sphere_homotopy
-from .barcof import TableMismatch, power_cofiber_tables
+from .barcof import (
+    TableMismatch,
+    power_cofiber_closed_form,
+    power_cofiber_tables,
+)
 from .series import (
     SeriesError,
     asymptotic_check,
@@ -102,18 +102,6 @@ def load_config(path):
     except OSError as exc:
         raise CliError("cannot read config file: %s" % exc)
     return values
-
-
-def _check_threads_env():
-    raw = os.environ.get("SCALG_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError("SCALG_THREADS must be an integer, got %r" % raw)
-    if n < 1:
-        raise CliError("SCALG_THREADS must be positive")
 
 
 # ------------------------------------------------------------- arguments
@@ -373,9 +361,8 @@ def cmd_rational_example(args):
     upto = args.T if args.T is not None else 2 * r * s + 2
     if upto < 0:
         raise CliError("T must be nonnegative")
-    pi = [1 if m % (2 * r) == 0 and m // (2 * r) < s else 0
-          for m in range(upto + 1)]
-    hq = {str(2 * r): 1, str(2 * r * s + 1): 1}
+    pi, hq = power_cofiber_closed_form(r, s, upto)
+    hq = {str(m): v for m, v in hq.data.items()}
     notes = []
     if s == 1:
         notes.append(
@@ -391,9 +378,12 @@ def cmd_rational_example(args):
 def cmd_asymptotic(args):
     n = _positive("n", args.n)
     p = _positive("p", args.p)
+    _field(p)
     samples = _parse_samples(args.t_samples)
     if not samples:
         raise CliError("need at least one t sample")
+    if any(not t > 0 for t in samples):  # also rejects nan
+        raise CliError("t samples must be positive")
     try:
         rep = asymptotic_check(args.q, n, p, samples, M=args.M)
     except SeriesError as exc:
@@ -509,7 +499,6 @@ def main(argv=None, stdout=None):
     stdout = stdout or sys.stdout
     parser = build_parser()
     try:
-        _check_threads_env()
         # a config file supplies defaults; flags override
         config = {}
         if "--config" in argv:

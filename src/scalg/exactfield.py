@@ -13,13 +13,16 @@ shape the module:
 
 Matrices are stored column-sparse (one dict per column), which keeps the
 very sparse face/degeneracy/multiplication matrices of the simplicial
-machinery cheap.  Over F_2 the echelon engine switches to bitmask columns
-(Python big ints), same pivot policy, same results.
+machinery cheap.  ``axpy`` is the shared sparse update and ``ColumnEchelon``
+the one exact elimination kernel.  ``rank`` alone, needing no residues,
+runs F_2 on bitmask columns (Python big ints) and Q on fraction-free
+integer columns, with the same pivot policy and so the same ranks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldError(ValueError):
@@ -126,6 +129,29 @@ GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 
 
+def axpy(acc, c, vec, p):
+    """acc += c * vec on sparse vectors, in place; returns acc.
+
+    Arithmetic is mod p, or exact over Q when p == 0; entries that become
+    zero are dropped, so acc stays canonical.
+    """
+    if p:
+        for i, v in vec.items():
+            w = (acc.get(i, 0) + c * v) % p
+            if w:
+                acc[i] = w
+            else:
+                acc.pop(i, None)
+    else:
+        for i, v in vec.items():
+            w = acc.get(i, 0) + c * v
+            if w:
+                acc[i] = w
+            else:
+                acc.pop(i, None)
+    return acc
+
+
 class Mat:
     """Column-sparse exact matrix over a FieldSpec.
 
@@ -226,18 +252,9 @@ class Mat:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        F = self.field
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            c = dict(a)
-            for i, v in b.items():
-                w = F.add(c.get(i, F.zero()), v)
-                if w == 0:
-                    c.pop(i, None)
-                else:
-                    c[i] = w
-            cols.append(c)
-        return Mat(F, self.nrows, self.ncols, cols)
+        p = self.field.characteristic
+        cols = [axpy(dict(a), 1, b, p) for a, b in zip(self.cols, other.cols)]
+        return Mat(self.field, self.nrows, self.ncols, cols)
 
     def __neg__(self):
         F = self.field
@@ -274,31 +291,15 @@ class Mat:
                 "shape mismatch: %dx%d @ %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        F = self.field
-        out = []
-        for bcol in other.cols:
-            acc = {}
-            for k, bv in bcol.items():
-                for i, av in self.cols[k].items():
-                    w = F.add(acc.get(i, F.zero()), F.mul(av, bv))
-                    if w == 0:
-                        acc.pop(i, None)
-                    else:
-                        acc[i] = w
-            out.append(acc)
-        return Mat(F, self.nrows, other.ncols, out)
+        out = [self.apply(bcol) for bcol in other.cols]
+        return Mat(self.field, self.nrows, other.ncols, out)
 
     def apply(self, vec):
         """Apply to a sparse vector {index: value}; returns a sparse vector."""
-        F = self.field
+        p = self.field.characteristic
         acc = {}
         for k, bv in vec.items():
-            for i, av in self.cols[k].items():
-                w = F.add(acc.get(i, F.zero()), F.mul(av, bv))
-                if w == 0:
-                    acc.pop(i, None)
-                else:
-                    acc[i] = w
+            axpy(acc, bv, self.cols[k], p)
         return acc
 
     def transpose(self):
@@ -380,8 +381,8 @@ class ColumnEchelon:
     the previously inserted columns, which is what homology representatives
     and linear solves need.
 
-    Over F_2 columns are packed into int bitmasks; the pivot policy is
-    unchanged so results agree with the generic path.
+    This is the one exact kernel for every field; the bitmask F_2 and
+    fraction-free Q paths are rank-only and live in ``rank``.
     """
 
     def __init__(self, field, nrows, track=False):
@@ -392,104 +393,19 @@ class ColumnEchelon:
         self.columns = []  # echelon columns (normalized)
         self.combos = []  # combos[i]: dict old-col-index -> coeff
         self.ninserted = 0
-        p = field.characteristic
-        self._bits = p == 2 and not track
-        # untracked rank-only fast paths: integer columns up to scaling
-        self._intfrac = p == 0 and not track
-        self._modp = p > 2 and not track
 
     @property
     def rank(self):
         return len(self.columns)
 
-    def _to_bits(self, col):
-        m = 0
-        for i in col:
-            m |= 1 << i
-        return m
-
-    def _reduce_bits(self, m):
-        while m:
-            low = (m & -m).bit_length() - 1
-            j = self.pivots.get(low)
-            if j is None:
-                return m
-            m ^= self.columns[j]
-        return m
-
-    def _reduce_intfrac(self, col):
-        """Integer column reduction up to positive scaling (rank only).
-
-        Stored columns are integer with positive pivot; to kill the entry
-        at a pivot row, cross-multiply (p*col - c*pivotcol) and strip the
-        content, which preserves the span and keeps entries integral.
-        """
-        from math import gcd
-
-        col = {i: int(v) for i, v in col.items() if v}
-        while col:
-            low = min(col)
-            j = self.pivots.get(low)
-            if j is None:
-                break
-            piv = self.columns[j]
-            p = piv[low]
-            c = col[low]
-            new = {}
-            g = 0
-            for i in set(col) | set(piv):
-                w = p * col.get(i, 0) - c * piv.get(i, 0)
-                if w:
-                    new[i] = w
-                    g = gcd(g, w)
-            if g > 1:
-                new = {i: v // g for i, v in new.items()}
-            col = new
-        return col
-
-    def _reduce_modp(self, col):
-        p = self.field.characteristic
-        col = {i: v % p for i, v in col.items() if v % p}
-        while col:
-            low = min(col)
-            j = self.pivots.get(low)
-            if j is None:
-                break
-            piv = self.columns[j]  # pivot entry is 1
-            c = col[low]
-            for i, v in piv.items():
-                w = (col.get(i, 0) - c * v) % p
-                if w:
-                    col[i] = w
-                else:
-                    col.pop(i, None)
-        return col
-
     def reduce(self, col):
         """Reduce a sparse column; return (residue, combo) (combo None if untracked).
 
-        In the untracked rational mode the residue is only meaningful up to
-        a positive rational scale (rank and membership are unaffected).
+        The residue is exact: col minus the combination of inserted columns
+        that combo records.
         """
-        F = self.field
-        if self._bits:
-            m = self._reduce_bits(self._to_bits(col))
-            return ({i: 1 for i in _bit_indices(m)}, None)
-        if self._intfrac:
-            num = {}
-            den = 1
-            for i, v in col.items():
-                v = F.element(v)
-                num[i] = v
-            if num:
-                from math import lcm
-
-                den = lcm(*[v.denominator for v in num.values()]) if num else 1
-                num = {i: int(v * den) for i, v in num.items()}
-            return (self._reduce_intfrac(num), None)
-        if self._modp:
-            return (self._reduce_modp(col), None)
-        col = dict(col)
+        p = self.field.characteristic
+        col = axpy({}, 1, col, p)
         combo = {} if self.track else None
         while col:
             low = min(col)
@@ -497,78 +413,76 @@ class ColumnEchelon:
             if j is None:
                 break
             c = col[low]  # pivot of stored column is 1
-            for i, v in self.columns[j].items():
-                w = F.sub(col.get(i, F.zero()), F.mul(c, v))
-                if w == 0:
-                    col.pop(i, None)
-                else:
-                    col[i] = w
+            axpy(col, -c, self.columns[j], p)
             if self.track:
-                for k, v in self.combos[j].items():
-                    w = F.add(combo.get(k, F.zero()), F.mul(c, v))
-                    if w == 0:
-                        combo.pop(k, None)
-                    else:
-                        combo[k] = w
+                axpy(combo, c, self.combos[j], p)
         return (col, combo)
 
     def insert(self, col):
         """Insert a column; return (new_pivot_row or None, combo-of-reduction)."""
-        F = self.field
+        p = self.field.characteristic
         idx = self.ninserted
         self.ninserted += 1
-        if self._bits:
-            m = self._reduce_bits(self._to_bits(col))
-            if not m:
-                return (None, None)
-            low = (m & -m).bit_length() - 1
-            self.pivots[low] = len(self.columns)
-            self.columns.append(m)
-            return (low, None)
-        if self._intfrac or self._modp:
-            residue, _ = self.reduce(col)
-            if not residue:
-                return (None, None)
-            low = min(residue)
-            if self._intfrac:
-                if residue[low] < 0:
-                    residue = {i: -v for i, v in residue.items()}
-                norm = residue
-            else:
-                p = self.field.characteristic
-                inv = pow(residue[low], -1, p)
-                norm = {i: (inv * v) % p for i, v in residue.items()}
-            self.pivots[low] = len(self.columns)
-            self.columns.append(norm)
-            return (low, None)
         residue, combo = self.reduce(col)
         if not residue:
             return (None, combo)
         low = min(residue)
-        inv = F.inv(residue[low])
-        norm = {i: F.mul(inv, v) for i, v in residue.items()}
+        inv = self.field.inv(residue[low])
         self.pivots[low] = len(self.columns)
-        self.columns.append(norm)
+        self.columns.append(axpy({}, inv, residue, p))
         if self.track:
             # normalized column = inv*col_idx - sum inv*combo[k]*col_k
-            c = {idx: inv}
-            for k, v in combo.items():
-                w = F.neg(F.mul(inv, v))
-                if w != 0:
-                    c[k] = w
-            self.combos.append(c)
+            self.combos.append(axpy({idx: inv}, -inv, combo, p))
         return (low, combo)
 
-    def contains(self, col):
-        residue, _ = self.reduce(col)
-        return not residue
+
+def _rank_f2(cols):
+    """Rank over F_2 with columns packed into int bitmasks."""
+    pivots = {}  # pivot row -> bitmask column
+    for col in cols:
+        m = 0
+        for i in col:
+            m |= 1 << i
+        while m:
+            low = (m & -m).bit_length() - 1
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = m
+                break
+            m ^= piv
+    return len(pivots)
 
 
-def _bit_indices(m):
-    while m:
-        low = (m & -m).bit_length() - 1
-        yield low
-        m ^= 1 << low
+def _rank_q(cols):
+    """Rank over Q on integer columns, each known up to a nonzero scale.
+
+    A column is cleared of denominators; to kill its entry at a pivot row,
+    cross-multiply (a*col - c*pivotcol) and strip the content, which keeps
+    the span and keeps entries integral and small.
+    """
+    pivots = {}  # pivot row -> integer column
+    for col in cols:
+        den = lcm(*[v.denominator for v in col.values()])
+        col = {i: int(v * den) for i, v in col.items() if v}
+        while col:
+            low = min(col)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                break
+            a = piv[low]
+            c = col[low]
+            new = {}
+            g = 0
+            for i in set(col) | set(piv):
+                w = a * col.get(i, 0) - c * piv.get(i, 0)
+                if w:
+                    new[i] = w
+                    g = gcd(g, w)
+            if g > 1:
+                new = {i: v // g for i, v in new.items()}
+            col = new
+    return len(pivots)
 
 
 def _check_field_arg(M, field):
@@ -579,8 +493,16 @@ def _check_field_arg(M, field):
 
 
 def rank(M, field=None):
-    """Rank of M over its field; field argument cross-checks the spec."""
+    """Rank of M over its field; field argument cross-checks the spec.
+
+    F_2 and Q take the rank-only paths; other fields use ColumnEchelon.
+    """
     _check_field_arg(M, field)
+    p = M.field.characteristic
+    if p == 2:
+        return _rank_f2(M.cols)
+    if p == 0:
+        return _rank_q(M.cols)
     ech = ColumnEchelon(M.field, M.nrows)
     for col in M.cols:
         ech.insert(col)
@@ -601,12 +523,7 @@ def kernel_basis(M, field=None):
         pivot, combo = ech.insert(col)
         if pivot is None:
             # col_j = sum combo[k] * col_k, so col_j - sum ... = 0
-            vec = {j: F.one()}
-            for k, v in combo.items():
-                w = F.neg(v)
-                if w != 0:
-                    vec[k] = w
-            kernel_cols.append(vec)
+            kernel_cols.append(axpy({j: F.one()}, -1, combo, F.characteristic))
     return Mat(F, M.ncols, len(kernel_cols), kernel_cols)
 
 

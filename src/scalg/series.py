@@ -149,17 +149,22 @@ def mul(f, g):
 
 
 def leq(f, g):
-    """Coefficientwise order through the common truncation."""
+    """Coefficientwise order: f <= g where f is known, g known at least as far."""
     ok, _ = leq_report(f, g)
     return ok
 
 
 def leq_report(f, g):
-    """(holds, first violating index or None) through the common truncation."""
-    M = min(f.truncation, g.truncation)
-    for i in range(M + 1):
+    """(holds, first violating index or None) for leq(f, g).
+
+    A coefficient of f beyond the truncation of g is not known to be
+    bounded, so it violates the order; this keeps leq transitive.
+    """
+    for i in range(min(f.truncation, g.truncation) + 1):
         if f[i] > g[i]:
             return False, i
+    if f.truncation > g.truncation:
+        return False, g.truncation + 1
     return True, None
 
 

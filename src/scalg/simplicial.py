@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exactfield import FieldSpec, FieldError, Mat, rank, kernel_basis
+from .exactfield import FieldSpec, FieldError, Mat, axpy, rank, kernel_basis
 
 
 class SimplicialError(ValueError):
@@ -137,13 +137,13 @@ class ChainComplex:
         raise ValueError("no differential at level %d" % m)
 
     def homology_dims(self):
-        """Homology in degrees 0..top; the top degree ignores unseen boundaries."""
-        out = {}
-        for m in range(self.top + 1):
-            d_out = self.differential(m)
-            ker = d_out.ncols - rank(d_out)
-            incoming = rank(self.diffs[m + 1]) if m + 1 <= self.top else 0
-            out[m] = ker - incoming
+        """Homology in degrees 0..top; the top degree ignores unseen boundaries.
+
+        Each differential is ranked once: H_m = dims[m] - rank d_m - rank d_{m+1}.
+        """
+        ranks = [0] + [rank(self.diffs[m]) for m in range(1, self.top + 1)] + [0]
+        out = {m: self.dims[m] - ranks[m] - ranks[m + 1]
+               for m in range(self.top + 1)}
         return HomotopyDims(out, self.top - 1)
 
     def homology_reps(self, m):
@@ -231,19 +231,13 @@ class _LevelQuotient:
         self.position = {r: k for k, r in enumerate(self.complement)}
 
     def _reduce(self, vec, pivots):
-        F = self.field
+        p = self.field.characteristic
         while True:
             hit = [r for r in vec if r in pivots]
             if not hit:
                 return vec
             r = min(hit)
-            c = vec[r]
-            for i, v in pivots[r].items():
-                w = F.sub(vec.get(i, F.zero()), F.mul(c, v))
-                if w == 0:
-                    vec.pop(i, None)
-                else:
-                    vec[i] = w
+            axpy(vec, -vec[r], pivots[r], p)
 
     @property
     def quotient_dim(self):
@@ -542,19 +536,26 @@ def _mat_from_lists(field, rows, nrows, ncols):
 # the inverse Dold-Kan functor
 
 
-def surjections(m, k):
-    """Order-preserving surjections [m] ->> [k] as value tuples, sorted.
+def _jump_surjections(m, k):
+    """(values, jump mask) of each order-preserving surjection [m] ->> [k].
 
-    A surjection is determined by its k jump positions inside {0..m-1},
-    so there are C(m, k) of them.
+    A surjection is determined by its k jump positions inside {0..m-1}
+    (bit j of the mask is set when the value steps up from j to j + 1), so
+    there are C(m, k) of them; they come in sorted order.
     """
-    out = []
     for jumps in combinations(range(m), k):
+        mask = 0
+        for j in jumps:
+            mask |= 1 << j
         vals = [0] * (m + 1)
-        for i in range(1, m + 1):
-            vals[i] = vals[i - 1] + (1 if (i - 1) in jumps else 0)
-        out.append(tuple(vals))
-    return out
+        for i in range(m):
+            vals[i + 1] = vals[i] + (mask >> i & 1)
+        yield tuple(vals), mask
+
+
+def surjections(m, k):
+    """Order-preserving surjections [m] ->> [k] as value tuples, sorted."""
+    return [vals for vals, _ in _jump_surjections(m, k)]
 
 
 def _coface(m, i):

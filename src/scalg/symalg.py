@@ -18,9 +18,9 @@ the full (often huge) unnormalized levels.
 from __future__ import annotations
 
 import math
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
-from .exactfield import Mat
+from .exactfield import Mat, axpy
 from .simplicial import (
     ChainComplex,
     GradedDims,
@@ -30,6 +30,7 @@ from .simplicial import (
     constant_object,
     eilenberg_maclane,
     _coface,
+    _jump_surjections,
 )
 
 
@@ -115,17 +116,11 @@ def _face_on_jumpmask(m, i, n):
     """Action of d_i on level-m jump masks of K(-, n); None where it dies."""
     table = {}
     phi = _coface(m, i)
-    for jumps in combinations(range(m), n):
-        vals = [0] * (m + 1)
-        for a in range(1, m + 1):
-            vals[a] = vals[a - 1] + (1 if (a - 1) in jumps else 0)
+    for vals, mask in _jump_surjections(m, n):
         comp = tuple(vals[phi[a]] for a in range(m))
         ok = comp[0] == 0 and comp[-1] == n
         if ok:
             ok = all(b - a in (0, 1) for a, b in zip(comp, comp[1:]))
-        mask = 0
-        for j in jumps:
-            mask |= 1 << j
         if not ok:
             table[mask] = None
         else:
@@ -159,12 +154,7 @@ def sym_power_covering_complex(field, q, n, d, T, enum_budget=4_000_000,
     index = []
     built_to = T
     for m in range(T + 1):
-        level_masks = []
-        for jumps in combinations(range(m), n):
-            mask = 0
-            for j in jumps:
-                mask |= 1 << j
-            level_masks.append(mask)
+        level_masks = [mask for _, mask in _jump_surjections(m, n)]
         ncodes = len(level_masks) * q
         if ncodes == 0:
             masks.append([])
@@ -338,18 +328,13 @@ class WeightGradedAlgebra:
         """Product of sparse vectors in Sym^a_m and Sym^b_m; {} past weight W."""
         if a + b > self.W:
             return {}
-        F = self.field
+        p = self.field.characteristic
         mul = self.multiplication(a, b, m)
         dim_b = self.components[b].level_dims[m]
         acc = {}
         for ia, va in vec_a.items():
             for ib, vb in vec_b.items():
-                for k, w in mul.cols[ia * dim_b + ib].items():
-                    x = F.add(acc.get(k, F.zero()), F.mul(F.mul(va, vb), w))
-                    if x == 0:
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = x
+                axpy(acc, va * vb, mul.cols[ia * dim_b + ib], p)
         return acc
 
     def check_algebra_identities(self):

@@ -1,6 +1,5 @@
 import io
 import json
-import os
 
 import jsonschema
 import pytest
@@ -10,21 +9,9 @@ from scalg.schemas import SCHEMAS
 from scalg.simplicial import SimplicialVectorSpace
 
 
-def run_cli(argv, env=None):
+def run_cli(argv):
     out = io.StringIO()
-    old = {}
-    if env:
-        for k, v in env.items():
-            old[k] = os.environ.get(k)
-            os.environ[k] = v
-    try:
-        code = main(argv, stdout=out)
-    finally:
-        for k, v in old.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    code = main(argv, stdout=out)
     return code, out.getvalue()
 
 
@@ -202,6 +189,22 @@ def test_bad_bounds_are_exit_1():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["-p", "4"],  # p is not a prime
+        ["-p", "3", "--t-samples", "-1"],  # t <= 0 is invalid, not inconclusive
+        ["-p", "3", "--t-samples", "nan"],  # would print NaN, which is not JSON
+    ],
+)
+def test_asymptotic_bad_input_is_exit_1(extra, capsys):
+    code, out = run_cli(["asymptotic", "-n", "1"] + extra)
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_profile_is_exit_1():
     code, _ = run_cli(["audit", "--char", "2", "--profile", "nope",
                        "--pi-bound", "3"])
@@ -209,15 +212,6 @@ def test_bad_profile_is_exit_1():
     code, _ = run_cli(["audit", "--char", "2", "--profile", "2:1",
                        "--pi-bound", "2"])
     assert code == 1  # D must exceed p
-
-
-def test_threads_env_is_validated():
-    code, _ = run_cli(["pi-sphere", "--char", "0", "-n", "1", "-T", "3",
-                       "-W", "1"], env={"SCALG_THREADS": "zebra"})
-    assert code == 1
-    code, _ = run_cli(["pi-sphere", "--char", "0", "-n", "1", "-T", "3",
-                       "-W", "1"], env={"SCALG_THREADS": "4"})
-    assert code == 0
 
 
 # ------------------------------------------------------------- config file

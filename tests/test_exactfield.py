@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scalg.exactfield import (
+    ColumnEchelon,
     FieldSpec,
     FieldError,
     Mat,
@@ -128,6 +129,12 @@ def test_rank_matches_second_elimination_order():
             rows = random_dense(rng, field, nr, nc)
             m = Mat.from_rows(field, rows, ncols=nc)
             assert rank(m) == rank_by_row_elimination(rows, field)
+            # rank()'s bitmask (F_2) and integral (Q) paths against the
+            # exact kernel they stand in for
+            ech = ColumnEchelon(field, nr)
+            for col in m.cols:
+                ech.insert(col)
+            assert rank(m) == ech.rank
 
 
 def test_rank_deterministic_bit_for_bit():
@@ -268,7 +275,7 @@ def test_rank_nullity_rational(rows):
 
 def test_homology_dim_agrees_with_second_pivot_rule():
     rng = random.Random(23)
-    for field in (QQ, GF2):
+    for field in (QQ, GF2, GF3):
         for _ in range(15):
             a, b, c = (rng.randint(1, 4) for _ in range(3))
             d_out = Mat.from_rows(field, random_dense(rng, field, c, b), ncols=b)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from scalg.exactfield import Mat, QQ, GF2, GF3, kernel_basis, rank
+import scalg.simplicial
+from scalg.exactfield import Mat, QQ, GF2, GF3, homology_dim, kernel_basis, rank
 from scalg.simplicial import (
     GradedDims,
     SimplicialError,
@@ -158,6 +159,28 @@ def test_gamma_recovers_complex_homology():
             hc = cx.homology_dims()
             for m in range(T + 1):
                 assert hv[m] == hc[m], (field, m, hv.data, hc.data)
+
+
+def test_homology_dims_ranks_each_differential_once(monkeypatch):
+    rng = random.Random(11)
+    calls = []
+
+    def counting_rank(M):
+        calls.append(M)
+        return rank(M)
+
+    monkeypatch.setattr(scalg.simplicial, "rank", counting_rank)
+    for field in (QQ, GF2, GF3):
+        for _ in range(5):
+            T = rng.randint(1, 4)
+            dims, diffs = random_chain_complex(rng, field, T)
+            cx = ChainComplex(field, dims, [Mat.zero(field, 0, dims[0])] + diffs[1:])
+            calls.clear()
+            h = cx.homology_dims()
+            assert len(calls) == T
+            for m in range(T + 1):
+                d_in = cx.diffs[m + 1] if m < T else Mat.zero(field, dims[m], 0)
+                assert h[m] == homology_dim(d_in, cx.differential(m))
 
 
 def test_normalized_equals_unnormalized_on_gamma_objects():
