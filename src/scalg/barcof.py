@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from .exactfield import FieldError, Mat, kernel_basis, solve
+from .exactfield import FieldError, Mat, canonical, kernel_basis, solve
 from .simplicial import GradedDims, SimplicialError, SimplicialVectorSpace
 from .symalg import sphere_algebra
 
@@ -139,7 +139,7 @@ class AlgebraMap:
                             sorted(self.source.monomials[1][m][i1]
                                    + self.source.monomials[w][m][iw])
                         )
-                        j = self.source.monomials[w + 1][m].index(mono)
+                        j = self.source.monomial_index(w + 1, m)[mono]
                         if dict(left.cols[j]) != prod_img:
                             raise SimplicialError(
                                 "generator extension is not multiplicative"
@@ -167,14 +167,13 @@ class AlgebraMap:
         else:
             prev = self.weight_map(w - 1, m)
             gen = self.level_maps[m]
+            prev_index = self.source.monomial_index(w - 1, m)
             cols = []
             for mono in self.source.monomials[w][m]:
                 head = mono[:-1]
                 last = mono[-1]
-                iprev = self.source.monomials[w - 1][m].index(head)
                 vec = self.target.multiply_elements(
-                    (w - 1) * s, dict(prev.cols[iprev]),
-                    s, dict(gen.cols[last]), m,
+                    (w - 1) * s, prev.cols[prev_index[head]], s, gen.cols[last], m
                 )
                 cols.append(vec)
             out = Mat(
@@ -187,17 +186,18 @@ class AlgebraMap:
         return out
 
     def rebuilt(self, source_W=None, target_W=None, T=None):
-        """Same map on algebras rebuilt with enlarged truncations."""
+        """Same map on algebras rebuilt with enlarged truncations; self when
+        none of them grows."""
         n, weight, cycles = self.recipe
+        source_W = source_W if source_W is not None else self.source.W
+        target_W = target_W if target_W is not None else self.target.W
         T = T if T is not None else self.source.T
+        if (source_W, target_W, T) == (self.source.W, self.target.W, self.source.T):
+            return self
         target = sphere_algebra(
-            self.target.field, self.target.q, self.target.n, T,
-            target_W if target_W is not None else self.target.W,
+            self.target.field, self.target.q, self.target.n, T, target_W
         )
-        return representing_map(
-            target, n, weight, cycles,
-            source_W=source_W if source_W is not None else self.source.W,
-        )
+        return representing_map(target, n, weight, cycles, source_W=source_W)
 
     def __repr__(self):
         return "AlgebraMap(S(%d gen, deg %d) -> S(%d gen, deg %d), ratio %d)" % (
@@ -294,7 +294,7 @@ def representing_map(target, n, weight, class_vec, source_W=1,
 def identity_map(algebra, source_W=None):
     """The identity-class map: each generator to its own homotopy class."""
     n = algebra.n
-    cycles = [{i: algebra.field.one()} for i in range(algebra.q)]
+    cycles = [{i: 1} for i in range(algebra.q)]
     return representing_map(algebra, n, 1, cycles,
                             source_W=algebra.W if source_W is None else source_W)
 
@@ -373,146 +373,87 @@ def bar_diagonal(f, N, T, W):
         index.append({b: i for i, b in enumerate(basis)})
 
     dims = [len(b) for b in bases]
+    p = field.characteristic
 
-    def apply_component_map(alg_codes, code, mat_by_weight, target_index):
-        """Apply a per-weight family of matrices to one code; sparse image."""
-        d, i = code
-        mat = mat_by_weight[d]
-        if mat is None:
-            return {}
-        return {
-            target_index[(d, j)]: v for j, v in mat.cols[i].items()
-        }
+    def levelwise(m, lvl, a_maps, b_maps, slots, kb):
+        """Image of (slots, b) at level lvl under a levelwise structure map
+        (a_maps[d] on every weight-d slot, b_maps[d] on b), multiplied out
+        into (slots, kb, coeff) terms."""
+        terms = [((), 1)]
+        for c in slots:
+            d, j = acodes[m][c]
+            img = a_maps[d].cols[j]
+            terms = [(prefix + (acode_index[lvl][(d, j2)],), coeff * v)
+                     for prefix, coeff in terms for j2, v in img.items()]
+            if not terms:
+                return terms
+        db, jb = bcodes[m][kb]
+        return [(prefix, bcode_index[lvl][(db, j2)], coeff * v)
+                for prefix, coeff in terms
+                for j2, v in b_maps[db].cols[jb].items()]
+
+    def emit(acc, lvl, slots, kb, coeff, may_truncate=True):
+        """acc += coeff * (slots, kb) at level lvl.  Faces may leave the
+        window (the term is truncated away); degeneracies never do."""
+        key = index[lvl].get((slots, kb))
+        if key is not None:
+            acc[key] = acc.get(key, 0) + coeff
+            return
+        if not may_truncate:
+            raise AssertionError("degeneracy left the window")
+        db, _ = bcodes[lvl][kb]
+        wa = sum(acodes[lvl][c][0] for c in slots)
+        nonunit = sum(1 for c in slots if acodes[lvl][c][0] > 0)
+        if s * wa + db <= W and nonunit <= N:
+            raise AssertionError("missing basis tuple inside the window")
+
+    def bar_face(acc, i, lvl, slots, kb, coeff):
+        """Apply bar face i to (slots, b) at the target level and add."""
+        if i == 0:
+            if acodes[lvl][slots[0]][0] == 0:
+                emit(acc, lvl, slots[1:], kb, coeff)
+        elif i < len(slots):
+            d1, i1 = acodes[lvl][slots[i - 1]]
+            d2, i2 = acodes[lvl][slots[i]]
+            prod = A.multiply_elements(d1, {i1: 1}, d2, {i2: 1}, lvl)
+            for j, v in prod.items():
+                new_slots = (slots[: i - 1] + (acode_index[lvl][(d1 + d2, j)],)
+                             + slots[i + 1:])
+                emit(acc, lvl, new_slots, kb, coeff * v)
+        else:
+            # i == len(slots): push the last slot through f and into b
+            dlast, ilast = acodes[lvl][slots[-1]]
+            wmap = f.weight_map(dlast, lvl)
+            if wmap is None:
+                return
+            db, ib = bcodes[lvl][kb]
+            prod = B.multiply_elements(dlast * s, wmap.cols[ilast], db, {ib: 1}, lvl)
+            for j, v in prod.items():
+                emit(acc, lvl, slots[:-1], bcode_index[lvl][(dlast * s + db, j)],
+                     coeff * v)
 
     def face_matrix(m, i):
         a_face = [A.components[d].faces[m][i] for d in range(max_a_weight + 1)]
         b_face = [B.components[d].faces[m][i] for d in range(min(B.W, W) + 1)]
         cols = []
         for slots, kb in bases[m]:
-            # levelwise face on every slot and on b: branches accumulate
-            branches = [((), field.one())]
-            dead = False
-            for c in slots:
-                img = apply_component_map(acodes[m], acodes[m][c],
-                                          a_face, acode_index[m - 1])
-                if not img:
-                    dead = True
-                    break
-                new = []
-                for prefix, coeff in branches:
-                    for code2, v in img.items():
-                        new.append((prefix + (code2,), field.mul(coeff, v)))
-                branches = new
-            if dead:
-                cols.append({})
-                continue
-            img_b = apply_component_map(bcodes[m], bcodes[m][kb],
-                                        b_face, bcode_index[m - 1])
-            if not img_b:
-                cols.append({})
-                continue
-            out = {}
-            for prefix, coeff in branches:
-                for kb2, vb in img_b.items():
-                    _bar_face_accumulate(
-                        out, prefix, kb2, field.mul(coeff, vb), i, m - 1
-                    )
-            cols.append(out)
+            acc = {}
+            for slots2, kb2, coeff in levelwise(m, m - 1, a_face, b_face, slots, kb):
+                bar_face(acc, i, m - 1, slots2, kb2, coeff)
+            cols.append(canonical(acc, p))
         return Mat(field, dims[m - 1], dims[m], cols)
-
-    def _bar_face_accumulate(out, slots, kb, coeff, i, lvl):
-        """Apply bar face i to (slots, b) at the target level and add."""
-        F = field
-        slots = list(slots)
-        if i == 0:
-            d0, _ = acodes[lvl][slots[0]]
-            if d0 != 0:
-                return
-            new_slots = tuple(slots[1:])
-            _emit(out, new_slots, kb, coeff, lvl)
-            return
-        if i < len(slots):
-            c1 = acodes[lvl][slots[i - 1]]
-            c2 = acodes[lvl][slots[i]]
-            d1, i1 = c1
-            d2, i2 = c2
-            prod = A.multiply_elements(d1, {i1: F.one()}, d2, {i2: F.one()}, lvl)
-            for j, v in prod.items():
-                new_slots = tuple(
-                    slots[: i - 1] + [acode_index[lvl][(d1 + d2, j)]] + slots[i + 1:]
-                )
-                _emit(out, new_slots, kb, F.mul(coeff, v), lvl)
-            return
-        # i == len(slots): push the last slot through f and into b
-        dlast, ilast = acodes[lvl][slots[-1]]
-        wmap = f.weight_map(dlast, lvl)
-        if wmap is None:
-            return
-        db, ib = bcodes[lvl][kb]
-        fa = dict(wmap.cols[ilast])
-        prod = B.multiply_elements(dlast * s, fa, db, {ib: F.one()}, lvl)
-        for j, v in prod.items():
-            new_slots = tuple(slots[:-1])
-            _emit(out, new_slots, bcode_index[lvl][(dlast * s + db, j)],
-                  F.mul(coeff, v), lvl)
-
-    def _emit(out, slots, kb, coeff, lvl):
-        if coeff == 0:
-            return
-        key = index[lvl].get((slots, kb))
-        if key is None:
-            # truncated away (weight or bar-degree bound)
-            db, _ = bcodes[lvl][kb]
-            wa = sum(acodes[lvl][c][0] for c in slots)
-            nonunit = sum(1 for c in slots if acodes[lvl][c][0] > 0)
-            if s * wa + db <= W and nonunit <= N:
-                raise AssertionError("missing basis tuple inside the window")
-            return
-        w = field.add(out.get(key, field.zero()), coeff)
-        if w == 0:
-            out.pop(key, None)
-        else:
-            out[key] = w
 
     def degeneracy_matrix(m, i):
         a_deg = [A.components[d].degens[m][i] for d in range(max_a_weight + 1)]
         b_deg = [B.components[d].degens[m][i] for d in range(min(B.W, W) + 1)]
-        unit_up = acode_index[m + 1][(0, 0)]
+        unit_up = (acode_index[m + 1][(0, 0)],)
         cols = []
         for slots, kb in bases[m]:
-            branches = [((), field.one())]
-            dead = False
-            for c in slots:
-                img = apply_component_map(acodes[m], acodes[m][c],
-                                          a_deg, acode_index[m + 1])
-                if not img:
-                    dead = True
-                    break
-                new = []
-                for prefix, coeff in branches:
-                    for code2, v in img.items():
-                        new.append((prefix + (code2,), field.mul(coeff, v)))
-                branches = new
-            if dead:
-                cols.append({})
-                continue
-            img_b = apply_component_map(bcodes[m], bcodes[m][kb],
-                                        b_deg, bcode_index[m + 1])
-            out = {}
-            for prefix, coeff in branches:
-                lifted = list(prefix)
-                new_slots = tuple(lifted[:i] + [unit_up] + lifted[i:])
-                for kb2, vb in img_b.items():
-                    key = index[m + 1].get((new_slots, kb2))
-                    if key is None:
-                        raise AssertionError("degeneracy left the window")
-                    w = field.add(out.get(key, field.zero()),
-                                  field.mul(coeff, vb))
-                    if w == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = w
-            cols.append(out)
+            acc = {}
+            for slots2, kb2, coeff in levelwise(m, m + 1, a_deg, b_deg, slots, kb):
+                emit(acc, m + 1, slots2[:i] + unit_up + slots2[i:], kb2, coeff,
+                     may_truncate=False)
+            cols.append(canonical(acc, p))
         return Mat(field, dims[m + 1], dims[m], cols)
 
     faces = [[]]
@@ -615,7 +556,7 @@ def power_cofiber_tables(r, s, T=None, W=None, N=None):
         raise ValueError("level bound below the source generator degree")
     target = sphere_algebra(QQ, 1, nB, T, W + 1)
     if s == 1:
-        class_vec = {0: QQ.one()}
+        class_vec = {0: 1}
     else:
         comp = target.components[s]
         ncx = comp.normalized_chains()

@@ -154,6 +154,7 @@ def build_parser():
     parser = _Parser(prog="scalg", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="key = value defaults file")
     sub = parser.add_subparsers(dest="command")
+    parser.subcommands = sub.choices
 
     def add_common(p):
         p.add_argument("--output", choices=OUTPUT_FORMATS, default="json")
@@ -333,6 +334,7 @@ def cmd_audit(args):
         raise CliError(
             "the audit needs characteristic p != 0; use rational-check"
         )
+    _field(args.char)
     dims = _parse_profile(args.profile)
     try:
         profile = EnvelopeProfile(args.char, dims, pi_bound=args.pi_bound)
@@ -509,21 +511,19 @@ def main(argv=None, stdout=None):
         args = parser.parse_args(argv)
         if args.command is None:
             raise CliError("a subcommand is required (see --help)")
-        for key, value in config.items():
-            if hasattr(args, key):
-                current = parser.get_default(key)
-                if getattr(args, key) == current or getattr(args, key) is None:
-                    typ = type(current) if current is not None else str
-                    if typ is bool:
-                        setattr(args, key, value.lower() in ("1", "true", "yes"))
-                    elif current is None:
-                        # untyped optional: try int, fall back to string
-                        try:
-                            setattr(args, key, int(value))
-                        except ValueError:
-                            setattr(args, key, value)
-                    else:
-                        setattr(args, key, typ(value))
+        if config:
+            # the file's values become the subcommand's defaults, which
+            # argparse converts with each option's type; explicit flags win
+            subparser = parser.subcommands[args.command]
+            defaults = {}
+            for action in subparser._actions:
+                if action.dest in config:
+                    value = config[action.dest]
+                    if isinstance(action.default, bool):
+                        value = value.lower() in ("1", "true", "yes")
+                    defaults[action.dest] = value
+            subparser.set_defaults(**defaults)
+            args = parser.parse_args(argv)
         if args.output not in OUTPUT_FORMATS:
             raise CliError("output must be one of %s" % (OUTPUT_FORMATS,))
         payload, code = HANDLERS[args.command](args)

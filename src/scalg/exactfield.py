@@ -1,11 +1,21 @@
 """Exact linear algebra over the prime fields F_p and over the rationals.
 
 Everything downstream (chain complexes, homotopy groups, bar constructions)
-reduces to rank and kernel computations done here.  Two hard requirements
+reduces to rank and kernel computations done here.  Three requirements
 shape the module:
 
 * arithmetic is exact, never floating point: F_p elements are canonical
-  integers in 0..p-1, rational entries are ``fractions.Fraction``;
+  integers in 0..p-1; rational entries are Python ints wherever they are
+  built from integers, and ``fractions.Fraction`` enters only through
+  non-integer input and where elimination divides by a pivot;
+* this is the only module that knows field arithmetic.  Structure maps
+  (faces, degeneracies, symmetric powers, multiplication tables, bar
+  faces) are defined over the integers, so their constructors compute
+  with plain ``+`` and ``*`` and hand each computed column to
+  ``canonical``, the one point where numbers become field elements
+  (reduced mod p, zeros dropped); a column of literal 1s, or of entries
+  copied from a field matrix, is one already.  ``FieldSpec.element``
+  validates outside input and ``FieldSpec.inv`` serves elimination;
 * elimination is deterministic: columns are processed left to right and
   the pivot of a reduced column is its smallest nonzero row index, so a
   given matrix always produces bit-for-bit identical ranks, kernels and
@@ -29,18 +39,34 @@ class FieldError(ValueError):
     """Raised for invalid field specs or field/entry mismatches."""
 
 
+# The first twelve primes: as Miller-Rabin bases they decide primality
+# exactly for every n < 2**64 (no strong pseudoprime to all of them is
+# that small), which is why characteristics are capped there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_CHARACTERISTIC = 2**64
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin, exact for n < MAX_CHARACTERISTIC."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -50,6 +76,10 @@ class FieldSpec:
     __slots__ = ("characteristic",)
 
     def __init__(self, characteristic):
+        if characteristic >= MAX_CHARACTERISTIC:
+            raise FieldError(
+                "characteristic must be below 2**64, got %r" % (characteristic,)
+            )
         if characteristic != 0 and not _is_prime(characteristic):
             raise FieldError(
                 "characteristic must be 0 or a prime, got %r" % (characteristic,)
@@ -74,16 +104,17 @@ class FieldSpec:
             return "FieldSpec(0)"
         return "FieldSpec(%d)" % self.characteristic
 
-    # -- element arithmetic -------------------------------------------
+    # -- elements ---------------------------------------------------------
 
     def element(self, x):
-        """Canonicalize x as a field element; reject mismatched values."""
+        """Canonicalize outside input as a field element; reject mismatches.
+
+        Over Q an int stays an int and a Fraction stays a Fraction.
+        """
         p = self.characteristic
         if p == 0:
-            if isinstance(x, Fraction):
+            if isinstance(x, (int, Fraction)):
                 return x
-            if isinstance(x, int):
-                return Fraction(x)
             raise FieldError("rational entries must be int or Fraction, got %r" % (x,))
         if isinstance(x, Fraction):
             if x.denominator % p == 0:
@@ -92,28 +123,6 @@ class FieldSpec:
         if isinstance(x, int):
             return x % p
         raise FieldError("F_%d entries must be integers, got %r" % (p, x))
-
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
-
-    def add(self, a, b):
-        p = self.characteristic
-        return a + b if p == 0 else (a + b) % p
-
-    def sub(self, a, b):
-        p = self.characteristic
-        return a - b if p == 0 else (a - b) % p
-
-    def mul(self, a, b):
-        p = self.characteristic
-        return a * b if p == 0 else (a * b) % p
-
-    def neg(self, a):
-        p = self.characteristic
-        return -a if p == 0 else (-a) % p
 
     def inv(self, a):
         p = self.characteristic
@@ -127,6 +136,18 @@ class FieldSpec:
 QQ = FieldSpec(0)
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
+
+
+def canonical(col, p):
+    """The field column of a sparse column of exact numbers.
+
+    The one point where structure-map entries, computed over the integers
+    (or over Q), become field elements: reduced mod p, or kept as they are
+    over Q (p == 0), with zeros dropped either way.
+    """
+    if p:
+        return {i: w for i, v in col.items() if (w := v % p)}
+    return {i: v for i, v in col.items() if v}
 
 
 def axpy(acc, c, vec, p):
@@ -209,8 +230,7 @@ class Mat:
 
     @classmethod
     def identity(cls, field, n):
-        one = field.one()
-        return cls(field, n, n, [{i: one} for i in range(n)])
+        return cls(field, n, n, [{i: 1} for i in range(n)])
 
     # -- basics ---------------------------------------------------------
 
@@ -218,8 +238,7 @@ class Mat:
         return Mat(self.field, self.nrows, self.ncols, [dict(c) for c in self.cols])
 
     def to_rows(self):
-        zero = self.field.zero()
-        rows = [[zero] * self.ncols for _ in range(self.nrows)]
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
         for j, col in enumerate(self.cols):
             for i, v in col.items():
                 rows[i][j] = v
@@ -257,27 +276,19 @@ class Mat:
         return Mat(self.field, self.nrows, self.ncols, cols)
 
     def __neg__(self):
-        F = self.field
-        return Mat(
-            F,
-            self.nrows,
-            self.ncols,
-            [{i: F.neg(v) for i, v in c.items()} for c in self.cols],
-        )
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, a):
-        F = self.field
-        a = F.element(a)
-        if a == 0:
-            return Mat.zero(F, self.nrows, self.ncols)
+        a = self.field.element(a)
+        p = self.field.characteristic
         return Mat(
-            F,
+            self.field,
             self.nrows,
             self.ncols,
-            [{i: F.mul(a, v) for i, v in c.items()} for c in self.cols],
+            [canonical({i: a * v for i, v in c.items()}, p) for c in self.cols],
         )
 
     def __matmul__(self, other):
@@ -335,7 +346,7 @@ class Mat:
     def kron(self, other):
         """Kronecker product: row/column index pairs flattened row-major."""
         self._check_same_field(other)
-        F = self.field
+        p = self.field.characteristic
         cols = []
         for j1 in range(self.ncols):
             c1 = self.cols[j1]
@@ -344,9 +355,10 @@ class Mat:
                 col = {}
                 for i1, v1 in c1.items():
                     for i2, v2 in c2.items():
-                        col[i1 * other.nrows + i2] = F.mul(v1, v2)
-                cols.append(col)
-        return Mat(F, self.nrows * other.nrows, self.ncols * other.ncols, cols)
+                        col[i1 * other.nrows + i2] = v1 * v2
+                cols.append(canonical(col, p))
+        return Mat(self.field, self.nrows * other.nrows, self.ncols * other.ncols,
+                   cols)
 
     @classmethod
     def block_diag(cls, field, blocks):
@@ -523,7 +535,7 @@ def kernel_basis(M, field=None):
         pivot, combo = ech.insert(col)
         if pivot is None:
             # col_j = sum combo[k] * col_k, so col_j - sum ... = 0
-            kernel_cols.append(axpy({j: F.one()}, -1, combo, F.characteristic))
+            kernel_cols.append(axpy({j: 1}, -1, combo, F.characteristic))
     return Mat(F, M.ncols, len(kernel_cols), kernel_cols)
 
 

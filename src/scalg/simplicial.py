@@ -218,14 +218,13 @@ class _LevelQuotient:
     def __init__(self, field, dim, span_columns):
         self.field = field
         self.dim = dim
-        F = field
         pivots = {}  # pivot row -> echelon column (dict)
         for col in span_columns:
             col = self._reduce(dict(col), pivots)
             if col:
                 low = min(col)
-                inv = F.inv(col[low])
-                pivots[low] = {i: F.mul(inv, v) for i, v in col.items()}
+                pivots[low] = axpy({}, field.inv(col[low]), col,
+                                   field.characteristic)
         self.pivots = pivots
         self.complement = [i for i in range(dim) if i not in pivots]
         self.position = {r: k for k, r in enumerate(self.complement)}
@@ -281,7 +280,7 @@ class NormalizedChains(ChainComplex):
             f = level_maps[m]
             cols = []
             for k in range(self.dims[m]):
-                v = self.include(m, {k: self.field.one()})
+                v = self.include(m, {k: 1})
                 cols.append(other.project(m, f.apply(v)))
             out.append(Mat(self.field, other.dims[m], self.dims[m], cols))
         return out
@@ -411,7 +410,7 @@ class SimplicialVectorSpace:
             bd = self.boundary(m)
             cols = []
             for k in range(dims[m]):
-                rep = quotients[m].include({k: self.field.one()})
+                rep = quotients[m].include({k: 1})
                 cols.append(quotients[m - 1].project(bd.apply(rep)))
             diffs.append(Mat(self.field, dims[m - 1], dims[m], cols))
         return NormalizedChains(self.field, dims, diffs, quotients)
@@ -608,7 +607,7 @@ def gamma(field, complex_dims, complex_diffs, T):
             image = set(comp)
             col = {}
             if len(image) == k + 1:
-                col[index[m_dst][(comp, k, e)]] = field.one()
+                col[index[m_dst][(comp, k, e)]] = 1
             elif image == set(range(k)):
                 for e2, v in diffs[k].cols[e].items():
                     col[index[m_dst][(comp, k - 1, e2)]] = v

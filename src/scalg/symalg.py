@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from itertools import combinations_with_replacement
 
-from .exactfield import Mat, axpy
+from .exactfield import Mat, axpy, canonical
 from .simplicial import (
     ChainComplex,
     GradedDims,
@@ -43,27 +43,21 @@ def _monomials(dim, d):
     return list(combinations_with_replacement(range(dim), d))
 
 
-def _sym_map(f, src_monomials, dst_index, d, field):
+def _sym_map(f, src_monomials, dst_index, p):
     """Multiplicative extension of a linear map to d-th symmetric powers."""
     cols = []
     for mono in src_monomials:
         # multiply out f(e_i1) ... f(e_id) in the commutative monomial basis
-        acc = {(): field.one()}
+        acc = {(): 1}
         for i in mono:
             col = f.cols[i]
             new = {}
             for partial, c in acc.items():
                 for j, v in col.items():
                     key = tuple(sorted(partial + (j,)))
-                    w = field.add(new.get(key, field.zero()), field.mul(c, v))
-                    if w == 0:
-                        new.pop(key, None)
-                    else:
-                        new[key] = w
+                    new[key] = new.get(key, 0) + c * v
             acc = new
-            if not acc:
-                break
-        cols.append({dst_index[key]: v for key, v in acc.items()})
+        cols.append(canonical({dst_index[key]: v for key, v in acc.items()}, p))
     return cols
 
 
@@ -81,6 +75,7 @@ def symmetric_power(V, d):
     if d == 1:
         return V
     field = V.field
+    p = field.characteristic
     monomials = [_monomials(V.level_dims[m], d) for m in range(V.T + 1)]
     indexes = [{mono: i for i, mono in enumerate(mons)} for mons in monomials]
     dims = [len(mons) for mons in monomials]
@@ -89,7 +84,7 @@ def symmetric_power(V, d):
         faces.append(
             [
                 Mat(field, dims[m - 1], dims[m],
-                    _sym_map(V.faces[m][i], monomials[m], indexes[m - 1], d, field))
+                    _sym_map(V.faces[m][i], monomials[m], indexes[m - 1], p))
                 for i in range(m + 1)
             ]
         )
@@ -98,14 +93,12 @@ def symmetric_power(V, d):
         degens.append(
             [
                 Mat(field, dims[m + 1], dims[m],
-                    _sym_map(V.degens[m][i], monomials[m], indexes[m + 1], d, field))
+                    _sym_map(V.degens[m][i], monomials[m], indexes[m + 1], p))
                 for i in range(m + 1)
             ]
         )
     degens.append([])
-    out = SimplicialVectorSpace(field, dims, faces, degens)
-    out.basis_labels = monomials
-    return out
+    return SimplicialVectorSpace(field, dims, faces, degens, basis_labels=monomials)
 
 
 # --------------------------------------------------------------------------
@@ -227,9 +220,7 @@ def sym_power_covering_complex(field, q, n, d, T, enum_budget=4_000_000,
                 k = index[m - 1][image]
                 sign = 1 if i % 2 == 0 else -1
                 col[k] = col.get(k, 0) + sign
-            cols.append(
-                {k: field.element(v) for k, v in col.items() if field.element(v) != 0}
-            )
+            cols.append(canonical(col, field.characteristic))
         diffs.append(Mat(field, dims[m - 1], dims[m], cols))
     return ChainComplex(field, dims, diffs), built_to
 
@@ -284,6 +275,7 @@ class WeightGradedAlgebra:
         self.n = None
         self.T = base.T
         self._mult_cache = {}
+        self._index_cache = {}
 
     def component(self, d):
         return self.components[d]
@@ -297,6 +289,15 @@ class WeightGradedAlgebra:
             for m in range(self.T + 1)
         ]
 
+    def monomial_index(self, d, m):
+        """Position of each weight-d, level-m monomial in its basis."""
+        key = (d, m)
+        index = self._index_cache.get(key)
+        if index is None:
+            index = {mono: i for i, mono in enumerate(self.monomials[d][m])}
+            self._index_cache[key] = index
+        return index
+
     def multiplication(self, a, b, m):
         """Matrix Sym^a_m (x) Sym^b_m -> Sym^{a+b}_m (column index a*dimB+b)."""
         if a + b > self.W:
@@ -307,14 +308,14 @@ class WeightGradedAlgebra:
             return cached
         dim_a = self.components[a].level_dims[m]
         dim_b = self.components[b].level_dims[m]
-        target_index = {mono: i for i, mono in enumerate(self.monomials[a + b][m])}
+        target_index = self.monomial_index(a + b, m)
         cols = []
         for ia in range(dim_a):
             ma = self.monomials[a][m][ia]
             for ib in range(dim_b):
                 mb = self.monomials[b][m][ib]
                 merged = tuple(sorted(ma + mb))
-                cols.append({target_index[merged]: self.field.one()})
+                cols.append({target_index[merged]: 1})
         out = Mat(
             self.field,
             self.components[a + b].level_dims[m],
@@ -343,7 +344,6 @@ class WeightGradedAlgebra:
         Checked as matrix identities on every represented level; raises
         SimplicialError on failure.
         """
-        F = self.field
         for m in range(self.T + 1):
             for a in range(self.W + 1):
                 for b in range(self.W + 1 - a):
@@ -368,17 +368,17 @@ class WeightGradedAlgebra:
                         for ia in range(da):
                             for ib in range(db):
                                 ab = self.multiply_elements(
-                                    a, {ia: F.one()}, b, {ib: F.one()}, m
+                                    a, {ia: 1}, b, {ib: 1}, m
                                 )
                                 for ic in range(dc):
                                     left = self.multiply_elements(
-                                        a + b, ab, c, {ic: F.one()}, m
+                                        a + b, ab, c, {ic: 1}, m
                                     )
                                     bc = self.multiply_elements(
-                                        b, {ib: F.one()}, c, {ic: F.one()}, m
+                                        b, {ib: 1}, c, {ic: 1}, m
                                     )
                                     right = self.multiply_elements(
-                                        a, {ia: F.one()}, b + c, bc, m
+                                        a, {ia: 1}, b + c, bc, m
                                     )
                                     if left != right:
                                         raise SimplicialError(
@@ -434,9 +434,7 @@ def sphere_algebra(field, q, n, T, W):
                 [[(i,) for i in range(base.level_dims[m])] for m in range(T + 1)]
             )
         else:
-            monomials.append(
-                [_monomials(base.level_dims[m], d) for m in range(T + 1)]
-            )
+            monomials.append(comp.basis_labels)
     alg = WeightGradedAlgebra(field, base, W, components, monomials, kind="sphere")
     alg.q = q
     alg.n = n
@@ -588,8 +586,6 @@ def hurewicz(A, up_to=None):
     for m in range(A.T + 1):
         n_q = quotient.dims[m]
         n_i = ideal.dims[m]
-        cols = [
-            ({j: field.one()} if j < n_q else {}) for j in range(n_i)
-        ]
+        cols = [{j: 1} if j < n_q else {} for j in range(n_i)]
         chain_maps.append(Mat(field, n_q, n_i, cols))
     return induced_homology_matrices(ideal, quotient, chain_maps, up_to)

@@ -49,6 +49,17 @@ def test_square_class_map_builds_and_verifies():
     f.check_multiplicative(weights=(1,), levels=range(3))
 
 
+def test_rebuilt_returns_self_unless_a_truncation_grows():
+    A = sphere_algebra(QQ, 1, 2, 4, 2)
+    f = identity_map(A)
+    assert f.rebuilt() is f
+    assert f.rebuilt(source_W=2, target_W=2, T=4) is f
+    g = f.rebuilt(target_W=3)
+    assert g is not f
+    assert (g.source.W, g.target.W, g.target.T) == (2, 3, 4)
+    assert g.level_maps == f.level_maps
+
+
 def test_representing_map_rejects_non_cycle():
     A = sphere_algebra(QQ, 1, 2, 5, 3)
     ncx = A.components[2].normalized_chains()

@@ -232,6 +232,23 @@ def test_config_supplies_defaults_and_flags_override(tmp_path):
     assert data["T"] == 4 and data["W"] == 2
 
 
+def test_config_keys_with_subcommand_defaults(tmp_path):
+    # M and output have non-None defaults in their subcommand; the file
+    # still sets them, and an explicit flag still beats the file
+    cfg = tmp_path / "series.cfg"
+    cfg.write_text("M = 3\noutput = csv\n")
+    code, text = run_cli(["series", "--config", str(cfg), "--char", "0", "-n", "2"])
+    assert code == 0
+    assert text.splitlines()[0] == "key,value"
+    assert 'truncation,"3"' in text.splitlines()
+    code, data = run_json(["series", "--config", str(cfg), "--char", "0", "-n", "2",
+                           "--output", "json"])
+    assert code == 0 and data["truncation"] == 3
+    code, data = run_json(["series", "--config", str(cfg), "--char", "0", "-n", "2",
+                           "-M", "5", "--output", "json"])
+    assert code == 0 and data["truncation"] == 5
+
+
 def test_config_rejects_garbage(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("what is this line\n")
@@ -251,3 +268,17 @@ def test_table_and_csv_formats():
                           "-W", "1", "--output", "csv"])
     assert code == 0
     assert text.splitlines()[0] == "key,value"
+
+
+# ------------------------------------------------------------- characteristic
+
+@pytest.mark.parametrize("argv", [
+    ["pi-sphere", "--char", str(2**64 + 13), "-n", "2"],
+    ["pi-sphere", "--char", "3215031751", "-n", "2"],
+    ["audit", "--char", "4", "--profile", "1:1"],
+])
+def test_bad_characteristic_is_exit_1_with_one_line(argv, capsys):
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,11 @@ def rank_by_row_elimination(rows, field):
     rows = [[field.element(x) for x in r] for r in rows]
     if not rows:
         return 0
+    p = field.characteristic
+
+    def reduce(x):
+        return x % p if p else x
+
     ncols = len(rows[0])
     r = 0
     for c in range(ncols - 1, -1, -1):
@@ -42,13 +48,11 @@ def rank_by_row_elimination(rows, field):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        rows[r] = [reduce(inv * x) for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])
-                ]
+                rows[i] = [reduce(x - f * y) for x, y in zip(rows[i], rows[r])]
         r += 1
         if r == len(rows):
             break
@@ -76,6 +80,28 @@ def test_fieldspec_rejects_composites_and_negatives():
             FieldSpec(c)
 
 
+def test_primality_agrees_with_trial_division():
+    for n in [-3, -2, -1] + list(range(1, 3000)):  # 0 is Q, not F_0
+        prime = n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+        if prime:
+            assert FieldSpec(n).characteristic == n
+        else:
+            with pytest.raises(FieldError):
+                FieldSpec(n)
+
+
+def test_large_characteristics_are_decided_quickly():
+    start = time.perf_counter()
+    for p in (2**61 - 1, 2**64 - 59):  # both prime
+        assert FieldSpec(p).characteristic == p
+    # a strong pseudoprime to bases 2, 3, 5 and 7; 2**64 - 1 is composite;
+    # 2**64 + 13 is past the bound below which the primality test is exact
+    for c in (3215031751, 2**64 - 1, 2**64 + 13):
+        with pytest.raises(FieldError):
+            FieldSpec(c)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_fp_elements_are_canonical():
     F = FieldSpec(5)
     assert F.element(7) == 2
@@ -87,6 +113,7 @@ def test_fp_elements_are_canonical():
 
 def test_rational_elements():
     assert QQ.element(3) == Fraction(3)
+    assert type(QQ.element(3)) is int
     assert QQ.element(Fraction(2, 4)) == Fraction(1, 2)
     with pytest.raises(FieldError):
         QQ.element(0.5)
