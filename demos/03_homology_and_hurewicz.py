@@ -25,7 +25,8 @@ maps = hurewicz(A)
 print("Hurewicz matrices pi_s(IA) -> pi_s(QA) for S(l, 2) over the rationals:")
 for s in sorted(maps):
     m = maps[s]
-    print("  degree %d: %d x %d  %s" % (s, m.nrows, m.ncols, m.to_rows()))
+    rows = ", ".join("[%s]" % ", ".join(map(str, row)) for row in m.to_rows())
+    print("  degree %d: %d x %d  [%s]" % (s, m.nrows, m.ncols, rows))
 print()
 print("Degree 2 is the invertible 1x1 identity; degree 4 is 1-dimensional")
 print("upstairs (the square of the generator) and lands in zero: products")

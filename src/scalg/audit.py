@@ -14,6 +14,10 @@ n > 1 the inequality fails for large t, and the audit exhibits an exact
 integer witness.  For n = 1 there is nothing to contradict and the profile
 is consistent.
 
+The tower is listed once, as (q, degree) sphere factors, and each call
+fills one table with the series of each distinct factor, so a factor that
+is both a top factor and a stage factor is computed once.
+
 Asymptotic mode replaces each transform by its leading polynomial, which
 is the shape of the argument itself.  Empirical mode evaluates the
 transforms from certified truncated series instead; its right-hand side is
@@ -110,16 +114,37 @@ class EnvelopeProfile:
         )
 
 
-def _stage_series(profile, q, degree, M, budgets):
-    """theta of q classes in the given degree: closed form rationally,
-    brute force in characteristic p, the unit series for q = 0."""
-    if q == 0:
-        return unit_series(M)
-    p = profile.field.characteristic
-    if p == 0:
-        return sphere_series_char0(q, degree, M)
-    series = sphere_series_charp(q, degree, p, M, **budgets)
-    return series
+def _tower(profile):
+    """The envelope tower of a profile with top n as sphere factors
+    (q, degree): the split top pair theta(q_{n-1}, n-1), theta(q_n, n), and
+    the stage factors theta(q_s, s+1) for s = 1..n-2."""
+    n = profile.top
+    top = [(profile[n - 1], n - 1), (profile[n], n)]
+    stages = [(profile[s], s + 1) for s in range(1, n - 1)]
+    return top, stages
+
+
+def _theta(table, profile, factor, M, budgets):
+    """theta of the sphere factor (q, degree), computed once per table: the
+    closed form rationally, brute force in characteristic p, the unit series
+    for q = 0."""
+    if factor not in table:
+        q, degree = factor
+        p = profile.field.characteristic
+        if q == 0:
+            table[factor] = unit_series(M)
+        elif p == 0:
+            table[factor] = sphere_series_char0(q, degree, M)
+        else:
+            table[factor] = sphere_series_charp(q, degree, p, M, **budgets)
+    return table[factor]
+
+
+def _growth_term(factor):
+    """(exponent, coefficient) of the leading term q/(d-1)! * t^(d-1) of the
+    transformed sphere factor theta(q, d)."""
+    q, degree = factor
+    return degree - 1, Fraction(q, math.factorial(degree - 1))
 
 
 class EnvelopeStage:
@@ -132,16 +157,6 @@ class EnvelopeStage:
         self.q = q
         self.degree = degree
         self.factor = factor
-        self.lhs_label = "theta(A(%d))" % s
-        self.rhs_label = "theta(A(%d)) * theta(%d classes, degree %d)" % (
-            s - 1, q, degree)
-
-    def to_json_dict(self):
-        return {
-            "stage": self.s,
-            "inequality": "theta(A(%d)) <= %s" % (self.s, self.rhs_label),
-            "factor": self.factor.to_json_dict(),
-        }
 
 
 def envelope_chain(profile, M, **budgets):
@@ -152,27 +167,28 @@ def envelope_chain(profile, M, **budgets):
     the surviving inequality is theta(A(0)) <= theta(A)).  In positive
     characteristic a factor with no certified coefficients raises.
     """
-    n = profile.top
+    table = {}
     stages = []
-    for s in range(1, n - 1):
+    for q, degree in _tower(profile)[1]:
+        s = degree - 1
         try:
-            factor = _stage_series(profile, profile[s], s + 1, M, budgets)
+            factor = _theta(table, profile, (q, degree), M, budgets)
         except SeriesError as exc:
             raise SeriesError(
                 "stage %d factor has no certified truncation: %s" % (s, exc)
             )
-        stages.append(EnvelopeStage(s, profile[s], s + 1, factor))
+        stages.append(EnvelopeStage(s, q, degree, factor))
     return stages
 
 
 def splitting_series(profile, M, **budgets):
     """The split product for the next-to-top envelope stage:
     theta(q_{n-1}, n-1, t) * theta(q_n, n, t), exact in certified range."""
-    n = profile.top
-    if n < 2:
+    if profile.top < 2:
         raise ProfileError("splitting needs a profile with top degree >= 2")
-    left = _stage_series(profile, profile[n - 1], n - 1, M, budgets)
-    right = _stage_series(profile, profile[n], n, M, budgets)
+    table = {}
+    left, right = (_theta(table, profile, f, M, budgets)
+                   for f in _tower(profile)[0])
     return mul(left, right)
 
 
@@ -184,39 +200,24 @@ def _poly_eval(poly, t):
     return sum(c * Fraction(t) ** d for d, c in poly.items())
 
 
-def _poly_str(poly):
-    if not poly:
-        return "0"
-    parts = []
-    for d in sorted(poly):
-        c = poly[d]
-        parts.append("%s*t^%d" % (c, d))
-    return " + ".join(parts)
-
-
 def growth_polynomials(profile):
     """Leading polynomials of the two sides after the change of variables.
 
     Left: q_{n-1}/(n-2)! * t^(n-2) + q_n/(n-1)! * t^(n-1).
     Right: log_p(D) + sum over 1 <= s <= n-2 of q_s/s! * t^s.
-    The identification of the left coefficients is this module's reading of
-    the growth law applied to the two top stages; it is recorded in every
-    trace.
+    Each is the sum of the growth terms of its sphere factors, zero terms
+    left out.  The identification of the left coefficients is this
+    module's reading of the growth law applied to the two top stages; it
+    is recorded in every trace.
     """
-    n = profile.top
-    if n < 2:
+    if profile.top < 2:
         raise ProfileError("polynomials only make sense for top degree >= 2")
-    lhs = {}
-    a = Fraction(profile[n - 1], math.factorial(n - 2))
-    b = Fraction(profile[n], math.factorial(n - 1))
-    if a:
-        lhs[n - 2] = a
-    lhs[n - 1] = lhs.get(n - 1, 0) + b
-    rhs = {}
-    for s in range(1, n - 1):
-        if profile[s]:
-            rhs[s] = Fraction(profile[s], math.factorial(s))
-    return lhs, rhs
+
+    def poly(factors):
+        return dict(term for term in map(_growth_term, factors) if term[1])
+
+    top, stages = _tower(profile)
+    return poly(top), poly(stages)
 
 
 def _exceeds_log_bound(value, p, D, max_bits=2_000_000):
@@ -317,9 +318,8 @@ def serre_audit(profile, mode="asymptotic", t_samples=None,
         trace["rhs_poly"] = {str(d): str(c) for d, c in rhs.items()}
         trace["rhs_constant"] = "log_%d(%d)" % (p, D)
         trace["chain_stages"] = [
-            {"stage": s, "growth_term": "%s*t^%d" %
-             (Fraction(profile[s], math.factorial(s)), s)}
-            for s in range(1, n - 1) if profile[s]
+            {"stage": s, "growth_term": "%s*t^%d" % (c, s)}
+            for s, c in rhs.items()
         ]
 
         def wins(t):
@@ -370,14 +370,11 @@ def serre_audit(profile, mode="asymptotic", t_samples=None,
         raise ProfileError("mode must be 'asymptotic' or 'empirical'")
 
     # empirical mode: evaluate transforms from certified truncations
-    lhs_series = [
-        _stage_series(profile, profile[n - 1], n - 1, M, budgets),
-        _stage_series(profile, profile[n], n, M, budgets),
-    ]
-    stage_factors = [
-        (s, _stage_series(profile, profile[s], s + 1, M, budgets))
-        for s in range(1, n - 1)
-    ]
+    table = {}
+    top, stages = _tower(profile)
+    lhs_series = [_theta(table, profile, f, M, budgets) for f in top]
+    stage_factors = [(degree - 1, _theta(table, profile, (q, degree), M, budgets))
+                     for q, degree in stages]
     trace["chain_stages"] = [
         {"stage": s, "factor": f.to_json_dict()} for s, f in stage_factors
     ]

@@ -457,12 +457,11 @@ def run_property_checks(seed, cases):
             dims2, diffs2 = _random_complex(rng, field, T, max_dim=2)
             w = gamma(field, dims2, diffs2, T)
             tensor_h = v.tensor(w).homotopy_dims()
+            hw = w.homotopy_dims()
             conv = {}
             for a in range(T):
                 for b in range(T - a):
-                    conv[a + b] = conv.get(a + b, 0) + hn[a] * (
-                        w.homotopy_dims()[b]
-                    )
+                    conv[a + b] = conv.get(a + b, 0) + hn[a] * hw[b]
             if any(tensor_h[d] != conv.get(d, 0) for d in range(T)):
                 failures.append(["kunneth", i])
             checks["kunneth"] += 1
@@ -501,29 +500,30 @@ def main(argv=None, stdout=None):
     stdout = stdout or sys.stdout
     parser = build_parser()
     try:
-        # a config file supplies defaults; flags override
-        config = {}
         if "--config" in argv:
             idx = argv.index("--config")
             if idx + 1 >= len(argv):
                 raise CliError("--config needs a path")
             config = load_config(argv[idx + 1])
+            rest = argv[:idx] + argv[idx + 2:]
+            command = next((a for a in rest if a in parser.subcommands), None)
+            if command is not None:
+                # the file's values become the chosen subcommand's defaults,
+                # which argparse converts with each option's type; explicit
+                # flags win, and an option the file supplies is not required
+                subparser = parser.subcommands[command]
+                defaults = {}
+                for action in subparser._actions:
+                    if action.dest in config:
+                        value = config[action.dest]
+                        if isinstance(action.default, bool):
+                            value = value.lower() in ("1", "true", "yes")
+                        defaults[action.dest] = value
+                        action.required = False
+                subparser.set_defaults(**defaults)
         args = parser.parse_args(argv)
         if args.command is None:
             raise CliError("a subcommand is required (see --help)")
-        if config:
-            # the file's values become the subcommand's defaults, which
-            # argparse converts with each option's type; explicit flags win
-            subparser = parser.subcommands[args.command]
-            defaults = {}
-            for action in subparser._actions:
-                if action.dest in config:
-                    value = config[action.dest]
-                    if isinstance(action.default, bool):
-                        value = value.lower() in ("1", "true", "yes")
-                    defaults[action.dest] = value
-            subparser.set_defaults(**defaults)
-            args = parser.parse_args(argv)
         if args.output not in OUTPUT_FORMATS:
             raise CliError("output must be one of %s" % (OUTPUT_FORMATS,))
         payload, code = HANDLERS[args.command](args)

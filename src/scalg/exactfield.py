@@ -125,11 +125,13 @@ class FieldSpec:
         raise FieldError("F_%d entries must be integers, got %r" % (p, x))
 
     def inv(self, a):
+        """Inverse of a nonzero element; over Q an integral inverse is an int."""
         p = self.characteristic
         if p == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
+            inverse = 1 / Fraction(a)
+            return inverse.numerator if inverse.denominator == 1 else inverse
         return pow(a, -1, p)
 
 
@@ -213,18 +215,6 @@ class Mat:
         return cls(field, nrows, ncols, cols)
 
     @classmethod
-    def from_entries(cls, field, nrows, ncols, entries):
-        """Build from {(row, col): value}."""
-        cols = [dict() for _ in range(ncols)]
-        for (i, j), x in entries.items():
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise ValueError("entry out of range")
-            v = field.element(x)
-            if v != 0:
-                cols[j][i] = v
-        return cls(field, nrows, ncols, cols)
-
-    @classmethod
     def zero(cls, field, nrows, ncols):
         return cls(field, nrows, ncols)
 
@@ -233,9 +223,6 @@ class Mat:
         return cls(field, n, n, [{i: 1} for i in range(n)])
 
     # -- basics ---------------------------------------------------------
-
-    def copy(self):
-        return Mat(self.field, self.nrows, self.ncols, [dict(c) for c in self.cols])
 
     def to_rows(self):
         rows = [[0] * self.ncols for _ in range(self.nrows)]

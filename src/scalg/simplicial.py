@@ -380,13 +380,11 @@ class SimplicialVectorSpace:
         F = self.field
         if m < 1 or m > self.T:
             raise ValueError("no boundary at level %d" % m)
-        total = Mat.zero(F, self.level_dims[m - 1], self.level_dims[m])
-        sign = 1
-        for i in range(m + 1):
-            fi = self.faces[m][i]
-            total = total + (fi if sign > 0 else -fi)
-            sign = -sign
-        return total
+        cols = [{} for _ in range(self.level_dims[m])]
+        for i, face in enumerate(self.faces[m]):
+            for acc, col in zip(cols, face.cols):
+                axpy(acc, (-1) ** i, col, F.characteristic)
+        return Mat(F, self.level_dims[m - 1], self.level_dims[m], cols)
 
     def unnormalized_chains(self):
         """Moore complex on the full levels (the oracle complex)."""

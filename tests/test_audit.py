@@ -1,7 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+
+import scalg.audit
 
 from scalg.exactfield import QQ, GF2
 from scalg.audit import (
@@ -15,7 +18,13 @@ from scalg.audit import (
     serre_audit,
     splitting_series,
 )
-from scalg.series import leq, mul, sphere_series_char0, unit_series
+from scalg.series import (
+    leq,
+    mul,
+    sphere_series_char0,
+    sphere_series_charp,
+    unit_series,
+)
 from scalg.symalg import sphere_homotopy
 
 
@@ -171,6 +180,23 @@ def test_audit_full_grid_asymptotic():
                         assert v.verify(), (dims, p, D)
 
 
+def test_growth_polynomials_match_the_hand_formula():
+    # oracle: left q_{n-1}/(n-2)! t^(n-2) + q_n/(n-1)! t^(n-1), right
+    # q_s/s! t^s for 1 <= s <= n-2, zero coefficients left out
+    for n in (2, 3, 4):
+        for qs in itertools.product(range(3), repeat=n - 1):
+            for qn in (1, 2):
+                dims = {s + 1: q for s, q in enumerate(qs)}
+                dims[n] = qn
+                lhs, rhs = growth_polynomials(EnvelopeProfile(2, dims, pi_bound=3))
+                want_lhs = {n - 2: Fraction(dims[n - 1], math.factorial(n - 2)),
+                            n - 1: Fraction(qn, math.factorial(n - 1))}
+                want_rhs = {s: Fraction(dims[s], math.factorial(s))
+                            for s in range(1, n - 1)}
+                assert lhs == {d: c for d, c in want_lhs.items() if c}, dims
+                assert rhs == {d: c for d, c in want_rhs.items() if c}, dims
+
+
 def test_audit_monotone_in_bound():
     base = serre_audit(EnvelopeProfile(2, {1: 2, 3: 1}, pi_bound=3))
     for D in (10, 100, 10**9):
@@ -194,6 +220,21 @@ def test_audit_empirical_n2_finds_witness():
     assert v.witness == 2
     assert v.verify()
     assert v.trace["verification"]["lhs"] > v.trace["verification"]["rhs"]
+
+
+def test_audit_empirical_computes_each_distinct_factor_once(monkeypatch):
+    # q_1 = q_2 = 3: the stage-1 factor theta(q_1, 2) is also the top factor
+    # theta(q_2, 2), so two brute-force series serve three factors
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sphere_series_charp(*args, **kwargs)
+
+    monkeypatch.setattr(scalg.audit, "sphere_series_charp", counted)
+    serre_audit(EnvelopeProfile(3, {1: 3, 2: 3, 3: 1}, pi_bound=5),
+                mode="empirical", M=4)
+    assert sorted(calls) == [(1, 3, 3, 4), (3, 2, 3, 4)]
 
 
 def test_audit_empirical_inconclusive_at_tight_truncation():

@@ -249,6 +249,20 @@ def test_config_keys_with_subcommand_defaults(tmp_path):
     assert code == 0 and data["truncation"] == 5
 
 
+def test_config_supplies_a_required_option(tmp_path, capsys):
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("n = 2\n")
+    assert run_cli(["pi-sphere", "--config", str(cfg)]) == run_cli(
+        ["pi-sphere", "-n", "2"])
+    cfg.write_text("T = 4\n")
+    capsys.readouterr()
+    code, out = run_cli(["pi-sphere", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "-n" in err
+
+
 def test_config_rejects_garbage(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("what is this line\n")

@@ -119,6 +119,16 @@ def test_rational_elements():
         QQ.element(0.5)
 
 
+def test_rational_inverse_is_an_int_when_integral():
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    assert QQ.inv(2) == Fraction(1, 2)
+    # unit pivots only: the kernel basis holds plain ints, not Fraction(1)s
+    k = kernel_basis(Mat.from_rows(QQ, [[1, -1, 0], [0, 1, -1]]))
+    assert k.ncols == 1
+    assert all(type(v) is int for col in k.cols for v in col.values())
+
+
 # ---------------------------------------------------------------- rank
 
 def test_rank_empty_matrix():

@@ -195,6 +195,17 @@ def test_normalized_equals_unnormalized_on_gamma_objects():
             assert hn[m] == hu[m]
 
 
+def test_boundary_is_the_alternating_sum_of_faces():
+    rng = random.Random(9)
+    for field in (QQ, GF2, GF3):
+        v, _ = random_gamma_object(rng, field, 3)
+        for m in range(1, v.T + 1):
+            total = Mat.zero(field, v.level_dims[m - 1], v.level_dims[m])
+            for i, face in enumerate(v.faces[m]):
+                total = total + face.scale((-1) ** i)
+            assert v.boundary(m) == total
+
+
 def test_unnormalized_k2():
     k = eilenberg_maclane(QQ, 1, 2, 5)
     h = k.unnormalized_chains().homology_dims()
