@@ -4,8 +4,8 @@ with Poincare series bookkeeping and the boundedness audit built on it.
 
 The layers, bottom up:
 
-- ``exactfield``: exact linear algebra over F_p and the rationals with a
-  fixed deterministic pivot policy.
+- ``exactfield``: exact linear algebra over F_p and the rationals with
+  deterministic pivot choices.
 - ``simplicial``: truncated simplicial vector spaces, the inverse Dold-Kan
   construction, normalized and unnormalized chains, homotopy.
 - ``symalg``: symmetric powers and sphere algebras, brute-force sphere

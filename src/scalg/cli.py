@@ -500,12 +500,17 @@ def main(argv=None, stdout=None):
     stdout = stdout or sys.stdout
     parser = build_parser()
     try:
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 >= len(argv):
-                raise CliError("--config needs a path")
-            config = load_config(argv[idx + 1])
-            rest = argv[:idx] + argv[idx + 2:]
+        idx = next((k for k, a in enumerate(argv)
+                    if a == "--config" or a.startswith("--config=")), None)
+        if idx is not None:
+            # argparse takes both "--config PATH" and "--config=PATH"
+            if argv[idx] == "--config":
+                if idx + 1 >= len(argv):
+                    raise CliError("--config needs a path")
+                path, rest = argv[idx + 1], argv[:idx] + argv[idx + 2:]
+            else:
+                path, rest = argv[idx][len("--config="):], argv[:idx] + argv[idx + 1:]
+            config = load_config(path)
             command = next((a for a in rest if a in parser.subcommands), None)
             if command is not None:
                 # the file's values become the chosen subcommand's defaults,

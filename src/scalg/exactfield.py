@@ -16,17 +16,20 @@ shape the module:
   (reduced mod p, zeros dropped); a column of literal 1s, or of entries
   copied from a field matrix, is one already.  ``FieldSpec.element``
   validates outside input and ``FieldSpec.inv`` serves elimination;
-* elimination is deterministic: columns are processed left to right and
-  the pivot of a reduced column is its smallest nonzero row index, so a
-  given matrix always produces bit-for-bit identical ranks, kernels and
-  echelon data.
+* elimination is deterministic, so a given matrix always produces
+  bit-for-bit identical ranks, kernels and echelon data.  ``ColumnEchelon``
+  processes columns left to right and pivots a reduced column on its
+  smallest nonzero row index.  Rank-only elimination (``pivot_rows``)
+  first reorders, which a rank does not see: columns lightest first, and
+  rows relabelled by ascending nonzero count, so the same smallest-row
+  rule pivots on sparse rows and fill-in stays low.
 
 Matrices are stored column-sparse (one dict per column), which keeps the
 very sparse face/degeneracy/multiplication matrices of the simplicial
 machinery cheap.  ``axpy`` is the shared sparse update and ``ColumnEchelon``
-the one exact elimination kernel.  ``rank`` alone, needing no residues,
-runs F_2 on bitmask columns (Python big ints) and Q on fraction-free
-integer columns, with the same pivot policy and so the same ranks.
+the one exact elimination kernel.  ``pivot_rows`` alone, needing no
+residues, runs F_2 on bitmask columns (Python big ints) and Q on
+fraction-free integer columns; ``rank`` is the number of its rows.
 """
 
 from __future__ import annotations
@@ -435,13 +438,13 @@ class ColumnEchelon:
         return (low, combo)
 
 
-def _rank_f2(cols):
-    """Rank over F_2 with columns packed into int bitmasks."""
+def _pivots_f2(cols, label):
+    """Pivot rows (relabelled) of columns over F_2, packed into int bitmasks."""
     pivots = {}  # pivot row -> bitmask column
     for col in cols:
         m = 0
         for i in col:
-            m |= 1 << i
+            m |= 1 << label[i]
         while m:
             low = (m & -m).bit_length() - 1
             piv = pivots.get(low)
@@ -449,11 +452,11 @@ def _rank_f2(cols):
                 pivots[low] = m
                 break
             m ^= piv
-    return len(pivots)
+    return pivots
 
 
-def _rank_q(cols):
-    """Rank over Q on integer columns, each known up to a nonzero scale.
+def _pivots_q(cols, label):
+    """Pivot rows (relabelled) of columns over Q, each known up to a nonzero scale.
 
     A column is cleared of denominators; to kill its entry at a pivot row,
     cross-multiply (a*col - c*pivotcol) and strip the content, which keeps
@@ -462,7 +465,7 @@ def _rank_q(cols):
     pivots = {}  # pivot row -> integer column
     for col in cols:
         den = lcm(*[v.denominator for v in col.values()])
-        col = {i: int(v * den) for i, v in col.items() if v}
+        col = {label[i]: int(v * den) for i, v in col.items() if v}
         while col:
             low = min(col)
             piv = pivots.get(low)
@@ -481,7 +484,7 @@ def _rank_q(cols):
             if g > 1:
                 new = {i: v // g for i, v in new.items()}
             col = new
-    return len(pivots)
+    return pivots
 
 
 def _check_field_arg(M, field):
@@ -491,21 +494,46 @@ def _check_field_arg(M, field):
         )
 
 
-def rank(M, field=None):
-    """Rank of M over its field; field argument cross-checks the spec.
+def pivot_rows(M, field=None, drop=()):
+    """Pivot rows of a rank-only elimination of the columns of M whose
+    indices are not in drop.
 
-    F_2 and Q take the rank-only paths; other fields use ColumnEchelon.
+    The image of those columns maps isomorphically onto the coordinates at
+    the returned rows, so their number is the rank.  Rank does not depend
+    on the order of rows or columns, so the elimination reorders first:
+    columns go lightest first, and rows are relabelled by ascending nonzero
+    count, so that the smallest-row rule pivots on sparse rows.  The order
+    depends only on the columns eliminated, so the result is deterministic.
+    F_2 runs on bitmask columns, Q on fraction-free integer columns, other
+    fields on an untracked ColumnEchelon.
     """
     _check_field_arg(M, field)
+    cols = [c for j, c in enumerate(M.cols) if j not in drop] if drop else list(M.cols)
+    count = {}
+    for col in cols:
+        for i in col:
+            count[i] = count.get(i, 0) + 1
+    if not count:
+        return set()  # no nonzero entry, nothing to eliminate
+    cols.sort(key=len)
+    order = sorted(count, key=count.__getitem__)
+    label = {i: r for r, i in enumerate(order)}
     p = M.field.characteristic
     if p == 2:
-        return _rank_f2(M.cols)
-    if p == 0:
-        return _rank_q(M.cols)
-    ech = ColumnEchelon(M.field, M.nrows)
-    for col in M.cols:
-        ech.insert(col)
-    return ech.rank
+        pivots = _pivots_f2(cols, label)
+    elif p == 0:
+        pivots = _pivots_q(cols, label)
+    else:
+        ech = ColumnEchelon(M.field, M.nrows)
+        for col in cols:
+            ech.insert({label[i]: v for i, v in col.items()})
+        pivots = ech.pivots
+    return {order[r] for r in pivots}
+
+
+def rank(M, field=None):
+    """Rank of M over its field; field argument cross-checks the spec."""
+    return len(pivot_rows(M, field))
 
 
 def kernel_basis(M, field=None):
@@ -555,5 +583,7 @@ def homology_dim(d_in, d_out, field=None):
         )
     if not (d_out @ d_in).is_zero():
         raise ValueError("d_out o d_in != 0")
-    ker = d_out.ncols - rank(d_out)
-    return ker - rank(d_in)
+    # d_out kills im d_in, which the pivot rows of d_in carry isomorphically,
+    # so rank d_out is the rank of its columns outside those rows
+    rows = pivot_rows(d_in)
+    return d_out.ncols - len(pivot_rows(d_out, drop=rows)) - len(rows)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exactfield import FieldSpec, FieldError, Mat, axpy, rank, kernel_basis
+from .exactfield import FieldSpec, FieldError, Mat, axpy, kernel_basis, pivot_rows
 
 
 class SimplicialError(ValueError):
@@ -139,9 +139,17 @@ class ChainComplex:
     def homology_dims(self):
         """Homology in degrees 0..top; the top degree ignores unseen boundaries.
 
-        Each differential is ranked once: H_m = dims[m] - rank d_m - rank d_{m+1}.
+        H_m = dims[m] - rank d_m - rank d_{m+1}, with each differential
+        ranked once, from the top down.  The pivot rows P of d_{m+1} carry
+        im d_{m+1} isomorphically, so C_m is the direct sum of im d_{m+1}
+        and span{e_i : i not in P}; d_m kills im d_{m+1}, so rank d_m is
+        the rank of its columns outside P, and only those are eliminated.
         """
-        ranks = [0] + [rank(self.diffs[m]) for m in range(1, self.top + 1)] + [0]
+        ranks = [0] * (self.top + 2)
+        rows = ()
+        for m in range(self.top, 0, -1):
+            rows = pivot_rows(self.diffs[m], drop=rows)
+            ranks[m] = len(rows)
         out = {m: self.dims[m] - ranks[m] - ranks[m + 1]
                for m in range(self.top + 1)}
         return HomotopyDims(out, self.top - 1)

@@ -263,6 +263,17 @@ def test_config_supplies_a_required_option(tmp_path, capsys):
     assert "-n" in err
 
 
+def test_config_accepts_the_equals_form(tmp_path):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("T = 4\nn = 2\n")
+    spaced = run_cli(["pi-sphere", "--config", str(cfg)])
+    assert spaced[0] == 0 and json.loads(spaced[1])["T"] == 4
+    assert run_cli(["pi-sphere", "--config=%s" % cfg]) == spaced
+    assert run_cli(["pi-sphere", "--config=%s" % cfg, "-n", "2"]) == spaced
+    code, data = run_json(["pi-sphere", "--config=%s" % cfg, "-T", "5"])
+    assert code == 0 and data["T"] == 5
+
+
 def test_config_rejects_garbage(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("what is this line\n")

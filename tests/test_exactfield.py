@@ -13,6 +13,7 @@ from scalg.exactfield import (
     QQ,
     GF2,
     GF3,
+    pivot_rows,
     rank,
     kernel_basis,
     solve,
@@ -280,19 +281,30 @@ def test_rank_nullity_f2(rows):
     assert rank(m) + kernel_basis(m).ncols == m.ncols
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_f2_rows, st.randoms(use_true_random=False))
-def test_rank_invariant_under_permutation_and_transpose(rows, rng):
-    m = Mat.from_rows(GF2, rows)
-    r = rank(m)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, GF2, GF3]), st.integers(0, 6), st.integers(0, 6),
+       st.data(), st.randoms(use_true_random=False))
+def test_rank_invariant_under_permutation_and_transpose(field, nr, nc, data, rng):
+    # rank() reorders rows and columns before it eliminates; the answer
+    # must not depend on the order the matrix arrives in
+    entries = [0, 0, 1, -1, 2, 3] + ([Fraction(1, 2)] if field != GF2 else [])
+    row = st.lists(st.sampled_from(entries), min_size=nc, max_size=nc)
+    rows = data.draw(st.lists(row, min_size=nr, max_size=nr))
+    m = Mat.from_rows(field, rows, ncols=nc)
+    r = rank_by_row_elimination(rows, field)
+    assert rank(m) == r
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    assert rank(Mat.from_rows(GF2, shuffled)) == r
-    cols = list(range(len(rows[0])))
+    assert rank(Mat.from_rows(field, shuffled, ncols=nc)) == r
+    cols = list(range(nc))
     rng.shuffle(cols)
-    permuted = [[row[c] for c in cols] for row in rows]
-    assert rank(Mat.from_rows(GF2, permuted)) == r
+    permuted = [[row[c] for c in cols] for row in shuffled]
+    assert rank(Mat.from_rows(field, permuted, ncols=nc)) == r
     assert rank(m.transpose()) == r
+    # the column space maps isomorphically onto the pivot rows
+    pivots = pivot_rows(m)
+    assert len(pivots) == r
+    assert rank_by_row_elimination([rows[i] for i in sorted(pivots)], field) == r
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,9 @@ import random
 import pytest
 
 import scalg.simplicial
-from scalg.exactfield import Mat, QQ, GF2, GF3, homology_dim, kernel_basis, rank
+from scalg.exactfield import (
+    ColumnEchelon, Mat, QQ, GF2, GF3, homology_dim, kernel_basis, pivot_rows,
+)
 from scalg.simplicial import (
     GradedDims,
     SimplicialError,
@@ -17,6 +19,7 @@ from scalg.simplicial import (
     surjections,
     zero_object,
 )
+from scalg.symalg import sym_power_covering_complex
 
 
 def random_chain_complex(rng, field, T, max_dim=3):
@@ -165,11 +168,11 @@ def test_homology_dims_ranks_each_differential_once(monkeypatch):
     rng = random.Random(11)
     calls = []
 
-    def counting_rank(M):
+    def counting_pivot_rows(M, drop=()):
         calls.append(M)
-        return rank(M)
+        return pivot_rows(M, drop=drop)
 
-    monkeypatch.setattr(scalg.simplicial, "rank", counting_rank)
+    monkeypatch.setattr(scalg.simplicial, "pivot_rows", counting_pivot_rows)
     for field in (QQ, GF2, GF3):
         for _ in range(5):
             T = rng.randint(1, 4)
@@ -181,6 +184,35 @@ def test_homology_dims_ranks_each_differential_once(monkeypatch):
             for m in range(T + 1):
                 d_in = cx.diffs[m + 1] if m < T else Mat.zero(field, dims[m], 0)
                 assert h[m] == homology_dim(d_in, cx.differential(m))
+
+
+def echelon_rank(M):
+    """Rank from an untracked ColumnEchelon fed the columns in their order."""
+    ech = ColumnEchelon(M.field, M.nrows)
+    for col in M.cols:
+        ech.insert(col)
+    return ech.rank
+
+
+def test_homology_dims_matches_ranks_of_whole_differentials():
+    # homology_dims ranks d_m without the columns at the pivot rows of
+    # d_{m+1}; the oracle ranks every differential whole, in column order
+    complexes = []
+    for field in (QQ, GF2, GF3):
+        for q in (1, 2):
+            for d in (3, 4):
+                complexes.append(sym_power_covering_complex(field, q, 2, d, 6)[0])
+        rng = random.Random(29)
+        for _ in range(20):
+            T = rng.randint(1, 5)
+            dims, diffs = random_chain_complex(rng, field, T)
+            complexes.append(
+                ChainComplex(field, dims, [Mat.zero(field, 0, dims[0])] + diffs[1:]))
+    for cx in complexes:
+        ranks = [0] + [echelon_rank(d) for d in cx.diffs[1:]] + [0]
+        h = cx.homology_dims()
+        for m in range(cx.top + 1):
+            assert h[m] == cx.dims[m] - ranks[m] - ranks[m + 1]
 
 
 def test_normalized_equals_unnormalized_on_gamma_objects():
