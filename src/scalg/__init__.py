@@ -11,8 +11,9 @@ The layers, bottom up:
 - ``symalg``: symmetric powers and sphere algebras, brute-force sphere
   homotopy with weight-stability certification, indecomposables, the
   Hurewicz comparison.
-- ``barcof``: representing maps, the two-sided bar diagonal, homotopy
-  cofibers and the rational power-cofiber tables, LES feasibility.
+- ``barcof``: representing maps, the two-sided bar diagonal and its
+  normalized chains on nondegenerate tuples, homotopy cofibers and the
+  rational power-cofiber tables, LES feasibility.
 - ``series``: truncated Poincare series, closed forms, the log_p
   transform and the growth-law table.
 - ``audit``: envelope profiles, the series inequality chain, the

@@ -12,6 +12,16 @@ where s is the weight of the generator images.  All three truncations are
 closed under the structure maps, so the result is an honest simplicial
 vector space and its homotopy approximates the cofiber from below, with
 per-degree certification by recomputation at enlarged bounds.
+
+The bar diagonal builds its normalized chains directly: every degeneracy
+sends a basis tuple to a single basis tuple, so the degenerate tuples are
+found from the degeneracy image of each tuple one level down, and the
+differential is computed on the nondegenerate columns only.  Checking
+d_i d_j = d_{j-1} d_i on those columns also computes the faces of the
+lower-level tuples they hit, degenerate ones included.  The face and
+degeneracy matrices of the whole object, and the check of every
+simplicial identity on them, are built only on first use; the tests
+compare the two normalized complexes.
 """
 
 from __future__ import annotations
@@ -19,8 +29,21 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from .exactfield import FieldError, Mat, canonical, kernel_basis, solve
-from .simplicial import GradedDims, SimplicialError, SimplicialVectorSpace
+from .exactfield import (
+    QQ,
+    FieldError,
+    Mat,
+    axpy,
+    canonical,
+    kernel_basis,
+    solve,
+)
+from .simplicial import (
+    ChainComplex,
+    GradedDims,
+    SimplicialError,
+    SimplicialVectorSpace,
+)
 from .symalg import sphere_algebra
 
 
@@ -308,18 +331,16 @@ def zero_map(algebra, n, source_W=1):
 # the bar diagonal
 
 
-def bar_diagonal(f, N, T, W):
-    """Diagonal of the two-sided bar object of ground <- source -> target,
-    truncated at bar degree N, level T, induced weight W.
+def _bar_levels(f, N, T, W):
+    """Basis and per-tuple structure maps of bar_diagonal(f, N, T, W).
 
-    Level m is spanned by tuples (a_1, ..., a_m, b) of weight-graded
-    monomials with at most N non-unit a-slots and induced weight at most W;
-    faces multiply adjacent slots, drop a unit first slot, or push the last
-    slot through the map into b.  Returns a SimplicialVectorSpace whose
-    homotopy approximates the cofiber homotopy from below.
+    Returns (bases, face, degeneracy): bases[m] lists the level-m tuples
+    in sorted order, and face(m, i, k) and degeneracy(m, i, k) are the
+    images of bases[m][k] under d_i and s_i (which inserts a unit slot) as
+    canonical sparse columns over bases[m - 1] and bases[m + 1].
     """
     A, B = f.source, f.target
-    field = f.field
+    p = f.field.characteristic
     s = f.weight_ratio
     if A.field != B.field:
         raise FieldError("mismatched fields")
@@ -332,20 +353,22 @@ def bar_diagonal(f, N, T, W):
         raise ValueError("target algebra truncated below weight %d" % W)
     if N < 0 or W < 0 or T < 0:
         raise ValueError("bounds must be nonnegative")
+    a_components = A.components[: max_a_weight + 1]
+    b_components = B.components[: min(B.W, W) + 1]
 
     # codes: per level, the graded monomial basis of each algebra
-    def build_codes(alg, max_w):
+    def build_codes(components):
         per_level = []
         for m in range(T + 1):
             lv = []
-            for d in range(max_w + 1):
-                for i in range(alg.components[d].level_dims[m]):
+            for d, comp in enumerate(components):
+                for i in range(comp.level_dims[m]):
                     lv.append((d, i))
             per_level.append(lv)
         return per_level
 
-    acodes = build_codes(A, max_a_weight)
-    bcodes = build_codes(B, min(B.W, W))
+    acodes = build_codes(a_components)
+    bcodes = build_codes(b_components)
     acode_index = [{c: k for k, c in enumerate(lv)} for lv in acodes]
     bcode_index = [{c: k for k, c in enumerate(lv)} for lv in bcodes]
 
@@ -372,25 +395,22 @@ def bar_diagonal(f, N, T, W):
         bases.append(basis)
         index.append({b: i for i, b in enumerate(basis)})
 
-    dims = [len(b) for b in bases]
-    p = field.characteristic
-
-    def levelwise(m, lvl, a_maps, b_maps, slots, kb):
-        """Image of (slots, b) at level lvl under a levelwise structure map
-        (a_maps[d] on every weight-d slot, b_maps[d] on b), multiplied out
-        into (slots, kb, coeff) terms."""
+    def levelwise(m, lvl, kind, i, slots, kb):
+        """Image of (slots, b) at level lvl under the levelwise structure
+        map s_i or d_i (kind "degens" or "faces") of every slot and of b,
+        multiplied out into (slots, kb, coeff) terms."""
         terms = [((), 1)]
         for c in slots:
             d, j = acodes[m][c]
-            img = a_maps[d].cols[j]
+            img = getattr(a_components[d], kind)[m][i].cols[j]
             terms = [(prefix + (acode_index[lvl][(d, j2)],), coeff * v)
                      for prefix, coeff in terms for j2, v in img.items()]
             if not terms:
                 return terms
         db, jb = bcodes[m][kb]
+        img = getattr(b_components[db], kind)[m][i].cols[jb]
         return [(prefix, bcode_index[lvl][(db, j2)], coeff * v)
-                for prefix, coeff in terms
-                for j2, v in b_maps[db].cols[jb].items()]
+                for prefix, coeff in terms for j2, v in img.items()]
 
     def emit(acc, lvl, slots, kb, coeff, may_truncate=True):
         """acc += coeff * (slots, kb) at level lvl.  Faces may leave the
@@ -432,38 +452,156 @@ def bar_diagonal(f, N, T, W):
                 emit(acc, lvl, slots[:-1], bcode_index[lvl][(dlast * s + db, j)],
                      coeff * v)
 
-    def face_matrix(m, i):
-        a_face = [A.components[d].faces[m][i] for d in range(max_a_weight + 1)]
-        b_face = [B.components[d].faces[m][i] for d in range(min(B.W, W) + 1)]
-        cols = []
-        for slots, kb in bases[m]:
-            acc = {}
-            for slots2, kb2, coeff in levelwise(m, m - 1, a_face, b_face, slots, kb):
-                bar_face(acc, i, m - 1, slots2, kb2, coeff)
-            cols.append(canonical(acc, p))
-        return Mat(field, dims[m - 1], dims[m], cols)
+    def face(m, i, k):
+        acc = {}
+        for slots, kb, coeff in levelwise(m, m - 1, "faces", i, *bases[m][k]):
+            bar_face(acc, i, m - 1, slots, kb, coeff)
+        return canonical(acc, p)
 
-    def degeneracy_matrix(m, i):
-        a_deg = [A.components[d].degens[m][i] for d in range(max_a_weight + 1)]
-        b_deg = [B.components[d].degens[m][i] for d in range(min(B.W, W) + 1)]
+    def degeneracy(m, i, k):
         unit_up = (acode_index[m + 1][(0, 0)],)
-        cols = []
-        for slots, kb in bases[m]:
-            acc = {}
-            for slots2, kb2, coeff in levelwise(m, m + 1, a_deg, b_deg, slots, kb):
-                emit(acc, m + 1, slots2[:i] + unit_up + slots2[i:], kb2, coeff,
-                     may_truncate=False)
-            cols.append(canonical(acc, p))
-        return Mat(field, dims[m + 1], dims[m], cols)
+        acc = {}
+        for slots, kb, coeff in levelwise(m, m + 1, "degens", i, *bases[m][k]):
+            emit(acc, m + 1, slots[:i] + unit_up + slots[i:], kb, coeff,
+                 may_truncate=False)
+        return canonical(acc, p)
 
-    faces = [[]]
-    for m in range(1, T + 1):
-        faces.append([face_matrix(m, i) for i in range(m + 1)])
-    degens = []
-    for m in range(T):
-        degens.append([degeneracy_matrix(m, i) for i in range(m + 1)])
-    degens.append([])
-    return SimplicialVectorSpace(field, dims, faces, degens)
+    return bases, face, degeneracy
+
+
+class BarDiagonal(SimplicialVectorSpace):
+    """The simplicial vector space that bar_diagonal returns.
+
+    Its normalized chains are built at construction, directly on the
+    nondegenerate tuples.  Every degeneracy sends a basis tuple to a single
+    basis tuple, so the degenerate subspace D_m is spanned by the tuples
+    that some s_i hits, and N_m = C_m / D_m (Dold-Kan) has the other tuples
+    as basis, in basis order.  The differential sum (-1)^i d_i is computed
+    on those columns only, with the degenerate coordinates dropped; the
+    result equals the generic SimplicialVectorSpace.normalized_chains
+    matrix for matrix, as a plain ChainComplex without quotient maps.
+
+    Checked at construction: each degeneracy image is one basis tuple with
+    coefficient 1 inside the window (AssertionError otherwise); no face
+    term inside the window is missing from the basis; d_i d_j = d_{j-1} d_i
+    on every nondegenerate column (SimplicialError); and d o d = 0 in
+    ChainComplex.  The face and degeneracy matrices of the whole object
+    are built, and every simplicial identity checked, on first use of
+    faces or degens.
+    """
+
+    def __init__(self, f, N, T, W):
+        # SimplicialVectorSpace.__init__ takes built matrices and checks
+        # them; here that waits for the first use of faces or degens
+        self.field = f.field
+        self.T = T
+        self.basis_labels = None
+        self._bases, self._face, self._degeneracy = _bar_levels(f, N, T, W)
+        self.level_dims = [len(b) for b in self._bases]
+        self._matrices = None
+        self._chains = self._build_chains()
+
+    @property
+    def faces(self):
+        return self._structure()[0]
+
+    @property
+    def degens(self):
+        return self._structure()[1]
+
+    def _structure(self):
+        if self._matrices is None:
+            field, dims, T = self.field, self.level_dims, self.T
+            face, degeneracy = self._face, self._degeneracy
+            faces = [[]]
+            for m in range(1, T + 1):
+                faces.append([Mat(field, dims[m - 1], dims[m],
+                                  [face(m, i, k) for k in range(dims[m])])
+                              for i in range(m + 1)])
+            degens = []
+            for m in range(T):
+                degens.append([Mat(field, dims[m + 1], dims[m],
+                                   [degeneracy(m, i, k) for k in range(dims[m])])
+                               for i in range(m + 1)])
+            degens.append([])
+            self._matrices = (faces, degens)
+            try:
+                self._check_shapes()
+                self.check_identities()
+            except Exception:
+                self._matrices = None
+                raise
+        return self._matrices
+
+    def normalized_chains(self):
+        return self._chains
+
+    def _build_chains(self):
+        field, T = self.field, self.T
+        p = field.characteristic
+        bases, face, degeneracy = self._bases, self._face, self._degeneracy
+        keep = []  # per level: basis position of a nondegenerate tuple -> its column
+        for m in range(T + 1):
+            degenerate = set()
+            for k in range(len(bases[m - 1]) if m else 0):
+                for i in range(m):
+                    image = degeneracy(m - 1, i, k)
+                    if list(image.values()) != [1]:
+                        raise AssertionError(
+                            "degeneracy image is not a single basis tuple"
+                        )
+                    degenerate.update(image)
+            nondegenerate = [k for k in range(len(bases[m])) if k not in degenerate]
+            keep.append({k: c for c, k in enumerate(nondegenerate)})
+        dims = [len(kp) for kp in keep]
+
+        memo = [{} for _ in range(T + 1)]  # per level: (i, k) -> d_i of tuple k
+
+        def face_of(m, i, vec):
+            out = {}
+            for k, v in vec.items():
+                col = memo[m].get((i, k))
+                if col is None:
+                    col = memo[m][(i, k)] = face(m, i, k)
+                axpy(out, v, col, p)
+            return out
+
+        diffs = [Mat.zero(field, 0, dims[0])]
+        for m in range(1, T + 1):
+            # d_i d_j = d_{j-1} d_i for i < j; level 0 has no faces
+            pairs = [(i, j) for j in range(m + 1) for i in range(j)] if m > 1 else []
+            cols = []
+            for k in keep[m]:
+                images = [face_of(m, i, {k: 1}) for i in range(m + 1)]
+                for i, j in pairs:
+                    if (face_of(m - 1, i, images[j])
+                            != face_of(m - 1, j - 1, images[i])):
+                        raise SimplicialError(
+                            "d_%d d_%d identity fails at level %d" % (i, j, m)
+                        )
+                bd = {}
+                for i, col in enumerate(images):
+                    axpy(bd, (-1) ** i, col, p)
+                cols.append({keep[m - 1][r]: v for r, v in bd.items()
+                             if r in keep[m - 1]})
+            diffs.append(Mat(field, dims[m - 1], dims[m], cols))
+            memo[m - 1] = None  # level m + 1 reads faces of level m only
+        return ChainComplex(field, dims, diffs)
+
+
+def bar_diagonal(f, N, T, W):
+    """Diagonal of the two-sided bar object of ground <- source -> target,
+    truncated at bar degree N, level T, induced weight W.
+
+    Level m is spanned by tuples (a_1, ..., a_m, b) of weight-graded
+    monomials with at most N non-unit a-slots and induced weight at most W;
+    faces multiply adjacent slots, drop a unit first slot, or push the last
+    slot through the map into b.  Returns a BarDiagonal, a
+    SimplicialVectorSpace whose homotopy approximates the cofiber homotopy
+    from below; its normalized chains are built directly, and its face and
+    degeneracy matrices only when asked for.
+    """
+    return BarDiagonal(f, N, T, W)
 
 
 # --------------------------------------------------------------------------
@@ -499,7 +637,8 @@ class CofiberReport:
 
 
 def cofiber_homotopy(f, N, T, W):
-    """Homotopy dims of the bar diagonal with per-degree stability flags.
+    """Homotopy dims of the bar diagonal with per-degree stability flags,
+    from its normalized chains (no face or degeneracy matrix is built).
 
     Runs the construction at (N, W) and (N+1, W+1); a degree is flagged
     when both runs agree at and below it inside the certified range.
@@ -528,6 +667,24 @@ def power_cofiber_closed_form(r, s, upto):
     return pi, GradedDims({2 * r: 1, 2 * r * s + 1: 1})
 
 
+def power_map(r, s, T, W):
+    """The rational map S(degree 2rs) -> S(degree 2r) sending the generator
+    to the s-th power of the generator, at level bound T; the target is
+    truncated at weight W + 1 and the source at (W + 1) // s, so that
+    cofiber_homotopy(f, N, T, W) needs no rebuild."""
+    target = sphere_algebra(QQ, 1, 2 * r, T, W + 1)
+    if s == 1:
+        class_vec = {0: 1}
+    else:
+        reps, _ = target.components[s].normalized_chains().homology_reps(
+            2 * r * s)
+        if reps.ncols != 1:
+            raise AssertionError("power class is not one-dimensional")
+        class_vec = dict(reps.cols[0])
+    return representing_map(target, 2 * r * s, s, class_vec,
+                            source_W=max(1, (W + 1) // s))
+
+
 def power_cofiber_tables(r, s, T=None, W=None, N=None):
     """Cofiber of the map representing the s-th power of the degree-2r
     polynomial generator, rationally: computed homotopy against the closed
@@ -540,8 +697,6 @@ def power_cofiber_tables(r, s, T=None, W=None, N=None):
     puts classes at 2r and 2r+1); the homotopy table is authoritative here
     and the homology entries carry a note.
     """
-    from .exactfield import QQ
-
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
     if T is None:
@@ -554,18 +709,7 @@ def power_cofiber_tables(r, s, T=None, W=None, N=None):
     nA = 2 * r * s
     if T < nA:
         raise ValueError("level bound below the source generator degree")
-    target = sphere_algebra(QQ, 1, nB, T, W + 1)
-    if s == 1:
-        class_vec = {0: 1}
-    else:
-        comp = target.components[s]
-        ncx = comp.normalized_chains()
-        reps, _ = ncx.homology_reps(nA)
-        if reps.ncols != 1:
-            raise AssertionError("power class is not one-dimensional")
-        class_vec = dict(reps.cols[0])
-    f = representing_map(target, nA, s, class_vec,
-                         source_W=max(1, (W + 1) // s))
+    f = power_map(r, s, T, W)
     pi, flags, certified = cofiber_homotopy(f, N, T, W)
     notes = []
     expected, hq = power_cofiber_closed_form(r, s, T)

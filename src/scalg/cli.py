@@ -49,6 +49,12 @@ OUTPUT_FORMATS = ("json", "csv", "table")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix of a long option stands for it: main() finds --config
+        # by its full name before argparse runs, so "--conf PATH" would
+        # parse yet skip the file
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise CliError(message, code=1)
 

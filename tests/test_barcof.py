@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from scalg.exactfield import Mat, QQ
-from scalg.simplicial import GradedDims
+from scalg.exactfield import GF3, Mat, QQ
+from scalg.simplicial import GradedDims, SimplicialError, SimplicialVectorSpace
 from scalg.symalg import sphere_algebra
 from scalg.barcof import (
+    BarDiagonal,
     CycleError,
     LesVerdict,
     bar_diagonal,
@@ -13,6 +14,7 @@ from scalg.barcof import (
     identity_map,
     les_feasibility,
     power_cofiber_tables,
+    power_map,
     representing_map,
     zero_map,
 )
@@ -118,6 +120,99 @@ def test_cofiber_homotopy_flags():
     assert certified >= 3
     assert flags[:4] == [True, True, True, True]
     assert [dims[m] for m in range(4)] == [1, 0, 0, 0]
+
+
+# ------------------------------------------- normalized bar chains vs oracle
+
+# (map, N, T, W): the two maps of S(2) above, over Q and over F_3; the
+# cofiber job's map (r=1, s=2, W=2) at (N, W) and at (N+1, W+1), the
+# latter also the base run of the acceptance test's (r=1, s=2) cofiber;
+# that cofiber's check run; and the other two power cofibers of the
+# acceptance test at their (N, W)
+BAR_CASES = {
+    "identity": (lambda: identity_map(sphere_algebra(QQ, 1, 2, 4, 3)), 2, 4, 2),
+    "zero": (lambda: zero_map(sphere_algebra(QQ, 1, 2, 4, 3), 2, source_W=2),
+             2, 4, 2),
+    "identity-F3": (lambda: identity_map(sphere_algebra(GF3, 1, 2, 4, 3)),
+                    2, 4, 2),
+    "cofiber-job": (lambda: power_map(1, 2, 6, 2), 2, 6, 2),
+    "cofiber-job-check": (lambda: power_map(1, 2, 6, 2), 3, 6, 3),
+    "power-r1-s2-check": (lambda: power_map(1, 2, 6, 3), 4, 6, 4),
+    "power-r1-s3": (lambda: power_map(1, 3, 7, 3), 3, 7, 3),
+    "power-r2-s2": (lambda: power_map(2, 2, 8, 2), 2, 8, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAR_CASES))
+def test_direct_bar_chains_match_the_generic_normalized_chains(case):
+    make_map, N, T, W = BAR_CASES[case]
+    bar = bar_diagonal(make_map(), N, T, W)
+    direct = bar.normalized_chains()
+    # the quotient by the degeneracy matrices, after the full identity check
+    oracle = SimplicialVectorSpace.normalized_chains(bar)
+    assert direct.dims == oracle.dims
+    assert direct.diffs == oracle.diffs
+    h, want = direct.homology_dims(), oracle.homology_dims()
+    assert h == want and h.certified_degree == want.certified_degree
+
+
+def test_bar_chains_of_the_cofiber_check_run():
+    # the (N+1, W+1) run of `cofiber -r 1 -s 2 -W 2`: of the full levels
+    # [1, 1, 4, 20, 112, 561, 2256], these many tuples are nondegenerate
+    bar = bar_diagonal(power_map(1, 2, 6, 2), 3, 6, 3)
+    assert bar.level_dims == [1, 1, 4, 20, 112, 561, 2256]
+    assert bar.normalized_chains().dims == [1, 0, 3, 10, 53, 165, 225]
+
+
+def test_bar_homotopy_builds_no_structure_matrix(monkeypatch):
+    f = identity_map(sphere_algebra(QQ, 1, 2, 4, 3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built on the direct path")
+
+    monkeypatch.setattr(BarDiagonal, "_structure", refuse)
+    monkeypatch.setattr(SimplicialVectorSpace, "check_identities", refuse)
+    monkeypatch.setattr("scalg.simplicial._LevelQuotient", refuse)
+    assert bar_diagonal(f, 2, 4, 2).homotopy_dims().to_list(3) == [1, 0, 0, 0]
+    assert cofiber_homotopy(f, 2, 4, 2)[0].to_list(3) == [1, 0, 0, 0]
+
+
+def test_bar_structure_matrices_are_checked_on_first_use(monkeypatch):
+    f = identity_map(sphere_algebra(QQ, 1, 2, 4, 3))
+    bar = bar_diagonal(f, 2, 4, 2)
+    calls = []
+    monkeypatch.setattr(SimplicialVectorSpace, "check_identities",
+                        lambda self: calls.append(self))
+    assert [d.ncols for d in bar.faces[3]] == [bar.level_dims[3]] * 4
+    assert [s.nrows for s in bar.degens[2]] == [bar.level_dims[3]] * 3
+    assert calls == [bar]
+
+
+def test_bar_diagonal_rejects_a_degeneracy_image_with_two_terms():
+    A = sphere_algebra(QQ, 1, 2, 4, 3)
+    f = identity_map(A)
+    # s_0 on K(Q, 2) from level 2 to level 3, one column given a second term:
+    # the bar tuple ((), generator) at level 2 then degenerates to two tuples
+    s0 = A.components[1].degens[2][0]
+    assert s0.cols[0] == {2: 1}
+    s0.cols[0] = {0: 1, 2: 1}
+    with pytest.raises(AssertionError, match="single basis tuple"):
+        bar_diagonal(f, 2, 4, 2)
+
+
+def test_bar_diagonal_checks_the_face_identities():
+    A = sphere_algebra(QQ, 1, 2, 4, 3)
+    f = identity_map(A)
+    # a map that is not multiplicative breaks d_{m-1} d_m = d_{m-1} d_{m-1}:
+    # pushing two weight-1 slots into b one at a time differs from pushing
+    # their product, here with the weight-2 part of the map doubled
+    for m in range(5):
+        g = f.weight_map(2, m)
+        f._weight_maps[(2, m)] = Mat(
+            QQ, g.nrows, g.ncols,
+            [{j: 2 * v for j, v in col.items()} for col in g.cols])
+    with pytest.raises(SimplicialError, match="identity fails"):
+        bar_diagonal(f, 2, 4, 2)
 
 
 # ---------------------------------------------------------- the power tables

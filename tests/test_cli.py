@@ -274,6 +274,21 @@ def test_config_accepts_the_equals_form(tmp_path):
     assert code == 0 and data["T"] == 5
 
 
+def test_config_flag_cannot_be_abbreviated(tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("T = 4\n")
+    for flag in (["--conf", str(cfg)], ["--conf=%s" % cfg]):
+        capsys.readouterr()
+        code, out = run_cli(["pi-sphere"] + flag + ["-n", "1", "-W", "1"])
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--conf" in err
+    code, data = run_json(["pi-sphere", "--config", str(cfg), "-n", "1",
+                           "-W", "1"])
+    assert code == 0 and data["T"] == 4
+
+
 def test_config_rejects_garbage(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("what is this line\n")
