@@ -47,6 +47,11 @@ class ProfileError(ValueError):
 
 UNBOUNDED = None
 
+# asymptotic mode looks for a witness on the doubling grid 1, 2, 4, ... up
+# to GRID_LIMIT and then bisects; empirical mode samples the grid's first
+# eight points unless given t samples
+GRID_LIMIT = 2**40
+
 
 class EnvelopeProfile:
     """Homology dimension profile {s: q_s} of a connected algebra, with an
@@ -124,7 +129,7 @@ def _tower(profile):
     return top, stages
 
 
-def _theta(table, profile, factor, M, budgets):
+def _theta(table, profile, factor, M):
     """theta of the sphere factor (q, degree), computed once per table: the
     closed form rationally, brute force in characteristic p, the unit series
     for q = 0."""
@@ -136,7 +141,7 @@ def _theta(table, profile, factor, M, budgets):
         elif p == 0:
             table[factor] = sphere_series_char0(q, degree, M)
         else:
-            table[factor] = sphere_series_charp(q, degree, p, M, **budgets)
+            table[factor] = sphere_series_charp(q, degree, p, M)
     return table[factor]
 
 
@@ -159,7 +164,7 @@ class EnvelopeStage:
         self.factor = factor
 
 
-def envelope_chain(profile, M, **budgets):
+def envelope_chain(profile, M):
     """Stage inequalities s = 1..top-2 of the envelope tower, each carrying
     its sphere-series factor theta(q_s, s+1, t).
 
@@ -172,7 +177,7 @@ def envelope_chain(profile, M, **budgets):
     for q, degree in _tower(profile)[1]:
         s = degree - 1
         try:
-            factor = _theta(table, profile, (q, degree), M, budgets)
+            factor = _theta(table, profile, (q, degree), M)
         except SeriesError as exc:
             raise SeriesError(
                 "stage %d factor has no certified truncation: %s" % (s, exc)
@@ -181,14 +186,13 @@ def envelope_chain(profile, M, **budgets):
     return stages
 
 
-def splitting_series(profile, M, **budgets):
+def splitting_series(profile, M):
     """The split product for the next-to-top envelope stage:
     theta(q_{n-1}, n-1, t) * theta(q_n, n, t), exact in certified range."""
     if profile.top < 2:
         raise ProfileError("splitting needs a profile with top degree >= 2")
     table = {}
-    left, right = (_theta(table, profile, f, M, budgets)
-                   for f in _tower(profile)[0])
+    left, right = (_theta(table, profile, f, M) for f in _tower(profile)[0])
     return mul(left, right)
 
 
@@ -279,19 +283,17 @@ def _trace_skeleton(profile, mode):
     }
 
 
-def serre_audit(profile, mode="asymptotic", t_samples=None,
-                grid_start=1, grid_factor=2, grid_limit=2**40,
-                M=6, **budgets):
+def serre_audit(profile, mode="asymptotic", t_samples=None, M=6):
     """Decide whether a bounded-homotopy algebra can carry this profile.
 
     Top degree 1 is consistent.  For top degree n > 1 the asymptotic mode
     compares the leading polynomials of the two sides of the envelope
     inequality and returns a contradiction with an exact integer witness
-    found on a geometric grid (start, factor, limit are the documented
-    defaults) refined downward.  Empirical mode evaluates the transforms
-    from truncated series at the sample points and claims a contradiction
-    only when every right-hand partial sum stabilized; otherwise it is
-    inconclusive at the current truncation.
+    found on the doubling grid up to GRID_LIMIT and refined downward by
+    bisection.  Empirical mode evaluates the transforms from truncated
+    series at the sample points (by default 1, 2, ..., 128) and claims a
+    contradiction only when every right-hand partial sum stabilized;
+    otherwise it is inconclusive at the current truncation.
     """
     p = profile.field.characteristic
     if p == 0:
@@ -326,15 +328,15 @@ def serre_audit(profile, mode="asymptotic", t_samples=None,
             diff = _poly_eval(lhs, t) - _poly_eval(rhs, t)
             return _exceeds_log_bound(diff, p, D)
 
-        t = grid_start
-        while t <= grid_limit and not wins(t):
-            t *= grid_factor
-        if t > grid_limit:
+        t = 1
+        while t <= GRID_LIMIT and not wins(t):
+            t *= 2
+        if t > GRID_LIMIT:
             raise AssertionError(
                 "no witness below the grid limit; the polynomial comparison "
                 "is broken"
             )
-        lo, hi = t // grid_factor, t
+        lo, hi = t // 2, t
         while lo + 1 < hi:
             mid = (lo + hi) // 2
             if wins(mid):
@@ -372,14 +374,14 @@ def serre_audit(profile, mode="asymptotic", t_samples=None,
     # empirical mode: evaluate transforms from certified truncations
     table = {}
     top, stages = _tower(profile)
-    lhs_series = [_theta(table, profile, f, M, budgets) for f in top]
-    stage_factors = [(degree - 1, _theta(table, profile, (q, degree), M, budgets))
+    lhs_series = [_theta(table, profile, f, M) for f in top]
+    stage_factors = [(degree - 1, _theta(table, profile, (q, degree), M))
                      for q, degree in stages]
     trace["chain_stages"] = [
         {"stage": s, "factor": f.to_json_dict()} for s, f in stage_factors
     ]
     if t_samples is None:
-        t_samples = [grid_start * grid_factor**k for k in range(8)]
+        t_samples = [2**k for k in range(8)]
     rows = []
     witness = None
     for t in t_samples:

@@ -261,8 +261,7 @@ def _moore_representative(component, n, class_vec):
     return rep
 
 
-def representing_map(target, n, weight, class_vec, source_W=1,
-                     verify_class=True):
+def representing_map(target, n, weight, class_vec, source_W=1):
     """Algebra map from the sphere on degree-n generators into target,
     sending each generator to a given normalized class.
 
@@ -300,7 +299,7 @@ def representing_map(target, n, weight, class_vec, source_W=1,
         )
     out = AlgebraMap(source, target, weight, level_maps,
                      recipe=(n, weight, [dict(c) for c in cycles]))
-    if verify_class and any(cycles):
+    if any(cycles):
         src_ncx = K.normalized_chains()
         dst_ncx = component.normalized_chains()
         chain = src_ncx.induced_map(dst_ncx, level_maps)
@@ -709,6 +708,9 @@ def power_cofiber_tables(r, s, T=None, W=None, N=None):
     nA = 2 * r * s
     if T < nA:
         raise ValueError("level bound below the source generator degree")
+    if W + 1 < s:
+        raise ValueError("W must be at least s - 1: the s-th power has "
+                         "weight s and the target stops at W + 1")
     f = power_map(r, s, T, W)
     pi, flags, certified = cofiber_homotopy(f, N, T, W)
     notes = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -129,16 +130,38 @@ def _parse_profile(text):
     return dims
 
 
-def _parse_samples(text):
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            try:
-                out.append(float(chunk))
-            except ValueError:
-                raise CliError("t sample %r is not a number" % chunk)
+# Each numeric option's range is its argparse type, so it is checked once,
+# for flags and config-file values alike (argparse converts string
+# defaults); a ValueError from a type reads "invalid <name> value".
+
+
+def _int_at_least(low, name):
+    def convert(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+
+    convert.__name__ = name
+    return convert
+
+
+_nonnegative = _int_at_least(0, "nonnegative integer")
+_positive = _int_at_least(1, "positive integer")
+
+
+def _t_samples(text):
+    """Comma-separated t samples, each finite and > 0; None for the empty
+    option, which means "no samples given"."""
+    if not text:
+        return None
+    out = [float(chunk) for chunk in text.split(",") if chunk.strip()]
+    if not all(0 < t < math.inf for t in out):  # also rejects nan
+        raise ValueError(text)
     return out
+
+
+_t_samples.__name__ = "t-sample list"
 
 
 def _field(char):
@@ -146,14 +169,6 @@ def _field(char):
         return FieldSpec(char)
     except FieldError as exc:
         raise CliError(str(exc))
-
-
-def _positive(name, value):
-    if value is None:
-        return None
-    if value < 1:
-        raise CliError("%s must be positive" % name)
-    return value
 
 
 def build_parser():
@@ -168,52 +183,52 @@ def build_parser():
 
     p = sub.add_parser("pi-sphere", help="homotopy of a sphere algebra")
     p.add_argument("--char", type=int, default=0)
-    p.add_argument("-q", type=int, default=1)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-T", type=int, default=None)
-    p.add_argument("-W", type=int, default=None)
+    p.add_argument("-q", type=_nonnegative, default=1)
+    p.add_argument("-n", type=_positive, required=True)
+    p.add_argument("-T", type=_nonnegative, default=None)
+    p.add_argument("-W", type=_nonnegative, default=None)
     add_common(p)
 
     p = sub.add_parser("hq-sphere", help="homology of a sphere algebra "
                                          "(homotopy of its indecomposables)")
     p.add_argument("--char", type=int, default=0)
-    p.add_argument("-q", type=int, default=1)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-T", type=int, default=None)
+    p.add_argument("-q", type=_nonnegative, default=1)
+    p.add_argument("-n", type=_positive, required=True)
+    p.add_argument("-T", type=_nonnegative, default=None)
     add_common(p)
 
     p = sub.add_parser("em", help="Eilenberg-MacLane object as JSON data")
     p.add_argument("--char", type=int, default=0)
-    p.add_argument("-q", type=int, default=1)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-T", type=int, required=True)
+    p.add_argument("-q", type=_nonnegative, default=1)
+    p.add_argument("-n", type=_nonnegative, required=True)
+    p.add_argument("-T", type=_nonnegative, required=True)
     add_common(p)
 
     p = sub.add_parser("cofiber", help="bar-cofiber tables of the power map")
     p.add_argument("--char", type=int, default=0)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("-T", type=int, default=None)
-    p.add_argument("-W", type=int, default=None)
-    p.add_argument("-N", type=int, default=None)
+    p.add_argument("-r", type=_positive, required=True)
+    p.add_argument("-s", type=_positive, required=True)
+    p.add_argument("-T", type=_nonnegative, default=None)
+    p.add_argument("-W", type=_nonnegative, default=None)
+    p.add_argument("-N", type=_nonnegative, default=None)
     add_common(p)
 
     p = sub.add_parser("series", help="sphere Poincare series")
     p.add_argument("--char", type=int, default=0)
-    p.add_argument("-q", type=int, default=1)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-M", type=int, default=8)
-    p.add_argument("-W", type=int, default=None)
+    p.add_argument("-q", type=_nonnegative, default=1)
+    p.add_argument("-n", type=_positive, required=True)
+    p.add_argument("-M", type=_nonnegative, default=8)
+    p.add_argument("-W", type=_nonnegative, default=None)
     add_common(p)
 
     p = sub.add_parser("audit", help="boundedness audit of a homology profile")
     p.add_argument("--char", type=int, required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--pi-bound", type=int, default=None)
+    p.add_argument("--pi-bound", type=_positive, default=None)
     p.add_argument("--mode", choices=("asymptotic", "empirical"),
                    default="asymptotic")
-    p.add_argument("--t-samples", default=None)
-    p.add_argument("-M", type=int, default=6)
+    p.add_argument("--t-samples", type=_t_samples, default=None)
+    p.add_argument("-M", type=_nonnegative, default=6)
     add_common(p)
 
     p = sub.add_parser("rational-check",
@@ -224,23 +239,23 @@ def build_parser():
 
     p = sub.add_parser("rational-example",
                        help="closed-form tables of the rational power cofiber")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("-T", type=int, default=None)
+    p.add_argument("-r", type=_positive, required=True)
+    p.add_argument("-s", type=_positive, required=True)
+    p.add_argument("-T", type=_nonnegative, default=None)
     add_common(p)
 
     p = sub.add_parser("asymptotic", help="growth-law comparison table")
-    p.add_argument("-q", type=int, default=1)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--t-samples", default="0.25,0.5,1,2,4,8")
-    p.add_argument("-M", type=int, default=6)
+    p.add_argument("-q", type=_nonnegative, default=1)
+    p.add_argument("-n", type=_positive, required=True)
+    p.add_argument("-p", type=_positive, required=True)
+    p.add_argument("--t-samples", type=_t_samples, default="0.25,0.5,1,2,4,8")
+    p.add_argument("-M", type=_nonnegative, default=6)
     add_common(p)
 
     p = sub.add_parser("property-test",
                        help="seeded randomized invariant checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=25)
+    p.add_argument("--cases", type=_nonnegative, default=25)
     add_common(p)
 
     return parser
@@ -251,25 +266,18 @@ def build_parser():
 
 def cmd_pi_sphere(args):
     field = _field(args.char)
-    n = _positive("n", args.n)
-    if args.q < 0:
-        raise CliError("q must be nonnegative")
+    n = args.n
     T = args.T if args.T is not None else n + 4
     W = args.W if args.W is not None else T
     if T < n:
         raise CliError("T must be at least n")
-    _positive("T", T)
-    if W < 0:
-        raise CliError("W must be nonnegative")
     report = sphere_homotopy(field, args.q, n, T, W)
     return report.to_json_dict(), 0
 
 
 def cmd_hq_sphere(args):
     field = _field(args.char)
-    n = _positive("n", args.n)
-    if args.q < 0:
-        raise CliError("q must be nonnegative")
+    n = args.n
     T = args.T if args.T is not None else n + 4
     if T < n:
         raise CliError("T must be at least n")
@@ -288,8 +296,6 @@ def cmd_hq_sphere(args):
 
 def cmd_em(args):
     field = _field(args.char)
-    if args.n < 0 or args.q < 0:
-        raise CliError("q and n must be nonnegative")
     if args.T < args.n:
         raise CliError("T must be at least n")
     v = eilenberg_maclane(field, args.q, args.n, args.T)
@@ -299,8 +305,6 @@ def cmd_em(args):
 def cmd_cofiber(args):
     if args.char != 0:
         raise CliError("cofiber tables are a characteristic-zero computation")
-    _positive("r", args.r)
-    _positive("s", args.s)
     try:
         rep = power_cofiber_tables(args.r, args.s, T=args.T, W=args.W, N=args.N)
     except ValueError as exc:
@@ -309,11 +313,7 @@ def cmd_cofiber(args):
 
 
 def cmd_series(args):
-    n = _positive("n", args.n)
-    if args.M < 0:
-        raise CliError("M must be nonnegative")
-    if args.q < 0:
-        raise CliError("q must be nonnegative")
+    n = args.n
     if args.char == 0:
         if args.q == 0:
             from .series import unit_series
@@ -344,9 +344,8 @@ def cmd_audit(args):
     dims = _parse_profile(args.profile)
     try:
         profile = EnvelopeProfile(args.char, dims, pi_bound=args.pi_bound)
-        samples = _parse_samples(args.t_samples) if args.t_samples else None
-        verdict = serre_audit(profile, mode=args.mode, t_samples=samples,
-                              M=args.M)
+        verdict = serre_audit(profile, mode=args.mode,
+                              t_samples=args.t_samples, M=args.M)
     except (ProfileError, SeriesError) as exc:
         raise CliError(str(exc))
     payload = verdict.to_json_dict()
@@ -364,11 +363,8 @@ def cmd_rational_check(args):
 
 
 def cmd_rational_example(args):
-    r = _positive("r", args.r)
-    s = _positive("s", args.s)
+    r, s = args.r, args.s
     upto = args.T if args.T is not None else 2 * r * s + 2
-    if upto < 0:
-        raise CliError("T must be nonnegative")
     pi, hq = power_cofiber_closed_form(r, s, upto)
     hq = {str(m): v for m, v in hq.data.items()}
     notes = []
@@ -384,16 +380,12 @@ def cmd_rational_example(args):
 
 
 def cmd_asymptotic(args):
-    n = _positive("n", args.n)
-    p = _positive("p", args.p)
+    n, p = args.n, args.p
     _field(p)
-    samples = _parse_samples(args.t_samples)
-    if not samples:
+    if not args.t_samples:
         raise CliError("need at least one t sample")
-    if any(not t > 0 for t in samples):  # also rejects nan
-        raise CliError("t samples must be positive")
     try:
-        rep = asymptotic_check(args.q, n, p, samples, M=args.M)
+        rep = asymptotic_check(args.q, n, p, args.t_samples, M=args.M)
     except SeriesError as exc:
         raise Inconclusive(str(exc))
     if args.output == "csv":
@@ -475,8 +467,6 @@ def run_property_checks(seed, cases):
 
 
 def cmd_property_test(args):
-    if args.cases < 0:
-        raise CliError("cases must be nonnegative")
     checks, failures = run_property_checks(args.seed, args.cases)
     payload = {
         "seed": args.seed,

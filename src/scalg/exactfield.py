@@ -89,10 +89,6 @@ class FieldSpec:
             )
         self.characteristic = characteristic
 
-    @property
-    def p(self):
-        return self.characteristic
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldSpec)

@@ -14,11 +14,16 @@ from __future__ import annotations
 import math
 
 from .exactfield import FieldSpec
-from .symalg import sphere_homotopy
+from .symalg import DIM_BUDGET, sphere_homotopy
 
 
 class SeriesError(ValueError):
     pass
+
+
+# phi_eval calls a partial sum stabilized when its estimated tail is at most
+# this fraction of the value
+STABILIZATION_TOLERANCE = 1e-3
 
 
 class ClosedForm:
@@ -103,11 +108,6 @@ class TruncatedSeries:
     def __eq__(self, other):
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
 
-    def truncate(self, M):
-        if M >= self.truncation:
-            return self
-        return TruncatedSeries(self.coeffs[: M + 1], self.closed_form)
-
     def to_json_dict(self):
         out = {"coeffs": list(self.coeffs), "truncation": self.truncation}
         if self.closed_form is not None:
@@ -118,9 +118,8 @@ class TruncatedSeries:
         return "TruncatedSeries(%r)" % (self.coeffs,)
 
 
-def unit_series(M, constant=1):
-    cf = ClosedForm(constant) if constant >= 0 else None
-    return TruncatedSeries((constant,) + (0,) * M, cf)
+def unit_series(M):
+    return TruncatedSeries((1,) + (0,) * M, ClosedForm(1))
 
 
 def from_dims(dims, M=None):
@@ -180,8 +179,7 @@ def sphere_series_char0(q, n, M):
     return TruncatedSeries(cf.expand(M), cf)
 
 
-def sphere_series_charp(q, n, p, M, W=None, enum_budget=4_000_000,
-                        dim_budget=20_000):
+def sphere_series_charp(q, n, p, M, W=None, dim_budget=DIM_BUDGET):
     """Series of the sphere algebra in characteristic p, by brute force.
 
     Delegates to the weight-by-weight homotopy computation; only degrees
@@ -198,8 +196,7 @@ def sphere_series_charp(q, n, p, M, W=None, enum_budget=4_000_000,
         return unit_series(M)
     if W is None:
         W = M
-    report = sphere_homotopy(field, q, n, max(n, M + 1), W,
-                             enum_budget=enum_budget, dim_budget=dim_budget)
+    report = sphere_homotopy(field, q, n, max(n, M + 1), W, dim_budget)
     good = min(report.certified_degree, report.stable_through())
     good = min(good, M)
     if good < 0:
@@ -223,7 +220,7 @@ class PhiValue:
         return "PhiValue(%.6f, stabilized=%s)" % (self.value, self.stabilized)
 
 
-def phi_eval(series, p, t, tol=1e-3):
+def phi_eval(series, p, t):
     """log_p of the partial sum of the series at x = 1 - p^{-t}.
 
     Coefficients are nonnegative, so partial sums increase with the
@@ -244,13 +241,13 @@ def phi_eval(series, p, t, tol=1e-3):
     if series.closed_form is not None:
         exact = series.closed_form.value_at(x)
         tail = max(exact - partial, 0.0)
-        stabilized = exact > 0 and tail <= tol * exact
+        stabilized = exact > 0 and tail <= STABILIZATION_TOLERANCE * exact
     else:
         recent = max(series.coeffs[-3:]) if len(series.coeffs) >= 3 else max(
             series.coeffs
         )
         tail = recent * x ** (M + 1) / (1.0 - x) if x < 1 else float("inf")
-        stabilized = partial > 0 and tail <= tol * partial
+        stabilized = partial > 0 and tail <= STABILIZATION_TOLERANCE * partial
     if partial <= 0:
         raise SeriesError("partial sum is not positive; cannot take log")
     value = math.log(partial) / math.log(p)
@@ -272,9 +269,6 @@ class AsymptoticRow:
         self.ratio = ratio
         self.stabilized = stabilized
 
-    def as_tuple(self):
-        return (self.t, self.phi, self.reference, self.ratio, self.stabilized)
-
 
 class AsymptoticReport:
     def __init__(self, q, n, p, truncation, rows):
@@ -283,9 +277,6 @@ class AsymptoticReport:
         self.p = p
         self.truncation = truncation
         self.rows = rows
-
-    def stabilized_rows(self):
-        return [r for r in self.rows if r.stabilized]
 
     def monotone_toward_one(self):
         """Ratios on the stabilized prefix are nondecreasing and below 1+eps."""
@@ -315,8 +306,7 @@ class AsymptoticReport:
         return "\n".join(lines) + "\n"
 
 
-def asymptotic_check(q, n, p, t_samples, M=6, W=None, enum_budget=4_000_000,
-                     dim_budget=20_000, tol=1e-3):
+def asymptotic_check(q, n, p, t_samples, M=6, dim_budget=DIM_BUDGET):
     """Table of phi against the growth reference over the sample points.
 
     Reports the trend; asserts nothing beyond the computed truncation.  For
@@ -324,11 +314,10 @@ def asymptotic_check(q, n, p, t_samples, M=6, W=None, enum_budget=4_000_000,
     """
     if n < 1:
         raise SeriesError("need n >= 1")
-    series = sphere_series_charp(q, n, p, M, W=W, enum_budget=enum_budget,
-                                 dim_budget=dim_budget)
+    series = sphere_series_charp(q, n, p, M, dim_budget=dim_budget)
     rows = []
     for t in t_samples:
-        pv = phi_eval(series, p, t, tol=tol)
+        pv = phi_eval(series, p, t)
         ref = reference_growth(q, n, t)
         ratio = pv.value / ref if ref != 0 else float("nan")
         rows.append(AsymptoticRow(t, pv.value, ref, ratio, pv.stabilized))

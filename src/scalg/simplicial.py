@@ -42,24 +42,14 @@ class GradedDims:
                 if v:
                     self.data[int(k)] = int(v)
 
-    @classmethod
-    def from_list(cls, dims):
-        return cls({i: d for i, d in enumerate(dims)})
-
     def __getitem__(self, degree):
         return self.data.get(degree, 0)
-
-    def support(self):
-        return sorted(self.data)
 
     def top(self):
         return max(self.data) if self.data else None
 
     def to_list(self, upto):
         return [self[i] for i in range(upto + 1)]
-
-    def total(self):
-        return sum(self.data.values())
 
     def __eq__(self, other):
         if isinstance(other, GradedDims):
@@ -109,20 +99,19 @@ class HomotopyDims(GradedDims):
 class ChainComplex:
     """Nonnegatively graded complex with exact differentials, d o d = 0."""
 
-    def __init__(self, field, dims, diffs, check=True):
+    def __init__(self, field, dims, diffs):
         self.field = field
         self.dims = list(dims)
         self.diffs = list(diffs)  # diffs[m]: dims[m] -> dims[m-1]; diffs[0] unused
         T = len(self.dims) - 1
         if len(self.diffs) != T + 1:
             raise SimplicialError("differential list length mismatch")
-        if check:
-            for m in range(1, T + 1):
-                d = self.diffs[m]
-                if d.nrows != self.dims[m - 1] or d.ncols != self.dims[m]:
-                    raise SimplicialError("differential shape at level %d" % m)
-                if m >= 2 and not (self.diffs[m - 1] @ d).is_zero():
-                    raise SimplicialError("d o d != 0 at level %d" % m)
+        for m in range(1, T + 1):
+            d = self.diffs[m]
+            if d.nrows != self.dims[m - 1] or d.ncols != self.dims[m]:
+                raise SimplicialError("differential shape at level %d" % m)
+            if m >= 2 and not (self.diffs[m - 1] @ d).is_zero():
+                raise SimplicialError("d o d != 0 at level %d" % m)
 
     @property
     def top(self):

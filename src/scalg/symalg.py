@@ -23,7 +23,6 @@ from itertools import combinations_with_replacement
 from .exactfield import Mat, axpy, canonical
 from .simplicial import (
     ChainComplex,
-    GradedDims,
     HomotopyDims,
     SimplicialError,
     SimplicialVectorSpace,
@@ -32,6 +31,14 @@ from .simplicial import (
     _coface,
     _jump_surjections,
 )
+
+
+# Size budgets of the brute force: a covering-complex level is not built
+# when its candidate multisets would exceed ENUM_BUDGET or its covering
+# basis would exceed the dimension budget (DIM_BUDGET unless a caller
+# passes another); degrees that need such a level are left uncertified.
+ENUM_BUDGET = 4_000_000
+DIM_BUDGET = 20_000
 
 
 # --------------------------------------------------------------------------
@@ -125,8 +132,7 @@ def _face_on_jumpmask(m, i, n):
     return table
 
 
-def sym_power_covering_complex(field, q, n, d, T, enum_budget=4_000_000,
-                               dim_budget=20_000):
+def sym_power_covering_complex(field, q, n, d, T, dim_budget=DIM_BUDGET):
     """Normalized chains of Sym^d(K(V, n)), dim V = q, on covering monomials.
 
     A monomial of level-m generators is nondegenerate exactly when the jump
@@ -155,7 +161,7 @@ def sym_power_covering_complex(field, q, n, d, T, enum_budget=4_000_000,
             index.append({})
             continue
         est = math.comb(ncodes + d - 1, d)
-        if est > enum_budget:
+        if est > ENUM_BUDGET:
             built_to = m - 1
             break
         full = (1 << m) - 1
@@ -225,8 +231,7 @@ def sym_power_covering_complex(field, q, n, d, T, enum_budget=4_000_000,
     return ChainComplex(field, dims, diffs), built_to
 
 
-def sym_power_homology(field, q, n, d, T, enum_budget=4_000_000,
-                       dim_budget=20_000):
+def sym_power_homology(field, q, n, d, T, dim_budget=DIM_BUDGET):
     """Homotopy dims of Sym^d(K(V, n)) with the honest certified degree.
 
     A monomial of d weight-one factors owns d*n jump positions, so the
@@ -239,9 +244,7 @@ def sym_power_homology(field, q, n, d, T, enum_budget=4_000_000,
         return HomotopyDims({0: 1}, T)
     if q == 0:
         return HomotopyDims({}, T)
-    cx, built_to = sym_power_covering_complex(
-        field, q, n, d, T, enum_budget, dim_budget
-    )
+    cx, built_to = sym_power_covering_complex(field, q, n, d, T, dim_budget)
     h = cx.homology_dims()
     if d * n <= built_to:
         certified = T
@@ -264,30 +267,17 @@ class WeightGradedAlgebra:
     stability flags downstream account for.
     """
 
-    def __init__(self, field, base, W, components, monomials, kind="free"):
+    def __init__(self, field, base, W, components, monomials):
         self.field = field
         self.base = base
         self.W = W
         self.components = components
         self.monomials = monomials  # per weight, per level: tuples over base
-        self.kind = kind
         self.q = None
         self.n = None
         self.T = base.T
         self._mult_cache = {}
         self._index_cache = {}
-
-    def component(self, d):
-        return self.components[d]
-
-    def component_dims(self, d):
-        return self.components[d].level_dims
-
-    def total_dims(self):
-        return [
-            sum(c.level_dims[m] for c in self.components)
-            for m in range(self.T + 1)
-        ]
 
     def monomial_index(self, d, m):
         """Position of each weight-d, level-m monomial in its basis."""
@@ -406,11 +396,7 @@ class WeightGradedAlgebra:
                         )
 
     def __repr__(self):
-        return "WeightGradedAlgebra(%r, W=%d, kind=%s)" % (
-            self.field,
-            self.W,
-            self.kind,
-        )
+        return "WeightGradedAlgebra(%r, W=%d)" % (self.field, self.W)
 
 
 def sphere_algebra(field, q, n, T, W):
@@ -435,7 +421,7 @@ def sphere_algebra(field, q, n, T, W):
             )
         else:
             monomials.append(comp.basis_labels)
-    alg = WeightGradedAlgebra(field, base, W, components, monomials, kind="sphere")
+    alg = WeightGradedAlgebra(field, base, W, components, monomials)
     alg.q = q
     alg.n = n
     return alg
@@ -462,9 +448,6 @@ class HomotopyReport:
         self.dims = list(dims)
         self.certified_degree = certified_degree
         self.stable_flags = list(stable_flags)
-
-    def graded_dims(self):
-        return GradedDims({m: v for m, v in enumerate(self.dims) if v})
 
     def stable_through(self):
         """Largest degree with all flags true below it, -1 if none."""
@@ -494,7 +477,7 @@ class HomotopyReport:
         )
 
 
-def sphere_homotopy(field, q, n, T, W, enum_budget=4_000_000, dim_budget=20_000):
+def sphere_homotopy(field, q, n, T, W, dim_budget=DIM_BUDGET):
     """Brute-force homotopy of the sphere algebra on q generators in degree n.
 
     Sums the homology of the normalized chains of Sym^d(K(V, n)) over
@@ -511,7 +494,7 @@ def sphere_homotopy(field, q, n, T, W, enum_budget=4_000_000, dim_budget=20_000)
     per_weight = []
     certified = T
     for d in range(W + 1):
-        h = sym_power_homology(field, q, n, d, T, enum_budget, dim_budget)
+        h = sym_power_homology(field, q, n, d, T, dim_budget)
         per_weight.append(h)
         certified = min(certified, h.certified_degree)
     # each weight contributes only where it is certified; entries above the
@@ -520,7 +503,7 @@ def sphere_homotopy(field, q, n, T, W, enum_budget=4_000_000, dim_budget=20_000)
         sum(h[m] for h in per_weight if h.certified_degree >= m)
         for m in range(T + 1)
     ]
-    check = sym_power_homology(field, q, n, W + 1, T, enum_budget, dim_budget)
+    check = sym_power_homology(field, q, n, W + 1, T, dim_budget)
     flags = []
     for m in range(T + 1):
         ok = check.certified_degree >= m and all(
@@ -541,7 +524,7 @@ def indecomposables(A):
     levelwise free on their generators, so the quotient of the augmentation
     ideal by products is literally the weight-1 component.
     """
-    if not isinstance(A, WeightGradedAlgebra) or A.kind not in ("sphere", "free"):
+    if not isinstance(A, WeightGradedAlgebra):
         raise ValueError("indecomposables need an almost-free algebra built here")
     return A.components[1]
 

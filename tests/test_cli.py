@@ -312,12 +312,33 @@ def test_table_and_csv_formats():
 
 # ------------------------------------------------------------- characteristic
 
+EMPIRICAL_AUDIT = ["audit", "--char", "2", "--profile", "2:1", "--pi-bound", "3",
+                   "--mode", "empirical"]
+
+
 @pytest.mark.parametrize("argv", [
     ["pi-sphere", "--char", str(2**64 + 13), "-n", "2"],
     ["pi-sphere", "--char", "3215031751", "-n", "2"],
     ["audit", "--char", "4", "--profile", "1:1"],
+    # option ranges, checked by the parser
+    ["series", "--char", "2", "-n", "1", "-W", "-1"],
+    EMPIRICAL_AUDIT + ["-M", "-1"],
+    ["asymptotic", "-n", "1", "-p", "2", "-q", "-1"],
+    ["asymptotic", "-n", "2", "-p", "2", "-M", "-1"],
+    EMPIRICAL_AUDIT + ["--t-samples", "nan"],  # would print NaN
+    ["asymptotic", "-n", "2", "-p", "2", "--t-samples", "inf"],  # Infinity
+    # the s-th power needs target weight s <= W + 1
+    ["cofiber", "-r", "1", "-s", "2", "-W", "0"],
+    ["cofiber", "-r", "1", "-s", "3", "-W", "1"],
+    # a config-file value passes through the same range check as a flag
+    ["pi-sphere", "--config", {"W": "-1"}, "-n", "2"],
 ])
-def test_bad_characteristic_is_exit_1_with_one_line(argv, capsys):
+def test_bad_characteristic_is_exit_1_with_one_line(argv, capsys, tmp_path):
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text("".join("%s = %s\n" % kv for kv in arg.items()))
+            argv = argv[:k] + [str(cfg)] + argv[k + 1:]
     code, out = run_cli(argv)
     err = capsys.readouterr().err
     assert code == 1 and out == ""

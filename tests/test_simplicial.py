@@ -5,8 +5,9 @@ import random
 import pytest
 
 import scalg.simplicial
+from scalg.cli import _random_complex
 from scalg.exactfield import (
-    ColumnEchelon, Mat, QQ, GF2, GF3, homology_dim, kernel_basis, pivot_rows,
+    ColumnEchelon, Mat, QQ, GF2, GF3, homology_dim, pivot_rows,
 )
 from scalg.simplicial import (
     GradedDims,
@@ -22,34 +23,8 @@ from scalg.simplicial import (
 from scalg.symalg import sym_power_covering_complex
 
 
-def random_chain_complex(rng, field, T, max_dim=3):
-    """Random valid complex: pick d_m freely, then d_{m+1} into ker d_m."""
-    dims = [rng.randint(0, max_dim) for _ in range(T + 1)]
-    diffs = [None]
-    prev_kernel = None  # kernel basis of the previous differential
-    for m in range(1, T + 1):
-        if m == 1:
-            target_dim = dims[0]
-            d = Mat.from_rows(
-                field,
-                [[rng.randint(-2, 2) for _ in range(dims[1])] for _ in range(target_dim)],
-                ncols=dims[1],
-            )
-        else:
-            k = prev_kernel
-            mix = Mat.from_rows(
-                field,
-                [[rng.randint(-2, 2) for _ in range(dims[m])] for _ in range(k.ncols)],
-                ncols=dims[m],
-            )
-            d = k @ mix
-        diffs.append(d)
-        prev_kernel = kernel_basis(d)
-    return dims, diffs
-
-
 def random_gamma_object(rng, field, T, max_dim=3):
-    dims, diffs = random_chain_complex(rng, field, T, max_dim)
+    dims, diffs = _random_complex(rng, field, T, max_dim)
     return gamma(field, dims, diffs, T), ChainComplex(
         field, dims, [Mat.zero(field, 0, dims[0])] + diffs[1:]
     )
@@ -176,7 +151,7 @@ def test_homology_dims_ranks_each_differential_once(monkeypatch):
     for field in (QQ, GF2, GF3):
         for _ in range(5):
             T = rng.randint(1, 4)
-            dims, diffs = random_chain_complex(rng, field, T)
+            dims, diffs = _random_complex(rng, field, T)
             cx = ChainComplex(field, dims, [Mat.zero(field, 0, dims[0])] + diffs[1:])
             calls.clear()
             h = cx.homology_dims()
@@ -205,7 +180,7 @@ def test_homology_dims_matches_ranks_of_whole_differentials():
         rng = random.Random(29)
         for _ in range(20):
             T = rng.randint(1, 5)
-            dims, diffs = random_chain_complex(rng, field, T)
+            dims, diffs = _random_complex(rng, field, T)
             complexes.append(
                 ChainComplex(field, dims, [Mat.zero(field, 0, dims[0])] + diffs[1:]))
     for cx in complexes:

@@ -44,7 +44,8 @@ def test_gamma_specialises_by_reduction():
     over_q = structure_matrices(integral_gamma(QQ, 4))
     assert_int_entries(over_q)
     for F in (GF2, GF3):
-        assert_reduction(over_q, structure_matrices(integral_gamma(F, 4)), F.p)
+        over_p = structure_matrices(integral_gamma(F, 4))
+        assert_reduction(over_q, over_p, F.characteristic)
 
 
 def test_symmetric_power_specialises_by_reduction():
@@ -52,7 +53,7 @@ def test_symmetric_power_specialises_by_reduction():
     assert_int_entries(over_q)
     for F in (GF2, GF3):
         over_p = structure_matrices(symmetric_power(integral_gamma(F, 3), 2))
-        assert_reduction(over_q, over_p, F.p)
+        assert_reduction(over_q, over_p, F.characteristic)
 
 
 @pytest.mark.parametrize("q,n,d,T", [(2, 1, 3, 4), (1, 2, 3, 6)])
@@ -62,4 +63,4 @@ def test_covering_complex_specialises_by_reduction(q, n, d, T):
     for F in (GF2, GF3):
         cx_p, top_p = sym_power_covering_complex(F, q, n, d, T)
         assert top_p == top_q
-        assert_reduction(cx_q.diffs[1:], cx_p.diffs[1:], F.p)
+        assert_reduction(cx_q.diffs[1:], cx_p.diffs[1:], F.characteristic)

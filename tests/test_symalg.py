@@ -274,7 +274,7 @@ def test_hurewicz_rejects_disconnected():
     comps = [constant_object(QQ, 3), base]
     monos = [[[()] for _ in range(4)],
              [[(i,) for i in range(base.level_dims[m])] for m in range(4)]]
-    A = WeightGradedAlgebra(QQ, base, 1, comps, monos, kind="free")
+    A = WeightGradedAlgebra(QQ, base, 1, comps, monos)
     with pytest.raises(ValueError):
         hurewicz(A)
 
