@@ -151,14 +151,13 @@ _positive = _int_at_least(1, "positive integer")
 
 
 def _t_samples(text):
-    """Comma-separated t samples, each finite and > 0; None for the empty
-    option, which means "no samples given"."""
-    if not text:
-        return None
+    """Comma-separated t samples, each finite and > 0; None for a value
+    that holds no number (empty, commas, spaces), which means "no samples
+    given"."""
     out = [float(chunk) for chunk in text.split(",") if chunk.strip()]
     if not all(0 < t < math.inf for t in out):  # also rejects nan
         raise ValueError(text)
-    return out
+    return out or None
 
 
 _t_samples.__name__ = "t-sample list"
@@ -245,7 +244,8 @@ def build_parser():
     add_common(p)
 
     p = sub.add_parser("asymptotic", help="growth-law comparison table")
-    p.add_argument("-q", type=_nonnegative, default=1)
+    # q >= 1: the growth reference is proportional to q
+    p.add_argument("-q", type=_positive, default=1)
     p.add_argument("-n", type=_positive, required=True)
     p.add_argument("-p", type=_positive, required=True)
     p.add_argument("--t-samples", type=_t_samples, default="0.25,0.5,1,2,4,8")

@@ -12,7 +12,12 @@ For powers of an Eilenberg-MacLane object there is a fast path: a basis
 monomial is degenerate exactly when the jump positions of its factors fail
 to cover all positions of the level, so the normalized complex lives on
 "covering" monomials and is written down directly, without materializing
-the full (often huge) unnormalized levels.
+the full (often huge) unnormalized levels.  Only one generator is ever
+built: Sym(V + V') = Sym V (x) Sym V' levelwise, so with Eilenberg-Zilber
+and Kunneth over a field the homotopy of Sym^d K(F^q, n) is the weight-d
+part of the q-fold convolution of the one-generator pieces.  Budgets still
+bound the q-generator covering complex, which defines certification; it
+is counted, not built.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from itertools import combinations_with_replacement
 from .exactfield import Mat, axpy, canonical
 from .simplicial import (
     ChainComplex,
+    GradedDims,
     HomotopyDims,
     SimplicialError,
     SimplicialVectorSpace,
@@ -33,10 +39,11 @@ from .simplicial import (
 )
 
 
-# Size budgets of the brute force: a covering-complex level is not built
-# when its candidate multisets would exceed ENUM_BUDGET or its covering
-# basis would exceed the dimension budget (DIM_BUDGET unless a caller
-# passes another); degrees that need such a level are left uncertified.
+# Size budgets of the brute force: a covering-complex level is out of
+# budget when its candidate multisets would exceed ENUM_BUDGET or its
+# covering basis would exceed the dimension budget (DIM_BUDGET unless a
+# caller passes another); degrees that need such a level are left
+# uncertified.  For q > 1 generators the levels are counted, not built.
 ENUM_BUDGET = 4_000_000
 DIM_BUDGET = 20_000
 
@@ -132,8 +139,43 @@ def _face_on_jumpmask(m, i, n):
     return table
 
 
-def sym_power_covering_complex(field, q, n, d, T, dim_budget=DIM_BUDGET):
-    """Normalized chains of Sym^d(K(V, n)), dim V = q, on covering monomials.
+def _covering_dims(q, n, d, T, dim_budget):
+    """Counted level dims 0..built_to of the covering complex of
+    Sym^d(K(V, n)), dim V = q, for d >= 1.
+
+    Level m has q*C(m, n) codes; its covering monomials are the d-multisets
+    of codes whose jump masks cover all m positions, counted by
+    inclusion-exclusion over the uncovered positions.  The list stops
+    before the first level whose candidate multisets exceed ENUM_BUDGET or
+    whose covering count exceeds dim_budget.
+    """
+    dims = []
+    for m in range(T + 1):
+        ncodes = q * math.comb(m, n)
+        count = sum((-1) ** s * math.comb(m, s)
+                    * math.comb(q * math.comb(m - s, n) + d - 1, d)
+                    for s in range(m + 1))
+        if ncodes and (math.comb(ncodes + d - 1, d) > ENUM_BUDGET
+                       or count > dim_budget):
+            break
+        dims.append(count)
+    return dims
+
+
+def _certified(n, d, T, built_to):
+    """Certified degree of Sym^d(K(V, n)) from its covering complex's top.
+
+    A monomial of d weight-one factors owns d*n jump positions, so the
+    covering basis is empty above level d*n; when that natural top fits
+    inside the built range the complex is complete and every degree up to
+    T is certified (higher degrees are zero).  Otherwise certification
+    stops one short of the last built level.
+    """
+    return T if d * n <= built_to else built_to - 1
+
+
+def sym_power_covering_complex(field, n, d, T, dim_budget=DIM_BUDGET):
+    """Normalized chains of Sym^d(K(F, n)) on covering monomials.
 
     A monomial of level-m generators is nondegenerate exactly when the jump
     sets of its factors jointly cover all m positions.  Returns a pair
@@ -142,67 +184,43 @@ def sym_power_covering_complex(field, q, n, d, T, dim_budget=DIM_BUDGET):
     """
     if n < 1:
         raise ValueError("generators must live in positive degree")
-    if d == 0 or q == 0:
-        dims = [1 if d == 0 else 0] + [0] * T
-        diffs = [Mat.zero(field, 0, dims[0])] + [
+    if d == 0:
+        dims = [1] + [0] * T
+        diffs = [Mat.zero(field, 0, 1)] + [
             Mat.zero(field, dims[m - 1], dims[m]) for m in range(1, T + 1)
         ]
         return ChainComplex(field, dims, diffs), T
-    masks = []      # per level: mask of each code (codes are mask-major, q colors)
+    dims = _covering_dims(1, n, d, T, dim_budget)
+    built_to = len(dims) - 1
+    masks = []      # per level: jump mask of each code
     bases = []      # per level: list of covering monomials (tuples of codes)
     index = []
-    built_to = T
-    for m in range(T + 1):
+    for m in range(built_to + 1):
         level_masks = [mask for _, mask in _jump_surjections(m, n)]
-        ncodes = len(level_masks) * q
-        if ncodes == 0:
-            masks.append([])
-            bases.append([])
-            index.append({})
-            continue
-        est = math.comb(ncodes + d - 1, d)
-        if est > ENUM_BUDGET:
-            built_to = m - 1
-            break
         full = (1 << m) - 1
-        code_masks = []
-        for mask in level_masks:
-            code_masks.extend([mask] * q)
         basis = []
-        for mono in combinations_with_replacement(range(ncodes), d):
+        for mono in combinations_with_replacement(range(len(level_masks)), d):
             u = 0
             for c in mono:
-                u |= code_masks[c]
+                u |= level_masks[c]
             if u == full:
                 basis.append(mono)
-        if len(basis) > dim_budget:
-            built_to = m - 1
-            break
-        masks.append(code_masks)
+        assert len(basis) == dims[m], "covering count disagrees at level %d" % m
+        masks.append(level_masks)
         bases.append(basis)
         index.append({b: i for i, b in enumerate(basis)})
 
-    bases = bases[: built_to + 1]
-    index = index[: built_to + 1]
-    dims = [len(b) for b in bases]
     diffs = [Mat.zero(field, 0, dims[0])]
     for m in range(1, built_to + 1):
-        # face action on codes: (mask, color) -> (face(mask), color)
+        # face action on codes: code -> (code of face(mask), face(mask))
+        target = {mask: c for c, mask in enumerate(masks[m - 1])}
         face_code = []
         for i in range(m + 1):
             table = _face_on_jumpmask(m, i, n)
-            per_code = []
-            for c in range(len(masks[m])):
-                newmask = table[masks[m][c]]
-                if newmask is None:
-                    per_code.append(None)
-                else:
-                    per_code.append((newmask, c % q))
-            face_code.append(per_code)
-        # build a mask -> first code position lookup for the target level
-        mask_pos = {}
-        for pos in range(0, len(masks[m - 1]), q):
-            mask_pos.setdefault(masks[m - 1][pos], pos)
+            face_code.append([
+                None if table[mask] is None else (target[table[mask]], table[mask])
+                for mask in masks[m]
+            ])
         full_target = (1 << (m - 1)) - 1
         cols = []
         for mono in bases[m]:
@@ -217,9 +235,8 @@ def sym_power_covering_complex(field, q, n, d, T, dim_budget=DIM_BUDGET):
                     if fc is None:
                         dead = True
                         break
-                    newmask, color = fc
-                    image.append(mask_pos[newmask] + color)
-                    acc |= newmask
+                    image.append(fc[0])
+                    acc |= fc[1]
                 if dead or acc != full_target:
                     continue
                 image = tuple(sorted(image))
@@ -231,27 +248,53 @@ def sym_power_covering_complex(field, q, n, d, T, dim_budget=DIM_BUDGET):
     return ChainComplex(field, dims, diffs), built_to
 
 
-def sym_power_homology(field, q, n, d, T, dim_budget=DIM_BUDGET):
-    """Homotopy dims of Sym^d(K(V, n)) with the honest certified degree.
+def _split_power(pieces, q, n, T, dim_budget):
+    """Sym^d(K(V, n)), dim V = q >= 2, from one-generator pieces.
 
-    A monomial of d weight-one factors owns d*n jump positions, so the
-    covering basis is empty above level d*n; when that natural top fits
-    inside the built range the complex is complete and every degree up to
-    T is certified (higher degrees are zero).  Otherwise certification
-    stops one short of the last built level.
+    pieces[a] is sym_power_homology(field, 1, n, a, T, dim_budget) for
+    a = 0..d.  Sym(V + V') = Sym V (x) Sym V' levelwise, so by
+    Eilenberg-Zilber and Kunneth over a field the homotopy is the weight-d
+    part of the q-fold convolution of the pieces.  Certification keeps the
+    rule of the q-generator covering complex, whose size is counted, not
+    built; the pieces always certify at least that far, since padding a
+    one-generator covering multiset of size a with d - a copies of the last
+    code is injective.
+    """
+    d = len(pieces) - 1
+    certified = _certified(n, d, T, len(_covering_dims(q, n, d, T, dim_budget)) - 1)
+    assert min(h.certified_degree for h in pieces) >= certified, \
+        "one-generator pieces certify less than the split power"
+    power = [GradedDims({0: 1})] + [GradedDims()] * d
+    for _ in range(q):
+        power = [
+            sum((power[b].convolve(pieces[w - b], upto=certified)
+                 for b in range(w + 1)), GradedDims())
+            for w in range(d + 1)
+        ]
+    return HomotopyDims(power[d].data, certified)
+
+
+def sym_power_homology(field, q, n, d, T, dim_budget=DIM_BUDGET):
+    """Homotopy dims of Sym^d(K(V, n)), dim V = q, with the honest certified
+    degree.
+
+    One generator is brute-forced on its covering complex.  More generators
+    are convolved from one-generator pieces; their budgets bound the
+    q-generator covering complex, which defines certification and is only
+    counted (see _split_power).
     """
     if d == 0:
         return HomotopyDims({0: 1}, T)
     if q == 0:
         return HomotopyDims({}, T)
-    cx, built_to = sym_power_covering_complex(field, q, n, d, T, dim_budget)
-    h = cx.homology_dims()
-    if d * n <= built_to:
-        certified = T
-    else:
-        certified = built_to - 1
-    return HomotopyDims({m: v for m, v in h.data.items() if m <= certified},
-                        certified)
+    if q > 1:
+        pieces = [sym_power_homology(field, 1, n, a, T, dim_budget)
+                  for a in range(d + 1)]
+        return _split_power(pieces, q, n, T, dim_budget)
+    cx, built_to = sym_power_covering_complex(field, n, d, T, dim_budget)
+    certified = _certified(n, d, T, built_to)
+    return HomotopyDims({m: v for m, v in cx.homology_dims().data.items()
+                         if m <= certified}, certified)
 
 
 # --------------------------------------------------------------------------
@@ -491,19 +534,21 @@ def sphere_homotopy(field, q, n, T, W, dim_budget=DIM_BUDGET):
         raise ValueError("need n >= 1 and T >= n")
     if W < 0:
         raise ValueError("W must be nonnegative")
-    per_weight = []
-    certified = T
-    for d in range(W + 1):
-        h = sym_power_homology(field, q, n, d, T, dim_budget)
-        per_weight.append(h)
-        certified = min(certified, h.certified_degree)
+    # one table of one-generator pieces, weights 0..W+1, read by every
+    # weight and by the stability check
+    pieces = [sym_power_homology(field, min(q, 1), n, a, T, dim_budget)
+              for a in range(W + 2)]
+    weights = pieces if q <= 1 else pieces[:1] + [
+        _split_power(pieces[:d + 1], q, n, T, dim_budget) for d in range(1, W + 2)
+    ]
+    per_weight, check = weights[:W + 1], weights[W + 1]
+    certified = min([T] + [h.certified_degree for h in per_weight])
     # each weight contributes only where it is certified; entries above the
     # overall certified degree are lower bounds from the complete weights
     dims = [
         sum(h[m] for h in per_weight if h.certified_degree >= m)
         for m in range(T + 1)
     ]
-    check = sym_power_homology(field, q, n, W + 1, T, dim_budget)
     flags = []
     for m in range(T + 1):
         ok = check.certified_degree >= m and all(

@@ -332,6 +332,8 @@ EMPIRICAL_AUDIT = ["audit", "--char", "2", "--profile", "2:1", "--pi-bound", "3"
     ["cofiber", "-r", "1", "-s", "3", "-W", "1"],
     # a config-file value passes through the same range check as a flag
     ["pi-sphere", "--config", {"W": "-1"}, "-n", "2"],
+    # the growth reference is 0 at q = 0, so the ratio column would be NaN
+    ["asymptotic", "-n", "1", "-p", "2", "-q", "0"],
 ])
 def test_bad_characteristic_is_exit_1_with_one_line(argv, capsys, tmp_path):
     for k, arg in enumerate(argv):
@@ -343,3 +345,14 @@ def test_bad_characteristic_is_exit_1_with_one_line(argv, capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["", ",", "  ", " , ,"])
+def test_t_samples_without_a_number_mean_none_given(value, capsys):
+    # audit takes its default grid, as without the option; asymptotic has
+    # no default to fall back on
+    assert run_cli(EMPIRICAL_AUDIT + ["--t-samples", value]) == run_cli(EMPIRICAL_AUDIT)
+    code, out = run_cli(["asymptotic", "-n", "1", "-p", "2", "--t-samples", value])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == "error: need at least one t sample\n"

@@ -5,15 +5,19 @@ import pytest
 
 from scalg.exactfield import Mat, QQ, GF2, GF3, rank
 from scalg.simplicial import eilenberg_maclane, gamma, constant_object
+from scalg.series import sphere_series_charp
 from scalg.symalg import (
+    DIM_BUDGET,
     HomotopyReport,
     WeightGradedAlgebra,
     hurewicz,
     indecomposables,
     sphere_algebra,
     sphere_homotopy,
+    sym_power_covering_complex,
     sym_power_homology,
     symmetric_power,
+    _covering_dims,
 )
 
 
@@ -67,6 +71,13 @@ def test_sym_power_rejects_negative():
         (GF2, 1, 2, 2, 5),
         (GF3, 1, 2, 2, 4),
         (GF3, 2, 1, 2, 3),
+        # q > 1: convolved from one-generator pieces
+        (QQ, 2, 2, 2, 5),
+        (QQ, 3, 1, 3, 4),
+        (GF2, 2, 1, 3, 4),
+        (GF2, 3, 2, 2, 5),
+        (GF3, 2, 2, 3, 5),
+        (GF3, 3, 1, 2, 4),
     ],
 )
 def test_fast_path_agrees_with_generic(field, q, n, d, T):
@@ -76,6 +87,45 @@ def test_fast_path_agrees_with_generic(field, q, n, d, T):
     h_fast = sym_power_homology(field, q, n, d, T)
     for m in range(T):
         assert h_fast[m] == h_generic[m], (field, q, n, d, m)
+
+
+@pytest.mark.parametrize(
+    "field,q,n,d,T,budget",
+    [
+        (QQ, 1, 2, 3, 6, DIM_BUDGET),
+        (QQ, 1, 2, 3, 6, 25),  # level 5 has 30
+        (GF2, 1, 1, 4, 5, 2),  # level 2 has 3
+        (GF3, 2, 1, 3, 4, DIM_BUDGET),
+        (QQ, 2, 2, 2, 5, 10),  # level 3 has 12
+        (GF2, 3, 1, 2, 4, 8),  # level 2 has 9
+        (GF3, 3, 2, 2, 5, DIM_BUDGET),
+    ],
+)
+def test_counted_covering_dims_match_generic_normalized_chains(
+        field, q, n, d, T, budget):
+    # the counted levels, which define certification for every q, against
+    # the nondegenerate levels of the generic symmetric power; the list
+    # stops before the first level over budget
+    full = symmetric_power(eilenberg_maclane(field, q, n, T), d).normalized_chains().dims
+    over = [m for m in range(T + 1) if full[m] > budget]
+    built_to = over[0] - 1 if over else T
+    assert _covering_dims(q, n, d, T, budget) == full[:built_to + 1]
+    if q == 1:
+        cx, top = sym_power_covering_complex(field, n, d, T, budget)
+        assert (cx.dims, top) == (full[:built_to + 1], built_to)
+
+
+def test_sphere_homotopy_q3_certifies_as_the_direct_complex():
+    # the q = 3 factor of the F_3 audit: the weight-5 check's 3-generator
+    # complex has 21,312 covering monomials at level 4, over DIM_BUDGET, so
+    # it certifies degree 2 only, although its one-generator pieces reach
+    # further; the series factor stays [1, 0, 3] at truncation 2
+    r = sphere_homotopy(GF3, 3, 2, 5, 4)
+    assert r.dims == [1, 0, 3, 0, 6, 0] and r.certified_degree == 4
+    assert r.stable_flags == [True, True, True, False, False, False]
+    assert _covering_dims(3, 2, 5, 5, DIM_BUDGET) == [0, 0, 21, 1224]
+    assert sym_power_homology(GF3, 3, 2, 5, 5).certified_degree == 2
+    assert sphere_series_charp(3, 2, 3, 4).coeffs == (1, 0, 3)
 
 
 @pytest.mark.parametrize(
