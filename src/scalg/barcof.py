@@ -19,15 +19,21 @@ found from the degeneracy image of each tuple one level down, and the
 differential is computed on the nondegenerate columns only.  Checking
 d_i d_j = d_{j-1} d_i on those columns also computes the faces of the
 lower-level tuples they hit, degenerate ones included.  The face and
-degeneracy matrices of the whole object, and the check of every
-simplicial identity on them, are built only on first use; the tests
-compare the two normalized complexes.
+degeneracy matrices of the whole object are built only by
+BarDiagonal.simplicial(), which returns an ordinary SimplicialVectorSpace
+checked on every simplicial identity; the tests compare the two
+normalized complexes.
+
+A map grows with its algebras: extending source and target by weight
+keeps the component that holds the generator images, so AlgebraMap.rebuilt
+reuses the level maps, and weight_map extends them to monomials by the
+same rule that builds the symmetric powers.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations
 
 from .exactfield import (
     QQ,
@@ -44,7 +50,7 @@ from .simplicial import (
     SimplicialError,
     SimplicialVectorSpace,
 )
-from .symalg import sphere_algebra
+from .symalg import _sym_map, induced_homology_matrices, sphere_algebra
 
 
 class CycleError(ValueError):
@@ -95,17 +101,18 @@ def _apply_surjection(component_list, weight, sigma, n, vec):
 class AlgebraMap:
     """Multiplicative map between sphere algebras, fixed on generators.
 
-    generator_images[m] is the matrix K(V, n)_m -> Sym^s(K_target)_m; the
-    images are homogeneous of one target weight s (the weight ratio), which
-    is what makes the induced-weight truncation of the bar object sound.
+    level_maps[m] is the matrix K(V, n)_m -> Sym^s(K_target)_m; the images
+    are homogeneous of one target weight s (the weight ratio), which is
+    what makes the induced-weight truncation of the bar object sound.  The
+    constructor checks that they commute with faces and degeneracies;
+    weight_map extends them to monomials.
     """
 
-    def __init__(self, source, target, weight_ratio, level_maps, recipe):
+    def __init__(self, source, target, weight_ratio, level_maps):
         self.source = source
         self.target = target
         self.weight_ratio = weight_ratio
         self.level_maps = level_maps
-        self.recipe = recipe  # (n, weight, class_vec) for rebuilding
         self._weight_maps = {}
         self.check_simplicial()
 
@@ -172,55 +179,44 @@ class AlgebraMap:
     def weight_map(self, w, m):
         """Sym^w(K_source)_m -> Sym^{w s}(K_target)_m, multiplicatively.
 
-        Returns None when the target weight exceeds the target truncation
-        (the product is truncated away).
+        Each generator goes to its level-map column, read as a sum of
+        target monomials, and a monomial to the product of its generators'
+        images (symalg._sym_map); weight 0 gives the 1x1 identity and
+        weight 1 the level map.  Returns None when the target weight
+        exceeds the target truncation (the product is truncated away).
         """
         s = self.weight_ratio
         if w * s > self.target.W:
             return None
         key = (w, m)
         cached = self._weight_maps.get(key)
-        if cached is not None:
-            return cached
-        F = self.field
-        if w == 0:
-            out = Mat.identity(F, 1)
-        elif w == 1:
-            out = self.level_maps[m]
-        else:
-            prev = self.weight_map(w - 1, m)
-            gen = self.level_maps[m]
-            prev_index = self.source.monomial_index(w - 1, m)
-            cols = []
-            for mono in self.source.monomials[w][m]:
-                head = mono[:-1]
-                last = mono[-1]
-                vec = self.target.multiply_elements(
-                    (w - 1) * s, prev.cols[prev_index[head]], s, gen.cols[last], m
-                )
-                cols.append(vec)
-            out = Mat(
-                F,
-                self.target.components[w * s].level_dims[m],
-                self.source.components[w].level_dims[m],
-                cols,
-            )
-        self._weight_maps[key] = out
-        return out
+        if cached is None:
+            names = self.target.monomials[s][m]
+            images = [{names[j]: v for j, v in col.items()}
+                      for col in self.level_maps[m].cols]
+            cols = _sym_map(images, self.source.monomials[w][m],
+                            self.target.monomial_index(w * s, m),
+                            self.field.characteristic)
+            cached = self._weight_maps[key] = Mat(
+                self.field, self.target.components[w * s].level_dims[m],
+                self.source.components[w].level_dims[m], cols)
+        return cached
 
-    def rebuilt(self, source_W=None, target_W=None, T=None):
-        """Same map on algebras rebuilt with enlarged truncations; self when
-        none of them grows."""
-        n, weight, cycles = self.recipe
-        source_W = source_W if source_W is not None else self.source.W
-        target_W = target_W if target_W is not None else self.target.W
-        T = T if T is not None else self.source.T
-        if (source_W, target_W, T) == (self.source.W, self.target.W, self.source.T):
+    def rebuilt(self, source_W=None, target_W=None):
+        """The same map between the algebras extended to weights source_W
+        and target_W (default: unchanged); self when neither grows.
+
+        The level maps land in weight s of the target, which extension
+        keeps, so nothing of the map is recomputed; the constructor checks
+        them against the extended algebras again.
+        """
+        source = self.source.extended(
+            self.source.W if source_W is None else source_W)
+        target = self.target.extended(
+            self.target.W if target_W is None else target_W)
+        if source is self.source and target is self.target:
             return self
-        target = sphere_algebra(
-            self.target.field, self.target.q, self.target.n, T, target_W
-        )
-        return representing_map(target, n, weight, cycles, source_W=source_W)
+        return AlgebraMap(source, target, self.weight_ratio, self.level_maps)
 
     def __repr__(self):
         return "AlgebraMap(S(%d gen, deg %d) -> S(%d gen, deg %d), ratio %d)" % (
@@ -229,9 +225,9 @@ class AlgebraMap:
         )
 
 
-def _moore_representative(component, n, class_vec):
+def _moore_representative(component, ncx, n, class_vec):
     """Lift a normalized degree-n class to a level-n vector with every face
-    zero, inside one weight component.
+    zero, inside one weight component with normalized chains ncx.
 
     Returns the representative; raises CycleError if the input is not a
     cycle or the lift fails.
@@ -245,7 +241,6 @@ def _moore_representative(component, n, class_vec):
         for i in range(1, n):
             stacked = stacked.vstack(component.faces[n][i])
         moore = kernel_basis(stacked)
-    ncx = component.normalized_chains()
     # coordinates of the Moore columns in the normalized quotient
     proj_cols = [ncx.project(n, dict(col)) for col in moore.cols]
     proj = Mat(F, ncx.dims[n], moore.ncols, proj_cols)
@@ -282,8 +277,10 @@ def representing_map(target, n, weight, class_vec, source_W=1):
     source = sphere_algebra(field, source_q, n, target.T, source_W)
     K = source.base
     component = target.components[weight]
+    ncx = component.normalized_chains() if any(cycles) else None
     reps = [
-        _moore_representative(component, n, c) if c else {} for c in cycles
+        _moore_representative(component, ncx, n, c) if c else {}
+        for c in cycles
     ]
     level_maps = []
     for m in range(target.T + 1):
@@ -297,16 +294,12 @@ def representing_map(target, n, weight, class_vec, source_W=1):
         level_maps.append(
             Mat(field, component.level_dims[m], K.level_dims[m], cols)
         )
-    out = AlgebraMap(source, target, weight, level_maps,
-                     recipe=(n, weight, [dict(c) for c in cycles]))
+    out = AlgebraMap(source, target, weight, level_maps)
     if any(cycles):
         src_ncx = K.normalized_chains()
-        dst_ncx = component.normalized_chains()
-        chain = src_ncx.induced_map(dst_ncx, level_maps)
-        from .symalg import induced_homology_matrices
-
-        induced = induced_homology_matrices(src_ncx, dst_ncx, chain, n)[n]
-        _, coords = dst_ncx.homology_reps(n)
+        chain = src_ncx.induced_map(ncx, level_maps)
+        induced = induced_homology_matrices(src_ncx, ncx, chain, n)[n]
+        _, coords = ncx.homology_reps(n)
         want_cols = [coords(dict(c)) if c else {} for c in cycles]
         if induced.cols != want_cols:
             raise CycleError("map does not induce the requested classes")
@@ -334,9 +327,11 @@ def _bar_levels(f, N, T, W):
     """Basis and per-tuple structure maps of bar_diagonal(f, N, T, W).
 
     Returns (bases, face, degeneracy): bases[m] lists the level-m tuples
-    in sorted order, and face(m, i, k) and degeneracy(m, i, k) are the
-    images of bases[m][k] under d_i and s_i (which inserts a unit slot) as
-    canonical sparse columns over bases[m - 1] and bases[m + 1].
+    (slots, b) in sorted order, and face(m, i, k) and degeneracy(m, i, k)
+    are the images of bases[m][k] under d_i and s_i (which inserts a unit
+    slot) as canonical sparse columns over bases[m - 1] and bases[m + 1].
+    Each a-slot and b is a (weight, index) pair naming a monomial of the
+    source or target; the unit is (0, 0).
     """
     A, B = f.source, f.target
     p = f.field.characteristic
@@ -345,131 +340,114 @@ def _bar_levels(f, N, T, W):
         raise FieldError("mismatched fields")
     if T > A.T or T > B.T:
         raise ValueError("algebras truncated below the requested level")
-    max_a_weight = min(A.W, W // s)
     if A.W < W // s:
         raise ValueError("source algebra truncated below weight %d" % (W // s))
     if B.W < W:
         raise ValueError("target algebra truncated below weight %d" % W)
     if N < 0 or W < 0 or T < 0:
         raise ValueError("bounds must be nonnegative")
-    a_components = A.components[: max_a_weight + 1]
-    b_components = B.components[: min(B.W, W) + 1]
-
-    # codes: per level, the graded monomial basis of each algebra
-    def build_codes(components):
-        per_level = []
-        for m in range(T + 1):
-            lv = []
-            for d, comp in enumerate(components):
-                for i in range(comp.level_dims[m]):
-                    lv.append((d, i))
-            per_level.append(lv)
-        return per_level
-
-    acodes = build_codes(a_components)
-    bcodes = build_codes(b_components)
-    acode_index = [{c: k for k, c in enumerate(lv)} for lv in acodes]
-    bcode_index = [{c: k for k, c in enumerate(lv)} for lv in bcodes]
+    a_components = A.components[: W // s + 1]
+    b_components = B.components[: W + 1]
+    unit = (0, 0)
 
     bases = []
     index = []
     for m in range(T + 1):
-        nonunit = [k for k, (d, _) in enumerate(acodes[m]) if d > 0]
-        unit = acode_index[m][(0, 0)]
+        nonunit = [(d, i) for d in range(1, len(a_components))
+                   for i in range(a_components[d].level_dims[m])]
+        bcodes = [(d, i) for d, comp in enumerate(b_components)
+                  for i in range(comp.level_dims[m])]
         basis = []
-        kmax = min(N, m, W // s) if s else min(N, m)
-        for k in range(kmax + 1):
+        # the non-unit slot choices of each length k inside the window,
+        # grown one slot at a time, with their a-weight
+        choices = [((), 0)]
+        for k in range(min(N, m, W // s) + 1):
+            if k:
+                choices = [(choice + (c,), wa + c[0]) for choice, wa in choices
+                           for c in nonunit if s * (wa + c[0]) <= W]
             for positions in combinations(range(m), k):
-                for choice in product(nonunit, repeat=k):
-                    wa = sum(acodes[m][c][0] for c in choice)
-                    if s * wa > W:
-                        continue
+                for choice, wa in choices:
                     slots = [unit] * m
                     for pos, c in zip(positions, choice):
                         slots[pos] = c
-                    for kb, (db, _) in enumerate(bcodes[m]):
-                        if s * wa + db <= W:
-                            basis.append((tuple(slots), kb))
+                    slots = tuple(slots)
+                    basis.extend((slots, b) for b in bcodes
+                                 if s * wa + b[0] <= W)
         basis.sort()
         bases.append(basis)
-        index.append({b: i for i, b in enumerate(basis)})
+        index.append({t: i for i, t in enumerate(basis)})
 
-    def levelwise(m, lvl, kind, i, slots, kb):
-        """Image of (slots, b) at level lvl under the levelwise structure
-        map s_i or d_i (kind "degens" or "faces") of every slot and of b,
-        multiplied out into (slots, kb, coeff) terms."""
+    def levelwise(m, kind, i, slots, b):
+        """Image of (slots, b) under the levelwise structure map s_i or d_i
+        (kind "degens" or "faces") of every slot and of b, multiplied out
+        into (slots, b, coeff) terms."""
         terms = [((), 1)]
-        for c in slots:
-            d, j = acodes[m][c]
+        for d, j in slots:
             img = getattr(a_components[d], kind)[m][i].cols[j]
-            terms = [(prefix + (acode_index[lvl][(d, j2)],), coeff * v)
+            terms = [(prefix + ((d, j2),), coeff * v)
                      for prefix, coeff in terms for j2, v in img.items()]
             if not terms:
                 return terms
-        db, jb = bcodes[m][kb]
+        db, jb = b
         img = getattr(b_components[db], kind)[m][i].cols[jb]
-        return [(prefix, bcode_index[lvl][(db, j2)], coeff * v)
+        return [(prefix, (db, j2), coeff * v)
                 for prefix, coeff in terms for j2, v in img.items()]
 
-    def emit(acc, lvl, slots, kb, coeff, may_truncate=True):
-        """acc += coeff * (slots, kb) at level lvl.  Faces may leave the
+    def emit(acc, lvl, slots, b, coeff, may_truncate=True):
+        """acc += coeff * (slots, b) at level lvl.  Faces may leave the
         window (the term is truncated away); degeneracies never do."""
-        key = index[lvl].get((slots, kb))
+        key = index[lvl].get((slots, b))
         if key is not None:
             acc[key] = acc.get(key, 0) + coeff
             return
         if not may_truncate:
             raise AssertionError("degeneracy left the window")
-        db, _ = bcodes[lvl][kb]
-        wa = sum(acodes[lvl][c][0] for c in slots)
-        nonunit = sum(1 for c in slots if acodes[lvl][c][0] > 0)
-        if s * wa + db <= W and nonunit <= N:
+        wa = sum(d for d, _ in slots)
+        nonunit = sum(1 for d, _ in slots if d > 0)
+        if s * wa + b[0] <= W and nonunit <= N:
             raise AssertionError("missing basis tuple inside the window")
 
-    def bar_face(acc, i, lvl, slots, kb, coeff):
+    def bar_face(acc, i, lvl, slots, b, coeff):
         """Apply bar face i to (slots, b) at the target level and add."""
         if i == 0:
-            if acodes[lvl][slots[0]][0] == 0:
-                emit(acc, lvl, slots[1:], kb, coeff)
+            if slots[0][0] == 0:
+                emit(acc, lvl, slots[1:], b, coeff)
         elif i < len(slots):
-            d1, i1 = acodes[lvl][slots[i - 1]]
-            d2, i2 = acodes[lvl][slots[i]]
+            (d1, i1), (d2, i2) = slots[i - 1], slots[i]
             prod = A.multiply_elements(d1, {i1: 1}, d2, {i2: 1}, lvl)
             for j, v in prod.items():
-                new_slots = (slots[: i - 1] + (acode_index[lvl][(d1 + d2, j)],)
-                             + slots[i + 1:])
-                emit(acc, lvl, new_slots, kb, coeff * v)
+                emit(acc, lvl, slots[: i - 1] + ((d1 + d2, j),) + slots[i + 1:],
+                     b, coeff * v)
         else:
             # i == len(slots): push the last slot through f and into b
-            dlast, ilast = acodes[lvl][slots[-1]]
+            dlast, ilast = slots[-1]
             wmap = f.weight_map(dlast, lvl)
             if wmap is None:
                 return
-            db, ib = bcodes[lvl][kb]
+            db, ib = b
             prod = B.multiply_elements(dlast * s, wmap.cols[ilast], db, {ib: 1}, lvl)
             for j, v in prod.items():
-                emit(acc, lvl, slots[:-1], bcode_index[lvl][(dlast * s + db, j)],
-                     coeff * v)
+                emit(acc, lvl, slots[:-1], (dlast * s + db, j), coeff * v)
 
     def face(m, i, k):
         acc = {}
-        for slots, kb, coeff in levelwise(m, m - 1, "faces", i, *bases[m][k]):
-            bar_face(acc, i, m - 1, slots, kb, coeff)
+        for slots, b, coeff in levelwise(m, "faces", i, *bases[m][k]):
+            bar_face(acc, i, m - 1, slots, b, coeff)
         return canonical(acc, p)
 
     def degeneracy(m, i, k):
-        unit_up = (acode_index[m + 1][(0, 0)],)
         acc = {}
-        for slots, kb, coeff in levelwise(m, m + 1, "degens", i, *bases[m][k]):
-            emit(acc, m + 1, slots[:i] + unit_up + slots[i:], kb, coeff,
+        for slots, b, coeff in levelwise(m, "degens", i, *bases[m][k]):
+            emit(acc, m + 1, slots[:i] + (unit,) + slots[i:], b, coeff,
                  may_truncate=False)
         return canonical(acc, p)
 
     return bases, face, degeneracy
 
 
-class BarDiagonal(SimplicialVectorSpace):
-    """The simplicial vector space that bar_diagonal returns.
+class BarDiagonal:
+    """The bar diagonal that bar_diagonal returns: level dims, normalized
+    chains and homotopy, with the full simplicial object on request.
 
     Its normalized chains are built at construction, directly on the
     nondegenerate tuples.  Every degeneracy sends a basis tuple to a single
@@ -484,56 +462,41 @@ class BarDiagonal(SimplicialVectorSpace):
     coefficient 1 inside the window (AssertionError otherwise); no face
     term inside the window is missing from the basis; d_i d_j = d_{j-1} d_i
     on every nondegenerate column (SimplicialError); and d o d = 0 in
-    ChainComplex.  The face and degeneracy matrices of the whole object
-    are built, and every simplicial identity checked, on first use of
-    faces or degens.
+    ChainComplex.  simplicial() builds every face and degeneracy matrix
+    into a SimplicialVectorSpace, whose constructor checks every
+    simplicial identity.
     """
 
     def __init__(self, f, N, T, W):
-        # SimplicialVectorSpace.__init__ takes built matrices and checks
-        # them; here that waits for the first use of faces or degens
         self.field = f.field
         self.T = T
-        self.basis_labels = None
         self._bases, self._face, self._degeneracy = _bar_levels(f, N, T, W)
         self.level_dims = [len(b) for b in self._bases]
-        self._matrices = None
         self._chains = self._build_chains()
-
-    @property
-    def faces(self):
-        return self._structure()[0]
-
-    @property
-    def degens(self):
-        return self._structure()[1]
-
-    def _structure(self):
-        if self._matrices is None:
-            field, dims, T = self.field, self.level_dims, self.T
-            face, degeneracy = self._face, self._degeneracy
-            faces = [[]]
-            for m in range(1, T + 1):
-                faces.append([Mat(field, dims[m - 1], dims[m],
-                                  [face(m, i, k) for k in range(dims[m])])
-                              for i in range(m + 1)])
-            degens = []
-            for m in range(T):
-                degens.append([Mat(field, dims[m + 1], dims[m],
-                                   [degeneracy(m, i, k) for k in range(dims[m])])
-                               for i in range(m + 1)])
-            degens.append([])
-            self._matrices = (faces, degens)
-            try:
-                self._check_shapes()
-                self.check_identities()
-            except Exception:
-                self._matrices = None
-                raise
-        return self._matrices
 
     def normalized_chains(self):
         return self._chains
+
+    def homotopy_dims(self):
+        """Homology of the normalized chains; certified through T - 1."""
+        return self._chains.homology_dims()
+
+    def simplicial(self):
+        """The whole bar diagonal as a checked SimplicialVectorSpace."""
+        field, dims, T = self.field, self.level_dims, self.T
+        face, degeneracy = self._face, self._degeneracy
+        faces = [[]]
+        for m in range(1, T + 1):
+            faces.append([Mat(field, dims[m - 1], dims[m],
+                              [face(m, i, k) for k in range(dims[m])])
+                          for i in range(m + 1)])
+        degens = []
+        for m in range(T):
+            degens.append([Mat(field, dims[m + 1], dims[m],
+                               [degeneracy(m, i, k) for k in range(dims[m])])
+                           for i in range(m + 1)])
+        degens.append([])
+        return SimplicialVectorSpace(field, dims, faces, degens)
 
     def _build_chains(self):
         field, T = self.field, self.T
@@ -595,10 +558,10 @@ def bar_diagonal(f, N, T, W):
     Level m is spanned by tuples (a_1, ..., a_m, b) of weight-graded
     monomials with at most N non-unit a-slots and induced weight at most W;
     faces multiply adjacent slots, drop a unit first slot, or push the last
-    slot through the map into b.  Returns a BarDiagonal, a
-    SimplicialVectorSpace whose homotopy approximates the cofiber homotopy
-    from below; its normalized chains are built directly, and its face and
-    degeneracy matrices only when asked for.
+    slot through the map into b.  Returns a BarDiagonal, whose homotopy
+    approximates the cofiber homotopy from below; its normalized chains are
+    built directly, and the face and degeneracy matrices only by
+    BarDiagonal.simplicial().
     """
     return BarDiagonal(f, N, T, W)
 
@@ -644,7 +607,7 @@ def cofiber_homotopy(f, N, T, W):
     """
     base = bar_diagonal(f, N, T, W).homotopy_dims()
     big_f = f.rebuilt(
-        source_W=max(f.source.W, (W + 1) // f.weight_ratio if f.weight_ratio else 1, 1),
+        source_W=max(f.source.W, (W + 1) // f.weight_ratio),
         target_W=max(f.target.W, W + 1),
     )
     check = bar_diagonal(big_f, N + 1, T, W + 1).homotopy_dims()

@@ -312,13 +312,16 @@ def asymptotic_check(q, n, p, t_samples, M=6, dim_budget=DIM_BUDGET):
     Reports the trend; asserts nothing beyond the computed truncation.  For
     n = 1 the reference is the constant q and the ratio column is phi / q.
     """
-    if n < 1:
-        raise SeriesError("need n >= 1")
+    if q < 1 or n < 1:
+        raise SeriesError("need q >= 1 and n >= 1")
     series = sphere_series_charp(q, n, p, M, dim_budget=dim_budget)
     rows = []
     for t in t_samples:
         pv = phi_eval(series, p, t)
         ref = reference_growth(q, n, t)
-        ratio = pv.value / ref if ref != 0 else float("nan")
+        if ref == 0:
+            raise SeriesError("the growth reference underflows to 0 at t = %r"
+                              % (t,))
+        ratio = pv.value / ref
         rows.append(AsymptoticRow(t, pv.value, ref, ratio, pv.stabilized))
     return AsymptoticReport(q, n, p, series.truncation, rows)

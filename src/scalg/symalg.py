@@ -57,22 +57,30 @@ def _monomials(dim, d):
     return list(combinations_with_replacement(range(dim), d))
 
 
-def _sym_map(f, src_monomials, dst_index, p):
-    """Multiplicative extension of a linear map to d-th symmetric powers."""
+def _sym_map(images, src_monomials, dst_index, p):
+    """Multiplicative extension of a linear map to d-th symmetric powers.
+
+    images[i] is the image of generator i as {target monomial: coeff}; a
+    source monomial goes to the product of its generators' images, read
+    off in the target monomial basis dst_index.
+    """
     cols = []
     for mono in src_monomials:
-        # multiply out f(e_i1) ... f(e_id) in the commutative monomial basis
         acc = {(): 1}
         for i in mono:
-            col = f.cols[i]
             new = {}
             for partial, c in acc.items():
-                for j, v in col.items():
-                    key = tuple(sorted(partial + (j,)))
+                for key, v in images[i].items():
+                    key = tuple(sorted(partial + key))
                     new[key] = new.get(key, 0) + c * v
             acc = new
         cols.append(canonical({dst_index[key]: v for key, v in acc.items()}, p))
     return cols
+
+
+def _generator_images(f):
+    """Columns of a linear map as images keyed by 1-tuple monomials."""
+    return [{(j,): v for j, v in col.items()} for col in f.cols]
 
 
 def symmetric_power(V, d):
@@ -98,7 +106,8 @@ def symmetric_power(V, d):
         faces.append(
             [
                 Mat(field, dims[m - 1], dims[m],
-                    _sym_map(V.faces[m][i], monomials[m], indexes[m - 1], p))
+                    _sym_map(_generator_images(V.faces[m][i]), monomials[m],
+                             indexes[m - 1], p))
                 for i in range(m + 1)
             ]
         )
@@ -107,7 +116,8 @@ def symmetric_power(V, d):
         degens.append(
             [
                 Mat(field, dims[m + 1], dims[m],
-                    _sym_map(V.degens[m][i], monomials[m], indexes[m + 1], p))
+                    _sym_map(_generator_images(V.degens[m][i]), monomials[m],
+                             indexes[m + 1], p))
                 for i in range(m + 1)
             ]
         )
@@ -305,22 +315,46 @@ class WeightGradedAlgebra:
     """Free commutative algebra on a simplicial vector space, truncated in
     weight: components Sym^0 .. Sym^W with monomial multiplication tables.
 
+    components[d] is the d-th symmetric power of base, so field, T and W
+    are read off base and components; the monomials of weight d >= 2 are
+    the component's basis labels, those of weights 0 and 1 are () and the
+    generators (i,).  q and n record the generators of a sphere algebra.
     Products that would exceed weight W are truncated away; every holder of
     such an algebra must treat weights > W as unknown, which is what the
     stability flags downstream account for.
     """
 
-    def __init__(self, field, base, W, components, monomials):
-        self.field = field
+    def __init__(self, base, components, q=None, n=None):
+        self.field = base.field
         self.base = base
-        self.W = W
-        self.components = components
-        self.monomials = monomials  # per weight, per level: tuples over base
-        self.q = None
-        self.n = None
         self.T = base.T
+        self.W = len(components) - 1
+        self.components = list(components)
+        self.q = q
+        self.n = n
+        # per weight, per level: the monomial of each basis element
+        self.monomials = [
+            comp.basis_labels if d >= 2
+            else [_monomials(dim, d) for dim in base.level_dims]
+            for d, comp in enumerate(self.components)
+        ]
         self._mult_cache = {}
         self._index_cache = {}
+
+    def extended(self, W):
+        """The same algebra truncated at weight W >= self.W (self when equal).
+
+        Components 0..self.W are shared; the higher ones are built, and
+        checked, by symmetric_power.
+        """
+        if W < self.W:
+            raise ValueError("cannot extend weight truncation %d down to %d"
+                             % (self.W, W))
+        if W == self.W:
+            return self
+        more = [symmetric_power(self.base, d) for d in range(self.W + 1, W + 1)]
+        return WeightGradedAlgebra(self.base, self.components + more,
+                                   self.q, self.n)
 
     def monomial_index(self, d, m):
         """Position of each weight-d, level-m monomial in its basis."""
@@ -451,23 +485,8 @@ def sphere_algebra(field, q, n, T, W):
     if n < 1:
         raise ValueError("sphere generators live in positive degrees")
     base = eilenberg_maclane(field, q, n, T)
-    components = []
-    monomials = []
-    for d in range(W + 1):
-        comp = symmetric_power(base, d)
-        components.append(comp)
-        if d == 0:
-            monomials.append([[()] for _ in range(T + 1)])
-        elif d == 1:
-            monomials.append(
-                [[(i,) for i in range(base.level_dims[m])] for m in range(T + 1)]
-            )
-        else:
-            monomials.append(comp.basis_labels)
-    alg = WeightGradedAlgebra(field, base, W, components, monomials)
-    alg.q = q
-    alg.n = n
-    return alg
+    return WeightGradedAlgebra(
+        base, [symmetric_power(base, d) for d in range(W + 1)], q, n)
 
 
 # --------------------------------------------------------------------------

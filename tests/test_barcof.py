@@ -55,11 +55,40 @@ def test_rebuilt_returns_self_unless_a_truncation_grows():
     A = sphere_algebra(QQ, 1, 2, 4, 2)
     f = identity_map(A)
     assert f.rebuilt() is f
-    assert f.rebuilt(source_W=2, target_W=2, T=4) is f
+    assert f.rebuilt(source_W=2, target_W=2) is f
     g = f.rebuilt(target_W=3)
     assert g is not f
     assert (g.source.W, g.target.W, g.target.T) == (2, 3, 4)
     assert g.level_maps == f.level_maps
+
+
+def test_rebuilt_map_equals_the_map_built_on_the_larger_algebras():
+    # extending the algebras gives the map that representing the class
+    # afresh on the larger algebras gives
+    f = power_map(1, 2, 6, 2)
+    g = f.rebuilt(source_W=2, target_W=4)
+    target = sphere_algebra(QQ, 1, 2, 6, 4)
+    reps, _ = target.components[2].normalized_chains().homology_reps(4)
+    h = representing_map(target, 4, 2, dict(reps.cols[0]), source_W=2)
+    assert g.level_maps == h.level_maps
+    for w in range(3):
+        for m in range(7):
+            assert g.weight_map(w, m) == h.weight_map(w, m)
+    a, b = bar_diagonal(g, 2, 5, 4), bar_diagonal(h, 2, 5, 4)
+    assert a.level_dims == b.level_dims
+    ca, cb = a.normalized_chains(), b.normalized_chains()
+    assert ca.dims == cb.dims and ca.diffs == cb.diffs
+
+
+@pytest.mark.parametrize("make_map", [
+    lambda: identity_map(sphere_algebra(QQ, 2, 2, 4, 3)),
+    lambda: identity_map(sphere_algebra(GF3, 1, 1, 4, 4)),
+    lambda: power_map(1, 2, 6, 2).rebuilt(source_W=2, target_W=5),
+])
+def test_weight_maps_are_multiplicative(make_map):
+    # phi(x y) = phi(x) phi(y) for a generator x, on every weight and level
+    f = make_map()
+    assert f.check_multiplicative(weights=range(1, f.source.W))
 
 
 def test_representing_map_rejects_non_cycle():
@@ -111,6 +140,10 @@ def test_bar_dims_monotone_in_bounds():
     bigger = bar_diagonal(f, 3, 4, 3)
     for m in range(5):
         assert small.level_dims[m] <= big.level_dims[m] <= bigger.level_dims[m]
+    # the tuples enumerated inside each window, pinned
+    assert small.level_dims == [1, 1, 4, 13, 31]
+    assert big.level_dims == [1, 1, 10, 91, 496]
+    assert bigger.level_dims == [1, 1, 20, 455, 5456]
 
 
 def test_cofiber_homotopy_flags():
@@ -149,7 +182,7 @@ def test_direct_bar_chains_match_the_generic_normalized_chains(case):
     bar = bar_diagonal(make_map(), N, T, W)
     direct = bar.normalized_chains()
     # the quotient by the degeneracy matrices, after the full identity check
-    oracle = SimplicialVectorSpace.normalized_chains(bar)
+    oracle = bar.simplicial().normalized_chains()
     assert direct.dims == oracle.dims
     assert direct.diffs == oracle.diffs
     h, want = direct.homology_dims(), oracle.homology_dims()
@@ -170,22 +203,24 @@ def test_bar_homotopy_builds_no_structure_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built on the direct path")
 
-    monkeypatch.setattr(BarDiagonal, "_structure", refuse)
+    monkeypatch.setattr(BarDiagonal, "simplicial", refuse)
     monkeypatch.setattr(SimplicialVectorSpace, "check_identities", refuse)
     monkeypatch.setattr("scalg.simplicial._LevelQuotient", refuse)
     assert bar_diagonal(f, 2, 4, 2).homotopy_dims().to_list(3) == [1, 0, 0, 0]
     assert cofiber_homotopy(f, 2, 4, 2)[0].to_list(3) == [1, 0, 0, 0]
 
 
-def test_bar_structure_matrices_are_checked_on_first_use(monkeypatch):
+def test_bar_simplicial_object_is_checked_when_built(monkeypatch):
     f = identity_map(sphere_algebra(QQ, 1, 2, 4, 3))
     bar = bar_diagonal(f, 2, 4, 2)
     calls = []
     monkeypatch.setattr(SimplicialVectorSpace, "check_identities",
                         lambda self: calls.append(self))
-    assert [d.ncols for d in bar.faces[3]] == [bar.level_dims[3]] * 4
-    assert [s.nrows for s in bar.degens[2]] == [bar.level_dims[3]] * 3
-    assert calls == [bar]
+    full = bar.simplicial()
+    assert full.level_dims == bar.level_dims
+    assert [d.ncols for d in full.faces[3]] == [bar.level_dims[3]] * 4
+    assert [s.nrows for s in full.degens[2]] == [bar.level_dims[3]] * 3
+    assert calls == [full]
 
 
 def test_bar_diagonal_rejects_a_degeneracy_image_with_two_terms():

@@ -1,8 +1,10 @@
+import contextlib
 import io
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalg.cli import main
 from scalg.schemas import SCHEMAS
@@ -356,3 +358,67 @@ def test_t_samples_without_a_number_mean_none_given(value, capsys):
     err = capsys.readouterr().err
     assert (code, out) == (1, "")
     assert err == "error: need at least one t sample\n"
+
+
+def test_asymptotic_reference_underflow_prints_no_nan():
+    # t^(n-1) underflows to 0 at t = 1e-200, n = 3: no ratio exists there
+    code, out = run_cli(["asymptotic", "-n", "3", "-p", "2", "-M", "3",
+                         "--t-samples", "1e-200"])
+    assert code == 2
+    assert out == "inconclusive: the growth reference underflows to 0 at t = 1e-200\n"
+
+
+# ------------------------------------------------------------- argv fuzzing
+
+FUZZ_VALUES = [str(v) for v in range(-1, 4)] + [
+    "", ",", "x", "nan", "inf", "1e308", "0.5"]
+FUZZ_CHOICES = {
+    "--profile": FUZZ_VALUES + ["1:1", "2:1,3:1", "1:3,2:3,3:1", "0:1", "1:x"],
+    "--output": ["json", "csv", "table", "xml"],
+    "--mode": ["asymptotic", "empirical", "exact"],
+    "--pi-finite": [None],  # a switch, no value
+}
+FUZZ_FLAGS = {
+    "pi-sphere": ["--char", "-q", "-n", "-T", "-W"],
+    "hq-sphere": ["--char", "-q", "-n", "-T"],
+    "em": ["--char", "-q", "-n", "-T"],
+    "cofiber": ["--char", "-r", "-s", "-W", "-N"],
+    "series": ["--char", "-q", "-n", "-M", "-W"],
+    "audit": ["--char", "--profile", "--pi-bound", "--mode", "--t-samples", "-M"],
+    "rational-check": ["--profile", "--pi-finite"],
+    "rational-example": ["-r", "-s", "-T"],
+    "asymptotic": ["-q", "-n", "-p", "--t-samples", "-M"],
+    "property-test": ["--seed", "--cases"],
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    if command == "cofiber":
+        # the bar grows fast with the level bound: keep every run cheap
+        argv += ["-T", str(draw(st.integers(-1, 4)))]
+    for flag in FUZZ_FLAGS[command] + ["--output"]:
+        # most flags present, and half the values valid bounds, so that
+        # argvs also get past the parser
+        if draw(st.integers(0, 3)):
+            choices = FUZZ_CHOICES.get(flag)
+            value = draw(st.sampled_from(choices) if choices else st.one_of(
+                st.sampled_from(["1", "2", "3"]), st.sampled_from(FUZZ_VALUES)))
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(fuzz_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in out + err
+    assert "NaN" not in out and "Infinity" not in out
+    if code == 1:
+        assert out == "" and err.count("\n") == 1, (argv, err)

@@ -236,6 +236,15 @@ def test_asymptotic_check_reports_trend_and_flags():
     assert len(csv.splitlines()) == 6
 
 
+def test_asymptotic_check_rejects_a_zero_reference():
+    # q = 0 (or a t so small that t^(n-1) underflows) makes the reference
+    # 0, where the ratio column would be NaN
+    with pytest.raises(SeriesError):
+        asymptotic_check(0, 1, 2, [1.0], M=2)
+    with pytest.raises(SeriesError):
+        asymptotic_check(1, 3, 2, [1e-200], M=3)
+
+
 def test_asymptotic_linear_in_q():
     rep1 = asymptotic_check(1, 2, 2, [0.5], M=6)
     rep2 = asymptotic_check(2, 2, 2, [0.5], M=6)

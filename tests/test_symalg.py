@@ -164,6 +164,28 @@ def test_sphere_algebra_bounds():
         sphere_algebra(QQ, 1, 2, 4, 0)
 
 
+@pytest.mark.parametrize("field", [QQ, GF3])
+@pytest.mark.parametrize("q", [1, 2])
+def test_extended_algebra_equals_the_algebra_built_at_that_weight(field, q):
+    n, T, W = 2, 4, 1
+    small = sphere_algebra(field, q, n, T, W)
+    ext = small.extended(W + 2)
+    direct = sphere_algebra(field, q, n, T, W + 2)
+    assert (ext.field, ext.q, ext.n, ext.T, ext.W) == (field, q, n, T, W + 2)
+    assert all(ext.components[d] is small.components[d] for d in range(W + 1))
+    assert ext.monomials == direct.monomials
+    for a, b in zip(ext.components, direct.components):
+        assert a.level_dims == b.level_dims
+        assert a.faces == b.faces and a.degens == b.degens
+    for m in range(T + 1):
+        for a in range(W + 3):
+            for b in range(W + 3 - a):
+                assert ext.multiplication(a, b, m) == direct.multiplication(a, b, m)
+    assert small.extended(W) is small
+    with pytest.raises(ValueError):
+        small.extended(W - 1)
+
+
 def test_multiplication_weight_truncation():
     A = sphere_algebra(QQ, 1, 2, 3, 2)
     with pytest.raises(ValueError):
@@ -321,10 +343,7 @@ def test_sphere_algebra_total_homotopy_matches_report():
 
 def test_hurewicz_rejects_disconnected():
     base = eilenberg_maclane(QQ, 1, 0, 3)
-    comps = [constant_object(QQ, 3), base]
-    monos = [[[()] for _ in range(4)],
-             [[(i,) for i in range(base.level_dims[m])] for m in range(4)]]
-    A = WeightGradedAlgebra(QQ, base, 1, comps, monos)
+    A = WeightGradedAlgebra(base, [constant_object(QQ, 3), base])
     with pytest.raises(ValueError):
         hurewicz(A)
 
