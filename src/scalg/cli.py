@@ -28,6 +28,7 @@ from .barcof import (
 )
 from .series import (
     SeriesError,
+    SeriesInputError,
     asymptotic_check,
     sphere_series_char0,
     sphere_series_charp,
@@ -386,6 +387,8 @@ def cmd_asymptotic(args):
         raise CliError("need at least one t sample")
     try:
         rep = asymptotic_check(args.q, n, p, args.t_samples, M=args.M)
+    except SeriesInputError as exc:
+        raise CliError(str(exc))
     except SeriesError as exc:
         raise Inconclusive(str(exc))
     if args.output == "csv":
@@ -456,11 +459,8 @@ def run_property_checks(seed, cases):
             w = gamma(field, dims2, diffs2, T)
             tensor_h = v.tensor(w).homotopy_dims()
             hw = w.homotopy_dims()
-            conv = {}
-            for a in range(T):
-                for b in range(T - a):
-                    conv[a + b] = conv.get(a + b, 0) + hn[a] * hw[b]
-            if any(tensor_h[d] != conv.get(d, 0) for d in range(T)):
+            conv = hn.convolve(hw, upto=T - 1)
+            if any(tensor_h[d] != conv[d] for d in range(T)):
                 failures.append(["kunneth", i])
             checks["kunneth"] += 1
     return checks, failures

@@ -9,8 +9,8 @@ shape the module:
   built from integers, and ``fractions.Fraction`` enters only through
   non-integer input and where elimination divides by a pivot;
 * this is the only module that knows field arithmetic.  Structure maps
-  (faces, degeneracies, symmetric powers, multiplication tables, bar
-  faces) are defined over the integers, so their constructors compute
+  (faces, degeneracies, symmetric powers, monomial products, bar faces)
+  are defined over the integers, so their constructors compute
   with plain ``+`` and ``*`` and hand each computed column to
   ``canonical``, the one point where numbers become field elements
   (reduced mod p, zeros dropped); a column of literal 1s, or of entries
@@ -25,11 +25,13 @@ shape the module:
   rule pivots on sparse rows and fill-in stays low.
 
 Matrices are stored column-sparse (one dict per column), which keeps the
-very sparse face/degeneracy/multiplication matrices of the simplicial
-machinery cheap.  ``axpy`` is the shared sparse update and ``ColumnEchelon``
-the one exact elimination kernel.  ``pivot_rows`` alone, needing no
-residues, runs F_2 on bitmask columns (Python big ints) and Q on
-fraction-free integer columns; ``rank`` is the number of its rows.
+very sparse face/degeneracy matrices of the simplicial machinery cheap.
+``axpy`` is the shared sparse update and ``ColumnEchelon`` the one exact
+elimination kernel: kernels, solves, homology representatives and the
+quotient of a level by its degenerate span (``normal_form``) all run on
+it.  ``pivot_rows`` alone, needing no residues, runs F_2 on bitmask
+columns (Python big ints) and Q on fraction-free integer columns;
+``rank`` is the number of its rows.
 """
 
 from __future__ import annotations
@@ -261,12 +263,6 @@ class Mat:
         cols = [axpy(dict(a), 1, b, p) for a, b in zip(self.cols, other.cols)]
         return Mat(self.field, self.nrows, self.ncols, cols)
 
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, a):
         a = self.field.element(a)
         p = self.field.characteristic
@@ -380,7 +376,7 @@ class ColumnEchelon:
     and linear solves need.
 
     This is the one exact kernel for every field; the bitmask F_2 and
-    fraction-free Q paths are rank-only and live in ``rank``.
+    fraction-free Q paths are rank-only and live in ``pivot_rows``.
     """
 
     def __init__(self, field, nrows, track=False):
@@ -403,7 +399,7 @@ class ColumnEchelon:
         that combo records.
         """
         p = self.field.characteristic
-        col = axpy({}, 1, col, p)
+        col = canonical(col, p)
         combo = {} if self.track else None
         while col:
             low = min(col)
@@ -416,6 +412,24 @@ class ColumnEchelon:
                 axpy(combo, c, self.combos[j], p)
         return (col, combo)
 
+    def normal_form(self, col):
+        """col reduced at every pivot row, not only the leading one.
+
+        The result is the one representative of col modulo the inserted
+        span that is supported off the pivot rows: the span maps
+        isomorphically onto the pivot-row coordinates.  A stored column has
+        no entry above its pivot row, so clearing the smallest pivot row
+        left never refills a smaller one.
+        """
+        p = self.field.characteristic
+        col = canonical(col, p)
+        while True:
+            hit = [r for r in col if r in self.pivots]
+            if not hit:
+                return col
+            r = min(hit)
+            axpy(col, -col[r], self.columns[self.pivots[r]], p)
+
     def insert(self, col):
         """Insert a column; return (new_pivot_row or None, combo-of-reduction)."""
         p = self.field.characteristic
@@ -425,9 +439,13 @@ class ColumnEchelon:
         if not residue:
             return (None, combo)
         low = min(residue)
-        inv = self.field.inv(residue[low])
+        if residue[low] == 1:
+            inv = 1  # normalized already; residue is a fresh dict, kept as is
+        else:
+            inv = self.field.inv(residue[low])
+            residue = axpy({}, inv, residue, p)
         self.pivots[low] = len(self.columns)
-        self.columns.append(axpy({}, inv, residue, p))
+        self.columns.append(residue)
         if self.track:
             # normalized column = inv*col_idx - sum inv*combo[k]*col_k
             self.combos.append(axpy({idx: inv}, -inv, combo, p))

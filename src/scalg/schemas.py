@@ -154,6 +154,37 @@ RATIONAL_EXAMPLE = {
     "additionalProperties": False,
 }
 
+ASYMPTOTIC = {
+    "type": "object",
+    "required": ["q", "n", "p", "truncation", "rows", "monotone_toward_one",
+                 "inconclusive_from"],
+    "properties": {
+        "q": {"type": "integer", "minimum": 1},
+        "n": {"type": "integer", "minimum": 1},
+        "p": {"type": "integer", "minimum": 2},
+        "truncation": {"type": "integer", "minimum": 0},
+        "rows": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["t", "phi", "reference", "ratio", "stabilized"],
+                "properties": {
+                    "t": {"type": "number", "exclusiveMinimum": 0},
+                    "phi": {"type": "number"},
+                    "reference": {"type": "number", "exclusiveMinimum": 0},
+                    "ratio": {"type": "number"},
+                    "stabilized": {"type": "boolean"},
+                },
+                "additionalProperties": False,
+            },
+        },
+        "monotone_toward_one": {"type": "boolean"},
+        "inconclusive_from": {"type": ["number", "null"]},
+    },
+    "additionalProperties": False,
+}
+
 PROPERTY_TEST = {
     "type": "object",
     "required": ["seed", "cases", "checks", "failures"],
@@ -175,5 +206,6 @@ SCHEMAS = {
     "audit": AUDIT_VERDICT,
     "rational-check": RATIONAL_VERDICT,
     "rational-example": RATIONAL_EXAMPLE,
+    "asymptotic": ASYMPTOTIC,
     "property-test": PROPERTY_TEST,
 }

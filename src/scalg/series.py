@@ -14,11 +14,17 @@ from __future__ import annotations
 import math
 
 from .exactfield import FieldSpec
+from .simplicial import GradedDims
 from .symalg import DIM_BUDGET, sphere_homotopy
 
 
 class SeriesError(ValueError):
-    pass
+    """A series computation cannot proceed."""
+
+
+class SeriesInputError(SeriesError):
+    """Input rejected outright: no larger truncation or budget would make
+    it computable, so the CLI reports it as invalid, not inconclusive."""
 
 
 # phi_eval calls a partial sum stabilized when its estimated tail is at most
@@ -132,19 +138,12 @@ def from_dims(dims, M=None):
 def mul(f, g):
     """Cauchy product, truncated at the smaller truncation order."""
     M = min(f.truncation, g.truncation)
-    out = [0] * (M + 1)
-    for i in range(M + 1):
-        ci = f[i]
-        if ci == 0:
-            continue
-        for j in range(M + 1 - i):
-            cj = g[j]
-            if cj:
-                out[i + j] += ci * cj
+    out = GradedDims(enumerate(f.coeffs)).convolve(
+        GradedDims(enumerate(g.coeffs)), upto=M)
     cf = None
     if f.closed_form is not None and g.closed_form is not None:
         cf = f.closed_form.combine(g.closed_form)
-    return TruncatedSeries(out, cf)
+    return TruncatedSeries(out.to_list(M), cf)
 
 
 def leq(f, g):
@@ -230,9 +229,9 @@ def phi_eval(series, p, t):
     last coefficients.
     """
     if t <= 0:
-        raise SeriesError("the transform needs t > 0")
+        raise SeriesInputError("the transform needs t > 0")
     if p < 2:
-        raise SeriesError("p must be at least 2")
+        raise SeriesInputError("p must be at least 2")
     x = 1.0 - p ** (-float(t))
     partial = 0.0
     for i, c in enumerate(series.coeffs):
@@ -313,15 +312,15 @@ def asymptotic_check(q, n, p, t_samples, M=6, dim_budget=DIM_BUDGET):
     n = 1 the reference is the constant q and the ratio column is phi / q.
     """
     if q < 1 or n < 1:
-        raise SeriesError("need q >= 1 and n >= 1")
+        raise SeriesInputError("need q >= 1 and n >= 1")
     series = sphere_series_charp(q, n, p, M, dim_budget=dim_budget)
     rows = []
     for t in t_samples:
         pv = phi_eval(series, p, t)
         ref = reference_growth(q, n, t)
         if ref == 0:
-            raise SeriesError("the growth reference underflows to 0 at t = %r"
-                              % (t,))
+            raise SeriesInputError("the growth reference underflows to 0 at "
+                                   "t = %r" % (t,))
         ratio = pv.value / ref
         rows.append(AsymptoticRow(t, pv.value, ref, ratio, pv.stabilized))
     return AsymptoticReport(q, n, p, series.truncation, rows)

@@ -4,10 +4,11 @@ An object carries levels 0..T with explicit face and degeneracy matrices;
 the constructor verifies every simplicial identity, so an instance that
 exists is honest.  Homotopy is computed as the homology of the normalized
 chain complex (levelwise quotient by the span of the degeneracy images,
-with the alternating-sum differential); the unnormalized complex on full
-levels is kept alongside as an independent oracle.  Degrees up to T - 1
-are certified, the degree-T value is reported but provisional since its
-cycles see no boundaries from the missing level T + 1.
+reduced through ``exactfield.ColumnEchelon``, with the alternating-sum
+differential); the unnormalized complex on full levels is kept alongside
+as an independent oracle.  Degrees up to T - 1 are certified, the degree-T
+value is reported but provisional since its cycles see no boundaries from
+the missing level T + 1.
 
 Objects are built through the inverse Dold-Kan functor ``gamma``: feeding
 it a chain complex concentrated in degree n yields the Eilenberg-MacLane
@@ -19,7 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exactfield import FieldSpec, FieldError, Mat, axpy, kernel_basis, pivot_rows
+from .exactfield import (
+    ColumnEchelon, FieldSpec, FieldError, Mat, axpy, kernel_basis, pivot_rows,
+)
 
 
 class SimplicialError(ValueError):
@@ -150,8 +153,6 @@ class ChainComplex:
         cycle representatives and coords maps a sparse cycle vector to its
         coefficients over those representatives (modulo boundaries).
         """
-        from .exactfield import ColumnEchelon
-
         F = self.field
         d_out = self.differential(m)
         cycles = kernel_basis(d_out)
@@ -205,66 +206,40 @@ class ChainComplex:
         return ChainComplex(self.field, dims, diffs)
 
 
-class _LevelQuotient:
-    """Quotient of one level by the span of degeneracy images.
-
-    Keeps a fully reduced echelon of the span; coset representatives are
-    supported on the complement rows, which become the normalized basis.
-    """
-
-    def __init__(self, field, dim, span_columns):
-        self.field = field
-        self.dim = dim
-        pivots = {}  # pivot row -> echelon column (dict)
-        for col in span_columns:
-            col = self._reduce(dict(col), pivots)
-            if col:
-                low = min(col)
-                pivots[low] = axpy({}, field.inv(col[low]), col,
-                                   field.characteristic)
-        self.pivots = pivots
-        self.complement = [i for i in range(dim) if i not in pivots]
-        self.position = {r: k for k, r in enumerate(self.complement)}
-
-    def _reduce(self, vec, pivots):
-        p = self.field.characteristic
-        while True:
-            hit = [r for r in vec if r in pivots]
-            if not hit:
-                return vec
-            r = min(hit)
-            axpy(vec, -vec[r], pivots[r], p)
-
-    @property
-    def quotient_dim(self):
-        return len(self.complement)
-
-    def project(self, vec):
-        """Sparse level vector -> sparse coordinates in the quotient basis."""
-        red = self._reduce(dict(vec), self.pivots)
-        return {self.position[r]: v for r, v in red.items()}
-
-    def include(self, vec):
-        """Quotient coordinates -> the canonical level representative."""
-        return {self.complement[k]: v for k, v in vec.items()}
-
-
 class NormalizedChains(ChainComplex):
     """Normalized chain complex of a simplicial vector space.
 
-    Carries the per-level quotient maps so that simplicial maps can be
-    pushed to normalized chain maps (project o f o include).
+    echelons[m] is a ColumnEchelon of the degeneracy images in level m;
+    the rows that are not its pivot rows, bases[m], form the normalized
+    basis, and every coset of the degenerate span has exactly one
+    representative supported on them.  project and include push
+    simplicial maps to normalized chain maps (project o f o include).
+    boundary(m) is the unnormalized differential out of level m.
     """
 
-    def __init__(self, field, dims, diffs, quotients):
+    def __init__(self, field, echelons, boundary):
+        self.echelons = echelons
+        self.bases = [[i for i in range(ech.nrows) if i not in ech.pivots]
+                      for ech in echelons]
+        self._positions = [{r: k for k, r in enumerate(b)} for b in self.bases]
+        dims = [len(b) for b in self.bases]
+        diffs = [Mat.zero(field, 0, dims[0])]
+        for m in range(1, len(dims)):
+            bd = boundary(m)
+            cols = [self.project(m - 1, bd.apply(self.include(m, {k: 1})))
+                    for k in range(dims[m])]
+            diffs.append(Mat(field, dims[m - 1], dims[m], cols))
         super().__init__(field, dims, diffs)
-        self.quotients = quotients
 
     def project(self, m, vec):
-        return self.quotients[m].project(vec)
+        """Sparse level vector -> sparse coordinates in the normalized basis."""
+        position = self._positions[m]
+        return {position[r]: v
+                for r, v in self.echelons[m].normal_form(vec).items()}
 
     def include(self, m, vec):
-        return self.quotients[m].include(vec)
+        """Normalized coordinates -> the representative on the basis rows."""
+        return {self.bases[m][k]: v for k, v in vec.items()}
 
     def induced_map(self, other, level_maps):
         """Normalized chain map from simplicial level maps (self -> other).
@@ -391,24 +366,19 @@ class SimplicialVectorSpace:
         return ChainComplex(self.field, self.level_dims, diffs)
 
     def normalized_chains(self):
-        """Quotient of each level by its degenerate subspace."""
-        quotients = []
+        """Quotient of each level by its degenerate subspace.
+
+        Each level's degeneracy images go into one ColumnEchelon; its
+        non-pivot rows index the normalized basis.
+        """
+        echelons = []
         for m in range(self.T + 1):
-            span = []
-            if m >= 1:
-                for s_i in self.degens[m - 1]:
-                    span.extend(s_i.cols)
-            quotients.append(_LevelQuotient(self.field, self.level_dims[m], span))
-        dims = [q.quotient_dim for q in quotients]
-        diffs = [Mat.zero(self.field, 0, dims[0])]
-        for m in range(1, self.T + 1):
-            bd = self.boundary(m)
-            cols = []
-            for k in range(dims[m]):
-                rep = quotients[m].include({k: 1})
-                cols.append(quotients[m - 1].project(bd.apply(rep)))
-            diffs.append(Mat(self.field, dims[m - 1], dims[m], cols))
-        return NormalizedChains(self.field, dims, diffs, quotients)
+            ech = ColumnEchelon(self.field, self.level_dims[m])
+            for s_i in self.degens[m - 1] if m else ():
+                for col in s_i.cols:
+                    ech.insert(col)
+            echelons.append(ech)
+        return NormalizedChains(self.field, echelons, self.boundary)
 
     def homotopy_dims(self):
         """Homology of the normalized chains; certified through T - 1."""

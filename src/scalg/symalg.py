@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from itertools import combinations_with_replacement
 
-from .exactfield import Mat, axpy, canonical
+from .exactfield import Mat, canonical
 from .simplicial import (
     ChainComplex,
     GradedDims,
@@ -57,6 +57,18 @@ def _monomials(dim, d):
     return list(combinations_with_replacement(range(dim), d))
 
 
+def _mono_product(x, y):
+    """Product of two {monomial: coeff} dicts; monomials multiply by sorted
+    concatenation.  Coefficients are summed over the integers (or Q), not
+    reduced, and may be zero."""
+    out = {}
+    for a, u in x.items():
+        for b, v in y.items():
+            key = tuple(sorted(a + b))
+            out[key] = out.get(key, 0) + u * v
+    return out
+
+
 def _sym_map(images, src_monomials, dst_index, p):
     """Multiplicative extension of a linear map to d-th symmetric powers.
 
@@ -66,14 +78,9 @@ def _sym_map(images, src_monomials, dst_index, p):
     """
     cols = []
     for mono in src_monomials:
-        acc = {(): 1}
-        for i in mono:
-            new = {}
-            for partial, c in acc.items():
-                for key, v in images[i].items():
-                    key = tuple(sorted(partial + key))
-                    new[key] = new.get(key, 0) + c * v
-            acc = new
+        acc = images[mono[0]] if mono else {(): 1}
+        for i in mono[1:]:
+            acc = _mono_product(acc, images[i])
         cols.append(canonical({dst_index[key]: v for key, v in acc.items()}, p))
     return cols
 
@@ -130,23 +137,15 @@ def symmetric_power(V, d):
 
 
 def _face_on_jumpmask(m, i, n):
-    """Action of d_i on level-m jump masks of K(-, n); None where it dies."""
-    table = {}
+    """Action of d_i on level-m jump masks of K(-, n); None where it dies.
+
+    The face survives exactly when its composite with the coface is again
+    a surjection [m - 1] ->> [n], i.e. one of _jump_surjections(m - 1, n).
+    """
     phi = _coface(m, i)
-    for vals, mask in _jump_surjections(m, n):
-        comp = tuple(vals[phi[a]] for a in range(m))
-        ok = comp[0] == 0 and comp[-1] == n
-        if ok:
-            ok = all(b - a in (0, 1) for a, b in zip(comp, comp[1:]))
-        if not ok:
-            table[mask] = None
-        else:
-            newmask = 0
-            for a in range(m - 1):
-                if comp[a + 1] > comp[a]:
-                    newmask |= 1 << a
-            table[mask] = newmask
-    return table
+    target = dict(_jump_surjections(m - 1, n))
+    return {mask: target.get(tuple(vals[a] for a in phi))
+            for vals, mask in _jump_surjections(m, n)}
 
 
 def _covering_dims(q, n, d, T, dim_budget):
@@ -313,7 +312,8 @@ def sym_power_homology(field, q, n, d, T, dim_budget=DIM_BUDGET):
 
 class WeightGradedAlgebra:
     """Free commutative algebra on a simplicial vector space, truncated in
-    weight: components Sym^0 .. Sym^W with monomial multiplication tables.
+    weight: components Sym^0 .. Sym^W, whose monomials multiply by sorted
+    concatenation (``_mono_product``, as in ``_sym_map``).
 
     components[d] is the d-th symmetric power of base, so field, T and W
     are read off base and components; the monomials of weight d >= 2 are
@@ -338,7 +338,6 @@ class WeightGradedAlgebra:
             else [_monomials(dim, d) for dim in base.level_dims]
             for d, comp in enumerate(self.components)
         ]
-        self._mult_cache = {}
         self._index_cache = {}
 
     def extended(self, W):
@@ -365,62 +364,32 @@ class WeightGradedAlgebra:
             self._index_cache[key] = index
         return index
 
-    def multiplication(self, a, b, m):
-        """Matrix Sym^a_m (x) Sym^b_m -> Sym^{a+b}_m (column index a*dimB+b)."""
-        if a + b > self.W:
-            raise ValueError("product weight %d exceeds truncation %d" % (a + b, self.W))
-        key = (a, b, m)
-        cached = self._mult_cache.get(key)
-        if cached is not None:
-            return cached
-        dim_a = self.components[a].level_dims[m]
-        dim_b = self.components[b].level_dims[m]
-        target_index = self.monomial_index(a + b, m)
-        cols = []
-        for ia in range(dim_a):
-            ma = self.monomials[a][m][ia]
-            for ib in range(dim_b):
-                mb = self.monomials[b][m][ib]
-                merged = tuple(sorted(ma + mb))
-                cols.append({target_index[merged]: 1})
-        out = Mat(
-            self.field,
-            self.components[a + b].level_dims[m],
-            dim_a * dim_b,
-            cols,
-        )
-        self._mult_cache[key] = out
-        return out
-
     def multiply_elements(self, a, vec_a, b, vec_b, m):
         """Product of sparse vectors in Sym^a_m and Sym^b_m; {} past weight W."""
         if a + b > self.W:
             return {}
-        p = self.field.characteristic
-        mul = self.multiplication(a, b, m)
-        dim_b = self.components[b].level_dims[m]
-        acc = {}
-        for ia, va in vec_a.items():
-            for ib, vb in vec_b.items():
-                axpy(acc, va * vb, mul.cols[ia * dim_b + ib], p)
-        return acc
+        names_a, names_b = self.monomials[a][m], self.monomials[b][m]
+        prod = _mono_product({names_a[i]: v for i, v in vec_a.items()},
+                             {names_b[i]: v for i, v in vec_b.items()})
+        index = self.monomial_index(a + b, m)
+        return canonical({index[key]: v for key, v in prod.items()},
+                         self.field.characteristic)
 
     def check_algebra_identities(self):
         """Commutativity, associativity and compatibility with faces.
 
-        Checked as matrix identities on every represented level; raises
-        SimplicialError on failure.
+        Checked on basis monomials of every represented level, through
+        multiply_elements; raises SimplicialError on failure.
         """
+        dims = [comp.level_dims for comp in self.components]
         for m in range(self.T + 1):
             for a in range(self.W + 1):
                 for b in range(self.W + 1 - a):
-                    mab = self.multiplication(a, b, m)
-                    mba = self.multiplication(b, a, m)
-                    dim_a = self.components[a].level_dims[m]
-                    dim_b = self.components[b].level_dims[m]
-                    for ia in range(dim_a):
-                        for ib in range(dim_b):
-                            if mab.cols[ia * dim_b + ib] != mba.cols[ib * dim_a + ia]:
+                    for ia in range(dims[a][m]):
+                        for ib in range(dims[b][m]):
+                            if (self.multiply_elements(a, {ia: 1}, b, {ib: 1}, m)
+                                    != self.multiply_elements(b, {ib: 1}, a,
+                                                              {ia: 1}, m)):
                                 raise SimplicialError(
                                     "multiplication not commutative at level %d" % m
                                 )
@@ -429,15 +398,12 @@ class WeightGradedAlgebra:
             for a in range(1, self.W + 1):
                 for b in range(1, self.W + 1 - a):
                     for c in range(1, self.W + 1 - a - b):
-                        da = self.components[a].level_dims[m]
-                        db = self.components[b].level_dims[m]
-                        dc = self.components[c].level_dims[m]
-                        for ia in range(da):
-                            for ib in range(db):
+                        for ia in range(dims[a][m]):
+                            for ib in range(dims[b][m]):
                                 ab = self.multiply_elements(
                                     a, {ia: 1}, b, {ib: 1}, m
                                 )
-                                for ic in range(dc):
+                                for ic in range(dims[c][m]):
                                     left = self.multiply_elements(
                                         a + b, ab, c, {ic: 1}, m
                                     )
@@ -451,26 +417,28 @@ class WeightGradedAlgebra:
                                         raise SimplicialError(
                                             "multiplication not associative"
                                         )
-        # faces and degeneracies are algebra maps
+        # faces are algebra maps: d_i(xy) = d_i(x) d_i(y)
+        b = 1
         for a in range(1, self.W):
-            b = 1
-            if a + b > self.W:
-                continue
             ca, cb, cab = (
                 self.components[a],
                 self.components[b],
                 self.components[a + b],
             )
             for m in range(1, self.T + 1):
-                mul_m = self.multiplication(a, b, m)
-                mul_prev = self.multiplication(a, b, m - 1)
                 for i in range(m + 1):
-                    lhs = cab.faces[m][i] @ mul_m
-                    rhs = mul_prev @ ca.faces[m][i].kron(cb.faces[m][i])
-                    if lhs != rhs:
-                        raise SimplicialError(
-                            "face d_%d is not an algebra map at level %d" % (i, m)
-                        )
+                    for ia in range(dims[a][m]):
+                        for ib in range(dims[b][m]):
+                            lhs = cab.faces[m][i].apply(self.multiply_elements(
+                                a, {ia: 1}, b, {ib: 1}, m))
+                            rhs = self.multiply_elements(
+                                a, ca.faces[m][i].cols[ia],
+                                b, cb.faces[m][i].cols[ib], m - 1)
+                            if lhs != rhs:
+                                raise SimplicialError(
+                                    "face d_%d is not an algebra map at level %d"
+                                    % (i, m)
+                                )
 
     def __repr__(self):
         return "WeightGradedAlgebra(%r, W=%d)" % (self.field, self.W)

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scalg.cli import main
+from scalg.cli import build_parser, main
 from scalg.schemas import SCHEMAS
 from scalg.simplicial import SimplicialVectorSpace
 
@@ -142,6 +142,29 @@ def test_asymptotic_csv():
     lines = text.splitlines()
     assert lines[0] == "t,phi,reference,ratio,stabilized"
     assert len(lines) == 3
+
+
+def test_series_char0_without_generators_is_the_unit():
+    code, data = run_json(["series", "--char", "0", "-q", "0", "-n", "2",
+                           "-M", "4"])
+    assert code == 0
+    assert data["coeffs"] == [1, 0, 0, 0, 0]
+    assert data["closed_form"] == {"constant": 1, "factors": []}
+    jsonschema.validate(data, SCHEMAS["series"])
+
+
+def test_asymptotic_json_schema():
+    code, data = run_json(["asymptotic", "-q", "2", "-n", "2", "-p", "3",
+                           "--t-samples", "0.5,1", "-M", "3"])
+    assert code == 0
+    jsonschema.validate(data, SCHEMAS["asymptotic"])
+    assert (data["q"], data["n"], data["p"]) == (2, 2, 3)
+    assert [row["t"] for row in data["rows"]] == [0.5, 1.0]
+    assert [row["reference"] for row in data["rows"]] == [1.0, 2.0]
+
+
+def test_every_subcommand_has_a_schema():
+    assert sorted(SCHEMAS) == sorted(build_parser().subcommands)
 
 
 def test_property_test_schema_and_pass():
@@ -360,12 +383,15 @@ def test_t_samples_without_a_number_mean_none_given(value, capsys):
     assert err == "error: need at least one t sample\n"
 
 
-def test_asymptotic_reference_underflow_prints_no_nan():
-    # t^(n-1) underflows to 0 at t = 1e-200, n = 3: no ratio exists there
+def test_asymptotic_reference_underflow_prints_no_nan(capsys):
+    # t^(n-1) underflows to 0 at t = 1e-200, n = 3: no ratio exists there,
+    # at any truncation, so the sample is invalid input, not inconclusive
     code, out = run_cli(["asymptotic", "-n", "3", "-p", "2", "-M", "3",
                          "--t-samples", "1e-200"])
-    assert code == 2
-    assert out == "inconclusive: the growth reference underflows to 0 at t = 1e-200\n"
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err == "error: the growth reference underflows to 0 at t = 1e-200\n"
 
 
 # ------------------------------------------------------------- argv fuzzing

@@ -18,6 +18,7 @@ from scalg.exactfield import (
     kernel_basis,
     solve,
     homology_dim,
+    axpy,
 )
 
 
@@ -231,6 +232,24 @@ def test_solve_finds_solution_or_none():
     assert m.apply(x) == {0: Fraction(5), 1: Fraction(11)}
     m2 = Mat.from_rows(QQ, [[1, 1], [1, 1]])
     assert solve(m2, {0: Fraction(1)}) is None
+
+
+def test_normal_form_is_the_coset_representative_off_the_pivot_rows():
+    rng = random.Random(23)
+    for field in (QQ, GF2, GF3):
+        p = field.characteristic
+        for _ in range(20):
+            nr, nc = rng.randint(1, 6), rng.randint(0, 6)
+            span = Mat.from_rows(field, random_dense(rng, field, nr, nc), ncols=nc)
+            ech = ColumnEchelon(field, nr)
+            for col in span.cols:
+                ech.insert(col)
+            vec = Mat.from_rows(field, random_dense(rng, field, nr, 1)).cols[0]
+            red = ech.normal_form(vec)
+            assert not set(red) & set(ech.pivots)
+            # vec - red lies in the span
+            assert solve(span, axpy(dict(vec), -1, red, p)) is not None
+            assert all(ech.normal_form(col) == {} for col in span.cols)
 
 
 # --------------------------------------------------------- homology_dim

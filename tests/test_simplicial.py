@@ -1,13 +1,14 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import scalg.simplicial
 from scalg.cli import _random_complex
 from scalg.exactfield import (
-    ColumnEchelon, Mat, QQ, GF2, GF3, homology_dim, pivot_rows,
+    ColumnEchelon, Mat, QQ, GF2, GF3, homology_dim, pivot_rows, solve,
 )
 from scalg.simplicial import (
     GradedDims,
@@ -199,6 +200,68 @@ def test_normalized_equals_unnormalized_on_gamma_objects():
         hu = v.unnormalized_chains().homology_dims()
         for m in range(T):  # certified range only
             assert hn[m] == hu[m]
+
+
+def random_change_of_basis(rng, field, n):
+    """L @ S for a random permutation S and lower unitriangular L, and its
+    inverse.
+
+    S scatters the degenerate basis vectors of a gamma object (which come
+    first in each level) and L fills each image in below its first entry,
+    so the degenerate span has scattered pivot rows and columns with
+    entries on other pivot rows.  Over Q the entries are not integral.
+    """
+    if field.characteristic == 0:
+        pick = lambda: rng.choice([-1, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    else:
+        pick = lambda: rng.randrange(field.characteristic)
+    L = Mat.from_rows(field, [[1 if i == j else pick() if i > j else 0
+                               for j in range(n)] for i in range(n)], ncols=n)
+    order = rng.sample(range(n), n)
+    P = L @ Mat(field, n, n, [{order[j]: 1} for j in range(n)])
+    inverse = Mat(field, n, n, [solve(P, {j: 1}) for j in range(n)])
+    assert P @ inverse == Mat.identity(field, n)
+    return P, inverse
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_normalized_chains_of_a_conjugated_object(field):
+    # degeneracies of gamma objects send basis vectors to basis vectors;
+    # conjugated level by level, their images have many entries, some on
+    # other pivot rows, so the quotient has real elimination to do
+    T = 4
+    dims = [1, 1, 2, 1]
+    diffs = [None, Mat.zero(field, 1, 1), Mat.zero(field, 1, 2),
+             Mat.from_rows(field, [[0], [1]])]
+    v = gamma(field, dims, diffs, T)
+    rng = random.Random(2)
+    P, inv = zip(*[random_change_of_basis(rng, field, n)
+                    for n in v.level_dims])
+    faces = [[]] + [[P[m - 1] @ d @ inv[m] for d in v.faces[m]]
+                    for m in range(1, T + 1)]
+    degens = [[P[m + 1] @ s @ inv[m] for s in v.degens[m]]
+              for m in range(T)] + [[]]
+    w = SimplicialVectorSpace(field, v.level_dims, faces, degens)
+    assert any(len(col) > 1 for m in range(T) for s in w.degens[m]
+               for col in s.cols)
+
+    ncx = w.normalized_chains()
+    hn = ncx.homology_dims()
+    assert hn == v.homotopy_dims()
+    assert hn.to_list(T) == [1, 1, 1, 0, 0]
+    hu = w.unnormalized_chains().homology_dims()
+    assert [hn[m] for m in range(T)] == [hu[m] for m in range(T)]
+    for m in range(1, T + 1):
+        for s in w.degens[m - 1]:
+            assert all(ncx.project(m, col) == {} for col in s.cols)
+    for m in range(T + 1):
+        for k in range(ncx.dims[m]):
+            assert ncx.project(m, ncx.include(m, {k: 1})) == {k: 1}
+
+    text = json.dumps(w.to_json_dict(), sort_keys=True)
+    assert ("/" in text) == (field == QQ)  # "a/b" entries over Q only
+    back = SimplicialVectorSpace.from_json_dict(json.loads(text))
+    assert back.faces == w.faces and back.degens == w.degens
 
 
 def test_boundary_is_the_alternating_sum_of_faces():
