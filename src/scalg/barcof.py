@@ -13,10 +13,10 @@ closed under the structure maps, so the result is an honest simplicial
 vector space and its homotopy approximates the cofiber from below, with
 per-degree certification by recomputation at enlarged bounds.
 
-The bar diagonal builds its normalized chains directly: every degeneracy
-sends a basis tuple to a single basis tuple, so the degenerate tuples are
-found from the degeneracy image of each tuple one level down, and the
-differential is computed on the nondegenerate columns only.  Checking
+The bar diagonal hands NormalizedChains, the one Dold-Kan quotient, the
+degeneracy image of each tuple one level down (every degeneracy sends a
+basis tuple to a single basis tuple) and the boundary of one tuple, which
+is evaluated on the nondegenerate tuples only.  Checking
 d_i d_j = d_{j-1} d_i on those columns also computes the faces of the
 lower-level tuples they hit, degenerate ones included.  The face and
 degeneracy matrices of the whole object are built only by
@@ -45,8 +45,8 @@ from .exactfield import (
     solve,
 )
 from .simplicial import (
-    ChainComplex,
     GradedDims,
+    NormalizedChains,
     SimplicialError,
     SimplicialVectorSpace,
 )
@@ -449,14 +449,14 @@ class BarDiagonal:
     """The bar diagonal that bar_diagonal returns: level dims, normalized
     chains and homotopy, with the full simplicial object on request.
 
-    Its normalized chains are built at construction, directly on the
-    nondegenerate tuples.  Every degeneracy sends a basis tuple to a single
-    basis tuple, so the degenerate subspace D_m is spanned by the tuples
-    that some s_i hits, and N_m = C_m / D_m (Dold-Kan) has the other tuples
-    as basis, in basis order.  The differential sum (-1)^i d_i is computed
-    on those columns only, with the degenerate coordinates dropped; the
+    Its normalized chains, a NormalizedChains, are built at construction
+    without any structure matrix.  Every degeneracy sends a basis tuple to
+    a single basis tuple, so the degenerate subspace D_m is spanned by the
+    tuples that some s_i hits, and N_m = C_m / D_m has the other tuples as
+    basis, in basis order.  The boundary sum (-1)^i d_i is computed on
+    those columns only and projected by dropping the hit coordinates; the
     result equals the generic SimplicialVectorSpace.normalized_chains
-    matrix for matrix, as a plain ChainComplex without quotient maps.
+    matrix for matrix, with the same project and include.
 
     Checked at construction: each degeneracy image is one basis tuple with
     coefficient 1 inside the window (AssertionError otherwise); no face
@@ -499,12 +499,10 @@ class BarDiagonal:
         return SimplicialVectorSpace(field, dims, faces, degens)
 
     def _build_chains(self):
-        field, T = self.field, self.T
-        p = field.characteristic
+        p = self.field.characteristic
         bases, face, degeneracy = self._bases, self._face, self._degeneracy
-        keep = []  # per level: basis position of a nondegenerate tuple -> its column
-        for m in range(T + 1):
-            degenerate = set()
+
+        def degenerate(m):
             for k in range(len(bases[m - 1]) if m else 0):
                 for i in range(m):
                     image = degeneracy(m - 1, i, k)
@@ -512,12 +510,9 @@ class BarDiagonal:
                         raise AssertionError(
                             "degeneracy image is not a single basis tuple"
                         )
-                    degenerate.update(image)
-            nondegenerate = [k for k in range(len(bases[m])) if k not in degenerate]
-            keep.append({k: c for c, k in enumerate(nondegenerate)})
-        dims = [len(kp) for kp in keep]
+                    yield image
 
-        memo = [{} for _ in range(T + 1)]  # per level: (i, k) -> d_i of tuple k
+        memo = [{} for _ in bases]  # per level: (i, k) -> d_i of tuple k
 
         def face_of(m, i, vec):
             out = {}
@@ -528,27 +523,24 @@ class BarDiagonal:
                 axpy(out, v, col, p)
             return out
 
-        diffs = [Mat.zero(field, 0, dims[0])]
-        for m in range(1, T + 1):
+        def boundary(m, k):
+            if m >= 2:
+                memo[m - 2] = None  # level m reads faces of levels m, m - 1 only
+            images = [face_of(m, i, {k: 1}) for i in range(m + 1)]
             # d_i d_j = d_{j-1} d_i for i < j; level 0 has no faces
-            pairs = [(i, j) for j in range(m + 1) for i in range(j)] if m > 1 else []
-            cols = []
-            for k in keep[m]:
-                images = [face_of(m, i, {k: 1}) for i in range(m + 1)]
-                for i, j in pairs:
+            for j in range(m + 1) if m > 1 else ():
+                for i in range(j):
                     if (face_of(m - 1, i, images[j])
                             != face_of(m - 1, j - 1, images[i])):
                         raise SimplicialError(
                             "d_%d d_%d identity fails at level %d" % (i, j, m)
                         )
-                bd = {}
-                for i, col in enumerate(images):
-                    axpy(bd, (-1) ** i, col, p)
-                cols.append({keep[m - 1][r]: v for r, v in bd.items()
-                             if r in keep[m - 1]})
-            diffs.append(Mat(field, dims[m - 1], dims[m], cols))
-            memo[m - 1] = None  # level m + 1 reads faces of level m only
-        return ChainComplex(field, dims, diffs)
+            bd = {}
+            for i, col in enumerate(images):
+                axpy(bd, (-1) ** i, col, p)
+            return bd
+
+        return NormalizedChains(self.field, self.level_dims, degenerate, boundary)
 
 
 def bar_diagonal(f, N, T, W):
@@ -559,9 +551,9 @@ def bar_diagonal(f, N, T, W):
     monomials with at most N non-unit a-slots and induced weight at most W;
     faces multiply adjacent slots, drop a unit first slot, or push the last
     slot through the map into b.  Returns a BarDiagonal, whose homotopy
-    approximates the cofiber homotopy from below; its normalized chains are
-    built directly, and the face and degeneracy matrices only by
-    BarDiagonal.simplicial().
+    approximates the cofiber homotopy from below; its NormalizedChains are
+    built without the face and degeneracy matrices, which only
+    BarDiagonal.simplicial() builds.
     """
     return BarDiagonal(f, N, T, W)
 

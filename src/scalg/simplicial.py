@@ -5,10 +5,10 @@ the constructor verifies every simplicial identity, so an instance that
 exists is honest.  Homotopy is computed as the homology of the normalized
 chain complex (levelwise quotient by the span of the degeneracy images,
 reduced through ``exactfield.ColumnEchelon``, with the alternating-sum
-differential); the unnormalized complex on full levels is kept alongside
-as an independent oracle.  Degrees up to T - 1 are certified, the degree-T
-value is reported but provisional since its cycles see no boundaries from
-the missing level T + 1.
+differential taken on normalized columns only); the unnormalized complex
+on full levels is kept alongside as an independent oracle.  Degrees up to
+T - 1 are certified, the degree-T value is reported but provisional since
+its cycles see no boundaries from the missing level T + 1.
 
 Objects are built through the inverse Dold-Kan functor ``gamma``: feeding
 it a chain complex concentrated in degree n yields the Eilenberg-MacLane
@@ -207,27 +207,34 @@ class ChainComplex:
 
 
 class NormalizedChains(ChainComplex):
-    """Normalized chain complex of a simplicial vector space.
+    """Normalized chain complex N_m = C_m / D_m of a simplicial vector space
+    (Dold-Kan): the one place where a level is taken modulo its degenerate
+    subspace.
 
-    echelons[m] is a ColumnEchelon of the degeneracy images in level m;
-    the rows that are not its pivot rows, bases[m], form the normalized
-    basis, and every coset of the degenerate span has exactly one
-    representative supported on them.  project and include push
+    degenerate(m) yields columns spanning D_m, the degeneracy images in
+    level m; they go into echelons[m], a ColumnEchelon.  Its non-pivot
+    rows, bases[m], form the normalized basis, and every coset of D_m has
+    exactly one representative supported on them.  boundary(m, r) is the
+    unnormalized boundary sum (-1)^i d_i of basis vector r of level m; it
+    is called on the normalized basis rows only, level by level upwards,
+    and the differential is its projection.  project and include push
     simplicial maps to normalized chain maps (project o f o include).
-    boundary(m) is the unnormalized differential out of level m.
     """
 
-    def __init__(self, field, echelons, boundary):
-        self.echelons = echelons
-        self.bases = [[i for i in range(ech.nrows) if i not in ech.pivots]
-                      for ech in echelons]
+    def __init__(self, field, level_dims, degenerate, boundary):
+        self.echelons = []
+        for m, dim in enumerate(level_dims):
+            ech = ColumnEchelon(field, dim)
+            for col in degenerate(m):
+                ech.insert(col)
+            self.echelons.append(ech)
+        self.bases = [[r for r in range(ech.nrows) if r not in ech.pivots]
+                      for ech in self.echelons]
         self._positions = [{r: k for k, r in enumerate(b)} for b in self.bases]
         dims = [len(b) for b in self.bases]
         diffs = [Mat.zero(field, 0, dims[0])]
         for m in range(1, len(dims)):
-            bd = boundary(m)
-            cols = [self.project(m - 1, bd.apply(self.include(m, {k: 1})))
-                    for k in range(dims[m])]
+            cols = [self.project(m - 1, boundary(m, r)) for r in self.bases[m]]
             diffs.append(Mat(field, dims[m - 1], dims[m], cols))
         super().__init__(field, dims, diffs)
 
@@ -347,16 +354,20 @@ class SimplicialVectorSpace:
 
     # -- chains ----------------------------------------------------------
 
+    def _boundary_column(self, m, r):
+        """Alternating sum of the faces out of level m on basis vector r."""
+        out = {}
+        for i, face in enumerate(self.faces[m]):
+            axpy(out, (-1) ** i, face.cols[r], self.field.characteristic)
+        return out
+
     def boundary(self, m):
         """Alternating sum of the faces out of level m."""
-        F = self.field
         if m < 1 or m > self.T:
             raise ValueError("no boundary at level %d" % m)
-        cols = [{} for _ in range(self.level_dims[m])]
-        for i, face in enumerate(self.faces[m]):
-            for acc, col in zip(cols, face.cols):
-                axpy(acc, (-1) ** i, col, F.characteristic)
-        return Mat(F, self.level_dims[m - 1], self.level_dims[m], cols)
+        return Mat(self.field, self.level_dims[m - 1], self.level_dims[m],
+                   [self._boundary_column(m, r)
+                    for r in range(self.level_dims[m])])
 
     def unnormalized_chains(self):
         """Moore complex on the full levels (the oracle complex)."""
@@ -366,19 +377,13 @@ class SimplicialVectorSpace:
         return ChainComplex(self.field, self.level_dims, diffs)
 
     def normalized_chains(self):
-        """Quotient of each level by its degenerate subspace.
+        """Quotient of each level by the span of its degeneracy images,
+        with the boundary evaluated on normalized basis columns only."""
+        def degenerate(m):
+            return (col for s_i in self.degens[m - 1] for col in s_i.cols) if m else ()
 
-        Each level's degeneracy images go into one ColumnEchelon; its
-        non-pivot rows index the normalized basis.
-        """
-        echelons = []
-        for m in range(self.T + 1):
-            ech = ColumnEchelon(self.field, self.level_dims[m])
-            for s_i in self.degens[m - 1] if m else ():
-                for col in s_i.cols:
-                    ech.insert(col)
-            echelons.append(ech)
-        return NormalizedChains(self.field, echelons, self.boundary)
+        return NormalizedChains(self.field, self.level_dims, degenerate,
+                                self._boundary_column)
 
     def homotopy_dims(self):
         """Homology of the normalized chains; certified through T - 1."""
@@ -451,6 +456,9 @@ class SimplicialVectorSpace:
         T = data["truncation"]
         if len(dims) != T + 1:
             raise SimplicialError("level_dims length does not match truncation")
+        for key in ("faces", "degeneracies"):
+            if len(data[key]) != T + 1:
+                raise SimplicialError("%s length does not match truncation" % key)
         faces = [[]]
         for m in range(1, T + 1):
             faces.append(
@@ -480,8 +488,11 @@ def _entry_to_json(v):
 
 def _entry_from_json(x):
     if isinstance(x, str):
-        num, den = x.split("/")
-        return Fraction(int(num), int(den))
+        try:
+            num, den = x.split("/")
+            return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError):
+            raise SimplicialError("entry %r is not a fraction a/b" % x) from None
     return x
 
 

@@ -283,6 +283,26 @@ def _split_power(pieces, q, n, T, dim_budget):
     return HomotopyDims(power[d].data, certified)
 
 
+def _tail_homotopy(q, n, d, T, dim_budget):
+    """Homotopy dims of Sym^d(K(V, n)), dim V = q, d >= 1, when the counted
+    covering complex settles them without being built; None otherwise.
+
+    That is every d for q = 0, and otherwise a d whose count stops at a
+    level built_to <= n below the natural top d*n: nothing is certified
+    past built_to - 1 < n, and there are no chains below level n.  The
+    stopping level does not grow with d, since C(ncodes + d - 1, d) grows
+    with d and padding a covering multiset with a copy of its last code
+    injects weight d into weight d + 1; so every weight past the first
+    such one is such a weight too.
+    """
+    if q == 0:
+        return HomotopyDims({}, T)
+    built_to = len(_covering_dims(q, n, d, T, dim_budget)) - 1
+    if built_to <= n and d * n > built_to:
+        return HomotopyDims({}, built_to - 1)
+    return None
+
+
 def sym_power_homology(field, q, n, d, T, dim_budget=DIM_BUDGET):
     """Homotopy dims of Sym^d(K(V, n)), dim V = q, with the honest certified
     degree.
@@ -521,14 +541,22 @@ def sphere_homotopy(field, q, n, T, W, dim_budget=DIM_BUDGET):
         raise ValueError("need n >= 1 and T >= n")
     if W < 0:
         raise ValueError("W must be nonnegative")
-    # one table of one-generator pieces, weights 0..W+1, read by every
-    # weight and by the stability check
-    pieces = [sym_power_homology(field, min(q, 1), n, a, T, dim_budget)
-              for a in range(W + 2)]
-    weights = pieces if q <= 1 else pieces[:1] + [
-        _split_power(pieces[:d + 1], q, n, T, dim_budget) for d in range(1, W + 2)
-    ]
-    per_weight, check = weights[:W + 1], weights[W + 1]
+    # weights 0..W+1 up to the first tail weight (see _tail_homotopy), with
+    # one table of one-generator pieces; the later weights are zero with
+    # certified degrees that do not grow, so weights W and W+1 stand for them
+    pieces = [sym_power_homology(field, min(q, 1), n, 0, T, dim_budget)]
+    weights = pieces[:1]
+    for d in range(1, W + 2):
+        if _tail_homotopy(q, n, d, T, dim_budget) is not None:
+            break
+        pieces.append(sym_power_homology(field, min(q, 1), n, d, T, dim_budget))
+        weights.append(pieces[d] if q <= 1
+                       else _split_power(pieces, q, n, T, dim_budget))
+    per_weight = weights[:W + 1]
+    if W >= len(weights):
+        per_weight.append(_tail_homotopy(q, n, W, T, dim_budget))
+    check = (weights[W + 1] if W + 1 < len(weights)
+             else _tail_homotopy(q, n, W + 1, T, dim_budget))
     certified = min([T] + [h.certified_degree for h in per_weight])
     # each weight contributes only where it is certified; entries above the
     # overall certified degree are lower bounds from the complete weights

@@ -49,6 +49,13 @@ def test_pi_sphere_q_zero():
     assert data["dims"] == [1, 0, 0, 0, 0]
 
 
+def test_pi_sphere_huge_weight_bound_stops_at_the_tail(limit_covering_complexes):
+    argv = ["pi-sphere", "--char", "2", "-n", "2", "-T", "2"]
+    want = dict(run_json(argv + ["-W", "3"])[1], W=10**9)
+    limit_covering_complexes(100)
+    assert run_json(argv + ["-W", str(10**9)]) == (0, want)
+
+
 def test_hq_sphere_concentrated():
     code, data = run_json(["hq-sphere", "--char", "2", "-q", "2", "-n", "2",
                            "-T", "5"])

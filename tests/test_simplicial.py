@@ -246,6 +246,13 @@ def test_normalized_chains_of_a_conjugated_object(field):
                for col in s.cols)
 
     ncx = w.normalized_chains()
+    for m in range(1, T + 1):
+        # the differential on normalized columns is the whole-level one
+        # pushed through the quotient
+        bd = w.boundary(m)
+        assert ncx.diffs[m] == Mat(field, ncx.dims[m - 1], ncx.dims[m], [
+            ncx.project(m - 1, bd.apply(ncx.include(m, {k: 1})))
+            for k in range(ncx.dims[m])])
     hn = ncx.homology_dims()
     assert hn == v.homotopy_dims()
     assert hn.to_list(T) == [1, 1, 1, 0, 0]
@@ -262,6 +269,26 @@ def test_normalized_chains_of_a_conjugated_object(field):
     assert ("/" in text) == (field == QQ)  # "a/b" entries over Q only
     back = SimplicialVectorSpace.from_json_dict(json.loads(text))
     assert back.faces == w.faces and back.degens == w.degens
+
+
+def test_normalized_chains_evaluate_the_boundary_on_normalized_columns_only(
+        monkeypatch):
+    v, _ = random_gamma_object(random.Random(4), GF3, 4)
+    evaluated = []
+    column = SimplicialVectorSpace._boundary_column
+
+    def record(self, m, r):
+        evaluated.append((m, r))
+        return column(self, m, r)
+
+    def refuse(self, m):
+        raise AssertionError("whole-level boundary built")
+
+    monkeypatch.setattr(SimplicialVectorSpace, "_boundary_column", record)
+    monkeypatch.setattr(SimplicialVectorSpace, "boundary", refuse)
+    ncx = v.normalized_chains()
+    assert evaluated == [(m, r) for m in range(1, v.T + 1) for r in ncx.bases[m]]
+    assert sum(ncx.dims[1:]) < sum(v.level_dims[1:])  # some columns skipped
 
 
 def test_boundary_is_the_alternating_sum_of_faces():
@@ -355,6 +382,26 @@ def test_json_roundtrip():
             assert back.faces[m][i] == k.faces[m][i]
     h = back.homotopy_dims()
     assert h.to_list(3) == [0, 0, 1, 0]
+
+
+def _short_faces(data):
+    data["faces"] = data["faces"][:-1]
+
+
+def _set_entry(text):
+    def change(data):
+        data["faces"][2][0][0][0] = text
+    return change
+
+
+@pytest.mark.parametrize("corrupt", [
+    _short_faces, _set_entry("1/0"), _set_entry("abc"),
+], ids=["short-faces", "zero-denominator", "not-a-fraction"])
+def test_json_rejects_malformed_data(corrupt):
+    data = json.loads(json.dumps(eilenberg_maclane(QQ, 1, 1, 3).to_json_dict()))
+    corrupt(data)
+    with pytest.raises(SimplicialError, match="faces length|not a fraction"):
+        SimplicialVectorSpace.from_json_dict(data)
 
 
 def test_json_rejects_bad_shapes():

@@ -18,6 +18,8 @@ from scalg.symalg import (
     sym_power_homology,
     symmetric_power,
     _covering_dims,
+    _split_power,
+    _tail_homotopy,
 )
 
 
@@ -250,6 +252,78 @@ def test_sphere_homotopy_budget_degrades_honestly():
     assert not all(starved.stable_flags)
     for m in range(starved.certified_degree + 1):
         assert starved.dims[m] == generous.dims[m]
+
+
+def _sphere_homotopy_weight_by_weight(field, q, n, T, W, dim_budget):
+    """(dims, certified degree, flags) of sphere_homotopy, computing every
+    weight 0..W+1 in turn."""
+    pieces = [sym_power_homology(field, min(q, 1), n, a, T, dim_budget)
+              for a in range(W + 2)]
+    weights = pieces if q <= 1 else pieces[:1] + [
+        _split_power(pieces[:d + 1], q, n, T, dim_budget) for d in range(1, W + 2)
+    ]
+    per_weight, check = weights[:W + 1], weights[W + 1]
+    certified = min([T] + [h.certified_degree for h in per_weight])
+    dims = [sum(h[m] for h in per_weight if h.certified_degree >= m)
+            for m in range(T + 1)]
+    flags = [check.certified_degree >= m and all(check[j] == 0 for j in range(m + 1))
+             for m in range(T + 1)]
+    return dims, certified, flags
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=["F2", "Q"])
+def test_sphere_homotopy_stops_at_the_first_tail_weight(field):
+    # small budgets put the tail (see _tail_homotopy) inside W <= 6
+    tails = 0
+    for q in (0, 1, 2, 3):
+        for n in (1, 2, 3):
+            for T in range(n, n + 3):
+                for dim_budget in (2, 5, 50):
+                    tails += q and _tail_homotopy(q, n, 6, T, dim_budget) is not None
+                    for W in range(7):
+                        r = sphere_homotopy(field, q, n, T, W, dim_budget)
+                        want = _sphere_homotopy_weight_by_weight(
+                            field, q, n, T, W, dim_budget)
+                        assert (r.dims, r.certified_degree, r.stable_flags) == want
+    assert tails == 75  # of the 81 cases with q >= 1, weight 6 is a tail weight
+
+
+def test_tail_weights_match_the_built_complex_and_stay_tails():
+    for q in (1, 2, 3):
+        for n in (1, 2, 3):
+            for T in range(n, n + 4):
+                for dim_budget in (2, 50, 20_000):
+                    seen = False
+                    for d in range(1, 40):
+                        tail = _tail_homotopy(q, n, d, T, dim_budget)
+                        assert seen <= (tail is not None), (q, n, T, dim_budget, d)
+                        seen = tail is not None
+                        if tail is not None and d < 8:
+                            built = sym_power_homology(GF3, q, n, d, T, dim_budget)
+                            assert (tail.data, tail.certified_degree) == (
+                                built.data, built.certified_degree)
+
+
+def test_huge_weight_bound_does_not_enumerate_every_weight(
+        limit_covering_complexes):
+    # past the first tail weight (9, 4 and 3 for q = 1, 2, 3) the output
+    # no longer depends on W, except that q = 2, 3 certify less once level
+    # n of weight W alone exceeds the budget (W >= 50); q = 0 builds no
+    # complex, so it comes after a case that fails where every weight is
+    # enumerated
+    cases = [(1, 6), (2, 5), (3, 4), (0, 4)]
+    want = [_sphere_homotopy_weight_by_weight(GF2, q, 2, T, 60, 50)
+            for q, T in cases]
+    series = sphere_series_charp(1, 2, 2, 3, W=60, dim_budget=50)
+    calls = limit_covering_complexes(100)
+    W = 10**9
+    for (q, T), expected in zip(cases, want):
+        r = sphere_homotopy(GF2, q, 2, T, W, dim_budget=50)
+        assert (r.dims, r.certified_degree, r.stable_flags) == expected
+    assert sphere_homotopy(GF3, 1, 2, 2, W).dims == [1, 0, 1]
+    huge = sphere_series_charp(1, 2, 2, 3, W=W, dim_budget=50)
+    assert huge.coeffs == series.coeffs
+    assert 0 < len(calls) <= 100
 
 
 def test_dold_invariance_small():
