@@ -1,10 +1,11 @@
-"""Sphere algebras: brute-force homotopy, weight by weight.
+"""Sphere algebras: homotopy, weight by weight.
 
 The free commutative algebra on K(V, n) splits by word length; each weight
-is a symmetric power whose normalized chains live on "covering" monomials
-and stay small.  Rationally the answer reproduces the free graded-
-commutative closed forms (polynomial on even generators, exterior on odd
-ones).  In characteristic p nothing is assumed: the dims are whatever the
+is a symmetric power, computed by decalage from a divided power of
+K(V, n-2) whose normalized chains live on "covering" monomials and stay
+small.  Rationally the answer reproduces the free graded-commutative
+closed forms (polynomial on even generators, exterior on odd ones).  In
+characteristic p no closed form is assumed: the dims are whatever the
 chain-level computation says, and each degree carries a stability flag
 telling whether one more weight could still change it.
 """

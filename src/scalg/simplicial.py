@@ -451,14 +451,25 @@ class SimplicialVectorSpace:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Inverse of to_json_dict; malformed data raises SimplicialError."""
+        for key in ("field", "truncation", "level_dims", "faces", "degeneracies"):
+            if key not in data:
+                raise SimplicialError("serialized data lacks %r" % key)
+        for key in ("field", "truncation"):
+            if not _is_count(data[key]):
+                raise SimplicialError("%s must be a nonnegative integer" % key)
         field = FieldSpec(data["field"])
         dims = data["level_dims"]
         T = data["truncation"]
+        if not isinstance(dims, list) or not all(_is_count(x) for x in dims):
+            raise SimplicialError("level_dims must be a list of nonnegative integers")
         if len(dims) != T + 1:
             raise SimplicialError("level_dims length does not match truncation")
         for key in ("faces", "degeneracies"):
-            if len(data[key]) != T + 1:
+            if not isinstance(data[key], list) or len(data[key]) != T + 1:
                 raise SimplicialError("%s length does not match truncation" % key)
+            if not all(isinstance(level, list) for level in data[key]):
+                raise SimplicialError("%s entries must be lists of matrices" % key)
         faces = [[]]
         for m in range(1, T + 1):
             faces.append(
@@ -500,7 +511,13 @@ def _mat_to_lists(m):
     return [[_entry_to_json(v) for v in row] for row in m.to_rows()]
 
 
+def _is_count(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _mat_from_lists(field, rows, nrows, ncols):
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise SimplicialError("matrix in serialized data is not a list of rows")
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise SimplicialError("matrix shape mismatch in serialized data")
     return Mat.from_rows(field, [[_entry_from_json(x) for x in r] for r in rows],

@@ -1,29 +1,34 @@
-"""Symmetric powers, sphere algebras, and brute-force sphere homotopy.
+"""Symmetric powers, sphere algebras, and sphere homotopy.
 
 The free commutative algebra on a simplicial vector space splits by word
 length (weight); weight d is the levelwise d-th symmetric power, taken in
 the quotient (coinvariant) sense so that the same monomial bases work in
 every characteristic.  Homotopy of a sphere algebra is computed one weight
-at a time and summed; no closed form is assumed in characteristic p, and
-a degree is only flagged weight-stable when recomputing with one more
-weight adds nothing at or below it.
+at a time and summed, and a degree is only flagged weight-stable when
+recomputing with one more weight adds nothing at or below it.
 
-For powers of an Eilenberg-MacLane object there is a fast path: a basis
-monomial is degenerate exactly when the jump positions of its factors fail
-to cover all positions of the level, so the normalized complex lives on
-"covering" monomials and is written down directly, without materializing
-the full (often huge) unnormalized levels.  Only one generator is ever
-built: Sym(V + V') = Sym V (x) Sym V' levelwise, so with Eilenberg-Zilber
-and Kunneth over a field the homotopy of Sym^d K(F^q, n) is the weight-d
-part of the q-fold convolution of the one-generator pieces.  Budgets still
-bound the q-generator covering complex, which defines certification; it
-is counted, not built.
+For powers of an Eilenberg-MacLane object a basis monomial is degenerate
+exactly when the jump positions of its factors fail to cover all
+positions of the level, so normalized complexes live on "covering"
+monomials and are written down directly, without materializing the full
+(often huge) unnormalized levels.  One generator goes by decalage, a
+theorem valid in every characteristic: pi_i Sym^d K(F, n) is
+pi_{i-2d} Gamma^d K(F, n-2) for n >= 2, and Sym^d K(F, 1) has Lambda^d(F)
+in degree d.  Gamma^d K(F, n-2) is built on covering divided-power
+monomials, sharing the basis and face tables of the Sym^d covering
+complex (sym_power_covering_complex, the brute force kept as the tests'
+reference); only the coefficient of a face that merges codes differs.
+More generators are never built either: Sym(V + V') = Sym V (x) Sym V'
+levelwise, so with Eilenberg-Zilber and Kunneth over a field the homotopy
+of Sym^d K(F^q, n) is the weight-d part of the q-fold convolution of the
+one-generator pieces.  Budgets bound the q-generator Sym^d covering
+complex, which defines certification; it is counted, not built.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 
 from .exactfield import Mat, canonical
 from .simplicial import (
@@ -136,34 +141,29 @@ def symmetric_power(V, d):
 # fast normalized complexes for powers of K(V, n)
 
 
-def _face_on_jumpmask(m, i, n):
-    """Action of d_i on level-m jump masks of K(-, n); None where it dies.
+def _covering_count(q, n, d, m):
+    """Number of covering monomials of Sym^d(K(V, n)), dim V = q, at level m.
 
-    The face survives exactly when its composite with the coface is again
-    a surjection [m - 1] ->> [n], i.e. one of _jump_surjections(m - 1, n).
+    Level m has q*C(m, n) codes; a d-multiset of them covers when their
+    jump masks cover all m positions, counted by inclusion-exclusion over
+    the uncovered positions.
     """
-    phi = _coface(m, i)
-    target = dict(_jump_surjections(m - 1, n))
-    return {mask: target.get(tuple(vals[a] for a in phi))
-            for vals, mask in _jump_surjections(m, n)}
+    return sum((-1) ** s * math.comb(m, s)
+               * math.comb(q * math.comb(m - s, n) + d - 1, d)
+               for s in range(m + 1))
 
 
 def _covering_dims(q, n, d, T, dim_budget):
     """Counted level dims 0..built_to of the covering complex of
     Sym^d(K(V, n)), dim V = q, for d >= 1.
 
-    Level m has q*C(m, n) codes; its covering monomials are the d-multisets
-    of codes whose jump masks cover all m positions, counted by
-    inclusion-exclusion over the uncovered positions.  The list stops
-    before the first level whose candidate multisets exceed ENUM_BUDGET or
-    whose covering count exceeds dim_budget.
+    The list stops before the first level whose candidate multisets exceed
+    ENUM_BUDGET or whose covering count exceeds dim_budget.
     """
     dims = []
     for m in range(T + 1):
         ncodes = q * math.comb(m, n)
-        count = sum((-1) ** s * math.comb(m, s)
-                    * math.comb(q * math.comb(m - s, n) + d - 1, d)
-                    for s in range(m + 1))
+        count = _covering_count(q, n, d, m)
         if ncodes and (math.comb(ncodes + d - 1, d) > ENUM_BUDGET
                        or count > dim_budget):
             break
@@ -183,53 +183,79 @@ def _certified(n, d, T, built_to):
     return T if d * n <= built_to else built_to - 1
 
 
-def sym_power_covering_complex(field, n, d, T, dim_budget=DIM_BUDGET):
-    """Normalized chains of Sym^d(K(F, n)) on covering monomials.
+def _covering_basis(n, d, m):
+    """Covering d-multisets of the level-m codes of K(F, n), in
+    lexicographic order; code c is the c-th of _jump_surjections(m, n)."""
+    masks = [mask for _, mask in _jump_surjections(m, n)]
+    full = (1 << m) - 1
+    basis = []
+    for mono in combinations_with_replacement(range(len(masks)), d):
+        u = 0
+        for c in mono:
+            u |= masks[c]
+        if u == full:
+            basis.append(mono)
+    assert len(basis) == _covering_count(1, n, d, m), \
+        "covering count disagrees at level %d" % m
+    return basis
 
-    A monomial of level-m generators is nondegenerate exactly when the jump
-    sets of its factors jointly cover all m positions.  Returns a pair
-    (complex, built_to): the complex carries levels 0..built_to, where
-    built_to < T means a size budget stopped the construction early.
+
+def _face_codes(m, n):
+    """Action of each face d_i, i = 0..m, on the level-m codes of K(F, n):
+    per code, the (code, jump mask) it goes to at level m - 1, or None
+    where the face kills it.
+
+    The face survives exactly when its composite with the coface is again
+    a surjection [m - 1] ->> [n], i.e. one of _jump_surjections(m - 1, n).
     """
-    if n < 1:
-        raise ValueError("generators must live in positive degree")
-    if d == 0:
-        dims = [1] + [0] * T
-        diffs = [Mat.zero(field, 0, 1)] + [
-            Mat.zero(field, dims[m - 1], dims[m]) for m in range(1, T + 1)
-        ]
-        return ChainComplex(field, dims, diffs), T
-    dims = _covering_dims(1, n, d, T, dim_budget)
-    built_to = len(dims) - 1
-    masks = []      # per level: jump mask of each code
-    bases = []      # per level: list of covering monomials (tuples of codes)
-    index = []
-    for m in range(built_to + 1):
-        level_masks = [mask for _, mask in _jump_surjections(m, n)]
-        full = (1 << m) - 1
-        basis = []
-        for mono in combinations_with_replacement(range(len(level_masks)), d):
-            u = 0
-            for c in mono:
-                u |= level_masks[c]
-            if u == full:
-                basis.append(mono)
-        assert len(basis) == dims[m], "covering count disagrees at level %d" % m
-        masks.append(level_masks)
-        bases.append(basis)
-        index.append({b: i for i, b in enumerate(basis)})
+    target = {vals: (c, mask)
+              for c, (vals, mask) in enumerate(_jump_surjections(m - 1, n))}
+    source = [vals for vals, _ in _jump_surjections(m, n)]
+    faces = []
+    for i in range(m + 1):
+        phi = _coface(m, i)
+        faces.append([target.get(tuple(vals[a] for a in phi)) for vals in source])
+    return faces
 
+
+def _sym_merge(mono, image):
+    """Coefficient of a symmetric-power face image: always 1."""
+    return 1
+
+
+def _divided_power_merge(mono, image):
+    """Coefficient of a divided-power face image.
+
+    A face that merges codes with multiplicities a_1..a_r into one code
+    multiplies x^[a_1]...x^[a_r] into (a_1+...+a_r)!/(a_1!...a_r!) times
+    x^[a_1+...+a_r]; over all codes that is the product of the image's
+    multiplicity factorials over the source's.
+    """
+    num = den = 1
+    for _, run in groupby(image):
+        num *= math.factorial(len(list(run)))
+    for _, run in groupby(mono):
+        den *= math.factorial(len(list(run)))
+    return num // den
+
+
+def _covering_complex(field, n, d, top, merge):
+    """Normalized chains, levels 0..top, of a d-th power functor of K(F, n)
+    whose level-m basis is the d-multisets of level-m codes.
+
+    K(F, n)'s faces and degeneracies send each code to one code or to 0,
+    and its degeneracies are injective on codes, so a basis monomial is
+    degenerate exactly when the jump masks of its codes fail to cover all
+    m positions: the chains live on covering monomials.  A face acts code
+    by code; merge(mono, image) is the coefficient the functor gives the
+    image where codes merge.
+    """
+    bases = [_covering_basis(n, d, m) for m in range(top + 1)]
+    dims = [len(basis) for basis in bases]
     diffs = [Mat.zero(field, 0, dims[0])]
-    for m in range(1, built_to + 1):
-        # face action on codes: code -> (code of face(mask), face(mask))
-        target = {mask: c for c, mask in enumerate(masks[m - 1])}
-        face_code = []
-        for i in range(m + 1):
-            table = _face_on_jumpmask(m, i, n)
-            face_code.append([
-                None if table[mask] is None else (target[table[mask]], table[mask])
-                for mask in masks[m]
-            ])
+    for m in range(1, top + 1):
+        face_code = _face_codes(m, n)
+        index = {b: i for i, b in enumerate(bases[m - 1])}
         full_target = (1 << (m - 1)) - 1
         cols = []
         for mono in bases[m]:
@@ -249,12 +275,45 @@ def sym_power_covering_complex(field, n, d, T, dim_budget=DIM_BUDGET):
                 if dead or acc != full_target:
                     continue
                 image = tuple(sorted(image))
-                k = index[m - 1][image]
+                k = index[image]
                 sign = 1 if i % 2 == 0 else -1
-                col[k] = col.get(k, 0) + sign
+                col[k] = col.get(k, 0) + sign * merge(mono, image)
             cols.append(canonical(col, field.characteristic))
         diffs.append(Mat(field, dims[m - 1], dims[m], cols))
-    return ChainComplex(field, dims, diffs), built_to
+    return ChainComplex(field, dims, diffs)
+
+
+def sym_power_covering_complex(field, n, d, T, dim_budget=DIM_BUDGET):
+    """Normalized chains of Sym^d(K(F, n)) on covering monomials.
+
+    A monomial of level-m generators is nondegenerate exactly when the jump
+    sets of its factors jointly cover all m positions.  Returns a pair
+    (complex, built_to): the complex carries levels 0..built_to, where
+    built_to < T means a size budget stopped the construction early.
+
+    This is the brute force that sym_power_homology replaces by decalage;
+    it stays as the reference the tests compare against.
+    """
+    if n < 1:
+        raise ValueError("generators must live in positive degree")
+    if d == 0:
+        dims = [1] + [0] * T
+        diffs = [Mat.zero(field, 0, 1)] + [
+            Mat.zero(field, dims[m - 1], dims[m]) for m in range(1, T + 1)
+        ]
+        return ChainComplex(field, dims, diffs), T
+    built_to = len(_covering_dims(1, n, d, T, dim_budget)) - 1
+    return _covering_complex(field, n, d, built_to, _sym_merge), built_to
+
+
+def divided_power_covering_complex(field, n, d, top):
+    """Normalized chains of Gamma^d(K(F, n)), levels 0..top, on covering
+    divided-power monomials.
+
+    The basis and faces are those of sym_power_covering_complex; only a
+    face that merges codes carries a multinomial coefficient.
+    """
+    return _covering_complex(field, n, d, top, _divided_power_merge)
 
 
 def _split_power(pieces, q, n, T, dim_budget):
@@ -307,10 +366,17 @@ def sym_power_homology(field, q, n, d, T, dim_budget=DIM_BUDGET):
     """Homotopy dims of Sym^d(K(V, n)), dim V = q, with the honest certified
     degree.
 
-    One generator is brute-forced on its covering complex.  More generators
-    are convolved from one-generator pieces; their budgets bound the
-    q-generator covering complex, which defines certification and is only
-    counted (see _split_power).
+    One generator goes by decalage: L Sym^d(Sigma M) ~ Sigma^d L Lambda^d(M)
+    and L Lambda^d(Sigma M) ~ Sigma^d L Gamma^d(M) over any ring (Illusie,
+    LNM 239, I.4.3; Quillen 1970), and degreewise functors preserve weak
+    equivalences, so pi_i Sym^d K(F, n) = pi_{i-2d} Gamma^d K(F, n-2) for
+    n >= 2, and Sym^d K(F, 1) has Lambda^d(F) in degree d: F for d = 1,
+    zero for d >= 2.  Gamma^d K(F, n-2) is built on covering divided-power
+    monomials up to level certified - 2d + 1, whose degrees below the top
+    are exact.  More generators are convolved from one-generator pieces
+    (see _split_power).  For every q the budgets bound the q-generator
+    Sym^d covering complex, which defines certification and is only
+    counted, not built.
     """
     if d == 0:
         return HomotopyDims({0: 1}, T)
@@ -320,10 +386,16 @@ def sym_power_homology(field, q, n, d, T, dim_budget=DIM_BUDGET):
         pieces = [sym_power_homology(field, 1, n, a, T, dim_budget)
                   for a in range(d + 1)]
         return _split_power(pieces, q, n, T, dim_budget)
-    cx, built_to = sym_power_covering_complex(field, n, d, T, dim_budget)
-    certified = _certified(n, d, T, built_to)
-    return HomotopyDims({m: v for m, v in cx.homology_dims().data.items()
-                         if m <= certified}, certified)
+    certified = _certified(n, d, T, len(_covering_dims(1, n, d, T, dim_budget)) - 1)
+    if n == 1:
+        return HomotopyDims({1: 1} if d == 1 and certified >= 1 else {}, certified)
+    # Gamma^d K(F, n-2) has no covering monomials above level d*(n-2)
+    top = min(certified - 2 * d + 1, d * (n - 2) + 1)
+    if top <= 0:
+        return HomotopyDims({}, certified)
+    cx = divided_power_covering_complex(field, n - 2, d, top)
+    return HomotopyDims({m + 2 * d: v for m, v in cx.homology_dims().data.items()
+                         if m < top}, certified)
 
 
 # --------------------------------------------------------------------------
@@ -528,10 +600,10 @@ class HomotopyReport:
 
 
 def sphere_homotopy(field, q, n, T, W, dim_budget=DIM_BUDGET):
-    """Brute-force homotopy of the sphere algebra on q generators in degree n.
+    """Homotopy of the sphere algebra on q generators in degree n.
 
-    Sums the homology of the normalized chains of Sym^d(K(V, n)) over
-    weights 0..W and checks stability against weight W+1.  Nothing is
+    Sums the homotopy of Sym^d(K(V, n)) (sym_power_homology) over weights
+    0..W and checks stability against weight W+1.  Nothing is
     assumed about where a given weight can contribute; degrees whose
     stability check was not computable within budget are flagged unstable.
     """

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalg.symalg
 from scalg.cli import build_parser, main
 from scalg.schemas import SCHEMAS
 from scalg.simplicial import SimplicialVectorSpace
@@ -49,11 +50,54 @@ def test_pi_sphere_q_zero():
     assert data["dims"] == [1, 0, 0, 0, 0]
 
 
-def test_pi_sphere_huge_weight_bound_stops_at_the_tail(limit_covering_complexes):
+def test_pi_sphere_huge_weight_bound_stops_at_the_tail(limit_weight_pieces):
     argv = ["pi-sphere", "--char", "2", "-n", "2", "-T", "2"]
     want = dict(run_json(argv + ["-W", "3"])[1], W=10**9)
-    limit_covering_complexes(100)
+    limit_weight_pieces(100)
     assert run_json(argv + ["-W", str(10**9)]) == (0, want)
+
+
+@pytest.mark.parametrize("q,dims,certified,flags", [
+    (1, [1, 1, 0, 0, 0, 0], 0, [True] + [False] * 5),
+    (2, [1, 2, 1, 0, 0, 0], -1, [False] * 6),
+])
+def test_pi_sphere_n1_huge_weight_bound_is_settled_by_counting(
+        monkeypatch, q, dims, certified, flags):
+    # the first tail weight of one generator at -n 1 -T 5 is 20,002; every
+    # lower weight is Lambda^d(F) in degree d, certified by counting alone,
+    # so building any covering complex fails at once instead of running
+    # for hours
+    def build(*args, **kwargs):
+        raise AssertionError("built a covering complex at n = 1")
+
+    for name in ("sym_power_covering_complex", "divided_power_covering_complex"):
+        monkeypatch.setattr(scalg.symalg, name, build)
+    argv = ["pi-sphere", "--char", "2", "-q", str(q), "-n", "1"]
+    code, data = run_json(argv + ["-W", "100000"])
+    assert code == 0
+    assert (data["dims"], data["certified_degree"], data["stable_flags"]) == (
+        dims, certified, flags)
+    assert run_json(argv + ["-W", str(10**9)]) == (0, dict(data, W=10**9))
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi-sphere", "--char", "2", "-q", "1", "-n", "2", "-T", "6", "-W", "6"],
+    ["pi-sphere", "--char", "3", "-q", "2", "-n", "3", "-T", "7", "-W", "3"],
+    ["series", "--char", "2", "-q", "1", "-n", "3", "-M", "6"],
+    ["audit", "--char", "3", "--profile", "1:3,2:3,3:1", "--pi-bound", "5",
+     "--mode", "empirical", "-M", "4"],
+], ids=lambda argv: argv[0] + "-char" + argv[2])
+def test_production_never_builds_the_sym_power_brute_force(monkeypatch, argv):
+    want = run_cli(argv)
+    calls = []
+
+    def brute_force(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("built the Sym^d covering complex")
+
+    monkeypatch.setattr(scalg.symalg, "sym_power_covering_complex", brute_force)
+    assert run_cli(argv) == want
+    assert calls == []
 
 
 def test_hq_sphere_concentrated():

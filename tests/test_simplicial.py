@@ -394,13 +394,31 @@ def _set_entry(text):
     return change
 
 
-@pytest.mark.parametrize("corrupt", [
-    _short_faces, _set_entry("1/0"), _set_entry("abc"),
-], ids=["short-faces", "zero-denominator", "not-a-fraction"])
-def test_json_rejects_malformed_data(corrupt):
+def _drop_degeneracies(data):
+    del data["degeneracies"]
+
+
+def _number_as_faces(data):
+    data["faces"][2] = 7
+
+
+def _string_truncation(data):
+    data["truncation"] = "3"
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_short_faces, "faces length"),
+    (_set_entry("1/0"), "not a fraction"),
+    (_set_entry("abc"), "not a fraction"),
+    (_drop_degeneracies, "lacks 'degeneracies'"),
+    (_number_as_faces, "faces entries must be lists"),
+    (_string_truncation, "truncation must be a nonnegative integer"),
+], ids=["short-faces", "zero-denominator", "not-a-fraction",
+        "no-degeneracies", "number-as-faces", "string-truncation"])
+def test_json_rejects_malformed_data(corrupt, message):
     data = json.loads(json.dumps(eilenberg_maclane(QQ, 1, 1, 3).to_json_dict()))
     corrupt(data)
-    with pytest.raises(SimplicialError, match="faces length|not a fraction"):
+    with pytest.raises(SimplicialError, match=message):
         SimplicialVectorSpace.from_json_dict(data)
 
 

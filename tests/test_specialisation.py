@@ -6,7 +6,11 @@ import pytest
 
 from scalg.exactfield import GF2, GF3, QQ, Mat
 from scalg.simplicial import gamma
-from scalg.symalg import sym_power_covering_complex, symmetric_power
+from scalg.symalg import (
+    divided_power_covering_complex,
+    sym_power_covering_complex,
+    symmetric_power,
+)
 
 # an integral complex Z^1 -> Z^3 -> Z^2 with d1 d2 = 0 over Z, whose
 # entries 2, 3 and -1 reduce differently mod 2 and mod 3
@@ -63,4 +67,17 @@ def test_covering_complex_specialises_by_reduction(n, d, T):
     for F in (GF2, GF3):
         cx_p, top_p = sym_power_covering_complex(F, n, d, T)
         assert top_p == top_q
+        assert_reduction(cx_q.diffs[1:], cx_p.diffs[1:], F.characteristic)
+
+
+@pytest.mark.parametrize("n,d,top", [(1, 3, 3), (2, 3, 5)])
+def test_divided_power_complex_specialises_by_reduction(n, d, top):
+    # faces that merge codes carry multinomials 2 and 3, which vanish mod 2
+    # and mod 3 respectively
+    cx_q = divided_power_covering_complex(QQ, n, d, top)
+    assert_int_entries(cx_q.diffs[1:])
+    assert {2, 3} <= {abs(v) for M in cx_q.diffs for col in M.cols
+                      for v in col.values()}
+    for F in (GF2, GF3):
+        cx_p = divided_power_covering_complex(F, n, d, top)
         assert_reduction(cx_q.diffs[1:], cx_p.diffs[1:], F.characteristic)

@@ -17,7 +17,9 @@ from scalg.symalg import (
     sym_power_covering_complex,
     sym_power_homology,
     symmetric_power,
+    _certified,
     _covering_dims,
+    _divided_power_merge,
     _split_power,
     _tail_homotopy,
 )
@@ -141,6 +143,48 @@ def test_sym_power_dual_oracle(field, q, n, d, T):
     hu = s.unnormalized_chains().homology_dims()
     for m in range(T):
         assert hn[m] == hu[m]
+
+
+# ----------------------------------------------- decalage vs the brute force
+
+def _brute_force_piece(field, n, d, T, dim_budget):
+    """(dims, certified degree) of Sym^d K(F, n) from its covering complex."""
+    cx, built_to = sym_power_covering_complex(field, n, d, T, dim_budget)
+    certified = _certified(n, d, T, built_to)
+    return {m: v for m, v in cx.homology_dims().data.items()
+            if m <= certified and v}, certified
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["F2", "F3", "Q"])
+def test_decalage_matches_the_brute_force(field):
+    # sym_power_homology reads one generator off Gamma^d K(F, n - 2), or
+    # off Lambda^d(F) for n = 1; the covering complex of Sym^d K(F, n) it
+    # replaces must give the same dims and certified degree
+    grid = [(T, budget) for T in (4, 6, 8) for budget in (50, 2000)]
+    for n in range(1, 5):
+        for d in range(1, 7):
+            for T, budget in grid + [(5, DIM_BUDGET)]:
+                h = sym_power_homology(field, 1, n, d, T, budget)
+                assert (h.data, h.certified_degree) == _brute_force_piece(
+                    field, n, d, T, budget), (n, d, T, budget)
+
+
+@pytest.mark.parametrize("field,n,d,T,dims", [
+    (GF2, 3, 2, 8, {5: 1, 6: 1}),
+    (GF3, 3, 3, 9, {7: 1, 8: 1}),
+    (GF2, 4, 2, 8, {6: 1, 7: 1, 8: 1}),
+])
+def test_decalage_pins_brute_force_examples(field, n, d, T, dims):
+    assert _brute_force_piece(field, n, d, T, DIM_BUDGET) == (dims, T)
+    h = sym_power_homology(field, 1, n, d, T)
+    assert (h.data, h.certified_degree) == (dims, T)
+
+
+def test_divided_power_merge_is_the_multinomial():
+    assert _divided_power_merge((0, 1, 2), (0, 1, 2)) == 1
+    assert _divided_power_merge((0, 1, 2), (0, 0, 1)) == 2  # x y -> 2 x^[2]
+    assert _divided_power_merge((0, 0, 1), (0, 0, 0)) == 3  # x^[2] y -> 3 x^[3]
+    assert _divided_power_merge((0, 0, 1, 1), (2, 2, 2, 2)) == 6
 
 
 # ------------------------------------------------------------ sphere algebra
@@ -305,7 +349,7 @@ def test_tail_weights_match_the_built_complex_and_stay_tails():
 
 
 def test_huge_weight_bound_does_not_enumerate_every_weight(
-        limit_covering_complexes):
+        limit_weight_pieces):
     # past the first tail weight (9, 4 and 3 for q = 1, 2, 3) the output
     # no longer depends on W, except that q = 2, 3 certify less once level
     # n of weight W alone exceeds the budget (W >= 50); q = 0 builds no
@@ -315,7 +359,7 @@ def test_huge_weight_bound_does_not_enumerate_every_weight(
     want = [_sphere_homotopy_weight_by_weight(GF2, q, 2, T, 60, 50)
             for q, T in cases]
     series = sphere_series_charp(1, 2, 2, 3, W=60, dim_budget=50)
-    calls = limit_covering_complexes(100)
+    calls = limit_weight_pieces(100)
     W = 10**9
     for (q, T), expected in zip(cases, want):
         r = sphere_homotopy(GF2, q, 2, T, W, dim_budget=50)
