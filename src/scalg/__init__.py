@@ -8,9 +8,10 @@ The layers, bottom up:
   deterministic pivot choices.
 - ``simplicial``: truncated simplicial vector spaces, the inverse Dold-Kan
   construction, normalized and unnormalized chains, homotopy.
-- ``symalg``: symmetric powers and sphere algebras, brute-force sphere
-  homotopy with weight-stability certification, indecomposables, the
-  Hurewicz comparison.
+- ``symalg``: symmetric powers and sphere algebras, sphere homotopy one
+  weight at a time (decalage for one generator, Kunneth for more) with
+  weight-stability certification, indecomposables, the Hurewicz
+  comparison.
 - ``barcof``: representing maps, the two-sided bar diagonal and its
   normalized chains on nondegenerate tuples, homotopy cofibers and the
   rational power-cofiber tables, LES feasibility.
@@ -31,7 +32,6 @@ from .exactfield import (
     rank,
     kernel_basis,
     solve,
-    homology_dim,
 )
 from .simplicial import (
     ChainComplex,
@@ -91,7 +91,7 @@ from .audit import (
 
 __all__ = [
     "FieldSpec", "FieldError", "Mat", "QQ", "GF2", "GF3",
-    "rank", "kernel_basis", "solve", "homology_dim",
+    "rank", "kernel_basis", "solve",
     "ChainComplex", "GradedDims", "HomotopyDims", "SimplicialError",
     "SimplicialVectorSpace", "constant_object", "eilenberg_maclane",
     "gamma", "zero_object",

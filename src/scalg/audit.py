@@ -57,11 +57,12 @@ class EnvelopeProfile:
     """Homology dimension profile {s: q_s} of a connected algebra, with an
     optional finite bound D on the values of its homotopy series.
 
-    The top degree must carry a positive dimension; when the ground field
-    has characteristic p and D is finite, D > p is required.
+    Zero dimensions are dropped, so the top degree carries a positive one;
+    when the ground field has characteristic p and D is finite, D > p is
+    required.
     """
 
-    def __init__(self, field, dims, pi_bound=UNBOUNDED, top_degree=None):
+    def __init__(self, field, dims, pi_bound=UNBOUNDED):
         if not isinstance(field, FieldSpec):
             field = FieldSpec(field)
         self.field = field
@@ -75,13 +76,6 @@ class EnvelopeProfile:
                 raise ProfileError("negative dimension in profile")
             if q:
                 clean[s] = q
-        if top_degree is not None:
-            if dict(dims).get(top_degree, 0) <= 0:
-                raise ProfileError(
-                    "top degree %d must have a positive dimension" % top_degree
-                )
-            if any(s > top_degree for s in clean):
-                raise ProfileError("profile exceeds its declared top degree")
         self.dims = clean
         self.pi_bound = pi_bound
         if pi_bound is not UNBOUNDED:

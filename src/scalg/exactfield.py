@@ -501,14 +501,7 @@ def _pivots_q(cols, label):
     return pivots
 
 
-def _check_field_arg(M, field):
-    if field is not None and field != M.field:
-        raise FieldError(
-            "matrix over %r used with field %r" % (M.field, field)
-        )
-
-
-def pivot_rows(M, field=None, drop=()):
+def pivot_rows(M, drop=()):
     """Pivot rows of a rank-only elimination of the columns of M whose
     indices are not in drop.
 
@@ -521,7 +514,6 @@ def pivot_rows(M, field=None, drop=()):
     F_2 runs on bitmask columns, Q on fraction-free integer columns, other
     fields on an untracked ColumnEchelon.
     """
-    _check_field_arg(M, field)
     cols = [c for j, c in enumerate(M.cols) if j not in drop] if drop else list(M.cols)
     count = {}
     for col in cols:
@@ -545,18 +537,17 @@ def pivot_rows(M, field=None, drop=()):
     return {order[r] for r in pivots}
 
 
-def rank(M, field=None):
-    """Rank of M over its field; field argument cross-checks the spec."""
-    return len(pivot_rows(M, field))
+def rank(M):
+    """Rank of M over its field."""
+    return len(pivot_rows(M))
 
 
-def kernel_basis(M, field=None):
+def kernel_basis(M):
     """Matrix whose columns are a basis of ker M (deterministic choice).
 
     Columns are produced in order of the free columns of the echelon form;
     the result K satisfies M @ K = 0 and has ncols(M) - rank(M) columns.
     """
-    _check_field_arg(M, field)
     F = M.field
     ech = ColumnEchelon(F, M.nrows, track=True)
     kernel_cols = []
@@ -568,9 +559,8 @@ def kernel_basis(M, field=None):
     return Mat(F, M.ncols, len(kernel_cols), kernel_cols)
 
 
-def solve(M, target, field=None):
+def solve(M, target):
     """One solution x of M x = target (sparse dicts), or None if unsolvable."""
-    _check_field_arg(M, field)
     F = M.field
     ech = ColumnEchelon(F, M.nrows, track=True)
     for col in M.cols:
@@ -580,24 +570,3 @@ def solve(M, target, field=None):
         return None
     return dict(combo)
 
-
-def homology_dim(d_in, d_out, field=None):
-    """dim ker(d_out) - rank(d_in) for a composable pair with d_out o d_in = 0.
-
-    d_in carries boundaries into the middle group, d_out maps out of it.
-    """
-    _check_field_arg(d_in, field)
-    _check_field_arg(d_out, field)
-    if d_in.field != d_out.field:
-        raise FieldError("field mismatch between differentials")
-    if d_out.ncols != d_in.nrows:
-        raise ValueError(
-            "differentials not composable: d_out has %d columns, d_in has %d rows"
-            % (d_out.ncols, d_in.nrows)
-        )
-    if not (d_out @ d_in).is_zero():
-        raise ValueError("d_out o d_in != 0")
-    # d_out kills im d_in, which the pivot rows of d_in carry isomorphically,
-    # so rank d_out is the rank of its columns outside those rows
-    rows = pivot_rows(d_in)
-    return d_out.ncols - len(pivot_rows(d_out, drop=rows)) - len(rows)

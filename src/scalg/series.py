@@ -15,7 +15,7 @@ import math
 
 from .exactfield import FieldSpec
 from .simplicial import GradedDims
-from .symalg import DIM_BUDGET, sphere_homotopy
+from .symalg import sphere_homotopy
 
 
 class SeriesError(ValueError):
@@ -178,13 +178,14 @@ def sphere_series_char0(q, n, M):
     return TruncatedSeries(cf.expand(M), cf)
 
 
-def sphere_series_charp(q, n, p, M, W=None, dim_budget=DIM_BUDGET):
-    """Series of the sphere algebra in characteristic p, by brute force.
+def sphere_series_charp(q, n, p, M, W=None):
+    """Series of the sphere algebra in characteristic p, read off
+    sphere_homotopy (decalage and Kunneth, one weight at a time, no closed
+    form assumed).
 
-    Delegates to the weight-by-weight homotopy computation; only degrees
-    whose weight-stability was established are kept, so the returned
-    truncation can be shorter than requested.  That is a signal, not an
-    error.
+    Only degrees whose weight-stability was established are kept, so the
+    returned truncation can be shorter than requested.  That is a signal,
+    not an error.
     """
     field = FieldSpec(p)
     if p == 0:
@@ -195,7 +196,7 @@ def sphere_series_charp(q, n, p, M, W=None, dim_budget=DIM_BUDGET):
         return unit_series(M)
     if W is None:
         W = M
-    report = sphere_homotopy(field, q, n, max(n, M + 1), W, dim_budget)
+    report = sphere_homotopy(field, q, n, max(n, M + 1), W)
     good = min(report.certified_degree, report.stable_through())
     good = min(good, M)
     if good < 0:
@@ -305,7 +306,7 @@ class AsymptoticReport:
         return "\n".join(lines) + "\n"
 
 
-def asymptotic_check(q, n, p, t_samples, M=6, dim_budget=DIM_BUDGET):
+def asymptotic_check(q, n, p, t_samples, M=6):
     """Table of phi against the growth reference over the sample points.
 
     Reports the trend; asserts nothing beyond the computed truncation.  For
@@ -313,7 +314,7 @@ def asymptotic_check(q, n, p, t_samples, M=6, dim_budget=DIM_BUDGET):
     """
     if q < 1 or n < 1:
         raise SeriesInputError("need q >= 1 and n >= 1")
-    series = sphere_series_charp(q, n, p, M, dim_budget=dim_budget)
+    series = sphere_series_charp(q, n, p, M)
     rows = []
     for t in t_samples:
         pv = phi_eval(series, p, t)

@@ -44,11 +44,11 @@ from .simplicial import (
 )
 
 
-# Size budgets of the brute force: a covering-complex level is out of
-# budget when its candidate multisets would exceed ENUM_BUDGET or its
-# covering basis would exceed the dimension budget (DIM_BUDGET unless a
-# caller passes another); degrees that need such a level are left
-# uncertified.  For q > 1 generators the levels are counted, not built.
+# Size budgets of the Sym^d covering complex: a level is out of budget
+# when its candidate multisets would exceed ENUM_BUDGET or its covering
+# basis would exceed DIM_BUDGET; degrees that need such a level are left
+# uncertified.  Both are read at call time.  Outside the brute force
+# (sym_power_covering_complex) the levels are counted, not built.
 ENUM_BUDGET = 4_000_000
 DIM_BUDGET = 20_000
 
@@ -153,33 +153,35 @@ def _covering_count(q, n, d, m):
                for s in range(m + 1))
 
 
-def _covering_dims(q, n, d, T, dim_budget):
+def _covering_dims(q, n, d, T):
     """Counted level dims 0..built_to of the covering complex of
     Sym^d(K(V, n)), dim V = q, for d >= 1.
 
     The list stops before the first level whose candidate multisets exceed
-    ENUM_BUDGET or whose covering count exceeds dim_budget.
+    ENUM_BUDGET or whose covering count exceeds DIM_BUDGET.
     """
     dims = []
     for m in range(T + 1):
         ncodes = q * math.comb(m, n)
         count = _covering_count(q, n, d, m)
         if ncodes and (math.comb(ncodes + d - 1, d) > ENUM_BUDGET
-                       or count > dim_budget):
+                       or count > DIM_BUDGET):
             break
         dims.append(count)
     return dims
 
 
-def _certified(n, d, T, built_to):
-    """Certified degree of Sym^d(K(V, n)) from its covering complex's top.
+def _certified(q, n, d, T):
+    """Certified degree of Sym^d(K(V, n)), dim V = q >= 1, d >= 1, from the
+    counted levels 0..built_to of its covering complex.
 
     A monomial of d weight-one factors owns d*n jump positions, so the
     covering basis is empty above level d*n; when that natural top fits
-    inside the built range the complex is complete and every degree up to
-    T is certified (higher degrees are zero).  Otherwise certification
-    stops one short of the last built level.
+    inside the counted range the complex is complete and every degree up
+    to T is certified (higher degrees are zero).  Otherwise certification
+    stops one short of the last counted level.
     """
+    built_to = len(_covering_dims(q, n, d, T)) - 1
     return T if d * n <= built_to else built_to - 1
 
 
@@ -283,7 +285,7 @@ def _covering_complex(field, n, d, top, merge):
     return ChainComplex(field, dims, diffs)
 
 
-def sym_power_covering_complex(field, n, d, T, dim_budget=DIM_BUDGET):
+def sym_power_covering_complex(field, n, d, T):
     """Normalized chains of Sym^d(K(F, n)) on covering monomials.
 
     A monomial of level-m generators is nondegenerate exactly when the jump
@@ -302,7 +304,7 @@ def sym_power_covering_complex(field, n, d, T, dim_budget=DIM_BUDGET):
             Mat.zero(field, dims[m - 1], dims[m]) for m in range(1, T + 1)
         ]
         return ChainComplex(field, dims, diffs), T
-    built_to = len(_covering_dims(1, n, d, T, dim_budget)) - 1
+    built_to = len(_covering_dims(1, n, d, T)) - 1
     return _covering_complex(field, n, d, built_to, _sym_merge), built_to
 
 
@@ -316,53 +318,7 @@ def divided_power_covering_complex(field, n, d, top):
     return _covering_complex(field, n, d, top, _divided_power_merge)
 
 
-def _split_power(pieces, q, n, T, dim_budget):
-    """Sym^d(K(V, n)), dim V = q >= 2, from one-generator pieces.
-
-    pieces[a] is sym_power_homology(field, 1, n, a, T, dim_budget) for
-    a = 0..d.  Sym(V + V') = Sym V (x) Sym V' levelwise, so by
-    Eilenberg-Zilber and Kunneth over a field the homotopy is the weight-d
-    part of the q-fold convolution of the pieces.  Certification keeps the
-    rule of the q-generator covering complex, whose size is counted, not
-    built; the pieces always certify at least that far, since padding a
-    one-generator covering multiset of size a with d - a copies of the last
-    code is injective.
-    """
-    d = len(pieces) - 1
-    certified = _certified(n, d, T, len(_covering_dims(q, n, d, T, dim_budget)) - 1)
-    assert min(h.certified_degree for h in pieces) >= certified, \
-        "one-generator pieces certify less than the split power"
-    power = [GradedDims({0: 1})] + [GradedDims()] * d
-    for _ in range(q):
-        power = [
-            sum((power[b].convolve(pieces[w - b], upto=certified)
-                 for b in range(w + 1)), GradedDims())
-            for w in range(d + 1)
-        ]
-    return HomotopyDims(power[d].data, certified)
-
-
-def _tail_homotopy(q, n, d, T, dim_budget):
-    """Homotopy dims of Sym^d(K(V, n)), dim V = q, d >= 1, when the counted
-    covering complex settles them without being built; None otherwise.
-
-    That is every d for q = 0, and otherwise a d whose count stops at a
-    level built_to <= n below the natural top d*n: nothing is certified
-    past built_to - 1 < n, and there are no chains below level n.  The
-    stopping level does not grow with d, since C(ncodes + d - 1, d) grows
-    with d and padding a covering multiset with a copy of its last code
-    injects weight d into weight d + 1; so every weight past the first
-    such one is such a weight too.
-    """
-    if q == 0:
-        return HomotopyDims({}, T)
-    built_to = len(_covering_dims(q, n, d, T, dim_budget)) - 1
-    if built_to <= n and d * n > built_to:
-        return HomotopyDims({}, built_to - 1)
-    return None
-
-
-def sym_power_homology(field, q, n, d, T, dim_budget=DIM_BUDGET):
+def sym_power_homology(field, q, n, d, T):
     """Homotopy dims of Sym^d(K(V, n)), dim V = q, with the honest certified
     degree.
 
@@ -374,28 +330,81 @@ def sym_power_homology(field, q, n, d, T, dim_budget=DIM_BUDGET):
     zero for d >= 2.  Gamma^d K(F, n-2) is built on covering divided-power
     monomials up to level certified - 2d + 1, whose degrees below the top
     are exact.  More generators are convolved from one-generator pieces
-    (see _split_power).  For every q the budgets bound the q-generator
-    Sym^d covering complex, which defines certification and is only
-    counted, not built.
+    (see _weights).  For every q the budgets bound the q-generator Sym^d
+    covering complex, which defines certification and is only counted,
+    not built.
     """
     if d == 0:
         return HomotopyDims({0: 1}, T)
     if q == 0:
         return HomotopyDims({}, T)
     if q > 1:
-        pieces = [sym_power_homology(field, 1, n, a, T, dim_budget)
-                  for a in range(d + 1)]
-        return _split_power(pieces, q, n, T, dim_budget)
-    certified = _certified(n, d, T, len(_covering_dims(1, n, d, T, dim_budget)) - 1)
+        return _weight(list(_weights(field, q, n, T, d)), q, n, d, T)
+    certified = _certified(1, n, d, T)
     if n == 1:
         return HomotopyDims({1: 1} if d == 1 and certified >= 1 else {}, certified)
-    # Gamma^d K(F, n-2) has no covering monomials above level d*(n-2)
+    # Gamma^d K(F, n-2) has no covering monomials below level n-2 or above
+    # level d*(n-2)
     top = min(certified - 2 * d + 1, d * (n - 2) + 1)
-    if top <= 0:
+    if top <= n - 2:
         return HomotopyDims({}, certified)
     cx = divided_power_covering_complex(field, n - 2, d, top)
     return HomotopyDims({m + 2 * d: v for m, v in cx.homology_dims().data.items()
                          if m < top}, certified)
+
+
+def _weights(field, q, n, T, D):
+    """Homotopy dims of Sym^d(K(V, n)), dim V = q >= 1, for d = 0, 1, ...,
+    D, ending after the first tail weight.
+
+    Weight d needs the one-generator piece sym_power_homology(field, 1, n,
+    d, T), computed once; for q = 1 it is the weight.  For q > 1,
+    Sym(V + V') = Sym V (x) Sym V' levelwise, so by Eilenberg-Zilber and
+    Kunneth over a field weight d is the weight-d part of the q-fold
+    convolution of the pieces 0..d.  Its certification keeps the rule of
+    the q-generator covering complex, counted once; the pieces always
+    certify at least that far, since padding a one-generator covering
+    multiset of size a with d - a copies of the last code is injective.
+
+    A tail weight is one certified below n.  It is zero where certified,
+    as there are no chains below level n, so it needs no piece.  Its
+    count stops at a level built_to <= n below the natural top d*n, and
+    that level does not grow with d, since C(ncodes + d - 1, d) grows
+    with d and padding a covering multiset with a copy of its last code
+    injects weight d into weight d + 1; so every later weight is a tail
+    weight too, with a certified degree no larger, and the loop ends.
+    """
+    pieces = []
+    for d in range(D + 1):
+        certified = _certified(q, n, d, T) if d and q > 1 else T
+        if certified >= n:
+            pieces.append(sym_power_homology(field, 1, n, d, T))
+        if q == 1 or d == 0:
+            weight = pieces[d]
+        elif certified < n:
+            weight = HomotopyDims({}, certified)
+        else:
+            assert min(h.certified_degree for h in pieces) >= certified, \
+                "one-generator pieces certify less than the split power"
+            power = [GradedDims({0: 1})] + [GradedDims()] * d
+            for _ in range(q):
+                power = [
+                    sum((power[b].convolve(pieces[w - b], upto=certified)
+                         for b in range(w + 1)), GradedDims())
+                    for w in range(d + 1)
+                ]
+            weight = HomotopyDims(power[d].data, certified)
+        yield weight
+        if weight.certified_degree < n:
+            return
+
+
+def _weight(weights, q, n, d, T):
+    """Weight d of a list from _weights; past its end, a tail weight read
+    from its count alone."""
+    if d < len(weights):
+        return weights[d]
+    return HomotopyDims({}, _certified(q, n, d, T))
 
 
 # --------------------------------------------------------------------------
@@ -599,13 +608,13 @@ class HomotopyReport:
         )
 
 
-def sphere_homotopy(field, q, n, T, W, dim_budget=DIM_BUDGET):
+def sphere_homotopy(field, q, n, T, W):
     """Homotopy of the sphere algebra on q generators in degree n.
 
-    Sums the homotopy of Sym^d(K(V, n)) (sym_power_homology) over weights
-    0..W and checks stability against weight W+1.  Nothing is
-    assumed about where a given weight can contribute; degrees whose
-    stability check was not computable within budget are flagged unstable.
+    Sums the homotopy of Sym^d(K(V, n)) over weights 0..W and checks
+    stability against weight W+1.  Nothing is assumed about where a given
+    weight can contribute; degrees whose stability check was not
+    computable within budget are flagged unstable.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -613,22 +622,13 @@ def sphere_homotopy(field, q, n, T, W, dim_budget=DIM_BUDGET):
         raise ValueError("need n >= 1 and T >= n")
     if W < 0:
         raise ValueError("W must be nonnegative")
-    # weights 0..W+1 up to the first tail weight (see _tail_homotopy), with
-    # one table of one-generator pieces; the later weights are zero with
-    # certified degrees that do not grow, so weights W and W+1 stand for them
-    pieces = [sym_power_homology(field, min(q, 1), n, 0, T, dim_budget)]
-    weights = pieces[:1]
-    for d in range(1, W + 2):
-        if _tail_homotopy(q, n, d, T, dim_budget) is not None:
-            break
-        pieces.append(sym_power_homology(field, min(q, 1), n, d, T, dim_budget))
-        weights.append(pieces[d] if q <= 1
-                       else _split_power(pieces, q, n, T, dim_budget))
-    per_weight = weights[:W + 1]
-    if W >= len(weights):
-        per_weight.append(_tail_homotopy(q, n, W, T, dim_budget))
-    check = (weights[W + 1] if W + 1 < len(weights)
-             else _tail_homotopy(q, n, W + 1, T, dim_budget))
+    if q == 0:  # the ground field: every weight d >= 1 is zero
+        return HomotopyReport(field, q, n, T, W, [1] + [0] * T, T, [True] * (T + 1))
+    # the weights after the loop's last are tails whose certified degrees
+    # do not grow, so weights W and W+1 stand for them
+    weights = list(_weights(field, q, n, T, W + 1))
+    per_weight = weights[:W] + [_weight(weights, q, n, W, T)]
+    check = _weight(weights, q, n, W + 1, T)
     certified = min([T] + [h.certified_degree for h in per_weight])
     # each weight contributes only where it is certified; entries above the
     # overall certified degree are lower bounds from the complete weights

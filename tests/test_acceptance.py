@@ -241,9 +241,10 @@ def test_09_serre_audit_grid():
            % total)
 
 
-def test_10_growth_law_trend():
+def test_10_growth_law_trend(dim_budget):
     grid = [0.125, 0.25, 0.375, 0.5, 1.0, 2.0, 4.0, 8.0]
-    rep = asymptotic_check(1, 2, 2, grid, M=6, dim_budget=60_000)
+    dim_budget(60_000)
+    rep = asymptotic_check(1, 2, 2, grid, M=6)
     stabilized = [r for r in rep.rows if r.stabilized]
     assert len(stabilized) >= 3
     ratios = [r.ratio for r in stabilized]

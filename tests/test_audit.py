@@ -36,11 +36,6 @@ def test_profile_strips_zeros_and_finds_top():
     assert p.top == 3
 
 
-def test_profile_rejects_zero_top():
-    with pytest.raises(ProfileError):
-        EnvelopeProfile(2, {1: 1, 2: 0}, pi_bound=3, top_degree=2)
-
-
 def test_profile_requires_bound_above_characteristic():
     with pytest.raises(ProfileError):
         EnvelopeProfile(3, {2: 1}, pi_bound=3)

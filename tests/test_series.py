@@ -164,8 +164,9 @@ def test_sphere_series_charp_prefix():
     assert s.truncation <= 4
 
 
-def test_sphere_series_charp_signals_short_truncation():
-    s = sphere_series_charp(1, 2, 2, 6, dim_budget=50)
+def test_sphere_series_charp_signals_short_truncation(dim_budget):
+    dim_budget(50)
+    s = sphere_series_charp(1, 2, 2, 6)
     assert s.truncation < 6
 
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import scalg.symalg
 from scalg.exactfield import Mat, QQ, GF2, GF3, rank
-from scalg.simplicial import eilenberg_maclane, gamma, constant_object
+from scalg.simplicial import HomotopyDims, eilenberg_maclane, gamma, constant_object
 from scalg.series import sphere_series_charp
 from scalg.symalg import (
     DIM_BUDGET,
@@ -17,11 +18,8 @@ from scalg.symalg import (
     sym_power_covering_complex,
     sym_power_homology,
     symmetric_power,
-    _certified,
     _covering_dims,
     _divided_power_merge,
-    _split_power,
-    _tail_homotopy,
 )
 
 
@@ -106,16 +104,17 @@ def test_fast_path_agrees_with_generic(field, q, n, d, T):
     ],
 )
 def test_counted_covering_dims_match_generic_normalized_chains(
-        field, q, n, d, T, budget):
+        field, q, n, d, T, budget, dim_budget):
     # the counted levels, which define certification for every q, against
     # the nondegenerate levels of the generic symmetric power; the list
     # stops before the first level over budget
     full = symmetric_power(eilenberg_maclane(field, q, n, T), d).normalized_chains().dims
     over = [m for m in range(T + 1) if full[m] > budget]
     built_to = over[0] - 1 if over else T
-    assert _covering_dims(q, n, d, T, budget) == full[:built_to + 1]
+    dim_budget(budget)
+    assert _covering_dims(q, n, d, T) == full[:built_to + 1]
     if q == 1:
-        cx, top = sym_power_covering_complex(field, n, d, T, budget)
+        cx, top = sym_power_covering_complex(field, n, d, T)
         assert (cx.dims, top) == (full[:built_to + 1], built_to)
 
 
@@ -127,7 +126,7 @@ def test_sphere_homotopy_q3_certifies_as_the_direct_complex():
     r = sphere_homotopy(GF3, 3, 2, 5, 4)
     assert r.dims == [1, 0, 3, 0, 6, 0] and r.certified_degree == 4
     assert r.stable_flags == [True, True, True, False, False, False]
-    assert _covering_dims(3, 2, 5, 5, DIM_BUDGET) == [0, 0, 21, 1224]
+    assert _covering_dims(3, 2, 5, 5) == [0, 0, 21, 1224]
     assert sym_power_homology(GF3, 3, 2, 5, 5).certified_degree == 2
     assert sphere_series_charp(3, 2, 3, 4).coeffs == (1, 0, 3)
 
@@ -147,16 +146,24 @@ def test_sym_power_dual_oracle(field, q, n, d, T):
 
 # ----------------------------------------------- decalage vs the brute force
 
-def _brute_force_piece(field, n, d, T, dim_budget):
+def _certified_by_count(q, n, d, T):
+    """Certified degree of Sym^d K(F^q, n), d >= 1: through T when the
+    counted covering complex reaches its natural top d*n, else one short of
+    its last level."""
+    built_to = len(_covering_dims(q, n, d, T)) - 1
+    return T if d * n <= built_to else built_to - 1
+
+
+def _brute_force_piece(field, n, d, T):
     """(dims, certified degree) of Sym^d K(F, n) from its covering complex."""
-    cx, built_to = sym_power_covering_complex(field, n, d, T, dim_budget)
-    certified = _certified(n, d, T, built_to)
+    cx, built_to = sym_power_covering_complex(field, n, d, T)
+    certified = T if d * n <= built_to else built_to - 1
     return {m: v for m, v in cx.homology_dims().data.items()
             if m <= certified and v}, certified
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["F2", "F3", "Q"])
-def test_decalage_matches_the_brute_force(field):
+def test_decalage_matches_the_brute_force(field, dim_budget):
     # sym_power_homology reads one generator off Gamma^d K(F, n - 2), or
     # off Lambda^d(F) for n = 1; the covering complex of Sym^d K(F, n) it
     # replaces must give the same dims and certified degree
@@ -164,9 +171,10 @@ def test_decalage_matches_the_brute_force(field):
     for n in range(1, 5):
         for d in range(1, 7):
             for T, budget in grid + [(5, DIM_BUDGET)]:
-                h = sym_power_homology(field, 1, n, d, T, budget)
+                dim_budget(budget)
+                h = sym_power_homology(field, 1, n, d, T)
                 assert (h.data, h.certified_degree) == _brute_force_piece(
-                    field, n, d, T, budget), (n, d, T, budget)
+                    field, n, d, T), (n, d, T, budget)
 
 
 @pytest.mark.parametrize("field,n,d,T,dims", [
@@ -175,7 +183,7 @@ def test_decalage_matches_the_brute_force(field):
     (GF2, 4, 2, 8, {6: 1, 7: 1, 8: 1}),
 ])
 def test_decalage_pins_brute_force_examples(field, n, d, T, dims):
-    assert _brute_force_piece(field, n, d, T, DIM_BUDGET) == (dims, T)
+    assert _brute_force_piece(field, n, d, T) == (dims, T)
     h = sym_power_homology(field, 1, n, d, T)
     assert (h.data, h.certified_degree) == (dims, T)
 
@@ -289,23 +297,42 @@ def test_sphere_homotopy_char2_line_dual_oracle():
             assert r.dims[m] == total[m], (m, r.dims, total)
 
 
-def test_sphere_homotopy_budget_degrades_honestly():
+def test_sphere_homotopy_budget_degrades_honestly(dim_budget):
     generous = sphere_homotopy(QQ, 1, 2, 5, 2)
-    starved = sphere_homotopy(QQ, 1, 2, 5, 2, dim_budget=2)
+    dim_budget(2)
+    starved = sphere_homotopy(QQ, 1, 2, 5, 2)
     assert starved.certified_degree < generous.certified_degree
     assert not all(starved.stable_flags)
     for m in range(starved.certified_degree + 1):
         assert starved.dims[m] == generous.dims[m]
 
 
-def _sphere_homotopy_weight_by_weight(field, q, n, T, W, dim_budget):
+def _weights_by_convolution(field, q, n, T, D):
+    """Sym^d K(F^q, n) for d = 0..D, every weight from one-generator pieces
+    built for every d, tails included: the weight-d part of the q-th power
+    of their sum, kept through the degree its counted q-generator complex
+    certifies."""
+    pieces = [sym_power_homology(field, 1, n, d, T) for d in range(D + 1)] if q else []
+    # power[w][m]: weight w, degree m <= T, of the power taken so far
+    power = [[1] + [0] * T] + [[0] * (T + 1)] * D
+    for _ in range(q):
+        power = [[sum(power[b][i] * pieces[w - b][m - i]
+                      for b in range(w + 1) for i in range(m + 1))
+                  for m in range(T + 1)]
+                 for w in range(D + 1)]
+    weights = []
+    for d in range(D + 1):
+        certified = T if d == 0 or q == 0 else _certified_by_count(q, n, d, T)
+        assert all(h.certified_degree >= certified for h in pieces[:d + 1])
+        weights.append(HomotopyDims(
+            {m: v for m, v in enumerate(power[d]) if m <= certified}, certified))
+    return weights
+
+
+def _sphere_homotopy_weight_by_weight(field, q, n, T, W):
     """(dims, certified degree, flags) of sphere_homotopy, computing every
     weight 0..W+1 in turn."""
-    pieces = [sym_power_homology(field, min(q, 1), n, a, T, dim_budget)
-              for a in range(W + 2)]
-    weights = pieces if q <= 1 else pieces[:1] + [
-        _split_power(pieces[:d + 1], q, n, T, dim_budget) for d in range(1, W + 2)
-    ]
+    weights = _weights_by_convolution(field, q, n, T, W + 1)
     per_weight, check = weights[:W + 1], weights[W + 1]
     certified = min([T] + [h.certified_degree for h in per_weight])
     dims = [sum(h[m] for h in per_weight if h.certified_degree >= m)
@@ -316,57 +343,88 @@ def _sphere_homotopy_weight_by_weight(field, q, n, T, W, dim_budget):
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=["F2", "Q"])
-def test_sphere_homotopy_stops_at_the_first_tail_weight(field):
-    # small budgets put the tail (see _tail_homotopy) inside W <= 6
+def test_sphere_homotopy_stops_at_the_first_tail_weight(field, dim_budget):
+    # small budgets put the first tail weight, certified below n, inside
+    # W <= 6
     tails = 0
     for q in (0, 1, 2, 3):
         for n in (1, 2, 3):
             for T in range(n, n + 3):
-                for dim_budget in (2, 5, 50):
-                    tails += q and _tail_homotopy(q, n, 6, T, dim_budget) is not None
+                for budget in (2, 5, 50):
+                    dim_budget(budget)
+                    tails += q and _certified_by_count(q, n, 6, T) < n
                     for W in range(7):
-                        r = sphere_homotopy(field, q, n, T, W, dim_budget)
-                        want = _sphere_homotopy_weight_by_weight(
-                            field, q, n, T, W, dim_budget)
+                        r = sphere_homotopy(field, q, n, T, W)
+                        want = _sphere_homotopy_weight_by_weight(field, q, n, T, W)
                         assert (r.dims, r.certified_degree, r.stable_flags) == want
     assert tails == 75  # of the 81 cases with q >= 1, weight 6 is a tail weight
 
 
-def test_tail_weights_match_the_built_complex_and_stay_tails():
+def test_tail_weights_match_the_built_complex_and_stay_tails(dim_budget):
+    # a weight certified below n is a tail weight, read off its count: it
+    # must match the convolution of built pieces, and every later weight
+    # must be a tail weight too
     for q in (1, 2, 3):
         for n in (1, 2, 3):
             for T in range(n, n + 4):
-                for dim_budget in (2, 50, 20_000):
+                for budget in (2, 50, 20_000):
+                    dim_budget(budget)
+                    built = _weights_by_convolution(GF3, q, n, T, 7)
                     seen = False
                     for d in range(1, 40):
-                        tail = _tail_homotopy(q, n, d, T, dim_budget)
-                        assert seen <= (tail is not None), (q, n, T, dim_budget, d)
-                        seen = tail is not None
-                        if tail is not None and d < 8:
-                            built = sym_power_homology(GF3, q, n, d, T, dim_budget)
-                            assert (tail.data, tail.certified_degree) == (
-                                built.data, built.certified_degree)
+                        tail = _certified_by_count(q, n, d, T) < n
+                        assert seen <= tail, (q, n, T, budget, d)
+                        seen = tail
+                        if tail and d < 8:
+                            h = sym_power_homology(GF3, q, n, d, T)
+                            assert (h.data, h.certified_degree) == (
+                                {}, built[d].certified_degree)
+                            assert built[d].data == {}
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_sphere_homotopy_counts_each_covering_complex_once(
+        q, dim_budget, monkeypatch):
+    # within one call every (q, n, d, T) covering complex is counted at
+    # most once: the certified degree of a weight is read from one count
+    count = scalg.symalg._covering_dims
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(scalg.symalg, "_covering_dims", counted)
+    for n in (1, 2, 3):
+        for T in range(n, n + 3):
+            for budget in (2, 50, 20_000):
+                dim_budget(budget)
+                for W in (0, 1, 3, 6):
+                    calls.clear()
+                    sphere_homotopy(GF2, q, n, T, W)
+                    assert calls and len(set(calls)) == len(calls), (n, T, budget, W)
 
 
 def test_huge_weight_bound_does_not_enumerate_every_weight(
-        limit_weight_pieces):
+        limit_weight_pieces, dim_budget):
     # past the first tail weight (9, 4 and 3 for q = 1, 2, 3) the output
     # no longer depends on W, except that q = 2, 3 certify less once level
     # n of weight W alone exceeds the budget (W >= 50); q = 0 builds no
     # complex, so it comes after a case that fails where every weight is
     # enumerated
     cases = [(1, 6), (2, 5), (3, 4), (0, 4)]
-    want = [_sphere_homotopy_weight_by_weight(GF2, q, 2, T, 60, 50)
-            for q, T in cases]
-    series = sphere_series_charp(1, 2, 2, 3, W=60, dim_budget=50)
+    dim_budget(50)
+    want = [_sphere_homotopy_weight_by_weight(GF2, q, 2, T, 60) for q, T in cases]
+    series = sphere_series_charp(1, 2, 2, 3, W=60)
     calls = limit_weight_pieces(100)
     W = 10**9
     for (q, T), expected in zip(cases, want):
-        r = sphere_homotopy(GF2, q, 2, T, W, dim_budget=50)
+        r = sphere_homotopy(GF2, q, 2, T, W)
         assert (r.dims, r.certified_degree, r.stable_flags) == expected
-    assert sphere_homotopy(GF3, 1, 2, 2, W).dims == [1, 0, 1]
-    huge = sphere_series_charp(1, 2, 2, 3, W=W, dim_budget=50)
+    huge = sphere_series_charp(1, 2, 2, 3, W=W)
     assert huge.coeffs == series.coeffs
+    dim_budget(DIM_BUDGET)
+    assert sphere_homotopy(GF3, 1, 2, 2, W).dims == [1, 0, 1]
     assert 0 < len(calls) <= 100
 
 
