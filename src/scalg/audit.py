@@ -52,6 +52,10 @@ UNBOUNDED = None
 # eight points unless given t samples
 GRID_LIMIT = 2**40
 
+# _exceeds_log_bound compares p**num with D**den exactly while num has at
+# most this many bits' worth of p; beyond it the float comparison is safe
+LOG_BOUND_BITS = 2_000_000
+
 
 class EnvelopeProfile:
     """Homology dimension profile {s: q_s} of a connected algebra, with an
@@ -218,12 +222,12 @@ def growth_polynomials(profile):
     return poly(top), poly(stages)
 
 
-def _exceeds_log_bound(value, p, D, max_bits=2_000_000):
+def _exceeds_log_bound(value, p, D):
     """Exact test value > log_p(D) for a rational value."""
     num, den = value.numerator, value.denominator
     if num <= 0:
         return False
-    if num * math.log2(p) > max_bits:
+    if num * math.log2(p) > LOG_BOUND_BITS:
         # astronomically beyond the bound; the float check is safe here
         return num / den > math.log(D, p) + 1
     return p**num > D**den

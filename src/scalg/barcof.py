@@ -147,35 +147,6 @@ class AlgebraMap:
                         % (i, m)
                     )
 
-    def check_multiplicative(self, weights=(1, 2), levels=None):
-        """phi(xy) = phi(x)phi(y) on represented weights (spot check)."""
-        levels = levels if levels is not None else range(self.source.T + 1)
-        for w in weights:
-            if w + 1 > self.source.W or (w + 1) * self.weight_ratio > self.target.W:
-                continue
-            for m in levels:
-                left = self.weight_map(w + 1, m)
-                dim1 = self.source.components[1].level_dims[m]
-                dimw = self.source.components[w].level_dims[m]
-                for i1 in range(dim1):
-                    img1 = dict(self.weight_map(1, m).cols[i1])
-                    for iw in range(dimw):
-                        imgw = dict(self.weight_map(w, m).cols[iw])
-                        prod_img = self.target.multiply_elements(
-                            self.weight_ratio, img1,
-                            w * self.weight_ratio, imgw, m,
-                        )
-                        mono = tuple(
-                            sorted(self.source.monomials[1][m][i1]
-                                   + self.source.monomials[w][m][iw])
-                        )
-                        j = self.source.monomial_index(w + 1, m)[mono]
-                        if dict(left.cols[j]) != prod_img:
-                            raise SimplicialError(
-                                "generator extension is not multiplicative"
-                            )
-        return True
-
     def weight_map(self, w, m):
         """Sym^w(K_source)_m -> Sym^{w s}(K_target)_m, multiplicatively.
 

@@ -2,13 +2,17 @@
 
 An object carries levels 0..T with explicit face and degeneracy matrices;
 the constructor verifies every simplicial identity, so an instance that
-exists is honest.  Homotopy is computed as the homology of the normalized
-chain complex (levelwise quotient by the span of the degeneracy images,
-reduced through ``exactfield.ColumnEchelon``, with the alternating-sum
-differential taken on normalized columns only); the unnormalized complex
-on full levels is kept alongside as an independent oracle.  Degrees up to
-T - 1 are certified, the degree-T value is reported but provisional since
-its cycles see no boundaries from the missing level T + 1.
+exists is honest.  The one exception is a levelwise functor applied to an
+object already checked (symalg.symmetric_power): its identities are the
+images of checked ones, so only shapes are checked there.
+
+Homotopy is computed as the homology of the normalized chain complex
+(levelwise quotient by the span of the degeneracy images, reduced through
+``exactfield.ColumnEchelon``, with the alternating-sum differential taken
+on normalized columns only); the unnormalized complex on full levels is
+kept alongside as an independent oracle.  Degrees up to T - 1 are
+certified, the degree-T value is reported but provisional since its
+cycles see no boundaries from the missing level T + 1.
 
 Objects are built through the inverse Dold-Kan functor ``gamma``: feeding
 it a chain complex concentrated in degree n yields the Eilenberg-MacLane
@@ -275,12 +279,33 @@ class SimplicialVectorSpace:
     faces[m][i] : level m -> level m-1   (1 <= m <= T, 0 <= i <= m)
     degens[m][i]: level m -> level m+1   (0 <= m <  T, 0 <= i <= m)
 
-    All simplicial identities are checked at construction; violation raises
-    SimplicialError.  Instances are immutable by convention; nothing mutates
-    them after __init__, so concurrent reads are safe.
+    The constructor checks shapes and every simplicial identity; violation
+    raises SimplicialError.  _functor_image checks shapes only, for objects
+    whose identities follow from those of a checked object; check_identities
+    re-checks any instance.  Instances are immutable by convention; nothing
+    mutates them after construction, so concurrent reads are safe.
     """
 
     def __init__(self, field, level_dims, faces, degens, basis_labels=None):
+        self._set_levels(field, level_dims, faces, degens, basis_labels)
+        self.check_identities()
+
+    @classmethod
+    def _functor_image(cls, field, level_dims, faces, degens, basis_labels):
+        """The object whose faces and degeneracies are F(d_i) and F(s_i) for
+        those of a checked object and a levelwise functor F that preserves
+        composites and identities matrix for matrix.
+
+        Each simplicial identity is then F of one that holds, so it holds
+        and is not checked again; shapes are.
+        """
+        obj = cls.__new__(cls)
+        obj._set_levels(field, level_dims, faces, degens, basis_labels)
+        return obj
+
+    # -- validation ----------------------------------------------------
+
+    def _set_levels(self, field, level_dims, faces, degens, basis_labels):
         self.field = field
         self.level_dims = list(level_dims)
         self.T = len(self.level_dims) - 1
@@ -290,9 +315,6 @@ class SimplicialVectorSpace:
         self.degens = degens
         self.basis_labels = basis_labels
         self._check_shapes()
-        self.check_identities()
-
-    # -- validation ----------------------------------------------------
 
     def _check_shapes(self):
         T = self.T

@@ -101,6 +101,13 @@ def symmetric_power(V, d):
     Level m has dimension C(dim V_m + d - 1, d); faces and degeneracies act
     multiplicatively on monomials.  d = 0 gives the constant object, d = 1
     gives V back (on the nose).
+
+    Every structure map is _sym_map of V's, and _sym_map preserves
+    composites and identities matrix for matrix (it computes maps of
+    polynomial rings exactly, and reducing mod p is a ring map), so the
+    simplicial identities of Sym^d V follow from V's and are not checked
+    again; shapes are.  The tests check that functoriality and run
+    check_identities on symmetric powers as the oracle.
     """
     if d < 0:
         raise ValueError("negative symmetric power")
@@ -134,7 +141,8 @@ def symmetric_power(V, d):
             ]
         )
     degens.append([])
-    return SimplicialVectorSpace(field, dims, faces, degens, basis_labels=monomials)
+    return SimplicialVectorSpace._functor_image(field, dims, faces, degens,
+                                                monomials)
 
 
 # --------------------------------------------------------------------------
@@ -179,10 +187,12 @@ def _certified(q, n, d, T):
     covering basis is empty above level d*n; when that natural top fits
     inside the counted range the complex is complete and every degree up
     to T is certified (higher degrees are zero).  Otherwise certification
-    stops one short of the last counted level.
+    stops one short of the last counted level, but never below n - 1: no
+    level below n has a covering monomial, so those degrees are zero
+    whatever the budgets.
     """
     built_to = len(_covering_dims(q, n, d, T)) - 1
-    return T if d * n <= built_to else built_to - 1
+    return T if d * n <= built_to else max(built_to - 1, n - 1)
 
 
 def _covering_basis(n, d, m):
@@ -444,8 +454,8 @@ class WeightGradedAlgebra:
     def extended(self, W):
         """The same algebra truncated at weight W >= self.W (self when equal).
 
-        Components 0..self.W are shared; the higher ones are built, and
-        checked, by symmetric_power.
+        Components 0..self.W are shared; the higher ones are built by
+        symmetric_power, whose identities follow from the base's.
         """
         if W < self.W:
             raise ValueError("cannot extend weight truncation %d down to %d"

@@ -1,12 +1,17 @@
+import io
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from scalg.cli import main
 from scalg.exactfield import GF3, Mat, QQ
 from scalg.simplicial import (
     GradedDims, NormalizedChains, SimplicialError, SimplicialVectorSpace,
 )
-from scalg.symalg import sphere_algebra
+from scalg.symalg import sphere_algebra, symmetric_power
 from scalg.barcof import (
     BarDiagonal,
     CycleError,
@@ -24,6 +29,26 @@ from scalg.series import from_dims, leq, mul, sphere_series_char0
 
 
 # --------------------------------------------------------- representing maps
+
+def check_multiplicative(f, weights, levels=None):
+    """phi(x y) = phi(x) phi(y) for a generator x and every basis monomial y
+    of each weight w in weights, on the given levels (default all), wherever
+    weight w + 1 is represented in source and target."""
+    levels = levels if levels is not None else range(f.source.T + 1)
+    s = f.weight_ratio
+    for w in weights:
+        if w + 1 > f.source.W or (w + 1) * s > f.target.W:
+            continue
+        for m in levels:
+            left = f.weight_map(w + 1, m)
+            monos1, monosw = f.source.monomials[1][m], f.source.monomials[w][m]
+            for i1, col1 in enumerate(f.weight_map(1, m).cols):
+                for iw, colw in enumerate(f.weight_map(w, m).cols):
+                    prod = f.target.multiply_elements(s, col1, w * s, colw, m)
+                    mono = tuple(sorted(monos1[i1] + monosw[iw]))
+                    j = f.source.monomial_index(w + 1, m)[mono]
+                    assert left.cols[j] == prod, (w, m, i1, iw)
+
 
 def test_zero_cycle_factors_through_augmentation():
     A = sphere_algebra(QQ, 1, 2, 4, 2)
@@ -50,7 +75,7 @@ def test_square_class_map_builds_and_verifies():
     f = representing_map(A, 4, 2, dict(reps.cols[0]), source_W=1)
     assert f.weight_ratio == 2
     assert f.source.n == 4 and f.target.n == 2
-    f.check_multiplicative(weights=(1,), levels=range(3))
+    check_multiplicative(f, weights=(1,), levels=range(3))
 
 
 def test_rebuilt_returns_self_unless_a_truncation_grows():
@@ -62,6 +87,10 @@ def test_rebuilt_returns_self_unless_a_truncation_grows():
     assert g is not f
     assert (g.source.W, g.target.W, g.target.T) == (2, 3, 4)
     assert g.level_maps == f.level_maps
+    g.target.components[3].check_identities()
+    h = f.rebuilt(source_W=4, target_W=4)
+    for comp in h.source.components[3:] + h.target.components[3:]:
+        comp.check_identities()
 
 
 def test_rebuilt_map_equals_the_map_built_on_the_larger_algebras():
@@ -90,7 +119,7 @@ def test_rebuilt_map_equals_the_map_built_on_the_larger_algebras():
 def test_weight_maps_are_multiplicative(make_map):
     # phi(x y) = phi(x) phi(y) for a generator x, on every weight and level
     f = make_map()
-    assert f.check_multiplicative(weights=range(1, f.source.W))
+    check_multiplicative(f, weights=range(1, f.source.W))
 
 
 def test_representing_map_rejects_non_cycle():
@@ -215,6 +244,35 @@ def test_bar_homotopy_builds_no_structure_matrix(monkeypatch):
     monkeypatch.setattr(SimplicialVectorSpace, "normalized_chains", refuse)
     assert bar_diagonal(f, 2, 4, 2).homotopy_dims().to_list(3) == [1, 0, 0, 0]
     assert cofiber_homotopy(f, 2, 4, 2)[0].to_list(3) == [1, 0, 0, 0]
+
+
+def test_cofiber_job_checks_no_identity_of_a_symmetric_power(monkeypatch):
+    # the identities of Sym^d V follow from V's (tests/test_symalg.py checks
+    # that _sym_map is a functor), so the cofiber job, which builds Sym^2
+    # and Sym^3 of K(Q, 2), must print its golden output without checking
+    # them; gamma objects are still checked
+    check = SimplicialVectorSpace.check_identities
+    power = symmetric_power.__code__
+    checked = []
+
+    def guarded(self):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is power and frame.f_locals["d"] >= 2:
+                raise AssertionError("checked the identities of Sym^%d"
+                                     % frame.f_locals["d"])
+            frame = frame.f_back
+        checked.append(self)
+        return check(self)
+
+    monkeypatch.setattr(SimplicialVectorSpace, "check_identities", guarded)
+    argv = ["cofiber", "-r", "1", "-s", "2", "-W", "2"]
+    golden = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                         / "golden.json").read_text(encoding="utf-8"))
+    out = io.StringIO()
+    assert main(argv, stdout=out) == 0
+    assert out.getvalue() == golden[" ".join(argv)]["stdout"]
+    assert checked
 
 
 def test_bar_simplicial_object_is_checked_when_built(monkeypatch):

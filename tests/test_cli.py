@@ -59,14 +59,16 @@ def test_pi_sphere_huge_weight_bound_stops_at_the_tail(limit_weight_pieces):
 
 @pytest.mark.parametrize("q,dims,certified,flags", [
     (1, [1, 1, 0, 0, 0, 0], 0, [True] + [False] * 5),
-    (2, [1, 2, 1, 0, 0, 0], -1, [False] * 6),
+    (2, [1, 2, 1, 0, 0, 0], 0, [True] + [False] * 5),
 ])
 def test_pi_sphere_n1_huge_weight_bound_is_settled_by_counting(
         monkeypatch, q, dims, certified, flags):
     # the first tail weight of one generator at -n 1 -T 5 is 20,002; every
     # lower weight is Lambda^d(F) in degree d, certified by counting alone,
     # so building any covering complex fails at once instead of running
-    # for hours
+    # for hours.  Two generators outgrow the budget at level 1 from weight
+    # 20,000 on, but no weight d >= 1 has chains at level 0, so degree 0
+    # stays certified and stable
     def build(*args, **kwargs):
         raise AssertionError("built a covering complex at n = 1")
 
@@ -77,6 +79,7 @@ def test_pi_sphere_n1_huge_weight_bound_is_settled_by_counting(
     assert code == 0
     assert (data["dims"], data["certified_degree"], data["stable_flags"]) == (
         dims, certified, flags)
+    assert data["certified_degree"] >= 0 and data["stable_flags"][0]
     assert run_json(argv + ["-W", str(10**9)]) == (0, dict(data, W=10**9))
 
 

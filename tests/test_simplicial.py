@@ -21,7 +21,7 @@ from scalg.simplicial import (
     surjections,
     zero_object,
 )
-from scalg.symalg import sym_power_covering_complex
+from scalg.symalg import sym_power_covering_complex, symmetric_power
 
 
 def random_gamma_object(rng, field, T, max_dim=3):
@@ -224,12 +224,14 @@ def random_change_of_basis(rng, field, n):
     return P, inverse
 
 
-@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
-def test_normalized_chains_of_a_conjugated_object(field):
-    # degeneracies of gamma objects send basis vectors to basis vectors;
-    # conjugated level by level, their images have many entries, some on
-    # other pivot rows, so the quotient has real elimination to do
-    T = 4
+def conjugated_gamma(field, T):
+    """(v, w): a gamma object v truncated at T, with homotopy F in degrees
+    0, 1 and 2, and w, its conjugate by a random change of basis on each
+    level, built and checked through the constructor.
+
+    Degeneracies of gamma objects send basis vectors to basis vectors;
+    those of w have images with many entries, some on other pivot rows.
+    """
     dims = [1, 1, 2, 1]
     diffs = [None, Mat.zero(field, 1, 1), Mat.zero(field, 1, 2),
              Mat.from_rows(field, [[0], [1]])]
@@ -241,7 +243,15 @@ def test_normalized_chains_of_a_conjugated_object(field):
                     for m in range(1, T + 1)]
     degens = [[P[m + 1] @ s @ inv[m] for s in v.degens[m]]
               for m in range(T)] + [[]]
-    w = SimplicialVectorSpace(field, v.level_dims, faces, degens)
+    return v, SimplicialVectorSpace(field, v.level_dims, faces, degens)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_normalized_chains_of_a_conjugated_object(field):
+    # the degeneracy images of the conjugated object have many entries,
+    # some on other pivot rows, so the quotient has real elimination to do
+    T = 4
+    v, w = conjugated_gamma(field, T)
     assert any(len(col) > 1 for m in range(T) for s in w.degens[m]
                for col in s.cols)
 
@@ -269,6 +279,25 @@ def test_normalized_chains_of_a_conjugated_object(field):
     assert ("/" in text) == (field == QQ)  # "a/b" entries over Q only
     back = SimplicialVectorSpace.from_json_dict(json.loads(text))
     assert back.faces == w.faces and back.degens == w.degens
+
+
+@pytest.mark.parametrize("field,T,d", [
+    (QQ, 3, 2), (GF2, 4, 2), (GF3, 4, 2), (GF2, 3, 3), (GF3, 3, 3),
+], ids=["Q-d2", "F2-d2", "F3-d2", "F2-d3", "F3-d3"])
+def test_symmetric_powers_of_a_conjugated_object_satisfy_the_identities(
+        field, T, d):
+    # symmetric_power checks no simplicial identity: they follow from the
+    # base's.  On the conjugated object every structure map of the power
+    # multiplies images with many entries, so _mono_product sums real
+    # cross terms, and the full check is the oracle.  Over Q the check
+    # multiplies dense matrices of fractions (about a minute for T = 4,
+    # d = 2), so Q stops at T = 3
+    v, w = conjugated_gamma(field, T)
+    power = symmetric_power(w, d)
+    assert any(len(col) > d for m in range(1, T + 1) for f in power.faces[m]
+               for col in f.cols)
+    power.check_identities()
+    assert power.homotopy_dims() == symmetric_power(v, d).homotopy_dims()
 
 
 def test_normalized_chains_evaluate_the_boundary_on_normalized_columns_only(

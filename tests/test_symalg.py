@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scalg.symalg
-from scalg.exactfield import Mat, QQ, GF2, GF3, rank
+from scalg.exactfield import FieldSpec, Mat, QQ, GF2, GF3, rank
 from scalg.simplicial import HomotopyDims, eilenberg_maclane, gamma, constant_object
 from scalg.series import sphere_series_charp
 from scalg.symalg import (
@@ -20,6 +21,9 @@ from scalg.symalg import (
     symmetric_power,
     _covering_dims,
     _divided_power_merge,
+    _generator_images,
+    _monomials,
+    _sym_map,
 )
 
 
@@ -131,6 +135,63 @@ def test_sphere_homotopy_q3_certifies_as_the_direct_complex():
     assert sphere_series_charp(3, 2, 3, 4).coeffs == (1, 0, 3)
 
 
+# -------------------------------- symmetric powers inherit V's identities
+
+GF5 = FieldSpec(5)
+
+
+def sym_matrix(f, d):
+    """Sym^d f on monomial bases, by _sym_map as symmetric_power builds it."""
+    src = _monomials(f.ncols, d)
+    index = {mono: i for i, mono in enumerate(_monomials(f.nrows, d))}
+    return Mat(f.field, len(index), len(src),
+               _sym_map(_generator_images(f), src, index, f.field.characteristic))
+
+
+@st.composite
+def integer_matrix(draw, field, nrows, ncols):
+    """Integer matrix with zero, dense (no entry zero in any field used
+    here) or arbitrary columns."""
+    entries = {"zero": st.just(0),
+               "dense": st.sampled_from([1, -1, 7, -11]),
+               "any": st.integers(-6, 6)}
+    cols = [draw(st.lists(entries[draw(st.sampled_from(sorted(entries)))],
+                          min_size=nrows, max_size=nrows))
+            for _ in range(ncols)]
+    return Mat.from_rows(field, [[col[i] for col in cols] for i in range(nrows)],
+                         ncols=ncols)
+
+
+@st.composite
+def composable_maps(draw):
+    field = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
+    a, b, c = (draw(st.integers(0, 4)) for _ in range(3))
+    return (draw(integer_matrix(field, b, a)), draw(integer_matrix(field, c, b)),
+            draw(st.integers(0, 4)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(composable_maps())
+def test_sym_map_is_a_functor_on_the_nose(maps):
+    # symmetric_power checks no simplicial identity of Sym^d V: each is
+    # Sym^d of one that holds on V, because Sym^d preserves composites and
+    # identities matrix for matrix
+    f, g, d = maps
+    assert sym_matrix(g, d) @ sym_matrix(f, d) == sym_matrix(g @ f, d)
+    for n in (f.ncols, f.nrows):
+        assert sym_matrix(Mat.identity(f.field, n), d) == Mat.identity(
+            f.field, len(_monomials(n, d)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetric_powers_of_em_objects_satisfy_the_identities(field, n):
+    # the full check, which symmetric_power no longer runs, is the oracle
+    k = eilenberg_maclane(field, 1, n, n + 2)
+    for d in (2, 3, 4):
+        symmetric_power(k, d).check_identities()
+
+
 @pytest.mark.parametrize(
     "field,q,n,d,T",
     [(QQ, 1, 2, 2, 5), (GF2, 1, 1, 3, 4), (GF3, 1, 2, 2, 4)],
@@ -149,15 +210,15 @@ def test_sym_power_dual_oracle(field, q, n, d, T):
 def _certified_by_count(q, n, d, T):
     """Certified degree of Sym^d K(F^q, n), d >= 1: through T when the
     counted covering complex reaches its natural top d*n, else one short of
-    its last level."""
+    its last level, but at least n - 1, as no level below n has chains."""
     built_to = len(_covering_dims(q, n, d, T)) - 1
-    return T if d * n <= built_to else built_to - 1
+    return T if d * n <= built_to else max(built_to - 1, n - 1)
 
 
 def _brute_force_piece(field, n, d, T):
     """(dims, certified degree) of Sym^d K(F, n) from its covering complex."""
     cx, built_to = sym_power_covering_complex(field, n, d, T)
-    certified = T if d * n <= built_to else built_to - 1
+    certified = T if d * n <= built_to else max(built_to - 1, n - 1)
     return {m: v for m, v in cx.homology_dims().data.items()
             if m <= certified and v}, certified
 
@@ -227,6 +288,8 @@ def test_extended_algebra_equals_the_algebra_built_at_that_weight(field, q):
     direct = sphere_algebra(field, q, n, T, W + 2)
     assert (ext.field, ext.q, ext.n, ext.T, ext.W) == (field, q, n, T, W + 2)
     assert all(ext.components[d] is small.components[d] for d in range(W + 1))
+    for comp in ext.components[W + 1:]:
+        comp.check_identities()
     assert ext.monomials == direct.monomials
     for a, b in zip(ext.components, direct.components):
         assert a.level_dims == b.level_dims
