@@ -14,9 +14,11 @@ vector space and its homotopy approximates the cofiber from below, with
 per-degree certification by recomputation at enlarged bounds.
 
 The bar diagonal hands NormalizedChains, the one Dold-Kan quotient, the
-degeneracy image of each tuple one level down (every degeneracy sends a
-basis tuple to a single basis tuple) and the boundary of one tuple, which
-is evaluated on the nondegenerate tuples only.  Checking
+degeneracy image of each tuple one level down and the boundary of one
+tuple.  Every degeneracy sends a basis tuple to a single basis tuple,
+found by looking up the tuple of its slots' images under the components'
+s_i, each read once as a row map; so the quotient drops the hit tuples,
+and the boundary is evaluated on the other tuples only.  Checking
 d_i d_j = d_{j-1} d_i on those columns also computes the faces of the
 lower-level tuples they hit, degenerate ones included.  The face and
 degeneracy matrices of the whole object are built only by
@@ -303,6 +305,10 @@ def _bar_levels(f, N, T, W):
     slot) as canonical sparse columns over bases[m - 1] and bases[m + 1].
     Each a-slot and b is a (weight, index) pair naming a monomial of the
     source or target; the unit is (0, 0).
+
+    A degeneracy reads each component's s_i at level m once as a row map
+    (AssertionError unless every column is one entry 1) and looks up the
+    tuple of the mapped slots and b (AssertionError if it is not there).
     """
     A, B = f.source, f.target
     p = f.field.characteristic
@@ -348,31 +354,28 @@ def _bar_levels(f, N, T, W):
         bases.append(basis)
         index.append({t: i for i, t in enumerate(basis)})
 
-    def levelwise(m, kind, i, slots, b):
-        """Image of (slots, b) under the levelwise structure map s_i or d_i
-        (kind "degens" or "faces") of every slot and of b, multiplied out
-        into (slots, b, coeff) terms."""
+    def levelwise(m, i, slots, b):
+        """Image of (slots, b) under the levelwise face d_i of every slot
+        and of b, multiplied out into (slots, b, coeff) terms."""
         terms = [((), 1)]
         for d, j in slots:
-            img = getattr(a_components[d], kind)[m][i].cols[j]
+            img = a_components[d].faces[m][i].cols[j]
             terms = [(prefix + ((d, j2),), coeff * v)
                      for prefix, coeff in terms for j2, v in img.items()]
             if not terms:
                 return terms
         db, jb = b
-        img = getattr(b_components[db], kind)[m][i].cols[jb]
+        img = b_components[db].faces[m][i].cols[jb]
         return [(prefix, (db, j2), coeff * v)
                 for prefix, coeff in terms for j2, v in img.items()]
 
-    def emit(acc, lvl, slots, b, coeff, may_truncate=True):
-        """acc += coeff * (slots, b) at level lvl.  Faces may leave the
-        window (the term is truncated away); degeneracies never do."""
+    def emit(acc, lvl, slots, b, coeff):
+        """acc += coeff * (slots, b) at level lvl, or nothing when the
+        tuple is truncated away (it must lie outside the window)."""
         key = index[lvl].get((slots, b))
         if key is not None:
             acc[key] = acc.get(key, 0) + coeff
             return
-        if not may_truncate:
-            raise AssertionError("degeneracy left the window")
         wa = sum(d for d, _ in slots)
         nonunit = sum(1 for d, _ in slots if d > 0)
         if s * wa + b[0] <= W and nonunit <= N:
@@ -402,16 +405,36 @@ def _bar_levels(f, N, T, W):
 
     def face(m, i, k):
         acc = {}
-        for slots, b, coeff in levelwise(m, "faces", i, *bases[m][k]):
+        for slots, b, coeff in levelwise(m, i, *bases[m][k]):
             bar_face(acc, i, m - 1, slots, b, coeff)
         return canonical(acc, p)
 
+    def unit_rows(mat):
+        """The row that each column of a degeneracy matrix hits."""
+        rows = []
+        for col in mat.cols:
+            if list(col.values()) != [1]:
+                raise AssertionError(
+                    "degeneracy image is not a single basis tuple")
+            rows.extend(col)
+        return rows
+
+    row_maps = {}  # (m, i) -> s_i at level m of each a- and b-component
+
     def degeneracy(m, i, k):
-        acc = {}
-        for slots, b, coeff in levelwise(m, "degens", i, *bases[m][k]):
-            emit(acc, m + 1, slots[:i] + (unit,) + slots[i:], b, coeff,
-                 may_truncate=False)
-        return canonical(acc, p)
+        maps = row_maps.get((m, i))
+        if maps is None:
+            maps = row_maps[(m, i)] = tuple(
+                [unit_rows(comp.degens[m][i]) for comp in components]
+                for components in (a_components, b_components))
+        a_rows, b_rows = maps
+        slots, (db, jb) = bases[m][k]
+        image = [(d, a_rows[d][j]) for d, j in slots]
+        image.insert(i, unit)
+        key = index[m + 1].get((tuple(image), (db, b_rows[db][jb])))
+        if key is None:
+            raise AssertionError("degeneracy left the window")
+        return {key: 1}
 
     return bases, face, degeneracy
 
@@ -425,14 +448,16 @@ class BarDiagonal:
     a single basis tuple, so the degenerate subspace D_m is spanned by the
     tuples that some s_i hits, and N_m = C_m / D_m has the other tuples as
     basis, in basis order.  The boundary sum (-1)^i d_i is computed on
-    those columns only and projected by dropping the hit coordinates; the
-    result equals the generic SimplicialVectorSpace.normalized_chains
-    matrix for matrix, with the same project and include.
+    those columns only and projected by dropping the hit coordinates, with
+    no elimination; the result equals the generic
+    SimplicialVectorSpace.normalized_chains matrix for matrix, with the
+    same project and include.
 
-    Checked at construction: each degeneracy image is one basis tuple with
-    coefficient 1 inside the window (AssertionError otherwise); no face
-    term inside the window is missing from the basis; d_i d_j = d_{j-1} d_i
-    on every nondegenerate column (SimplicialError); and d o d = 0 in
+    Checked at construction: every component degeneracy that the tuples
+    go through has one entry 1 in each column, and every degeneracy image
+    lies in the window (AssertionError otherwise); no face term inside the
+    window is missing from the basis; d_i d_j = d_{j-1} d_i on every
+    nondegenerate column (SimplicialError); and d o d = 0 in
     ChainComplex.  simplicial() builds every face and degeneracy matrix
     into a SimplicialVectorSpace, whose constructor checks every
     simplicial identity.
@@ -474,14 +499,9 @@ class BarDiagonal:
         bases, face, degeneracy = self._bases, self._face, self._degeneracy
 
         def degenerate(m):
-            for k in range(len(bases[m - 1]) if m else 0):
-                for i in range(m):
-                    image = degeneracy(m - 1, i, k)
-                    if list(image.values()) != [1]:
-                        raise AssertionError(
-                            "degeneracy image is not a single basis tuple"
-                        )
-                    yield image
+            return (degeneracy(m - 1, i, k)
+                    for k in range(len(bases[m - 1]) if m else 0)
+                    for i in range(m))
 
         memo = [{} for _ in bases]  # per level: (i, k) -> d_i of tuple k
 

@@ -27,11 +27,14 @@ shape the module:
 Matrices are stored column-sparse (one dict per column), which keeps the
 very sparse face/degeneracy matrices of the simplicial machinery cheap.
 ``axpy`` is the shared sparse update and ``ColumnEchelon`` the one exact
-elimination kernel: kernels, solves, homology representatives and the
-quotient of a level by its degenerate span (``normal_form``) all run on
-it.  ``pivot_rows`` alone, needing no residues, runs F_2 on bitmask
-columns (Python big ints) and Q on fraction-free integer columns;
-``rank`` is the number of its rows.
+elimination kernel: kernels, solves and homology representatives run on
+it, and so does the quotient of a level by its degenerate span
+(``normal_form``) when some degeneracy image has more than one entry; the
+unit images of every constructed object span coordinates, which
+``simplicial.NormalizedChains`` drops without elimination.
+``pivot_rows`` alone, needing no residues, runs F_2 on bitmask columns
+(Python big ints) and Q on fraction-free integer columns; ``rank`` is the
+number of its rows.
 """
 
 from __future__ import annotations

@@ -7,9 +7,13 @@ object already checked (symalg.symmetric_power): its identities are the
 images of checked ones, so only shapes are checked there.
 
 Homotopy is computed as the homology of the normalized chain complex
-(levelwise quotient by the span of the degeneracy images, reduced through
-``exactfield.ColumnEchelon``, with the alternating-sum differential taken
-on normalized columns only); the unnormalized complex on full levels is
+(levelwise quotient by the span of the degeneracy images, with the
+alternating-sum differential taken on normalized columns only).  Where
+every degeneracy image is one basis vector, as on every object the
+constructions here build, that span is the set of hit coordinates and
+the quotient drops them; only a level with other images (a conjugated
+object, say, or edited serialized data) is reduced through
+``exactfield.ColumnEchelon``.  The unnormalized complex on full levels is
 kept alongside as an independent oracle.  Degrees up to T - 1 are
 certified, the degree-T value is reported but provisional since its
 cycles see no boundaries from the missing level T + 1.
@@ -25,7 +29,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactfield import (
-    ColumnEchelon, FieldSpec, FieldError, Mat, axpy, kernel_basis, pivot_rows,
+    ColumnEchelon, FieldSpec, FieldError, Mat, axpy, canonical, kernel_basis,
+    pivot_rows,
 )
 
 
@@ -215,10 +220,17 @@ class NormalizedChains(ChainComplex):
     (Dold-Kan): the one place where a level is taken modulo its degenerate
     subspace.
 
-    degenerate(m) yields columns spanning D_m, the degeneracy images in
-    level m; they go into echelons[m], a ColumnEchelon.  Its non-pivot
-    rows, bases[m], form the normalized basis, and every coset of D_m has
-    exactly one representative supported on them.  boundary(m, r) is the
+    degenerate(m) yields field columns spanning D_m, the degeneracy images
+    in level m.  Where each of them has one entry (every degeneracy of a
+    gamma object, a symmetric power or the bar diagonal sends a basis
+    vector to a basis vector), D_m is spanned by the rows they hit:
+    echelons[m] is None, the other rows, bases[m], form the normalized
+    basis, and project drops the hit coordinates.  A level with any other
+    column inserts them all into echelons[m], a ColumnEchelon, whose
+    non-pivot rows form bases[m] and whose normal_form projects.  On unit
+    columns the pivot rows are the hit rows, so both rules give the same
+    bases, differentials and projections; every coset of D_m has exactly
+    one representative supported on bases[m].  boundary(m, r) is the
     unnormalized boundary sum (-1)^i d_i of basis vector r of level m; it
     is called on the normalized basis rows only, level by level upwards,
     and the differential is its projection.  project and include push
@@ -226,14 +238,20 @@ class NormalizedChains(ChainComplex):
     """
 
     def __init__(self, field, level_dims, degenerate, boundary):
+        self.field = field
         self.echelons = []
+        self.bases = []
         for m, dim in enumerate(level_dims):
-            ech = ColumnEchelon(field, dim)
-            for col in degenerate(m):
-                ech.insert(col)
+            cols = list(degenerate(m))
+            if all(len(col) == 1 for col in cols):
+                ech, hit = None, {r for col in cols for r in col}
+            else:
+                ech = ColumnEchelon(field, dim)
+                for col in cols:
+                    ech.insert(col)
+                hit = ech.pivots
             self.echelons.append(ech)
-        self.bases = [[r for r in range(ech.nrows) if r not in ech.pivots]
-                      for ech in self.echelons]
+            self.bases.append([r for r in range(dim) if r not in hit])
         self._positions = [{r: k for k, r in enumerate(b)} for b in self.bases]
         dims = [len(b) for b in self.bases]
         diffs = [Mat.zero(field, 0, dims[0])]
@@ -245,8 +263,12 @@ class NormalizedChains(ChainComplex):
     def project(self, m, vec):
         """Sparse level vector -> sparse coordinates in the normalized basis."""
         position = self._positions[m]
-        return {position[r]: v
-                for r, v in self.echelons[m].normal_form(vec).items()}
+        ech = self.echelons[m]
+        if ech is None:
+            return {position[r]: v
+                    for r, v in canonical(vec, self.field.characteristic).items()
+                    if r in position}
+        return {position[r]: v for r, v in ech.normal_form(vec).items()}
 
     def include(self, m, vec):
         """Normalized coordinates -> the representative on the basis rows."""

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from scalg.cli import main
-from scalg.exactfield import GF3, Mat, QQ
+import scalg.barcof
+from scalg.exactfield import GF3, ColumnEchelon, Mat, QQ
 from scalg.simplicial import (
     GradedDims, NormalizedChains, SimplicialError, SimplicialVectorSpace,
 )
@@ -266,13 +267,40 @@ def test_cofiber_job_checks_no_identity_of_a_symmetric_power(monkeypatch):
         return check(self)
 
     monkeypatch.setattr(SimplicialVectorSpace, "check_identities", guarded)
+    assert_cofiber_job_prints_its_golden_output()
+    assert checked
+
+
+def assert_cofiber_job_prints_its_golden_output():
     argv = ["cofiber", "-r", "1", "-s", "2", "-W", "2"]
     golden = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
                          / "golden.json").read_text(encoding="utf-8"))
     out = io.StringIO()
     assert main(argv, stdout=out) == 0
     assert out.getvalue() == golden[" ".join(argv)]["stdout"]
-    assert checked
+
+
+def test_cofiber_job_eliminates_no_degenerate_column(monkeypatch):
+    # every degeneracy image of the cofiber job's objects, the bar
+    # diagonal's included, is one basis vector, so each quotient drops
+    # coordinates and no level goes through a ColumnEchelon; homology
+    # representatives and solves still do
+    insert = ColumnEchelon.insert
+    quotient = NormalizedChains.__init__.__code__
+    inserted = []
+
+    def guarded(self, col):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is quotient:
+                raise AssertionError("degenerate column eliminated")
+            frame = frame.f_back
+        inserted.append(col)
+        return insert(self, col)
+
+    monkeypatch.setattr(ColumnEchelon, "insert", guarded)
+    assert_cofiber_job_prints_its_golden_output()
+    assert inserted
 
 
 def test_bar_simplicial_object_is_checked_when_built(monkeypatch):
@@ -289,15 +317,72 @@ def test_bar_simplicial_object_is_checked_when_built(monkeypatch):
 
 
 def test_bar_diagonal_rejects_a_degeneracy_image_with_two_terms():
-    A = sphere_algebra(QQ, 1, 2, 4, 3)
-    f = identity_map(A)
-    # s_0 on K(Q, 2) from level 2 to level 3, one column given a second term:
-    # the bar tuple ((), generator) at level 2 then degenerates to two tuples
-    s0 = A.components[1].degens[2][0]
-    assert s0.cols[0] == {2: 1}
-    s0.cols[0] = {0: 1, 2: 1}
-    with pytest.raises(AssertionError, match="single basis tuple"):
+    # s_0 on K(Q, 2) from level 2 to level 3, one column given a second
+    # term, or scaled by 2: the bar tuple ((), generator) at level 2 then
+    # degenerates to two tuples, or to one tuple with coefficient 2
+    for image in ({0: 1, 2: 1}, {2: 2}):
+        A = sphere_algebra(QQ, 1, 2, 4, 3)
+        f = identity_map(A)
+        s0 = A.components[1].degens[2][0]
+        assert s0.cols[0] == {2: 1}
+        s0.cols[0] = image
+        with pytest.raises(AssertionError, match="single basis tuple"):
+            bar_diagonal(f, 2, 4, 2)
+
+
+def test_bar_diagonal_rejects_a_degeneracy_that_leaves_the_window(
+        monkeypatch):
+    # level 3 loses its tuples whose one non-unit slot is the first, which
+    # s_1 and s_2 of the level-2 tuples (generator, unit; b) land on
+    f = identity_map(sphere_algebra(QQ, 1, 2, 4, 3))
+    real = scalg.barcof.combinations
+
+    def fewer(pool, k):
+        pool = tuple(pool)
+        return [c for c in real(pool, k) if (len(pool), c) != (3, (0,))]
+
+    monkeypatch.setattr(scalg.barcof, "combinations", fewer)
+    with pytest.raises(AssertionError, match="left the window"):
         bar_diagonal(f, 2, 4, 2)
+
+
+def generic_degeneracy(f, tuple_, m, i, index):
+    """s_i of a level-m bar tuple with every slot's and b's image
+    multiplied out, as a column over the level-(m + 1) index."""
+    slots, (db, jb) = tuple_
+    terms = [((), 1)]
+    for d, j in slots:
+        img = f.source.components[d].degens[m][i].cols[j]
+        terms = [(prefix + ((d, j2),), c * v)
+                 for prefix, c in terms for j2, v in img.items()]
+    col = {}
+    for prefix, c in terms:
+        for j2, v in f.target.components[db].degens[m][i].cols[jb].items():
+            key = index[(prefix[:i] + ((0, 0),) + prefix[i:], (db, j2))]
+            col[key] = col.get(key, 0) + c * v
+    return {r: v for r, v in col.items() if v}
+
+
+@pytest.mark.parametrize("make_map,N,T,W", [
+    (lambda: power_map(1, 2, 6, 2), 3, 6, 3),
+    (lambda: power_map(1, 2, 5, 2), 2, 5, 2),
+], ids=["cofiber-job-check", "N2-T5-W2"])
+def test_bar_degeneracies_hit_the_rows_of_the_generic_images(make_map, N, T,
+                                                              W):
+    # the quotient drops the tuples that the row-lookup degeneracies hit;
+    # the degeneracy matrices of the checked simplicial object, and the
+    # images multiplied out slot by slot, hit the same rows
+    f = make_map()
+    bar = bar_diagonal(f, N, T, W)
+    full = bar.simplicial()
+    ncx = bar.normalized_chains()
+    for m in range(1, T + 1):
+        index = {t: r for r, t in enumerate(bar._bases[m])}
+        generic = [generic_degeneracy(f, bar._bases[m - 1][k], m - 1, i, index)
+                   for i in range(m) for k in range(bar.level_dims[m - 1])]
+        assert [col for s in full.degens[m - 1] for col in s.cols] == generic
+        hit = {r for col in generic for r in col}
+        assert set(range(bar.level_dims[m])) - hit == set(ncx.bases[m])
 
 
 def test_bar_diagonal_checks_the_face_identities():

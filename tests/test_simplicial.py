@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import scalg.barcof
 import scalg.simplicial
 from scalg.cli import _random_complex
 from scalg.exactfield import (
@@ -21,6 +22,7 @@ from scalg.simplicial import (
     surjections,
     zero_object,
 )
+from scalg.barcof import bar_diagonal, power_map
 from scalg.symalg import sym_power_covering_complex, symmetric_power
 
 
@@ -246,6 +248,16 @@ def conjugated_gamma(field, T):
     return v, SimplicialVectorSpace(field, v.level_dims, faces, degens)
 
 
+def assert_quotient_paths(obj, ncx):
+    """Each level of ncx went through a ColumnEchelon exactly when some
+    degeneracy image into it has other than one entry; at least one did."""
+    echelon = [m > 0 and any(len(col) != 1 for s in obj.degens[m - 1]
+                             for col in s.cols)
+               for m in range(obj.T + 1)]
+    assert [ech is not None for ech in ncx.echelons] == echelon
+    assert any(echelon)
+
+
 @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
 def test_normalized_chains_of_a_conjugated_object(field):
     # the degeneracy images of the conjugated object have many entries,
@@ -256,6 +268,7 @@ def test_normalized_chains_of_a_conjugated_object(field):
                for col in s.cols)
 
     ncx = w.normalized_chains()
+    assert_quotient_paths(w, ncx)
     for m in range(1, T + 1):
         # the differential on normalized columns is the whole-level one
         # pushed through the quotient
@@ -279,6 +292,30 @@ def test_normalized_chains_of_a_conjugated_object(field):
     assert ("/" in text) == (field == QQ)  # "a/b" entries over Q only
     back = SimplicialVectorSpace.from_json_dict(json.loads(text))
     assert back.faces == w.faces and back.degens == w.degens
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_mixed_levels_of_a_direct_sum_go_through_the_echelon(field):
+    # a gamma object (unit degeneracy images) plus its conjugate (images
+    # with many entries): every level above 1 mixes both kinds of column
+    T = 4
+    v, w = conjugated_gamma(field, T)
+    mixed = v.direct_sum(w)
+    ncx = mixed.normalized_chains()
+    assert_quotient_paths(mixed, ncx)
+    for m in range(2, T + 1):
+        columns = [col for s in mixed.degens[m - 1] for col in s.cols]
+        assert any(len(col) == 1 for col in columns)
+        assert any(len(col) > 1 for col in columns)
+    hn = ncx.homology_dims()
+    hu = mixed.unnormalized_chains().homology_dims()
+    assert [hn[m] for m in range(T)] == [hu[m] for m in range(T)]
+    assert hn.to_list(T - 1) == [2, 2, 2, 0]
+    for m in range(T + 1):
+        for s in mixed.degens[m - 1] if m else ():
+            assert all(ncx.project(m, col) == {} for col in s.cols)
+        for j in range(ncx.dims[m]):
+            assert ncx.project(m, ncx.include(m, {j: 1})) == {j: 1}
 
 
 @pytest.mark.parametrize("field,T,d", [
@@ -318,6 +355,83 @@ def test_normalized_chains_evaluate_the_boundary_on_normalized_columns_only(
     ncx = v.normalized_chains()
     assert evaluated == [(m, r) for m in range(1, v.T + 1) for r in ncx.bases[m]]
     assert sum(ncx.dims[1:]) < sum(v.level_dims[1:])  # some columns skipped
+
+
+class EchelonQuotient(ChainComplex):
+    """The oracle quotient: every level's degenerate columns inserted into
+    one ColumnEchelon, whose non-pivot rows are the basis and whose
+    normal_form projects, whatever the columns look like."""
+
+    def __init__(self, field, level_dims, degenerate, boundary):
+        self.echelons = []
+        for m, dim in enumerate(level_dims):
+            ech = ColumnEchelon(field, dim)
+            for col in degenerate(m):
+                ech.insert(col)
+            self.echelons.append(ech)
+        self.bases = [[r for r in range(ech.nrows) if r not in ech.pivots]
+                      for ech in self.echelons]
+        self._positions = [{r: k for k, r in enumerate(b)} for b in self.bases]
+        dims = [len(b) for b in self.bases]
+        diffs = [Mat.zero(field, 0, dims[0])] + [
+            Mat(field, dims[m - 1], dims[m],
+                [self.project(m - 1, boundary(m, r)) for r in self.bases[m]])
+            for m in range(1, len(dims))]
+        super().__init__(field, dims, diffs)
+
+    def project(self, m, vec):
+        position = self._positions[m]
+        return {position[r]: v
+                for r, v in self.echelons[m].normal_form(vec).items()}
+
+    def include(self, m, vec):
+        return {self.bases[m][k]: v for k, v in vec.items()}
+
+
+FIELDS = {"Q": QQ, "F2": GF2, "F3": GF3}
+
+
+def random_sparse(rng, field, dim, size=4):
+    """Up to size entries in 0..dim-1; over F_p some are not reduced."""
+    p = field.characteristic
+    pick = (lambda: rng.choice([-2, -1, 1, 3, Fraction(1, 2)])) if p == 0 \
+        else (lambda: rng.randrange(-p, 2 * p))
+    return {rng.randrange(dim): pick() for _ in range(size)} if dim else {}
+
+
+UNIT_OBJECTS = {
+    **{"em-" + name: (lambda f=f: eilenberg_maclane(f, 2, 2, 5))
+       for name, f in FIELDS.items()},
+    **{"sym%d-k2-%s" % (d, name):
+       (lambda f=f, d=d: symmetric_power(eilenberg_maclane(f, 1, 2, 6), d))
+       for name, f in FIELDS.items() for d in (2, 3)},
+    "bar": lambda: bar_diagonal(power_map(1, 2, 6, 3), 3, 6, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIT_OBJECTS))
+def test_coordinate_quotient_equals_the_echelon_quotient(case, monkeypatch):
+    # every degeneracy image of these objects is one basis vector, so each
+    # level takes the coordinate path; the same degenerate and boundary
+    # callables, handed to an echelon quotient instead, give the oracle
+    # (each object is built twice: the bar builds its chains at once)
+    module = scalg.barcof if case == "bar" else scalg.simplicial
+    ncx = UNIT_OBJECTS[case]().normalized_chains()
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "NormalizedChains", EchelonQuotient)
+        oracle = UNIT_OBJECTS[case]().normalized_chains()
+    assert isinstance(oracle, EchelonQuotient)
+
+    assert all(ech is None for ech in ncx.echelons)
+    assert ncx.bases == oracle.bases
+    assert ncx.diffs == oracle.diffs
+    rng = random.Random(case)
+    for m in range(ncx.top + 1):
+        for _ in range(20):
+            vec = random_sparse(rng, ncx.field, oracle.echelons[m].nrows)
+            assert ncx.project(m, vec) == oracle.project(m, vec)
+            coords = random_sparse(rng, ncx.field, ncx.dims[m])
+            assert ncx.include(m, coords) == oracle.include(m, coords)
 
 
 def test_boundary_is_the_alternating_sum_of_faces():
