@@ -51,6 +51,7 @@ from .simplicial import (
     NormalizedChains,
     SimplicialError,
     SimplicialVectorSpace,
+    _operator_slots,
 )
 from .symalg import _sym_map, induced_homology_matrices, sphere_algebra
 
@@ -90,7 +91,7 @@ def _apply_surjection(component_list, weight, sigma, n, vec):
     out = dict(vec)
     level = n
     for i in reversed(word):
-        mat = component_list[weight].degens[level][i]
+        mat = component_list[weight].operator(level, i, level + 1)
         out = mat.apply(out)
         level += 1
     return out
@@ -129,25 +130,14 @@ class AlgebraMap:
         tgt = self.target.components[s] if s <= self.target.W else None
         if tgt is None:
             raise ValueError("target truncated below the image weight")
-        T = min(K.T, tgt.T)
-        for m in range(1, T + 1):
-            for i in range(m + 1):
-                lhs = tgt.faces[m][i] @ self.level_maps[m]
-                rhs = self.level_maps[m - 1] @ K.faces[m][i]
-                if lhs != rhs:
-                    raise SimplicialError(
-                        "generator images do not commute with d_%d at level %d"
-                        % (i, m)
-                    )
-        for m in range(T):
-            for i in range(m + 1):
-                lhs = tgt.degens[m][i] @ self.level_maps[m]
-                rhs = self.level_maps[m + 1] @ K.degens[m][i]
-                if lhs != rhs:
-                    raise SimplicialError(
-                        "generator images do not commute with s_%d at level %d"
-                        % (i, m)
-                    )
+        for m, i, to in _operator_slots(min(K.T, tgt.T)):
+            lhs = tgt.operator(m, i, to) @ self.level_maps[m]
+            rhs = self.level_maps[to] @ K.operator(m, i, to)
+            if lhs != rhs:
+                raise SimplicialError(
+                    "generator images do not commute with %s_%d at level %d"
+                    % ("d" if to < m else "s", i, m)
+                )
 
     def weight_map(self, w, m):
         """Sym^w(K_source)_m -> Sym^{w s}(K_target)_m, multiplicatively.
@@ -210,9 +200,9 @@ def _moore_representative(component, ncx, n, class_vec):
     if n == 0:
         moore = Mat.identity(F, dim_n)
     else:
-        stacked = component.faces[n][0]
+        stacked = component.operator(n, 0, n - 1)
         for i in range(1, n):
-            stacked = stacked.vstack(component.faces[n][i])
+            stacked = stacked.vstack(component.operator(n, i, n - 1))
         moore = kernel_basis(stacked)
     # coordinates of the Moore columns in the normalized quotient
     proj_cols = [ncx.project(n, dict(col)) for col in moore.cols]
@@ -222,7 +212,7 @@ def _moore_representative(component, ncx, n, class_vec):
         raise CycleError("class does not lift to the Moore complex")
     rep = moore.apply(coeffs)
     # the lift must be an honest cycle: the last face has to vanish too
-    if n >= 1 and component.faces[n][n].apply(rep):
+    if n >= 1 and component.operator(n, n, n - 1).apply(rep):
         raise CycleError("input is not a cycle: the boundary is nonzero")
     if ncx.differential(n).apply(dict(class_vec)):
         raise CycleError("input is not a cycle in the normalized chains")
@@ -359,13 +349,13 @@ def _bar_levels(f, N, T, W):
         and of b, multiplied out into (slots, b, coeff) terms."""
         terms = [((), 1)]
         for d, j in slots:
-            img = a_components[d].faces[m][i].cols[j]
+            img = a_components[d].operator(m, i, m - 1).cols[j]
             terms = [(prefix + ((d, j2),), coeff * v)
                      for prefix, coeff in terms for j2, v in img.items()]
             if not terms:
                 return terms
         db, jb = b
-        img = b_components[db].faces[m][i].cols[jb]
+        img = b_components[db].operator(m, i, m - 1).cols[jb]
         return [(prefix, (db, j2), coeff * v)
                 for prefix, coeff in terms for j2, v in img.items()]
 
@@ -425,7 +415,7 @@ def _bar_levels(f, N, T, W):
         maps = row_maps.get((m, i))
         if maps is None:
             maps = row_maps[(m, i)] = tuple(
-                [unit_rows(comp.degens[m][i]) for comp in components]
+                [unit_rows(comp.operator(m, i, m + 1)) for comp in components]
                 for components in (a_components, b_components))
         a_rows, b_rows = maps
         slots, (db, jb) = bases[m][k]
@@ -479,20 +469,14 @@ class BarDiagonal:
 
     def simplicial(self):
         """The whole bar diagonal as a checked SimplicialVectorSpace."""
-        field, dims, T = self.field, self.level_dims, self.T
-        face, degeneracy = self._face, self._degeneracy
-        faces = [[]]
-        for m in range(1, T + 1):
-            faces.append([Mat(field, dims[m - 1], dims[m],
-                              [face(m, i, k) for k in range(dims[m])])
-                          for i in range(m + 1)])
-        degens = []
-        for m in range(T):
-            degens.append([Mat(field, dims[m + 1], dims[m],
-                               [degeneracy(m, i, k) for k in range(dims[m])])
-                           for i in range(m + 1)])
-        degens.append([])
-        return SimplicialVectorSpace(field, dims, faces, degens)
+        dims = self.level_dims
+
+        def operator(m, i, to):
+            rule = self._face if to < m else self._degeneracy
+            return Mat(self.field, dims[to], dims[m],
+                       [rule(m, i, k) for k in range(dims[m])])
+
+        return SimplicialVectorSpace.from_operators(self.field, dims, operator)
 
     def _build_chains(self):
         p = self.field.characteristic
@@ -630,6 +614,25 @@ def power_map(r, s, T, W):
                             source_W=max(1, (W + 1) // s))
 
 
+def cofiber_bounds(r, s, T=None, W=None, N=None):
+    """The bounds (T, W, N) of power_cofiber_tables, defaults filled in;
+    ValueError when the arguments admit no table."""
+    if r < 1 or s < 1:
+        raise ValueError("need r >= 1 and s >= 1")
+    if T is None:
+        T = 2 * r * s + 2
+    if W is None:
+        W = max(s, math.ceil((T - 1) / (2 * r)))
+    if N is None:
+        N = W
+    if T < 2 * r * s:
+        raise ValueError("level bound below the source generator degree")
+    if W + 1 < s:
+        raise ValueError("W must be at least s - 1: the s-th power has "
+                         "weight s and the target stops at W + 1")
+    return T, W, N
+
+
 def power_cofiber_tables(r, s, T=None, W=None, N=None):
     """Cofiber of the map representing the s-th power of the degree-2r
     polynomial generator, rationally: computed homotopy against the closed
@@ -642,21 +645,9 @@ def power_cofiber_tables(r, s, T=None, W=None, N=None):
     puts classes at 2r and 2r+1); the homotopy table is authoritative here
     and the homology entries carry a note.
     """
-    if r < 1 or s < 1:
-        raise ValueError("need r >= 1 and s >= 1")
-    if T is None:
-        T = 2 * r * s + 2
-    if W is None:
-        W = max(s, math.ceil((T - 1) / (2 * r)))
-    if N is None:
-        N = W
+    T, W, N = cofiber_bounds(r, s, T, W, N)
     nB = 2 * r
     nA = 2 * r * s
-    if T < nA:
-        raise ValueError("level bound below the source generator degree")
-    if W + 1 < s:
-        raise ValueError("W must be at least s - 1: the s-th power has "
-                         "weight s and the target stops at W + 1")
     f = power_map(r, s, T, W)
     pi, flags, certified = cofiber_homotopy(f, N, T, W)
     notes = []

@@ -22,7 +22,9 @@ from .exactfield import FieldError, FieldSpec, Mat, QQ, kernel_basis, rank
 from .simplicial import SimplicialError, eilenberg_maclane, gamma
 from .symalg import indecomposables, sphere_algebra, sphere_homotopy
 from .barcof import (
+    CycleError,
     TableMismatch,
+    cofiber_bounds,
     power_cofiber_closed_form,
     power_cofiber_tables,
 )
@@ -307,10 +309,12 @@ def cmd_cofiber(args):
     if args.char != 0:
         raise CliError("cofiber tables are a characteristic-zero computation")
     try:
-        rep = power_cofiber_tables(args.r, args.s, T=args.T, W=args.W, N=args.N)
+        bounds = cofiber_bounds(args.r, args.s, args.T, args.W, args.N)
     except ValueError as exc:
         raise CliError(str(exc))
-    return rep.to_json_dict(), 0
+    # past the argument checks every ValueError (SimplicialError, CycleError,
+    # FieldError) is an internal fault
+    return power_cofiber_tables(args.r, args.s, *bounds).to_json_dict(), 0
 
 
 def cmd_series(args):
@@ -539,7 +543,8 @@ def main(argv=None, stdout=None):
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.code
-    except (TableMismatch, SimplicialError, AssertionError) as exc:
+    except (TableMismatch, SimplicialError, CycleError, FieldError,
+            AssertionError) as exc:
         sys.stderr.write("internal invariant violation: %s\n" % exc)
         return 3
 

@@ -1,10 +1,15 @@
 """Finite-type truncated simplicial vector spaces and their homotopy.
 
-An object carries levels 0..T with explicit face and degeneracy matrices;
-the constructor verifies every simplicial identity, so an instance that
-exists is honest.  The one exception is a levelwise functor applied to an
-object already checked (symalg.symmetric_power): its identities are the
-images of checked ones, so only shapes are checked there.
+An object carries levels 0..T with explicit face and degeneracy matrices.
+Every builder, here and in symalg and barcof, hands
+SimplicialVectorSpace.from_operators one rule operator(m, i, to) giving
+d_i (to = m - 1) or s_i (to = m + 1) out of level m, and reads maps back
+through the same signature; how they are stored is known to this module
+only.  The constructors verify every simplicial identity, so an instance
+that exists is honest.  The one exception is a levelwise functor applied
+to an object already checked (symalg.symmetric_power, through
+_functor_image): its identities are the images of checked ones, so only
+shapes are checked there.
 
 Homotopy is computed as the homology of the normalized chain complex
 (levelwise quotient by the span of the degeneracy images, with the
@@ -74,12 +79,13 @@ class GradedDims:
             out[k] = out.get(k, 0) + v
         return GradedDims(out)
 
-    def convolve(self, other, upto=None):
-        """Graded tensor dimension count (Cauchy product of dimensions)."""
+    def convolve(self, other, upto):
+        """Graded tensor dimension count (Cauchy product of dimensions)
+        through degree upto."""
         out = {}
         for a, va in self.data.items():
             for b, vb in other.data.items():
-                if upto is None or a + b <= upto:
+                if a + b <= upto:
                     out[a + b] = out.get(a + b, 0) + va * vb
         return GradedDims(out)
 
@@ -295,13 +301,37 @@ class NormalizedChains(ChainComplex):
 # simplicial vector spaces
 
 
+def _operator_slots(T):
+    """Every (m, i, to) of a truncation-T object: each face d_i out of level
+    m (to = m - 1), then each degeneracy s_i (to = m + 1)."""
+    for m in range(1, T + 1):
+        for i in range(m + 1):
+            yield m, i, m - 1
+    for m in range(T):
+        for i in range(m + 1):
+            yield m, i, m + 1
+
+
+def _operator_lists(T, operator):
+    """The faces and degens lists of a rule operator(m, i, to); level 0 has
+    no faces and level T no degeneracies."""
+    faces = [[] for _ in range(T + 1)]
+    degens = [[] for _ in range(T + 1)]
+    for m, i, to in _operator_slots(T):
+        (faces if to < m else degens)[m].append(operator(m, i, to))
+    return faces, degens
+
+
 class SimplicialVectorSpace:
     """Levels 0..T with face maps d_i and degeneracy maps s_i as matrices.
 
     faces[m][i] : level m -> level m-1   (1 <= m <= T, 0 <= i <= m)
     degens[m][i]: level m -> level m+1   (0 <= m <  T, 0 <= i <= m)
 
-    The constructor checks shapes and every simplicial identity; violation
+    Builders hand from_operators one rule operator(m, i, to), the map d_i
+    (to = m - 1) or s_i (to = m + 1) out of level m, and operator(m, i, to)
+    reads one back; only this module knows the list layout above.  The
+    constructors check shapes and every simplicial identity; violation
     raises SimplicialError.  _functor_image checks shapes only, for objects
     whose identities follow from those of a checked object; check_identities
     re-checks any instance.  Instances are immutable by convention; nothing
@@ -313,17 +343,31 @@ class SimplicialVectorSpace:
         self.check_identities()
 
     @classmethod
-    def _functor_image(cls, field, level_dims, faces, degens, basis_labels):
+    def from_operators(cls, field, level_dims, operator, basis_labels=None):
+        """The object with d_i = operator(m, i, m - 1) and s_i =
+        operator(m, i, m + 1) out of each level m, checked in full."""
+        obj = cls._functor_image(field, level_dims, operator, basis_labels)
+        obj.check_identities()
+        return obj
+
+    @classmethod
+    def _functor_image(cls, field, level_dims, operator, basis_labels):
         """The object whose faces and degeneracies are F(d_i) and F(s_i) for
         those of a checked object and a levelwise functor F that preserves
-        composites and identities matrix for matrix.
+        composites and identities matrix for matrix, given as one rule as
+        in from_operators.
 
         Each simplicial identity is then F of one that holds, so it holds
         and is not checked again; shapes are.
         """
         obj = cls.__new__(cls)
-        obj._set_levels(field, level_dims, faces, degens, basis_labels)
+        obj._set_levels(field, level_dims,
+                        *_operator_lists(len(level_dims) - 1, operator), basis_labels)
         return obj
+
+    def operator(self, m, i, to):
+        """d_i out of level m when to == m - 1, s_i when to == m + 1."""
+        return (self.faces if to < m else self.degens)[m][i]
 
     # -- validation ----------------------------------------------------
 
@@ -344,24 +388,20 @@ class SimplicialVectorSpace:
             raise SimplicialError("face/degeneracy list length mismatch")
         if self.faces[0]:
             raise SimplicialError("level 0 has no faces")
-        for m in range(1, T + 1):
-            if len(self.faces[m]) != m + 1:
-                raise SimplicialError("level %d needs %d faces" % (m, m + 1))
-            for i, d in enumerate(self.faces[m]):
-                if d.field != self.field:
-                    raise FieldError("face field mismatch")
-                if (d.nrows, d.ncols) != (self.level_dims[m - 1], self.level_dims[m]):
-                    raise SimplicialError("face d_%d shape at level %d" % (i, m))
-        for m in range(T):
-            if len(self.degens[m]) != m + 1:
-                raise SimplicialError("level %d needs %d degeneracies" % (m, m + 1))
-            for i, s in enumerate(self.degens[m]):
-                if s.field != self.field:
-                    raise FieldError("degeneracy field mismatch")
-                if (s.nrows, s.ncols) != (self.level_dims[m + 1], self.level_dims[m]):
-                    raise SimplicialError("degeneracy s_%d shape at level %d" % (i, m))
         if self.degens[T]:
             raise SimplicialError("top level has no degeneracies")
+        for m in range(T + 1):
+            if m and len(self.faces[m]) != m + 1:
+                raise SimplicialError("level %d needs %d faces" % (m, m + 1))
+            if m < T and len(self.degens[m]) != m + 1:
+                raise SimplicialError("level %d needs %d degeneracies" % (m, m + 1))
+        for m, i, to in _operator_slots(T):
+            op = self.operator(m, i, to)
+            kind, name = ("face", "d") if to < m else ("degeneracy", "s")
+            if op.field != self.field:
+                raise FieldError("%s field mismatch" % kind)
+            if (op.nrows, op.ncols) != (self.level_dims[to], self.level_dims[m]):
+                raise SimplicialError("%s %s_%d shape at level %d" % (kind, name, i, m))
 
     def check_identities(self):
         """Assert every simplicial identity; cheap for sparse maps."""
@@ -437,48 +477,24 @@ class SimplicialVectorSpace:
 
     def tensor(self, other):
         """Levelwise tensor product with diagonal structure maps."""
-        if self.field != other.field:
-            raise FieldError("tensor over different fields")
-        if self.T != other.T:
-            raise SimplicialError("tensor of different truncations")
-        dims = [a * b for a, b in zip(self.level_dims, other.level_dims)]
-        faces = [[]]
-        for m in range(1, self.T + 1):
-            faces.append(
-                [self.faces[m][i].kron(other.faces[m][i]) for i in range(m + 1)]
-            )
-        degens = []
-        for m in range(self.T):
-            degens.append(
-                [self.degens[m][i].kron(other.degens[m][i]) for i in range(m + 1)]
-            )
-        degens.append([])
-        return SimplicialVectorSpace(self.field, dims, faces, degens)
+        return self._levelwise_pair(other, "tensor", lambda x, y: x * y, Mat.kron)
 
     def direct_sum(self, other):
+        return self._levelwise_pair(
+            other, "direct sum", lambda x, y: x + y,
+            lambda f, g: Mat.block_diag(self.field, [f, g]))
+
+    def _levelwise_pair(self, other, name, dim, combine):
+        """The object with levels dim(a, b) and each operator combine(f, g)
+        of the two objects' operators."""
         if self.field != other.field:
-            raise FieldError("direct sum over different fields")
+            raise FieldError("%s over different fields" % name)
         if self.T != other.T:
-            raise SimplicialError("direct sum of different truncations")
-        dims = [a + b for a, b in zip(self.level_dims, other.level_dims)]
-        faces = [[]]
-        for m in range(1, self.T + 1):
-            faces.append(
-                [
-                    Mat.block_diag(self.field, [self.faces[m][i], other.faces[m][i]])
-                    for i in range(m + 1)
-                ]
-            )
-        degens = []
-        for m in range(self.T):
-            degens.append(
-                [
-                    Mat.block_diag(self.field, [self.degens[m][i], other.degens[m][i]])
-                    for i in range(m + 1)
-                ]
-            )
-        degens.append([])
-        return SimplicialVectorSpace(self.field, dims, faces, degens)
+            raise SimplicialError("%s of different truncations" % name)
+        dims = [dim(a, b) for a, b in zip(self.level_dims, other.level_dims)]
+        return SimplicialVectorSpace.from_operators(
+            self.field, dims,
+            lambda m, i, to: combine(self.operator(m, i, to), other.operator(m, i, to)))
 
     # -- serialization ----------------------------------------------------
 
@@ -514,19 +530,15 @@ class SimplicialVectorSpace:
                 raise SimplicialError("%s length does not match truncation" % key)
             if not all(isinstance(level, list) for level in data[key]):
                 raise SimplicialError("%s entries must be lists of matrices" % key)
-        faces = [[]]
-        for m in range(1, T + 1):
-            faces.append(
-                [_mat_from_lists(field, rows, dims[m - 1], dims[m])
-                 for rows in data["faces"][m]]
-            )
-        degens = []
-        for m in range(T):
-            degens.append(
-                [_mat_from_lists(field, rows, dims[m + 1], dims[m])
-                 for rows in data["degeneracies"][m]]
-            )
-        degens.append([])
+        if data["faces"][0]:
+            raise SimplicialError("level 0 has no faces")
+        if data["degeneracies"][T]:
+            raise SimplicialError("top level has no degeneracies")
+        # both are empty, so neither dims[-1] nor dims[T + 1] is read
+        faces = [[_mat_from_lists(field, rows, dims[m - 1], dims[m]) for rows in level]
+                 for m, level in enumerate(data["faces"])]
+        degens = [[_mat_from_lists(field, rows, dims[m + 1], dims[m]) for rows in level]
+                  for m, level in enumerate(data["degeneracies"])]
         return cls(field, dims, faces, degens)
 
     def __repr__(self):
@@ -542,6 +554,8 @@ def _entry_to_json(v):
 
 
 def _entry_from_json(x):
+    if isinstance(x, bool):
+        raise SimplicialError("entry %r is not a number" % x)
     if isinstance(x, str):
         try:
             num, den = x.split("/")
@@ -637,34 +651,23 @@ def gamma(field, complex_dims, complex_diffs, T):
         bases.append(basis)
         index.append({b: i for i, b in enumerate(basis)})
 
-    def operator_matrix(phi, m_src, m_dst):
+    def operator(m, i, to):
+        phi = _coface(m, i) if to < m else _codegeneracy(m, i)
         cols = []
-        for sigma, k, e in bases[m_src]:
-            comp = tuple(sigma[phi[i]] for i in range(m_dst + 1))
+        for sigma, k, e in bases[m]:
+            comp = tuple(sigma[phi[j]] for j in range(to + 1))
             image = set(comp)
             col = {}
             if len(image) == k + 1:
-                col[index[m_dst][(comp, k, e)]] = 1
+                col[index[to][(comp, k, e)]] = 1
             elif image == set(range(k)):
                 for e2, v in diffs[k].cols[e].items():
-                    col[index[m_dst][(comp, k - 1, e2)]] = v
+                    col[index[to][(comp, k - 1, e2)]] = v
             cols.append(col)
-        return Mat(field, len(bases[m_dst]), len(bases[m_src]), cols)
+        return Mat(field, len(bases[to]), len(bases[m]), cols)
 
-    faces = [[]]
-    for m in range(1, T + 1):
-        faces.append(
-            [operator_matrix(_coface(m, i), m, m - 1) for i in range(m + 1)]
-        )
-    degens = []
-    for m in range(T):
-        degens.append(
-            [operator_matrix(_codegeneracy(m, i), m, m + 1) for i in range(m + 1)]
-        )
-    degens.append([])
-    dims = [len(b) for b in bases]
-    svs = SimplicialVectorSpace(field, dims, faces, degens, basis_labels=bases)
-    return svs
+    return SimplicialVectorSpace.from_operators(
+        field, [len(b) for b in bases], operator, basis_labels=bases)
 
 
 def eilenberg_maclane(field, q, n, T):

@@ -120,29 +120,13 @@ def symmetric_power(V, d):
     monomials = [_monomials(V.level_dims[m], d) for m in range(V.T + 1)]
     indexes = [{mono: i for i, mono in enumerate(mons)} for mons in monomials]
     dims = [len(mons) for mons in monomials]
-    faces = [[]]
-    for m in range(1, V.T + 1):
-        faces.append(
-            [
-                Mat(field, dims[m - 1], dims[m],
-                    _sym_map(_generator_images(V.faces[m][i]), monomials[m],
-                             indexes[m - 1], p))
-                for i in range(m + 1)
-            ]
-        )
-    degens = []
-    for m in range(V.T):
-        degens.append(
-            [
-                Mat(field, dims[m + 1], dims[m],
-                    _sym_map(_generator_images(V.degens[m][i]), monomials[m],
-                             indexes[m + 1], p))
-                for i in range(m + 1)
-            ]
-        )
-    degens.append([])
-    return SimplicialVectorSpace._functor_image(field, dims, faces, degens,
-                                                monomials)
+
+    def operator(m, i, to):
+        return Mat(field, dims[to], dims[m],
+                   _sym_map(_generator_images(V.operator(m, i, to)), monomials[m],
+                            indexes[to], p))
+
+    return SimplicialVectorSpace._functor_image(field, dims, operator, monomials)
 
 
 # --------------------------------------------------------------------------
@@ -540,11 +524,11 @@ class WeightGradedAlgebra:
                 for i in range(m + 1):
                     for ia in range(dims[a][m]):
                         for ib in range(dims[b][m]):
-                            lhs = cab.faces[m][i].apply(self.multiply_elements(
-                                a, {ia: 1}, b, {ib: 1}, m))
+                            lhs = cab.operator(m, i, m - 1).apply(
+                                self.multiply_elements(a, {ia: 1}, b, {ib: 1}, m))
                             rhs = self.multiply_elements(
-                                a, ca.faces[m][i].cols[ia],
-                                b, cb.faces[m][i].cols[ib], m - 1)
+                                a, ca.operator(m, i, m - 1).cols[ia],
+                                b, cb.operator(m, i, m - 1).cols[ib], m - 1)
                             if lhs != rhs:
                                 raise SimplicialError(
                                     "face d_%d is not an algebra map at level %d"

@@ -14,6 +14,7 @@ from scalg.simplicial import (
 )
 from scalg.symalg import sphere_algebra, symmetric_power
 from scalg.barcof import (
+    AlgebraMap,
     BarDiagonal,
     CycleError,
     LesVerdict,
@@ -132,6 +133,29 @@ def test_representing_map_rejects_non_cycle():
     assert ncx.differential(3).apply(bad)
     with pytest.raises(CycleError):
         representing_map(A, 3, 2, bad)
+
+
+def test_algebra_map_rejects_level_maps_that_miss_a_face():
+    # the identity of K(Q, 2) doubled at level 3 breaks d_0 out of level 3
+    f = identity_map(sphere_algebra(QQ, 1, 2, 4, 1))
+    maps = list(f.level_maps)
+    maps[3] = Mat(QQ, maps[3].nrows, maps[3].ncols,
+                  [{j: 2 * v for j, v in col.items()} for col in maps[3].cols])
+    with pytest.raises(SimplicialError, match="^generator images do not "
+                       "commute with d_0 at level 3$"):
+        AlgebraMap(f.source, f.target, 1, maps)
+
+
+def test_algebra_map_rejects_level_maps_that_miss_a_degeneracy():
+    # K(Q, 1) -> K(Q, 2) through level 2, zero below level 2 and the first
+    # coordinate there: every face lands in a zero level, so all commute,
+    # but s_1 sends the level-1 generator to that coordinate
+    source = sphere_algebra(QQ, 1, 1, 2, 1)
+    target = sphere_algebra(QQ, 1, 2, 2, 1)
+    maps = [Mat.zero(QQ, 0, 0), Mat.zero(QQ, 0, 1), Mat(QQ, 1, 2, [{0: 1}, {}])]
+    with pytest.raises(SimplicialError, match="^generator images do not "
+                       "commute with s_1 at level 1$"):
+        AlgebraMap(source, target, 1, maps)
 
 
 # ------------------------------------------------------------- bar diagonal

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalg.symalg
+from scalg.barcof import AlgebraMap
 from scalg.cli import build_parser, main
 from scalg.schemas import SCHEMAS
-from scalg.simplicial import SimplicialVectorSpace
+from scalg.simplicial import SimplicialError, SimplicialVectorSpace
 
 
 def run_cli(argv):
@@ -446,6 +447,20 @@ def test_asymptotic_reference_underflow_prints_no_nan(capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err == "error: the growth reference underflows to 0 at t = 1e-200\n"
+
+
+def test_cofiber_internal_fault_is_exit_3(monkeypatch, capsys):
+    # only the argument checks of the power tables are bad input; a failed
+    # invariant past them is an internal fault
+    def fail(self):
+        raise SimplicialError(
+            "generator images do not commute with d_0 at level 3")
+
+    monkeypatch.setattr(AlgebraMap, "check_simplicial", fail)
+    code, out = run_cli(["cofiber", "-r", "1", "-s", "2", "-W", "2"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == ("internal invariant violation: generator "
+                                       "images do not commute with d_0 at level 3\n")
 
 
 # ------------------------------------------------------------- argv fuzzing

@@ -9,7 +9,7 @@ import scalg.barcof
 import scalg.simplicial
 from scalg.cli import _random_complex
 from scalg.exactfield import (
-    ColumnEchelon, Mat, QQ, GF2, GF3, pivot_rows, rank, solve,
+    ColumnEchelon, FieldError, Mat, QQ, GF2, GF3, pivot_rows, rank, solve,
 )
 from scalg.simplicial import (
     GradedDims,
@@ -121,6 +121,21 @@ def test_constructor_rejects_identity_violation():
     faces[1] = [Mat.zero(GF2, 1, 1), faces[1][1]]
     with pytest.raises(SimplicialError):
         SimplicialVectorSpace(GF2, c.level_dims, faces, c.degens)
+
+
+def test_operator_rule_builds_the_same_object_and_is_checked():
+    k = eilenberg_maclane(GF3, 1, 2, 4)
+    back = SimplicialVectorSpace.from_operators(GF3, k.level_dims, k.operator)
+    assert back.faces == k.faces and back.degens == k.degens
+
+    def broken(m, i, to):
+        # zero d_0 out of level 3, which breaks d_0 s_0 = id on level 2
+        if (m, i, to) == (3, 0, 2):
+            return Mat.zero(GF3, k.level_dims[2], k.level_dims[3])
+        return k.operator(m, i, to)
+
+    with pytest.raises(SimplicialError, match="identity fails"):
+        SimplicialVectorSpace.from_operators(GF3, k.level_dims, broken)
 
 
 def test_identities_reassertable():
@@ -497,6 +512,22 @@ def test_tensor_k1_k1_is_k2_in_homotopy():
         assert h.to_list(3) == [0, 0, 1, 0]
 
 
+@pytest.mark.parametrize("name", ["tensor", "direct_sum"])
+def test_pairing_rejects_objects_over_different_fields(name):
+    a, b = eilenberg_maclane(QQ, 1, 1, 3), eilenberg_maclane(GF2, 1, 1, 3)
+    with pytest.raises(FieldError, match="^%s over different fields$"
+                       % name.replace("_", " ")):
+        getattr(a, name)(b)
+
+
+@pytest.mark.parametrize("name", ["tensor", "direct_sum"])
+def test_pairing_rejects_objects_of_different_truncations(name):
+    a, b = eilenberg_maclane(QQ, 1, 1, 3), eilenberg_maclane(QQ, 1, 1, 4)
+    with pytest.raises(SimplicialError, match="^%s of different truncations$"
+                       % name.replace("_", " ")):
+        getattr(a, name)(b)
+
+
 def test_tensor_kunneth_on_random_objects():
     rng = random.Random(17)
     for _ in range(5):
@@ -506,7 +537,7 @@ def test_tensor_kunneth_on_random_objects():
         b, _ = random_gamma_object(rng, field, T, max_dim=2)
         got = a.tensor(b).homotopy_dims()
         expect = GradedDims(a.homotopy_dims().certified().data).convolve(
-            GradedDims(b.homotopy_dims().certified().data)
+            GradedDims(b.homotopy_dims().certified().data), upto=T - 1
         )
         for m in range(T):
             assert got[m] == expect[m], (field, T, m)
@@ -549,6 +580,25 @@ def _string_truncation(data):
     data["truncation"] = "3"
 
 
+def _missing_face(data):
+    data["faces"][2] = data["faces"][2][:-1]
+
+
+def _face_at_level_0(data):
+    data["faces"][0] = [[]]
+
+
+def _degeneracy_at_top(data):
+    data["degeneracies"][-1] = data["degeneracies"][-2][:1]
+
+
+def _true_for_one(data):
+    # d_0 from level 2 has an entry 1, which JSON true would read as
+    rows = data["faces"][2][0]
+    row = next(r for r in rows if 1 in r)
+    row[row.index(1)] = True
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (_short_faces, "faces length"),
     (_set_entry("1/0"), "not a fraction"),
@@ -556,8 +606,13 @@ def _string_truncation(data):
     (_drop_degeneracies, "lacks 'degeneracies'"),
     (_number_as_faces, "faces entries must be lists"),
     (_string_truncation, "truncation must be a nonnegative integer"),
+    (_missing_face, "level 2 needs 3 faces"),
+    (_face_at_level_0, "level 0 has no faces"),
+    (_degeneracy_at_top, "top level has no degeneracies"),
+    (_true_for_one, "entry True is not a number"),
 ], ids=["short-faces", "zero-denominator", "not-a-fraction",
-        "no-degeneracies", "number-as-faces", "string-truncation"])
+        "no-degeneracies", "number-as-faces", "string-truncation",
+        "missing-face", "face-at-level-0", "degeneracy-at-top", "boolean-entry"])
 def test_json_rejects_malformed_data(corrupt, message):
     data = json.loads(json.dumps(eilenberg_maclane(QQ, 1, 1, 3).to_json_dict()))
     corrupt(data)
