@@ -227,6 +227,12 @@ def _exceeds_log_bound(value, p, D):
     num, den = value.numerator, value.denominator
     if num <= 0:
         return False
+    # exact brackets before any power: log_p(D) <= 0 < value, or
+    # p**num < 2**(num * bits(p)) <= 2**(den * (bits(D) - 1)) <= D**den
+    if D <= 1:
+        return True
+    if num * p.bit_length() <= den * (D.bit_length() - 1):
+        return False
     if num * math.log2(p) > LOG_BOUND_BITS:
         # astronomically beyond the bound; the float check is safe here
         return num / den > math.log(D, p) + 1

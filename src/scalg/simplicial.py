@@ -31,6 +31,7 @@ object K(V, n) with level dimensions C(m, n) * dim V.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .exactfield import (
@@ -322,6 +323,26 @@ def _operator_lists(T, operator):
     return faces, degens
 
 
+def _composite(a, b, r):
+    """Column r of a @ b: a's column k when b's column r is {k: 1} (Mat
+    entries are canonical, so that is the product's column), else the
+    product's column computed."""
+    col = b.cols[r]
+    if len(col) == 1:
+        for k, v in col.items():
+            if v == 1:
+                return a.cols[k]
+    return a.apply(col)
+
+
+def _composites_agree(a, b, c, e):
+    """a @ b == c @ e, compared column by column; shapes are checked."""
+    for r in range(b.ncols):
+        if _composite(a, b, r) != _composite(c, e, r):
+            return False
+    return True
+
+
 class SimplicialVectorSpace:
     """Levels 0..T with face maps d_i and degeneracy maps s_i as matrices.
 
@@ -404,34 +425,40 @@ class SimplicialVectorSpace:
                 raise SimplicialError("%s %s_%d shape at level %d" % (kind, name, i, m))
 
     def check_identities(self):
-        """Assert every simplicial identity; cheap for sparse maps."""
+        """Assert every simplicial identity, one column of each side at a
+        time; a unit column composes by lookup (see _composite), and
+        d_i s_j = id asks every column r to be {r: 1}.  No product matrix
+        is built."""
         d, s, T = self.faces, self.degens, self.T
         for m in range(2, T + 1):
             for j in range(m + 1):
                 for i in range(j):
-                    if d[m - 1][i] @ d[m][j] != d[m - 1][j - 1] @ d[m][i]:
+                    if not _composites_agree(d[m - 1][i], d[m][j],
+                                             d[m - 1][j - 1], d[m][i]):
                         raise SimplicialError(
                             "d_%d d_%d identity fails at level %d" % (i, j, m)
                         )
         for m in range(T - 1):
             for j in range(m + 1):
                 for i in range(j + 1):
-                    if s[m + 1][i] @ s[m][j] != s[m + 1][j + 1] @ s[m][i]:
+                    if not _composites_agree(s[m + 1][i], s[m][j],
+                                             s[m + 1][j + 1], s[m][i]):
                         raise SimplicialError(
                             "s_%d s_%d identity fails at level %d" % (i, j, m)
                         )
         for m in range(T):
-            ident = Mat.identity(self.field, self.level_dims[m])
             for j in range(m + 1):
                 for i in range(m + 2):
-                    lhs = d[m + 1][i] @ s[m][j]
                     if i < j:
-                        rhs = s[m - 1][j - 1] @ d[m][i]
-                    elif i in (j, j + 1):
-                        rhs = ident
+                        ok = _composites_agree(d[m + 1][i], s[m][j],
+                                               s[m - 1][j - 1], d[m][i])
+                    elif i <= j + 1:
+                        ok = all(_composite(d[m + 1][i], s[m][j], r) == {r: 1}
+                                 for r in range(self.level_dims[m]))
                     else:
-                        rhs = s[m - 1][j] @ d[m][i - 1]
-                    if lhs != rhs:
+                        ok = _composites_agree(d[m + 1][i], s[m][j],
+                                               s[m - 1][j], d[m][i - 1])
+                    if not ok:
                         raise SimplicialError(
                             "d_%d s_%d identity fails at level %d" % (i, j, m)
                         )
@@ -618,16 +645,47 @@ def _codegeneracy(m, i):
     return tuple(x if x <= i else x - 1 for x in range(m + 2))
 
 
+@lru_cache(maxsize=None)
+def _gamma_action(m, i, to, k):
+    """How d_i (to = m - 1) or s_i (to = m + 1) acts on the sigma summands
+    of level m with sigma: [m] ->> [k], in surjections(m, k) order.
+
+    Each entry is ("id", j) for the identity onto the j-th summand of
+    surjections(to, k), ("d", j) for the differential onto the j-th of
+    surjections(to, k - 1), or None for zero: the epi-mono factorization
+    of sigma o phi has a trivial mono part, one missing exactly the top
+    element, or another.  This depends on the shape (m, i, to, k) only,
+    never on the complex, so it is computed once per process.
+    """
+    phi = _coface(m, i) if to < m else _codegeneracy(m, i)
+    same = {sigma: j for j, sigma in enumerate(surjections(to, k))}
+    lower = {sigma: j for j, sigma in enumerate(surjections(to, k - 1))} if k else {}
+    out = []
+    for sigma in surjections(m, k):
+        comp = tuple(sigma[phi[x]] for x in range(to + 1))
+        if comp in same:
+            out.append(("id", same[comp]))
+        elif comp in lower:
+            out.append(("d", lower[comp]))
+        else:
+            out.append(None)
+    return tuple(out)
+
+
 def gamma(field, complex_dims, complex_diffs, T):
     """Simplicial vector space whose normalized chains realize a complex.
 
     complex_dims[k] is the dimension in degree k; complex_diffs[k] is the
     differential degree k -> k-1 (entry 0 unused).  Level m of the result
     is the sum over order-preserving surjections sigma: [m] ->> [k] of a
-    copy of degree k; a simplicial operator phi acts on the sigma summand
-    through the epi-mono factorization of sigma o phi, applying the
-    identity when the mono part is trivial, the differential when the mono
-    part misses exactly the top element, and zero otherwise.
+    copy of degree k, ordered by k, then sigma (as in surjections), then
+    the basis vector e of degree k; basis_labels lists the (sigma, k, e).
+    A simplicial operator phi acts on the sigma summand through the
+    epi-mono factorization of sigma o phi, applying the identity when the
+    mono part is trivial, the differential when the mono part misses
+    exactly the top element, and zero otherwise.  Which of the three, and
+    onto which summand, depends on the shape only (_gamma_action, cached),
+    so each operator is placed block by block at per-level offsets.
     """
     kmax = len(complex_dims) - 1
     diffs = list(complex_diffs)
@@ -640,30 +698,34 @@ def gamma(field, complex_dims, complex_diffs, T):
         if k >= 2 and not (diffs[k - 1] @ d).is_zero():
             raise SimplicialError("complex has d o d != 0 at degree %d" % k)
 
-    bases = []   # per level: list of (sigma, k, e)
-    index = []   # per level: dict (sigma, k, e) -> position
+    bases = []    # per level: list of (sigma, k, e)
+    offsets = []  # per level: position of the first (sigma, k, e) of each k
     for m in range(T + 1):
-        basis = []
+        basis, starts = [], []
         for k in range(min(m, kmax) + 1):
+            starts.append(len(basis))
             for sigma in surjections(m, k):
                 for e in range(complex_dims[k]):
                     basis.append((sigma, k, e))
         bases.append(basis)
-        index.append({b: i for i, b in enumerate(basis)})
+        offsets.append(starts)
 
     def operator(m, i, to):
-        phi = _coface(m, i) if to < m else _codegeneracy(m, i)
         cols = []
-        for sigma, k, e in bases[m]:
-            comp = tuple(sigma[phi[j]] for j in range(to + 1))
-            image = set(comp)
-            col = {}
-            if len(image) == k + 1:
-                col[index[to][(comp, k, e)]] = 1
-            elif image == set(range(k)):
-                for e2, v in diffs[k].cols[e].items():
-                    col[index[to][(comp, k - 1, e2)]] = v
-            cols.append(col)
+        for k in range(min(m, kmax) + 1):
+            n = complex_dims[k]
+            if not n:
+                continue
+            for action in _gamma_action(m, i, to, k):
+                if action is None:
+                    cols.extend({} for _ in range(n))
+                elif action[0] == "id":
+                    base = offsets[to][k] + action[1] * n
+                    cols.extend({base + e: 1} for e in range(n))
+                else:
+                    base = offsets[to][k - 1] + action[1] * complex_dims[k - 1]
+                    cols.extend({base + e2: v for e2, v in diffs[k].cols[e].items()}
+                                for e in range(n))
         return Mat(field, len(bases[to]), len(bases[m]), cols)
 
     return SimplicialVectorSpace.from_operators(

@@ -90,6 +90,29 @@ def _sym_map(images, src_monomials, dst_index, p):
     return cols
 
 
+def _sym_lookup(f, src_monomials, dst_index):
+    """_sym_map of a map f whose every column is empty or one entry 1, by
+    lookup: a monomial goes to the sorted monomial of its generators' rows
+    with coefficient 1, or to zero when f kills one of them.  None when f
+    has any other column, which leaves it to _sym_map."""
+    rows = []
+    for col in f.cols:
+        if not col:
+            rows.append(None)
+            continue
+        if len(col) != 1:
+            return None
+        (row, v), = col.items()
+        if v != 1:
+            return None
+        rows.append(row)
+    cols = []
+    for mono in src_monomials:
+        image = [rows[a] for a in mono]
+        cols.append({} if None in image else {dst_index[tuple(sorted(image))]: 1})
+    return cols
+
+
 def _generator_images(f):
     """Columns of a linear map as images keyed by 1-tuple monomials."""
     return [{(j,): v for j, v in col.items()} for col in f.cols]
@@ -102,7 +125,9 @@ def symmetric_power(V, d):
     multiplicatively on monomials.  d = 0 gives the constant object, d = 1
     gives V back (on the nose).
 
-    Every structure map is _sym_map of V's, and _sym_map preserves
+    Every structure map is _sym_map of V's (by _sym_lookup where V's map
+    sends each basis vector to a basis vector or to zero, as on K(V, n):
+    the same matrix, without products), and _sym_map preserves
     composites and identities matrix for matrix (it computes maps of
     polynomial rings exactly, and reducing mod p is a ring map), so the
     simplicial identities of Sym^d V follow from V's and are not checked
@@ -122,9 +147,11 @@ def symmetric_power(V, d):
     dims = [len(mons) for mons in monomials]
 
     def operator(m, i, to):
-        return Mat(field, dims[to], dims[m],
-                   _sym_map(_generator_images(V.operator(m, i, to)), monomials[m],
-                            indexes[to], p))
+        f = V.operator(m, i, to)
+        cols = _sym_lookup(f, monomials[m], indexes[to])
+        if cols is None:
+            cols = _sym_map(_generator_images(f), monomials[m], indexes[to], p)
+        return Mat(field, dims[to], dims[m], cols)
 
     return SimplicialVectorSpace._functor_image(field, dims, operator, monomials)
 

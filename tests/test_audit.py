@@ -1,6 +1,12 @@
 import itertools
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +196,36 @@ def test_growth_polynomials_match_the_hand_formula():
                             for s in range(1, n - 1)}
                 assert lhs == {d: c for d, c in want_lhs.items() if c}, dims
                 assert rhs == {d: c for d, c in want_rhs.items() if c}, dims
+
+
+def test_exceeds_log_bound_is_the_exact_power_comparison():
+    # the brackets that skip the power (D <= 1, and bit lengths showing
+    # p**num < D**den) agree with computing both powers
+    rng = random.Random(18)
+    primes = [2, 3, 5, 7, 11, 101, 2**31 - 1]
+    for _ in range(20000):
+        p = rng.choice(primes)
+        D = rng.choice([0, 1, 2, p, p + 1, rng.randint(2, 10**6), p**rng.randint(1, 9)])
+        value = Fraction(rng.randint(-5, 300), rng.randint(1, 300))
+        exact = value > 0 and p**value.numerator > D**value.denominator
+        assert scalg.audit._exceeds_log_bound(value, p, D) == exact, (value, p, D)
+
+
+def test_audit_with_a_huge_growth_denominator_returns():
+    # at t = 1 the left polynomial of top degree 16 is 1/15!, so the
+    # exact comparison would raise D to the power 15!
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scalg.cli", "audit", "--char", "2",
+         "--profile", "16:1", "--pi-bound", "3"],
+        env=env, cwd=root, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    verdict = json.loads(proc.stdout)
+    assert verdict["outcome"] == "contradiction"
+    assert verdict["trace"]["verification"]["witness"] == 7
 
 
 def test_audit_monotone_in_bound():

@@ -143,6 +143,187 @@ def test_identities_reassertable():
     k.check_identities()
 
 
+# ------------------------------------------- fast paths against the old ones
+
+def per_basis_gamma(field, dims, diffs, T):
+    """(bases, operator) of gamma computed basis vector by basis vector:
+    sigma o phi and its image set for every (sigma, k, e), looked up by
+    label.  The oracle for gamma's cached action and block offsets."""
+    kmax = len(dims) - 1
+    bases = [[(sigma, k, e) for k in range(min(m, kmax) + 1)
+              for sigma in surjections(m, k) for e in range(dims[k])]
+             for m in range(T + 1)]
+    index = [{b: i for i, b in enumerate(basis)} for basis in bases]
+
+    def operator(m, i, to):
+        phi = scalg.simplicial._coface(m, i) if to < m else \
+            scalg.simplicial._codegeneracy(m, i)
+        cols = []
+        for sigma, k, e in bases[m]:
+            comp = tuple(sigma[phi[j]] for j in range(to + 1))
+            image = set(comp)
+            col = {}
+            if len(image) == k + 1:
+                col[index[to][(comp, k, e)]] = 1
+            elif image == set(range(k)):
+                for e2, v in diffs[k].cols[e].items():
+                    col[index[to][(comp, k - 1, e2)]] = v
+            cols.append(col)
+        return Mat(field, len(bases[to]), len(bases[m]), cols)
+
+    return bases, operator
+
+
+def test_gamma_equals_the_per_basis_construction():
+    rng = random.Random(18)
+    for case in range(60):
+        field = (QQ, GF2, GF3)[case % 3]
+        T = 1 + case % 5
+        dims, diffs = _random_complex(rng, field, T)
+        while all(d.is_zero() for d in diffs[1:]):
+            dims, diffs = _random_complex(rng, field, T)
+        v = gamma(field, dims, diffs, T)
+        bases, operator = per_basis_gamma(field, dims, diffs, T)
+        assert v.level_dims == [len(b) for b in bases]
+        assert v.basis_labels == bases
+        for m, i, to in scalg.simplicial._operator_slots(T):
+            assert v.operator(m, i, to) == operator(m, i, to), (case, m, i, to)
+
+
+def test_a_second_gamma_of_the_same_shape_only_reads_the_cache():
+    dims = [1, 2, 1, 3]
+    diffs = [None, Mat.zero(GF3, 1, 2), Mat.from_rows(GF3, [[1], [2]]),
+             Mat.zero(GF3, 1, 3)]
+    gamma(GF3, dims, diffs, 6)
+    before = scalg.simplicial._gamma_action.cache_info()
+    gamma(QQ, [2, 1, 1, 1], [None] + [Mat.zero(QQ, a, b) for a, b in
+                                      [(2, 1), (1, 1), (1, 1)]], 6)
+    after = scalg.simplicial._gamma_action.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
+def matmul_check_identities(obj):
+    """Every simplicial identity checked by multiplying out both sides,
+    with the messages of check_identities: the oracle for its column by
+    column comparison."""
+    d, s, T = obj.faces, obj.degens, obj.T
+    for m in range(2, T + 1):
+        for j in range(m + 1):
+            for i in range(j):
+                if d[m - 1][i] @ d[m][j] != d[m - 1][j - 1] @ d[m][i]:
+                    raise SimplicialError(
+                        "d_%d d_%d identity fails at level %d" % (i, j, m))
+    for m in range(T - 1):
+        for j in range(m + 1):
+            for i in range(j + 1):
+                if s[m + 1][i] @ s[m][j] != s[m + 1][j + 1] @ s[m][i]:
+                    raise SimplicialError(
+                        "s_%d s_%d identity fails at level %d" % (i, j, m))
+    for m in range(T):
+        ident = Mat.identity(obj.field, obj.level_dims[m])
+        for j in range(m + 1):
+            for i in range(m + 2):
+                lhs = d[m + 1][i] @ s[m][j]
+                if i < j:
+                    rhs = s[m - 1][j - 1] @ d[m][i]
+                elif i in (j, j + 1):
+                    rhs = ident
+                else:
+                    rhs = s[m - 1][j] @ d[m][i - 1]
+                if lhs != rhs:
+                    raise SimplicialError(
+                        "d_%d s_%d identity fails at level %d" % (i, j, m))
+
+
+def identity_verdict(check, obj):
+    try:
+        check(obj)
+    except SimplicialError as exc:
+        return str(exc)
+    return None
+
+
+def random_entry(rng, field):
+    """A nonzero field element, 1 and (over Q and F_3) 2 among them; over
+    Q also 1/2, which is not a unit entry."""
+    if field.characteristic == 0:
+        return rng.choice([1, 1, 2, -1, Fraction(1, 2), Fraction(-2, 3)])
+    return rng.randrange(1, field.characteristic)
+
+
+def corrupt(rng, obj):
+    """obj with one entry of one operator changed, added or removed, built
+    without any identity check."""
+    m, i, to = rng.choice(list(scalg.simplicial._operator_slots(obj.T)))
+    target = obj.operator(m, i, to)
+    if not target.ncols or not target.nrows:
+        return None
+    cols = [dict(col) for col in target.cols]
+    col = cols[rng.randrange(len(cols))]
+    how = rng.choice(["change", "add", "remove"])
+    if how == "remove" and col:
+        del col[rng.choice(sorted(col))]
+    elif how == "change" and col:
+        col[rng.choice(sorted(col))] = random_entry(rng, obj.field)
+    else:
+        col[rng.randrange(target.nrows)] = random_entry(rng, obj.field)
+    bad = Mat(obj.field, target.nrows, target.ncols, cols)
+
+    def operator(m2, i2, to2):
+        return bad if (m2, i2, to2) == (m, i, to) else obj.operator(m2, i2, to2)
+
+    return SimplicialVectorSpace._functor_image(
+        obj.field, obj.level_dims, operator, None)
+
+
+def test_column_check_agrees_with_the_product_check_on_corrupted_objects():
+    rng = random.Random(18)
+    verdicts = set()
+    for case in range(240):
+        field = (QQ, GF2, GF3)[case % 3]
+        if case % 4:
+            obj, _ = random_gamma_object(rng, field, rng.randint(1, 4))
+        else:
+            T = rng.randint(1, 3)
+            obj = random_gamma_object(rng, field, T, 2)[0].tensor(
+                random_gamma_object(rng, field, T, 2)[0])
+        bad = corrupt(rng, obj)
+        if bad is None:
+            continue
+        verdict = identity_verdict(SimplicialVectorSpace.check_identities, bad)
+        assert verdict == identity_verdict(matmul_check_identities, bad), case
+        verdicts.add(verdict)
+    # both outcomes, and failures of each kind of identity, were seen
+    assert None in verdicts
+    assert {v[0] + v[4] for v in verdicts if v} == {"dd", "ss", "ds"}
+
+
+@pytest.mark.parametrize("field,entry", [
+    (GF3, 2), (QQ, 2), (QQ, Fraction(1, 2)), (QQ, -1),
+], ids=["F3-2", "Q-2", "Q-half", "Q-minus-1"])
+def test_a_scaled_unit_column_is_multiplied_not_looked_up(field, entry):
+    k = eilenberg_maclane(field, 2, 1, 3)
+    s = k.operator(1, 0, 2)
+    cols = [dict(col) for col in s.cols]
+    (row, _), = cols[1].items()
+    cols[1] = {row: entry}
+    scaled = Mat(field, s.nrows, s.ncols, cols)
+    d = k.operator(2, 1, 1)
+    for r in range(scaled.ncols):
+        assert scalg.simplicial._composite(d, scaled, r) == (d @ scaled).cols[r]
+    # a lookup would have read d's column row unscaled
+    assert d.cols[row]
+    assert scalg.simplicial._composite(d, scaled, 1) != d.cols[row]
+    bad = SimplicialVectorSpace._functor_image(
+        field, k.level_dims,
+        lambda m, i, to: scaled if (m, i, to) == (1, 0, 2) else k.operator(m, i, to),
+        None)
+    verdict = identity_verdict(SimplicialVectorSpace.check_identities, bad)
+    assert verdict is not None
+    assert verdict == identity_verdict(matmul_check_identities, bad)
+
+
 # ------------------------------------------------------- chains and homotopy
 
 def test_gamma_recovers_complex_homology():

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalg.symalg
-from scalg.exactfield import FieldSpec, Mat, QQ, GF2, GF3, rank
-from scalg.simplicial import HomotopyDims, eilenberg_maclane, gamma, constant_object
+from scalg.exactfield import FieldSpec, Mat, QQ, GF2, GF3, rank, solve
+from scalg.simplicial import (
+    HomotopyDims, SimplicialVectorSpace, eilenberg_maclane, gamma, constant_object,
+    _operator_slots,
+)
 from scalg.series import sphere_series_charp
 from scalg.symalg import (
     DIM_BUDGET,
@@ -23,6 +26,7 @@ from scalg.symalg import (
     _divided_power_merge,
     _generator_images,
     _monomials,
+    _sym_lookup,
     _sym_map,
 )
 
@@ -181,6 +185,57 @@ def test_sym_map_is_a_functor_on_the_nose(maps):
     for n in (f.ncols, f.nrows):
         assert sym_matrix(Mat.identity(f.field, n), d) == Mat.identity(
             f.field, len(_monomials(n, d)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("q,n,T", [(1, 2, 6), (2, 2, 4), (1, 4, 7), (3, 1, 3)])
+def test_sym_lookup_equals_sym_map_on_em_objects(field, q, n, T):
+    # every face and degeneracy of K(F^q, n) sends a basis vector to a
+    # basis vector or to zero, so symmetric_power maps monomials by lookup
+    k = eilenberg_maclane(field, q, n, T)
+    p = field.characteristic
+    for d in (2, 3):
+        power = symmetric_power(k, d)
+        indexes = [{mono: r for r, mono in enumerate(monos)}
+                   for monos in power.basis_labels]
+        for m, i, to in _operator_slots(T):
+            f = k.operator(m, i, to)
+            src = power.basis_labels[m]
+            lookup = _sym_lookup(f, src, indexes[to])
+            assert lookup is not None
+            assert lookup == _sym_map(_generator_images(f), src, indexes[to], p)
+            assert power.operator(m, i, to).cols == lookup
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_symmetric_power_of_a_conjugated_object_goes_through_sym_map(
+        field, monkeypatch):
+    # conjugating each level of K(F, 1) by a unitriangular matrix gives
+    # operators with columns of several entries, which _sym_lookup declines
+    k = eilenberg_maclane(field, 1, 1, 3)
+    P = [Mat(field, n, n, [{r: 1 for r in range(j, n)} for j in range(n)])
+         for n in k.level_dims]
+    inv = [Mat(field, n, n, [solve(A, {j: 1}) for j in range(n)])
+           for A, n in zip(P, k.level_dims)]
+    w = SimplicialVectorSpace.from_operators(
+        field, k.level_dims,
+        lambda m, i, to: P[to] @ k.operator(m, i, to) @ inv[m])
+    calls = []
+    sym_map = scalg.symalg._sym_map
+
+    def counted(*args):
+        calls.append(args)
+        return sym_map(*args)
+
+    monkeypatch.setattr(scalg.symalg, "_sym_map", counted)
+    power = symmetric_power(w, 2)
+    declined = [(m, i, to) for m, i, to in _operator_slots(3)
+                if _sym_lookup(w.operator(m, i, to), power.basis_labels[m],
+                               {mono: r for r, mono in
+                                enumerate(power.basis_labels[to])}) is None]
+    assert declined and len(calls) == len(declined)
+    for m, i, to in _operator_slots(3):
+        assert power.operator(m, i, to) == sym_matrix(w.operator(m, i, to), 2)
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
