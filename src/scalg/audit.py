@@ -52,8 +52,8 @@ UNBOUNDED = None
 # eight points unless given t samples
 GRID_LIMIT = 2**40
 
-# _exceeds_log_bound compares p**num with D**den exactly while num has at
-# most this many bits' worth of p; beyond it the float comparison is safe
+# _exceeds_log_bound compares p**num with D**den by computing both while
+# num has at most this many bits' worth of p; beyond it, by exact brackets
 LOG_BOUND_BITS = 2_000_000
 
 
@@ -222,21 +222,54 @@ def growth_polynomials(profile):
     return poly(top), poly(stages)
 
 
+def _log2_brackets(x, k):
+    """Integers lo, hi with lo <= k*log2(x) < hi, hi - lo small: the bit
+    lengths of a lower and an upper bound of x**k, each computed by
+    squaring with its mantissa rounded down, or up, to a few more bits
+    than k has."""
+    m = 64 + k.bit_length()
+    brackets = []
+    for up in (False, True):
+        mant, exp = 1, 0
+        for bit in bin(k)[2:]:
+            mant, exp = mant * mant, 2 * exp
+            if bit == "1":
+                mant *= x
+            extra = mant.bit_length() - m
+            if extra > 0:
+                mant = -(-mant >> extra) if up else mant >> extra
+                exp += extra
+        brackets.append(mant.bit_length() + exp - (0 if up else 1))
+    return brackets
+
+
 def _exceeds_log_bound(value, p, D):
-    """Exact test value > log_p(D) for a rational value."""
+    """Exact test value > log_p(D), that is p**num > D**den, for a rational
+    value and a prime p."""
     num, den = value.numerator, value.denominator
     if num <= 0:
         return False
-    # exact brackets before any power: log_p(D) <= 0 < value, or
-    # p**num < 2**(num * bits(p)) <= 2**(den * (bits(D) - 1)) <= D**den
-    if D <= 1:
+    if D <= 1:  # log_p(D) <= 0 < value
         return True
-    if num * p.bit_length() <= den * (D.bit_length() - 1):
-        return False
-    if num * math.log2(p) > LOG_BOUND_BITS:
-        # astronomically beyond the bound; the float check is safe here
-        return num / den > math.log(D, p) + 1
-    return p**num > D**den
+    e, rest = 0, D
+    while rest % p == 0:
+        rest, e = rest // p, e + 1
+    if rest == 1:  # D = p**e: the only case where the two powers can tie
+        return num > e * den
+    # brackets of num*log2(p) and den*log2(D) narrow as k doubles until
+    # they separate, which they do since the powers differ; while p**num
+    # is small, computing both powers is quicker
+    k = 1
+    while True:
+        lo_p, hi_p = _log2_brackets(p, k)
+        lo_D, hi_D = _log2_brackets(D, k)
+        if num * lo_p >= den * hi_D:
+            return True
+        if num * hi_p <= den * lo_D:
+            return False
+        if num * math.log2(p) <= LOG_BOUND_BITS:
+            return p**num > D**den
+        k *= 2
 
 
 class AuditVerdict:

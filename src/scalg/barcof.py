@@ -53,6 +53,7 @@ from .simplicial import (
     SimplicialVectorSpace,
     _operator_slots,
 )
+from . import symalg
 from .symalg import _sym_map, induced_homology_matrices, sphere_algebra
 
 
@@ -616,7 +617,9 @@ def power_map(r, s, T, W):
 
 def cofiber_bounds(r, s, T=None, W=None, N=None):
     """The bounds (T, W, N) of power_cofiber_tables, defaults filled in;
-    ValueError when the arguments admit no table."""
+    ValueError when the arguments admit no table, or when the largest
+    level power_map would build, Sym^(W+1) of level T of K(Q, 2r), has
+    more monomials than symalg.ENUM_BUDGET."""
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
     if T is None:
@@ -630,6 +633,12 @@ def cofiber_bounds(r, s, T=None, W=None, N=None):
     if W + 1 < s:
         raise ValueError("W must be at least s - 1: the s-th power has "
                          "weight s and the target stops at W + 1")
+    monomials = math.comb(math.comb(T, 2 * r) + W, W + 1)
+    if monomials > symalg.ENUM_BUDGET:
+        raise ValueError(
+            "T = %d, W = %d need Sym^%d of level %d of K(Q, %d): %d monomials, "
+            "over the budget of %d; lower T or W"
+            % (T, W, W + 1, T, 2 * r, monomials, symalg.ENUM_BUDGET))
     return T, W, N
 
 

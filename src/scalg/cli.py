@@ -8,6 +8,9 @@ produce byte-identical output.
 
 A config file of ``key = value`` lines (# comments allowed) supplies
 defaults which explicit flags override; keys use the long flag names.
+``-h`` writes its help to main()'s ``stdout`` and returns 0.  ``cofiber``
+refuses, with exit 1, bounds whose largest symmetric power exceeds the
+enumeration budget of ``symalg``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ class Inconclusive(CliError):
         super().__init__(message, code=2)
 
 
+class _Help(Exception):
+    """-h was given: main() writes this help text to its stdout, exit 0."""
+
+
 OUTPUT_FORMATS = ("json", "csv", "table")
 
 
@@ -61,6 +68,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(message, code=1)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 # ------------------------------------------------------------- rendering
@@ -171,97 +181,6 @@ def _field(char):
         return FieldSpec(char)
     except FieldError as exc:
         raise CliError(str(exc))
-
-
-def build_parser():
-    parser = _Parser(prog="scalg", description=__doc__.splitlines()[0])
-    parser.add_argument("--config", help="key = value defaults file")
-    sub = parser.add_subparsers(dest="command")
-    parser.subcommands = sub.choices
-
-    def add_common(p):
-        p.add_argument("--output", choices=OUTPUT_FORMATS, default="json")
-        p.add_argument("--config", help=argparse.SUPPRESS)
-
-    p = sub.add_parser("pi-sphere", help="homotopy of a sphere algebra")
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("-q", type=_nonnegative, default=1)
-    p.add_argument("-n", type=_positive, required=True)
-    p.add_argument("-T", type=_nonnegative, default=None)
-    p.add_argument("-W", type=_nonnegative, default=None)
-    add_common(p)
-
-    p = sub.add_parser("hq-sphere", help="homology of a sphere algebra "
-                                         "(homotopy of its indecomposables)")
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("-q", type=_nonnegative, default=1)
-    p.add_argument("-n", type=_positive, required=True)
-    p.add_argument("-T", type=_nonnegative, default=None)
-    add_common(p)
-
-    p = sub.add_parser("em", help="Eilenberg-MacLane object as JSON data")
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("-q", type=_nonnegative, default=1)
-    p.add_argument("-n", type=_nonnegative, required=True)
-    p.add_argument("-T", type=_nonnegative, required=True)
-    add_common(p)
-
-    p = sub.add_parser("cofiber", help="bar-cofiber tables of the power map")
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("-r", type=_positive, required=True)
-    p.add_argument("-s", type=_positive, required=True)
-    p.add_argument("-T", type=_nonnegative, default=None)
-    p.add_argument("-W", type=_nonnegative, default=None)
-    p.add_argument("-N", type=_nonnegative, default=None)
-    add_common(p)
-
-    p = sub.add_parser("series", help="sphere Poincare series")
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("-q", type=_nonnegative, default=1)
-    p.add_argument("-n", type=_positive, required=True)
-    p.add_argument("-M", type=_nonnegative, default=8)
-    p.add_argument("-W", type=_nonnegative, default=None)
-    add_common(p)
-
-    p = sub.add_parser("audit", help="boundedness audit of a homology profile")
-    p.add_argument("--char", type=int, required=True)
-    p.add_argument("--profile", required=True)
-    p.add_argument("--pi-bound", type=_positive, default=None)
-    p.add_argument("--mode", choices=("asymptotic", "empirical"),
-                   default="asymptotic")
-    p.add_argument("--t-samples", type=_t_samples, default=None)
-    p.add_argument("-M", type=_nonnegative, default=6)
-    add_common(p)
-
-    p = sub.add_parser("rational-check",
-                       help="characteristic-zero vanishing check")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--pi-finite", action="store_true")
-    add_common(p)
-
-    p = sub.add_parser("rational-example",
-                       help="closed-form tables of the rational power cofiber")
-    p.add_argument("-r", type=_positive, required=True)
-    p.add_argument("-s", type=_positive, required=True)
-    p.add_argument("-T", type=_nonnegative, default=None)
-    add_common(p)
-
-    p = sub.add_parser("asymptotic", help="growth-law comparison table")
-    # q >= 1: the growth reference is proportional to q
-    p.add_argument("-q", type=_positive, default=1)
-    p.add_argument("-n", type=_positive, required=True)
-    p.add_argument("-p", type=_positive, required=True)
-    p.add_argument("--t-samples", type=_t_samples, default="0.25,0.5,1,2,4,8")
-    p.add_argument("-M", type=_nonnegative, default=6)
-    add_common(p)
-
-    p = sub.add_parser("property-test",
-                       help="seeded randomized invariant checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=_nonnegative, default=25)
-    add_common(p)
-
-    return parser
 
 
 # ------------------------------------------------------------- subcommands
@@ -481,25 +400,103 @@ def cmd_property_test(args):
     return payload, 0 if not failures else 3
 
 
-HANDLERS = {
-    "pi-sphere": cmd_pi_sphere,
-    "hq-sphere": cmd_hq_sphere,
-    "em": cmd_em,
-    "cofiber": cmd_cofiber,
-    "series": cmd_series,
-    "audit": cmd_audit,
-    "rational-check": cmd_rational_check,
-    "rational-example": cmd_rational_example,
-    "asymptotic": cmd_asymptotic,
-    "property-test": cmd_property_test,
+# ------------------------------------------------------------- parser
+
+# Every subcommand once: its help line, its handler, and its options as
+# add_argument keywords by flag, in help order; each also takes --output
+# and a hidden --config.
+COMMANDS = {
+    "pi-sphere": ("homotopy of a sphere algebra", cmd_pi_sphere, {
+        "--char": dict(type=int, default=0),
+        "-q": dict(type=_nonnegative, default=1),
+        "-n": dict(type=_positive, required=True),
+        "-T": dict(type=_nonnegative),
+        "-W": dict(type=_nonnegative),
+    }),
+    "hq-sphere": ("homology of a sphere algebra (homotopy of its "
+                  "indecomposables)", cmd_hq_sphere, {
+        "--char": dict(type=int, default=0),
+        "-q": dict(type=_nonnegative, default=1),
+        "-n": dict(type=_positive, required=True),
+        "-T": dict(type=_nonnegative),
+    }),
+    "em": ("Eilenberg-MacLane object as JSON data", cmd_em, {
+        "--char": dict(type=int, default=0),
+        "-q": dict(type=_nonnegative, default=1),
+        "-n": dict(type=_nonnegative, required=True),
+        "-T": dict(type=_nonnegative, required=True),
+    }),
+    "cofiber": ("bar-cofiber tables of the power map", cmd_cofiber, {
+        "--char": dict(type=int, default=0),
+        "-r": dict(type=_positive, required=True),
+        "-s": dict(type=_positive, required=True),
+        "-T": dict(type=_nonnegative),
+        "-W": dict(type=_nonnegative),
+        "-N": dict(type=_nonnegative),
+    }),
+    "series": ("sphere Poincare series", cmd_series, {
+        "--char": dict(type=int, default=0),
+        "-q": dict(type=_nonnegative, default=1),
+        "-n": dict(type=_positive, required=True),
+        "-M": dict(type=_nonnegative, default=8),
+        "-W": dict(type=_nonnegative),
+    }),
+    "audit": ("boundedness audit of a homology profile", cmd_audit, {
+        "--char": dict(type=int, required=True),
+        "--profile": dict(required=True),
+        "--pi-bound": dict(type=_positive),
+        "--mode": dict(choices=("asymptotic", "empirical"), default="asymptotic"),
+        "--t-samples": dict(type=_t_samples),
+        "-M": dict(type=_nonnegative, default=6),
+    }),
+    "rational-check": ("characteristic-zero vanishing check", cmd_rational_check, {
+        "--profile": dict(required=True),
+        "--pi-finite": dict(action="store_true"),
+    }),
+    "rational-example": ("closed-form tables of the rational power cofiber",
+                         cmd_rational_example, {
+        "-r": dict(type=_positive, required=True),
+        "-s": dict(type=_positive, required=True),
+        "-T": dict(type=_nonnegative),
+    }),
+    "asymptotic": ("growth-law comparison table", cmd_asymptotic, {
+        # q >= 1: the growth reference is proportional to q
+        "-q": dict(type=_positive, default=1),
+        "-n": dict(type=_positive, required=True),
+        "-p": dict(type=_positive, required=True),
+        "--t-samples": dict(type=_t_samples, default="0.25,0.5,1,2,4,8"),
+        "-M": dict(type=_nonnegative, default=6),
+    }),
+    "property-test": ("seeded randomized invariant checks", cmd_property_test, {
+        "--seed": dict(type=int, default=0),
+        "--cases": dict(type=_nonnegative, default=25),
+    }),
 }
+
+
+def build_parser(command=None):
+    """The scalg parser with the subparser of ``command`` only (building
+    the other nine costs more than a small computation), or with all of
+    them when ``command`` names no subcommand."""
+    parser = _Parser(prog="scalg", description=__doc__.splitlines()[0])
+    parser.add_argument("--config", help="key = value defaults file")
+    sub = parser.add_subparsers(dest="command")
+    parser.subcommands = sub.choices
+    for name in [command] if command in COMMANDS else COMMANDS:
+        summary, _, options = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--output", choices=OUTPUT_FORMATS, default="json")
+        p.add_argument("--config", help=argparse.SUPPRESS)
+    return parser
 
 
 def main(argv=None, stdout=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     stdout = stdout or sys.stdout
-    parser = build_parser()
     try:
+        config, rest = {}, argv
         idx = next((k for k, a in enumerate(argv)
                     if a == "--config" or a.startswith("--config=")), None)
         if idx is not None:
@@ -511,32 +508,32 @@ def main(argv=None, stdout=None):
             else:
                 path, rest = argv[idx][len("--config="):], argv[:idx] + argv[idx + 1:]
             config = load_config(path)
-            command = next((a for a in rest if a in parser.subcommands), None)
-            if command is not None:
-                # the file's values become the chosen subcommand's defaults,
-                # which argparse converts with each option's type; explicit
-                # flags win, and an option the file supplies is not required
-                subparser = parser.subcommands[command]
-                defaults = {}
-                for action in subparser._actions:
-                    if action.dest in config:
-                        value = config[action.dest]
-                        if isinstance(action.default, bool):
-                            value = value.lower() in ("1", "true", "yes")
-                        defaults[action.dest] = value
-                        action.required = False
-                subparser.set_defaults(**defaults)
+        parser = build_parser(rest[0] if rest else None)
+        command = next((a for a in rest if a in parser.subcommands), None)
+        if command is not None:
+            # the file's values become the chosen subcommand's defaults,
+            # which argparse converts with each option's type; explicit
+            # flags win, and an option the file supplies is not required
+            for action in parser.subcommands[command]._actions:
+                if action.dest in config:
+                    value = config[action.dest]
+                    if isinstance(action.default, bool):
+                        value = value.lower() in ("1", "true", "yes")
+                    action.default, action.required = value, False
         args = parser.parse_args(argv)
         if args.command is None:
             raise CliError("a subcommand is required (see --help)")
         if args.output not in OUTPUT_FORMATS:
             raise CliError("output must be one of %s" % (OUTPUT_FORMATS,))
-        payload, code = HANDLERS[args.command](args)
+        payload, code = COMMANDS[args.command][1](args)
         if isinstance(payload, str):
             stdout.write(payload)
         else:
             stdout.write(render(payload, args.output))
         return code
+    except _Help as exc:
+        stdout.write(str(exc))
+        return 0
     except Inconclusive as exc:
         stdout.write("inconclusive: %s\n" % exc)
         return 2

@@ -211,6 +211,52 @@ def test_exceeds_log_bound_is_the_exact_power_comparison():
         assert scalg.audit._exceeds_log_bound(value, p, D) == exact, (value, p, D)
 
 
+def test_exceeds_log_bound_is_exact_past_the_power_cut_over():
+    # 2**2000001 > 3**1000000 although the value lies within 1 of log_2(3),
+    # and near-ties around log_2(3) = 1.584962500721156... are decided by
+    # their last digit (about one bit apart) without computing either power
+    exceeds = scalg.audit._exceeds_log_bound
+    assert exceeds(Fraction(2000001, 1000000), 2, 3)
+    assert not exceeds(Fraction(1584962500721, 10**12), 2, 3)
+    assert exceeds(Fraction(1584962500722, 10**12), 2, 3)
+    assert not exceeds(Fraction(10**40 - 1, 10**40), 3, 4)  # log_3(4) > 1
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 5), (3, 3), (7, 2), (2**31 - 1, 2)])
+def test_exceeds_log_bound_ties_at_powers_of_p(p, e):
+    # value = log_p(p**e) exactly is a tie, so not exceeded; one part in a
+    # huge denominator either way decides
+    exceeds = scalg.audit._exceeds_log_bound
+    den = 10**15 + 7
+    assert not exceeds(Fraction(e), p, p**e)
+    assert not exceeds(Fraction(e * den - 1, den), p, p**e)
+    assert exceeds(Fraction(e * den + 1, den), p, p**e)
+    assert not exceeds(Fraction(3 * e * den, 3 * den), p, p**e)
+
+
+def test_exceeds_log_bound_brackets_agree_with_the_powers(monkeypatch):
+    # with no power computed directly, the log brackets alone must give the
+    # exact power comparison
+    monkeypatch.setattr(scalg.audit, "LOG_BOUND_BITS", 0)
+    rng = random.Random(19)
+    primes = [2, 3, 5, 7, 11, 101, 2**31 - 1]
+    for _ in range(5000):
+        p = rng.choice(primes)
+        D = rng.choice([2, p + 1, rng.randint(2, 10**6), p**rng.randint(1, 9),
+                        rng.randint(2, 40)**rng.randint(1, 4)])
+        value = Fraction(rng.randint(-5, 2000), rng.randint(1, 2000))
+        exact = value > 0 and p**value.numerator > D**value.denominator
+        assert scalg.audit._exceeds_log_bound(value, p, D) == exact, (value, p, D)
+
+
+@pytest.mark.parametrize("x", [2, 3, 10, 2**31 - 1, 10**30 + 57])
+def test_log2_brackets_hold_the_power(x):
+    for k in (1, 2, 3, 5, 64, 1000, 4321):
+        lo, hi = scalg.audit._log2_brackets(x, k)
+        bits = (x**k).bit_length()  # bits - 1 <= k*log2(x) < bits
+        assert lo <= bits - 1 and bits <= hi <= lo + 3, (x, k, lo, hi)
+
+
 def test_audit_with_a_huge_growth_denominator_returns():
     # at t = 1 the left polynomial of top degree 16 is 1/15!, so the
     # exact comparison would raise D to the power 15!

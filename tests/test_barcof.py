@@ -8,6 +8,7 @@ import pytest
 
 from scalg.cli import main
 import scalg.barcof
+import scalg.symalg
 from scalg.exactfield import GF3, ColumnEchelon, Mat, QQ
 from scalg.simplicial import (
     GradedDims, NormalizedChains, SimplicialError, SimplicialVectorSpace,
@@ -19,6 +20,7 @@ from scalg.barcof import (
     CycleError,
     LesVerdict,
     bar_diagonal,
+    cofiber_bounds,
     cofiber_homotopy,
     identity_map,
     les_feasibility,
@@ -450,6 +452,20 @@ def test_power_cofiber_rejects_bad_input():
         power_cofiber_tables(0, 1)
     with pytest.raises(ValueError):
         power_cofiber_tables(1, 2, T=2)
+
+
+def test_cofiber_bounds_refuse_a_power_over_the_enumeration_budget(monkeypatch):
+    # the largest level power_map builds is Sym^(W+1) of level T of K(Q, 2r):
+    # C(C(6, 2) + 2, 3) = 680 monomials for r = 1, T = 6, W = 2
+    assert cofiber_bounds(1, 2, W=2) == (6, 2, 2)
+    assert cofiber_bounds(1, 3) == (8, 4, 4)  # 201,376 monomials
+    with pytest.raises(ValueError, match="83369265 monomials"):
+        cofiber_bounds(2, 2)
+    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 680)
+    assert cofiber_bounds(1, 2, W=2) == (6, 2, 2)
+    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 679)
+    with pytest.raises(ValueError, match=r"Sym\^3 of level 6 of K\(Q, 2\): 680 monomials"):
+        power_cofiber_tables(1, 2, W=2)
 
 
 def test_lemma_inequality_on_computed_triple():

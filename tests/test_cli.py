@@ -1,14 +1,21 @@
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalg.cli
 import scalg.symalg
 from scalg.barcof import AlgebraMap
-from scalg.cli import build_parser, main
+from scalg.cli import (
+    COMMANDS, _nonnegative, _positive, _t_samples, build_parser, main)
 from scalg.schemas import SCHEMAS
 from scalg.simplicial import SimplicialError, SimplicialVectorSpace
 
@@ -517,3 +524,88 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert "NaN" not in out and "Infinity" not in out
     if code == 1:
         assert out == "" and err.count("\n") == 1, (argv, err)
+
+
+# ------------------------------------------------------------- parser
+
+ROOT = Path(__file__).resolve().parent.parent
+BAD_VALUES = {_positive: "0", _nonnegative: "-1", _t_samples: "nan", int: "x"}
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one main() call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as console, \
+            contextlib.redirect_stderr(err):
+        code = main(argv, stdout=out)
+    assert console.getvalue() == ""  # nothing past main's own stdout
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [
+    [name, "-h"] for name in COMMANDS])
+def test_help_goes_to_the_callers_stdout(argv):
+    code, out, err = run_captured(argv)
+    assert (code, err) == (0, "")
+    parser = build_parser()
+    if len(argv) > 1:
+        parser = parser.subcommands[argv[0]]
+    assert out == parser.format_help()
+    assert out.startswith("usage: scalg " + " ".join(argv[:-1]))
+
+
+def parity_corpus(cfg):
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    corpus = [key.split(" ") for key in golden]
+    corpus += [["-h"]] + [[name, "-h"] for name in COMMANDS]
+    corpus += [[], ["bogus"], ["-1", "em"],
+               ["--output", "csv", "pi-sphere", "-n", "2"]]
+    corpus += [["--config", cfg, "pi-sphere", "-W", "1"],
+               ["pi-sphere", "--config", cfg, "-W", "1"],
+               ["--config=" + cfg, "em"], ["em", "--config=" + cfg, "-q", "2"],
+               ["--config", cfg, "-h"], ["--config", cfg, "bogus"],
+               ["--config", cfg], ["pi-sphere", "--config"]]
+    for name, (_, _, options) in COMMANDS.items():
+        corpus += [[name, flag, BAD_VALUES[kwargs["type"]]]
+                   for flag, kwargs in options.items() if "type" in kwargs]
+    return corpus
+
+
+def test_one_subparser_answers_as_all_of_them(monkeypatch, tmp_path):
+    cfg = tmp_path / "parity.cfg"
+    cfg.write_text("n = 2\nT = 3\n")
+    corpus = parity_corpus(str(cfg))
+    one = [run_captured(argv) for argv in corpus]
+    monkeypatch.setattr(scalg.cli, "build_parser", lambda command=None: build_parser())
+    every = [run_captured(argv) for argv in corpus]
+    for argv, a, b in zip(corpus, one, every):
+        assert a == b, argv
+    # each kind of outcome is in the corpus
+    assert {code for code, _, _ in one} == {0, 1, 2}
+
+
+def test_main_builds_only_the_named_subparser(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run_cli(["pi-sphere", "-n", "2"])[0] == 0
+    assert built == ["pi-sphere"]
+
+
+def test_cofiber_over_the_enumeration_budget_exits_1_at_once():
+    # Sym^4 of level 10 of K(Q, 4) has 83,369,265 monomials: refused before
+    # anything is built, instead of running out of memory
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scalg.cli", "cofiber", "-r", "2", "-s", "2"],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "83369265 monomials" in proc.stderr
