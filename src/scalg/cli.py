@@ -137,9 +137,12 @@ def _parse_profile(text):
             raise CliError("profile entries look like 'degree:dim'")
         s, _, q = chunk.partition(":")
         try:
-            dims[int(s)] = int(q)
+            degree, dim = int(s), int(q)
         except ValueError:
             raise CliError("profile entry %r is not integer:integer" % chunk)
+        if degree in dims:
+            raise CliError("profile degree %d is given twice" % degree)
+        dims[degree] = dim
     return dims
 
 
@@ -352,7 +355,8 @@ def _random_complex(rng, field, T, max_dim=3):
             mix = _random_matrix(rng, field, prev_kernel.ncols, dims[m])
             d = prev_kernel @ mix
         diffs.append(d)
-        prev_kernel = kernel_basis(d)
+        if m < T:
+            prev_kernel = kernel_basis(d)
     return dims, diffs
 
 

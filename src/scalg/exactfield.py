@@ -329,19 +329,24 @@ class Mat:
         return Mat(self.field, self.nrows + other.nrows, self.ncols, cols)
 
     def kron(self, other):
-        """Kronecker product: row/column index pairs flattened row-major."""
+        """Kronecker product: row/column index pairs flattened row-major.
+
+        A zero column of self gives a block of empty columns.  Over Q a
+        product of nonzero entries is nonzero, so only F_p columns go
+        through canonical.
+        """
         self._check_same_field(other)
         p = self.field.characteristic
+        n2 = other.nrows
         cols = []
-        for j1 in range(self.ncols):
-            c1 = self.cols[j1]
-            for j2 in range(other.ncols):
-                c2 = other.cols[j2]
-                col = {}
-                for i1, v1 in c1.items():
-                    for i2, v2 in c2.items():
-                        col[i1 * other.nrows + i2] = v1 * v2
-                cols.append(canonical(col, p))
+        for c1 in self.cols:
+            if not c1:
+                cols += [{} for _ in range(other.ncols)]
+                continue
+            for c2 in other.cols:
+                col = {i1 * n2 + i2: v1 * v2
+                       for i1, v1 in c1.items() for i2, v2 in c2.items()}
+                cols.append(canonical(col, p) if p else col)
         return Mat(self.field, self.nrows * other.nrows, self.ncols * other.ncols,
                    cols)
 

@@ -325,13 +325,15 @@ def _operator_lists(T, operator):
 
 def _composite(a, b, r):
     """Column r of a @ b: a's column k when b's column r is {k: 1} (Mat
-    entries are canonical, so that is the product's column), else the
-    product's column computed."""
+    entries are canonical, so that is the product's column), empty when
+    b's column r is, else the product's column computed."""
     col = b.cols[r]
     if len(col) == 1:
         for k, v in col.items():
             if v == 1:
                 return a.cols[k]
+    elif not col:
+        return {}
     return a.apply(col)
 
 
@@ -573,6 +575,8 @@ class SimplicialVectorSpace:
 
 
 def _entry_to_json(v):
+    if v.__class__ is int:
+        return v
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return int(v)
@@ -672,6 +676,53 @@ def _gamma_action(m, i, to, k):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _gamma_level(dims, m):
+    """Level m of gamma of a complex with dimensions dims (a tuple): its
+    basis, the (sigma, k, e) in gamma's order, and the position of the
+    first of them for each k.  This depends on the shape only, so it is
+    computed once per process."""
+    basis, starts = [], []
+    for k in range(min(m, len(dims) - 1) + 1):
+        starts.append(len(basis))
+        for sigma in surjections(m, k):
+            for e in range(dims[k]):
+                basis.append((sigma, k, e))
+    return tuple(basis), tuple(starts)
+
+
+@lru_cache(maxsize=None)
+def _gamma_plan(m, i, to, dims):
+    """The columns of gamma's d_i (to = m - 1) or s_i (to = m + 1) out of
+    level m, for a complex with dimensions dims, as runs in column order:
+    ("unit", rows) for the columns {r: 1}, r in rows, ("zero", n) for n
+    empty columns, and ("d", k, base) for the columns of the complex's
+    differential out of degree k, each row moved down by base.  Adjacent
+    unit runs and adjacent zero runs are merged.  The plan holds ints and
+    tuples only and depends on the shape only, so it is computed once per
+    process; each object builds its own columns from it.
+    """
+    offsets = _gamma_level(dims, to)[1]
+    runs = []
+    for k in range(min(m, len(dims) - 1) + 1):
+        n = dims[k]
+        if not n:
+            continue
+        for action in _gamma_action(m, i, to, k):
+            if action is None:
+                run = ("zero", n)
+            elif action[0] == "id":
+                base = offsets[k] + action[1] * n
+                run = ("unit", tuple(range(base, base + n)))
+            else:
+                run = ("d", k, offsets[k - 1] + action[1] * dims[k - 1])
+            if run[0] != "d" and runs and runs[-1][0] == run[0]:
+                runs[-1] = (run[0], runs[-1][1] + run[1])
+            else:
+                runs.append(run)
+    return tuple(runs)
+
+
 def gamma(field, complex_dims, complex_diffs, T):
     """Simplicial vector space whose normalized chains realize a complex.
 
@@ -684,8 +735,10 @@ def gamma(field, complex_dims, complex_diffs, T):
     epi-mono factorization of sigma o phi, applying the identity when the
     mono part is trivial, the differential when the mono part misses
     exactly the top element, and zero otherwise.  Which of the three, and
-    onto which summand, depends on the shape only (_gamma_action, cached),
-    so each operator is placed block by block at per-level offsets.
+    onto which summand, depends on the shape only, and so do the levels
+    (_gamma_level) and each operator's column plan (_gamma_plan), all
+    cached; a complex only fills its differential blocks into fresh
+    columns.
     """
     kmax = len(complex_dims) - 1
     diffs = list(complex_diffs)
@@ -698,38 +751,25 @@ def gamma(field, complex_dims, complex_diffs, T):
         if k >= 2 and not (diffs[k - 1] @ d).is_zero():
             raise SimplicialError("complex has d o d != 0 at degree %d" % k)
 
-    bases = []    # per level: list of (sigma, k, e)
-    offsets = []  # per level: position of the first (sigma, k, e) of each k
-    for m in range(T + 1):
-        basis, starts = [], []
-        for k in range(min(m, kmax) + 1):
-            starts.append(len(basis))
-            for sigma in surjections(m, k):
-                for e in range(complex_dims[k]):
-                    basis.append((sigma, k, e))
-        bases.append(basis)
-        offsets.append(starts)
+    dims = tuple(complex_dims)
+    bases = [list(_gamma_level(dims, m)[0]) for m in range(T + 1)]
+    level_dims = [len(b) for b in bases]
 
     def operator(m, i, to):
         cols = []
-        for k in range(min(m, kmax) + 1):
-            n = complex_dims[k]
-            if not n:
-                continue
-            for action in _gamma_action(m, i, to, k):
-                if action is None:
-                    cols.extend({} for _ in range(n))
-                elif action[0] == "id":
-                    base = offsets[to][k] + action[1] * n
-                    cols.extend({base + e: 1} for e in range(n))
-                else:
-                    base = offsets[to][k - 1] + action[1] * complex_dims[k - 1]
-                    cols.extend({base + e2: v for e2, v in diffs[k].cols[e].items()}
-                                for e in range(n))
-        return Mat(field, len(bases[to]), len(bases[m]), cols)
+        for run in _gamma_plan(m, i, to, dims):
+            if run[0] == "unit":
+                cols += [{r: 1} for r in run[1]]
+            elif run[0] == "zero":
+                cols += [{} for _ in range(run[1])]
+            else:
+                _, k, base = run
+                cols += [{base + r: v for r, v in col.items()}
+                         for col in diffs[k].cols]
+        return Mat(field, level_dims[to], level_dims[m], cols)
 
     return SimplicialVectorSpace.from_operators(
-        field, [len(b) for b in bases], operator, basis_labels=bases)
+        field, level_dims, operator, basis_labels=bases)
 
 
 def eilenberg_maclane(field, q, n, T):

@@ -18,6 +18,7 @@ from scalg.exactfield import (
     kernel_basis,
     solve,
     axpy,
+    canonical,
 )
 from scalg.simplicial import ChainComplex
 
@@ -371,6 +372,43 @@ def test_matmul_and_apply_agree():
     ab = a @ b
     for j in range(3):
         assert ab.cols[j] == a.apply(b.cols[j])
+
+
+def kron_by_definition(a, b):
+    """Every product of an entry of a and one of b, placed row-major and
+    reduced by canonical: the oracle for Mat.kron's shortcuts."""
+    p = a.field.characteristic
+    cols = []
+    for c1 in a.cols:
+        for c2 in b.cols:
+            col = {}
+            for i1, v1 in c1.items():
+                for i2, v2 in c2.items():
+                    col[i1 * b.nrows + i2] = v1 * v2
+            cols.append(canonical(col, p))
+    return Mat(a.field, a.nrows * b.nrows, a.ncols * b.ncols, cols)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_kron_equals_the_product_of_every_entry_pair(field):
+    rng = random.Random(31)
+    zero_columns = 0
+    for _ in range(200):
+        a, b = (Mat.from_rows(field, random_dense(rng, field, nr, nc), ncols=nc)
+                for nr, nc in [(rng.randint(0, 4), rng.randint(0, 4))
+                               for _ in range(2)])
+        got, want = a.kron(b), kron_by_definition(a, b)
+        assert got == want
+        # same entries in the same order, in one fresh dict per column
+        assert [list(c.items()) for c in got.cols] == \
+            [list(c.items()) for c in want.cols]
+        assert len({id(c) for c in got.cols}) == got.ncols
+        zero_columns += sum(not c for c in a.cols) if a.nrows and b.ncols else 0
+    assert zero_columns  # the block of empty columns was taken
+    if field == QQ:
+        half = Mat.from_rows(QQ, [[Fraction(1, 2), 0], [Fraction(-2, 3), 3]])
+        assert half.kron(half) == kron_by_definition(half, half)
+        assert Fraction(-1, 3) in half.kron(half).cols[0].values()
 
 
 def test_block_and_stack_shapes():

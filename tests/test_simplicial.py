@@ -1,13 +1,18 @@
+import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import scalg.barcof
 import scalg.simplicial
-from scalg.cli import _random_complex
+from scalg.cli import _random_complex, main
 from scalg.exactfield import (
     ColumnEchelon, FieldError, Mat, QQ, GF2, GF3, pivot_rows, rank, solve,
 )
@@ -203,6 +208,73 @@ def test_a_second_gamma_of_the_same_shape_only_reads_the_cache():
     assert after.hits > before.hits
 
 
+def plan_misses():
+    return (scalg.simplicial._gamma_plan.cache_info().misses,
+            scalg.simplicial._gamma_level.cache_info().misses)
+
+
+def assert_per_basis(v, field, dims, diffs, T):
+    bases, operator = per_basis_gamma(field, dims, diffs, T)
+    assert v.basis_labels == bases
+    for m, i, to in scalg.simplicial._operator_slots(T):
+        assert v.operator(m, i, to) == operator(m, i, to), (m, i, to)
+
+
+def column_ids(v):
+    return [id(col) for m, i, to in scalg.simplicial._operator_slots(v.T)
+            for col in v.operator(m, i, to).cols]
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["Q", "F3"])
+def test_complexes_of_one_shape_share_the_plan_and_no_column(field):
+    # two complexes with dims [1, 2, 1] and d_1 d_2 = 0
+    dims = [1, 2, 1]
+    one = [None, Mat.from_rows(field, [[1, 0]]), Mat.from_rows(field, [[0], [2]])]
+    two = [None, Mat.from_rows(field, [[0, 1]]), Mat.from_rows(field, [[1], [0]])]
+    v = gamma(field, dims, one, 5)
+    before = plan_misses()
+    w = gamma(field, dims, two, 5)
+    assert plan_misses() == before
+    assert_per_basis(v, field, dims, one, 5)
+    assert_per_basis(w, field, dims, two, 5)
+    assert any(v.operator(*slot) != w.operator(*slot)
+               for slot in scalg.simplicial._operator_slots(5))
+    # every column, and every list of labels, is the object's own
+    ids = column_ids(v) + column_ids(w)
+    assert len(set(ids)) == len(ids)
+    assert all(a is not b for a, b in zip(v.basis_labels, w.basis_labels))
+
+
+def test_one_shape_at_two_truncations():
+    dims = [2, 1, 1]
+    diffs = [None, Mat.from_rows(GF3, [[1], [2]]), Mat.zero(GF3, 1, 1)]
+    high = gamma(GF3, dims, diffs, 5)
+    before = plan_misses()
+    low = gamma(GF3, dims, diffs, 3)
+    # the levels and plans of T = 3 are among those of T = 5
+    assert plan_misses() == before
+    assert_per_basis(high, GF3, dims, diffs, 5)
+    assert_per_basis(low, GF3, dims, diffs, 3)
+    assert low.basis_labels == high.basis_labels[:4]
+
+
+def test_property_test_output_does_not_depend_on_cache_state():
+    argv = ["property-test", "--seed", "5", "--cases", "200"]
+    warm = []
+    for _ in range(2):
+        out = io.StringIO()
+        assert main(argv, stdout=out) == 0
+        warm.append(out.getvalue())
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    cold = subprocess.run([sys.executable, "-m", "scalg.cli"] + argv, env=env,
+                          cwd=root, capture_output=True, text=True, timeout=120)
+    assert (cold.returncode, cold.stderr) == (0, "")
+    assert warm == [cold.stdout, cold.stdout]
+
+
 def matmul_check_identities(obj):
     """Every simplicial identity checked by multiplying out both sides,
     with the messages of check_identities: the oracle for its column by
@@ -252,22 +324,29 @@ def random_entry(rng, field):
     return rng.randrange(1, field.characteristic)
 
 
-def corrupt(rng, obj):
-    """obj with one entry of one operator changed, added or removed, built
-    without any identity check."""
+def corrupt(rng, obj, how=None):
+    """obj with one entry of one operator changed, added or removed, or
+    with how="empty" one nonempty column emptied, built without any
+    identity check."""
     m, i, to = rng.choice(list(scalg.simplicial._operator_slots(obj.T)))
     target = obj.operator(m, i, to)
     if not target.ncols or not target.nrows:
         return None
     cols = [dict(col) for col in target.cols]
-    col = cols[rng.randrange(len(cols))]
-    how = rng.choice(["change", "add", "remove"])
-    if how == "remove" and col:
-        del col[rng.choice(sorted(col))]
-    elif how == "change" and col:
-        col[rng.choice(sorted(col))] = random_entry(rng, obj.field)
+    if how == "empty":
+        full = [col for col in cols if col]
+        if not full:
+            return None
+        rng.choice(full).clear()
     else:
-        col[rng.randrange(target.nrows)] = random_entry(rng, obj.field)
+        col = cols[rng.randrange(len(cols))]
+        how = rng.choice(["change", "add", "remove"])
+        if how == "remove" and col:
+            del col[rng.choice(sorted(col))]
+        elif how == "change" and col:
+            col[rng.choice(sorted(col))] = random_entry(rng, obj.field)
+        else:
+            col[rng.randrange(target.nrows)] = random_entry(rng, obj.field)
     bad = Mat(obj.field, target.nrows, target.ncols, cols)
 
     def operator(m2, i2, to2):
@@ -279,7 +358,7 @@ def corrupt(rng, obj):
 
 def test_column_check_agrees_with_the_product_check_on_corrupted_objects():
     rng = random.Random(18)
-    verdicts = set()
+    verdicts, emptied_verdicts = set(), set()
     for case in range(240):
         field = (QQ, GF2, GF3)[case % 3]
         if case % 4:
@@ -288,15 +367,20 @@ def test_column_check_agrees_with_the_product_check_on_corrupted_objects():
             T = rng.randint(1, 3)
             obj = random_gamma_object(rng, field, T, 2)[0].tensor(
                 random_gamma_object(rng, field, T, 2)[0])
-        bad = corrupt(rng, obj)
-        if bad is None:
-            continue
-        verdict = identity_verdict(SimplicialVectorSpace.check_identities, bad)
-        assert verdict == identity_verdict(matmul_check_identities, bad), case
-        verdicts.add(verdict)
+        # an entry changed, added or removed; then, drawn apart so that the
+        # first stream stays as it was, one nonempty column emptied
+        emptied = corrupt(random.Random(case), obj, "empty")
+        for bad, seen in [(corrupt(rng, obj), verdicts),
+                          (emptied, emptied_verdicts)]:
+            if bad is None:
+                continue
+            verdict = identity_verdict(SimplicialVectorSpace.check_identities, bad)
+            assert verdict == identity_verdict(matmul_check_identities, bad), case
+            seen.add(verdict)
     # both outcomes, and failures of each kind of identity, were seen
     assert None in verdicts
     assert {v[0] + v[4] for v in verdicts if v} == {"dd", "ss", "ds"}
+    assert {v[0] + v[4] for v in emptied_verdicts if v} == {"dd", "ss", "ds"}
 
 
 @pytest.mark.parametrize("field,entry", [
