@@ -51,6 +51,7 @@ from .simplicial import (
     NormalizedChains,
     SimplicialError,
     SimplicialVectorSpace,
+    _composites_agree,
     _operator_slots,
 )
 from . import symalg
@@ -131,10 +132,14 @@ class AlgebraMap:
         tgt = self.target.components[s] if s <= self.target.W else None
         if tgt is None:
             raise ValueError("target truncated below the image weight")
+        for m, f in enumerate(self.level_maps[:min(K.T, tgt.T) + 1]):
+            if not f.field == K.field == tgt.field:
+                raise FieldError("level map field mismatch at level %d" % m)
+            if (f.nrows, f.ncols) != (tgt.level_dims[m], K.level_dims[m]):
+                raise SimplicialError("level map shape at level %d" % m)
         for m, i, to in _operator_slots(min(K.T, tgt.T)):
-            lhs = tgt.operator(m, i, to) @ self.level_maps[m]
-            rhs = self.level_maps[to] @ K.operator(m, i, to)
-            if lhs != rhs:
+            if not _composites_agree(tgt.operator(m, i, to), self.level_maps[m],
+                                     self.level_maps[to], K.operator(m, i, to)):
                 raise SimplicialError(
                     "generator images do not commute with %s_%d at level %d"
                     % ("d" if to < m else "s", i, m)

@@ -344,8 +344,8 @@ def _random_matrix(rng, field, nrows, ncols):
                                  for _ in range(nrows)], ncols=ncols)
 
 
-def _random_complex(rng, field, T, max_dim=3):
-    dims = [rng.randint(0, max_dim) for _ in range(T + 1)]
+def _random_complex(rng, field, T):
+    dims = [rng.randint(0, 2) for _ in range(T + 1)]
     diffs = [None]
     prev_kernel = None
     for m in range(1, T + 1):
@@ -374,7 +374,7 @@ def run_property_checks(seed, cases):
             failures.append(["rank_nullity", i])
         checks["rank_nullity"] += 1
         T = rng.randint(1, 3)
-        dims, diffs = _random_complex(rng, field, T, max_dim=2)
+        dims, diffs = _random_complex(rng, field, T)
         v = gamma(field, dims, diffs, T)
         hn = v.normalized_chains().homology_dims()
         hu = v.unnormalized_chains().homology_dims()
@@ -382,7 +382,7 @@ def run_property_checks(seed, cases):
             failures.append(["dual_oracle", i])
         checks["dual_oracle"] += 1
         if i % 5 == 0:
-            dims2, diffs2 = _random_complex(rng, field, T, max_dim=2)
+            dims2, diffs2 = _random_complex(rng, field, T)
             w = gamma(field, dims2, diffs2, T)
             tensor_h = v.tensor(w).homotopy_dims()
             hw = w.homotopy_dims()

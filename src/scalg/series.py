@@ -129,7 +129,12 @@ def unit_series(M):
 
 
 def from_dims(dims, M=None):
-    """Series of a dimension table (list or GradedDims-like by index)."""
+    """Series through degree M (by default a list's last index) of a list
+    or a GradedDims of dimensions."""
+    if isinstance(dims, GradedDims):
+        if M is None:
+            raise SeriesError("a GradedDims needs a truncation M")
+        return TruncatedSeries(dims.to_list(M))
     if M is None:
         M = len(dims) - 1
     return TruncatedSeries([dims[i] if i < len(dims) else 0 for i in range(M + 1)])

@@ -129,7 +129,8 @@ class ChainComplex:
             d = self.diffs[m]
             if d.nrows != self.dims[m - 1] or d.ncols != self.dims[m]:
                 raise SimplicialError("differential shape at level %d" % m)
-            if m >= 2 and not (self.diffs[m - 1] @ d).is_zero():
+            if m >= 2 and any(_composite(self.diffs[m - 1], d, r)
+                              for r in range(d.ncols)):
                 raise SimplicialError("d o d != 0 at level %d" % m)
 
     @property
@@ -338,7 +339,7 @@ def _composite(a, b, r):
 
 
 def _composites_agree(a, b, c, e):
-    """a @ b == c @ e, compared column by column; shapes are checked."""
+    """a @ b == c @ e, compared column by column; the caller checks shapes."""
     for r in range(b.ncols):
         if _composite(a, b, r) != _composite(c, e, r):
             return False
@@ -727,30 +728,20 @@ def gamma(field, complex_dims, complex_diffs, T):
     """Simplicial vector space whose normalized chains realize a complex.
 
     complex_dims[k] is the dimension in degree k; complex_diffs[k] is the
-    differential degree k -> k-1 (entry 0 unused).  Level m of the result
-    is the sum over order-preserving surjections sigma: [m] ->> [k] of a
-    copy of degree k, ordered by k, then sigma (as in surjections), then
-    the basis vector e of degree k; basis_labels lists the (sigma, k, e).
-    A simplicial operator phi acts on the sigma summand through the
-    epi-mono factorization of sigma o phi, applying the identity when the
-    mono part is trivial, the differential when the mono part misses
-    exactly the top element, and zero otherwise.  Which of the three, and
-    onto which summand, depends on the shape only, and so do the levels
-    (_gamma_level) and each operator's column plan (_gamma_plan), all
-    cached; a complex only fills its differential blocks into fresh
-    columns.
+    differential degree k -> k-1 (entry 0 unused), checked by ChainComplex.
+    Level m of the result is the sum over order-preserving surjections
+    sigma: [m] ->> [k] of a copy of degree k, ordered by k, then sigma (as
+    in surjections), then the basis vector e of degree k; basis_labels
+    lists the (sigma, k, e).  A simplicial operator phi acts on the sigma
+    summand through the epi-mono factorization of sigma o phi, applying
+    the identity when the mono part is trivial, the differential when the
+    mono part misses exactly the top element, and zero otherwise.  Which
+    of the three, and onto which summand, depends on the shape only, and
+    so do the levels (_gamma_level) and each operator's column plan
+    (_gamma_plan), all cached; a complex only fills its differential
+    blocks into fresh columns.
     """
-    kmax = len(complex_dims) - 1
-    diffs = list(complex_diffs)
-    if len(diffs) != kmax + 1:
-        raise SimplicialError("complex differential list length mismatch")
-    for k in range(1, kmax + 1):
-        d = diffs[k]
-        if (d.nrows, d.ncols) != (complex_dims[k - 1], complex_dims[k]):
-            raise SimplicialError("complex differential shape at degree %d" % k)
-        if k >= 2 and not (diffs[k - 1] @ d).is_zero():
-            raise SimplicialError("complex has d o d != 0 at degree %d" % k)
-
+    diffs = ChainComplex(field, complex_dims, complex_diffs).diffs
     dims = tuple(complex_dims)
     bases = [list(_gamma_level(dims, m)[0]) for m in range(T + 1)]
     level_dims = [len(b) for b in bases]

@@ -15,9 +15,10 @@ monomials and are written down directly, without materializing the full
 theorem valid in every characteristic: pi_i Sym^d K(F, n) is
 pi_{i-2d} Gamma^d K(F, n-2) for n >= 2, and Sym^d K(F, 1) has Lambda^d(F)
 in degree d.  Gamma^d K(F, n-2) is built on covering divided-power
-monomials, sharing the basis and face tables of the Sym^d covering
-complex (sym_power_covering_complex, the brute force kept as the tests'
-reference); only the coefficient of a face that merges codes differs.
+monomials, sharing the basis and the face tables (read from gamma's
+cached action) of the Sym^d covering complex (sym_power_covering_complex,
+the brute force kept as the tests' reference); only the coefficient of
+a face that merges codes differs.
 More generators are never built either: Sym(V + V') = Sym V (x) Sym V'
 levelwise, so with Eilenberg-Zilber and Kunneth over a field the homotopy
 of Sym^d K(F^q, n) is the weight-d part of the q-fold convolution of the
@@ -39,7 +40,8 @@ from .simplicial import (
     SimplicialVectorSpace,
     constant_object,
     eilenberg_maclane,
-    _coface,
+    _composites_agree,
+    _gamma_action,
     _jump_surjections,
 )
 
@@ -228,17 +230,14 @@ def _face_codes(m, n):
     per code, the (code, jump mask) it goes to at level m - 1, or None
     where the face kills it.
 
-    The face survives exactly when its composite with the coface is again
-    a surjection [m - 1] ->> [n], i.e. one of _jump_surjections(m - 1, n).
+    This is gamma's cached action on the surjections [m] ->> [n]: the face
+    keeps a code where it acts as the identity onto a summand, and kills
+    it elsewhere, since K(F, n) has zero differential.
     """
-    target = {vals: (c, mask)
-              for c, (vals, mask) in enumerate(_jump_surjections(m - 1, n))}
-    source = [vals for vals, _ in _jump_surjections(m, n)]
-    faces = []
-    for i in range(m + 1):
-        phi = _coface(m, i)
-        faces.append([target.get(tuple(vals[a] for a in phi)) for vals in source])
-    return faces
+    masks = [mask for _, mask in _jump_surjections(m - 1, n)]
+    return [[(a[1], masks[a[1]]) if a and a[0] == "id" else None
+             for a in _gamma_action(m, i, m - 1, n)]
+            for i in range(m + 1)]
 
 
 def _sym_merge(mono, image):
@@ -685,9 +684,8 @@ def indecomposables(A):
 def induced_homology_matrices(src, dst, chain_maps, up_to):
     """Matrices induced on homology by a chain map (verified to commute)."""
     for m in range(1, min(len(chain_maps) - 1, up_to + 1)):
-        lhs = dst.diffs[m] @ chain_maps[m]
-        rhs = chain_maps[m - 1] @ src.diffs[m]
-        if lhs != rhs:
+        if not _composites_agree(dst.diffs[m], chain_maps[m],
+                                 chain_maps[m - 1], src.diffs[m]):
             raise ValueError("not a chain map at level %d" % m)
     out = {}
     for s in range(up_to + 1):

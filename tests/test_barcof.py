@@ -9,7 +9,7 @@ import pytest
 from scalg.cli import main
 import scalg.barcof
 import scalg.symalg
-from scalg.exactfield import GF3, ColumnEchelon, Mat, QQ
+from scalg.exactfield import GF3, ColumnEchelon, FieldError, Mat, QQ
 from scalg.simplicial import (
     GradedDims, NormalizedChains, SimplicialError, SimplicialVectorSpace,
 )
@@ -158,6 +158,17 @@ def test_algebra_map_rejects_level_maps_that_miss_a_degeneracy():
     with pytest.raises(SimplicialError, match="^generator images do not "
                        "commute with s_1 at level 1$"):
         AlgebraMap(source, target, 1, maps)
+
+
+def test_algebra_map_rejects_a_level_map_of_the_wrong_shape_or_field():
+    f = identity_map(sphere_algebra(QQ, 1, 2, 4, 1))
+    maps = list(f.level_maps)
+    maps[2] = Mat.zero(QQ, maps[2].nrows, maps[2].ncols + 1)
+    with pytest.raises(SimplicialError, match="^level map shape at level 2$"):
+        AlgebraMap(f.source, f.target, 1, maps)
+    maps[2] = Mat.zero(GF3, maps[2].nrows, maps[2].ncols - 1)
+    with pytest.raises(FieldError, match="^level map field mismatch at level 2$"):
+        AlgebraMap(f.source, f.target, 1, maps)
 
 
 # ------------------------------------------------------------- bar diagonal

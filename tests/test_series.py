@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scalg.exactfield import QQ
+from scalg.simplicial import GradedDims, HomotopyDims, eilenberg_maclane
 from scalg.series import (
     AsymptoticReport,
     ClosedForm,
@@ -149,6 +151,15 @@ def test_sphere_series_char0_rejects_bad_input():
 def test_from_dims():
     s = from_dims([1, 0, 2], M=4)
     assert s.coeffs == (1, 0, 2, 0, 0)
+
+
+def test_from_dims_reads_graded_dims_through_m():
+    assert from_dims(GradedDims({0: 1, 2: 3}), M=3).coeffs == (1, 0, 3, 0)
+    h = eilenberg_maclane(QQ, 2, 2, 4).homotopy_dims()
+    assert isinstance(h, HomotopyDims)
+    assert from_dims(h, M=4).coeffs == (0, 0, 2, 0, 0)
+    with pytest.raises(SeriesError, match="truncation"):
+        from_dims(GradedDims({0: 1}))
 
 
 # ------------------------------------------------------- char p delegation

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -12,9 +13,10 @@ import pytest
 
 import scalg.barcof
 import scalg.simplicial
-from scalg.cli import _random_complex, main
+from scalg.cli import _random_complex, _random_matrix, main
 from scalg.exactfield import (
-    ColumnEchelon, FieldError, Mat, QQ, GF2, GF3, pivot_rows, rank, solve,
+    ColumnEchelon, FieldError, Mat, QQ, GF2, GF3, kernel_basis, pivot_rows, rank,
+    solve,
 )
 from scalg.simplicial import (
     GradedDims,
@@ -31,8 +33,32 @@ from scalg.barcof import bar_diagonal, power_map
 from scalg.symalg import sym_power_covering_complex, symmetric_power
 
 
+def random_complex(rng, field, T, max_dim=3):
+    """A random complex with degree dimensions up to max_dim, drawn as
+    cli._random_complex draws its complexes (whose max_dim is 2)."""
+    dims = [rng.randint(0, max_dim) for _ in range(T + 1)]
+    diffs = [None]
+    prev_kernel = None
+    for m in range(1, T + 1):
+        if m == 1:
+            d = _random_matrix(rng, field, dims[0], dims[1])
+        else:
+            d = prev_kernel @ _random_matrix(rng, field, prev_kernel.ncols, dims[m])
+        diffs.append(d)
+        if m < T:
+            prev_kernel = kernel_basis(d)
+    return dims, diffs
+
+
+def test_random_complex_at_max_dim_2_is_the_property_test_stream():
+    a, b = random.Random(5), random.Random(5)
+    for case in range(30):
+        field, T = (QQ, GF2, GF3)[case % 3], 1 + case % 4
+        assert random_complex(a, field, T, 2) == _random_complex(b, field, T)
+
+
 def random_gamma_object(rng, field, T, max_dim=3):
-    dims, diffs = _random_complex(rng, field, T, max_dim)
+    dims, diffs = random_complex(rng, field, T, max_dim)
     return gamma(field, dims, diffs, T), ChainComplex(
         field, dims, [Mat.zero(field, 0, dims[0])] + diffs[1:]
     )
@@ -148,6 +174,60 @@ def test_identities_reassertable():
     k.check_identities()
 
 
+def test_chain_complex_rejects_d_after_d_through_a_unit_column():
+    # d_2's column is {0: 1}, so d_1 d_2 is read off d_1's column 0
+    one = Mat.identity(QQ, 1)
+    with pytest.raises(SimplicialError, match="^d o d != 0 at level 2$"):
+        ChainComplex(QQ, [1, 1, 1], [None, one, one])
+
+
+def test_chain_complex_rejects_d_after_d_through_a_longer_column():
+    # d_2's column is {0: 1, 1: 1}, so d_1 d_2 is computed: 2, zero mod 2
+    for field in (QQ, GF3, GF2):
+        d1, d2 = Mat.from_rows(field, [[1, 1]]), Mat.from_rows(field, [[1], [1]])
+        if field is GF2:
+            assert ChainComplex(field, [1, 2, 1], [None, d1, d2]).top == 2
+        else:
+            with pytest.raises(SimplicialError, match="^d o d != 0 at level 2$"):
+                ChainComplex(field, [1, 2, 1], [None, d1, d2])
+
+
+@pytest.mark.parametrize("dims, diffs, message", [
+    ([1, 1], [None], "^differential list length mismatch$"),
+    ([1, 2], [None, Mat.zero(GF3, 2, 1)], "^differential shape at level 1$"),
+    ([1, 1, 1], [None, Mat.identity(GF3, 1), Mat.identity(GF3, 1)],
+     "^d o d != 0 at level 2$"),
+])
+def test_gamma_rejects_a_complex_that_is_not_one(dims, diffs, message):
+    with pytest.raises(SimplicialError, match=message):
+        gamma(GF3, dims, diffs, 3)
+
+
+def test_only_the_property_test_generator_multiplies_matrices():
+    # every check compares composites column by column (_composite); a
+    # product matrix is built only where cli draws random complexes
+    class Sites(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope, self.found = [module], []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+        def visit_MatMult(self, node):
+            self.found.append(".".join(self.scope))
+
+    found = []
+    for path in sorted(Path(scalg.simplicial.__file__).parent.glob("*.py")):
+        sites = Sites(path.stem)
+        sites.visit(ast.parse(path.read_text()))
+        found += sites.found
+    assert found == ["cli._random_complex"]
+
+
 # ------------------------------------------- fast paths against the old ones
 
 def per_basis_gamma(field, dims, diffs, T):
@@ -184,9 +264,9 @@ def test_gamma_equals_the_per_basis_construction():
     for case in range(60):
         field = (QQ, GF2, GF3)[case % 3]
         T = 1 + case % 5
-        dims, diffs = _random_complex(rng, field, T)
+        dims, diffs = random_complex(rng, field, T)
         while all(d.is_zero() for d in diffs[1:]):
-            dims, diffs = _random_complex(rng, field, T)
+            dims, diffs = random_complex(rng, field, T)
         v = gamma(field, dims, diffs, T)
         bases, operator = per_basis_gamma(field, dims, diffs, T)
         assert v.level_dims == [len(b) for b in bases]
@@ -434,7 +514,7 @@ def test_homology_dims_ranks_each_differential_once(monkeypatch):
     for field in (QQ, GF2, GF3):
         for _ in range(5):
             T = rng.randint(1, 4)
-            dims, diffs = _random_complex(rng, field, T)
+            dims, diffs = random_complex(rng, field, T)
             cx = ChainComplex(field, dims, [Mat.zero(field, 0, dims[0])] + diffs[1:])
             calls.clear()
             h = cx.homology_dims()
@@ -462,7 +542,7 @@ def test_homology_dims_matches_ranks_of_whole_differentials():
         rng = random.Random(29)
         for _ in range(20):
             T = rng.randint(1, 5)
-            dims, diffs = _random_complex(rng, field, T)
+            dims, diffs = random_complex(rng, field, T)
             complexes.append(
                 ChainComplex(field, dims, [Mat.zero(field, 0, dims[0])] + diffs[1:]))
     for cx in complexes:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import scalg.symalg
 from scalg.exactfield import FieldSpec, Mat, QQ, GF2, GF3, rank, solve
 from scalg.simplicial import (
-    HomotopyDims, SimplicialVectorSpace, eilenberg_maclane, gamma, constant_object,
-    _operator_slots,
+    ChainComplex, HomotopyDims, SimplicialVectorSpace, eilenberg_maclane, gamma,
+    constant_object, _jump_surjections, _operator_slots,
 )
 from scalg.series import sphere_series_charp
 from scalg.symalg import (
@@ -17,6 +17,7 @@ from scalg.symalg import (
     WeightGradedAlgebra,
     hurewicz,
     indecomposables,
+    induced_homology_matrices,
     sphere_algebra,
     sphere_homotopy,
     sym_power_covering_complex,
@@ -24,6 +25,7 @@ from scalg.symalg import (
     symmetric_power,
     _covering_dims,
     _divided_power_merge,
+    _face_codes,
     _generator_images,
     _monomials,
     _sym_lookup,
@@ -124,6 +126,20 @@ def test_counted_covering_dims_match_generic_normalized_chains(
     if q == 1:
         cx, top = sym_power_covering_complex(field, n, d, T)
         assert (cx.dims, top) == (full[:built_to + 1], built_to)
+
+
+def test_face_table_matches_the_coface_enumeration():
+    # the covering complexes' face table, read from gamma's cached action,
+    # against composing each code with the coface delta^i and looking the
+    # result up among the level-(m - 1) surjections
+    for m in range(1, 9):
+        for n in range(5):
+            target = {vals: (c, mask) for c, (vals, mask)
+                      in enumerate(_jump_surjections(m - 1, n))}
+            expect = [[target.get(tuple(vals[a + (a >= i)] for a in range(m)))
+                       for vals, _ in _jump_surjections(m, n)]
+                      for i in range(m + 1)]
+            assert _face_codes(m, n) == expect, (m, n)
 
 
 def test_sphere_homotopy_q3_certifies_as_the_direct_complex():
@@ -615,6 +631,15 @@ def test_hurewicz_kills_decomposables():
     assert h[4].ncols == 1  # pi_4(IA) is one-dimensional
     assert h[4].nrows == 0  # pi_4(QA) = 0
     assert h[2].to_rows() == [[Fraction(1)]]
+
+
+def test_induced_homology_matrices_rejects_a_map_that_is_not_a_chain_map():
+    # C: Q <- Q <- Q with d_1 = 1, d_2 = 0; (id, 0, id) breaks d_1 f_1 = f_0 d_1
+    one, zero = Mat.identity(QQ, 1), Mat.zero(QQ, 1, 1)
+    cx = ChainComplex(QQ, [1, 1, 1], [None, one, zero])
+    with pytest.raises(ValueError, match="^not a chain map at level 1$"):
+        induced_homology_matrices(cx, cx, [one, zero, one], 1)
+    assert induced_homology_matrices(cx, cx, [one, one, one], 2)[2] == one
 
 
 def test_hurewicz_trivial_algebra_is_all_zero():
