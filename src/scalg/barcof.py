@@ -13,18 +13,23 @@ closed under the structure maps, so the result is an honest simplicial
 vector space and its homotopy approximates the cofiber from below, with
 per-degree certification by recomputation at enlarged bounds.
 
-The bar diagonal hands NormalizedChains, the one Dold-Kan quotient, the
-degeneracy image of each tuple one level down and the boundary of one
-tuple.  Every degeneracy sends a basis tuple to a single basis tuple,
-found by looking up the tuple of its slots' images under the components'
-s_i, each read once as a row map; so the quotient drops the hit tuples,
-and the boundary is evaluated on the other tuples only.  Checking
-d_i d_j = d_{j-1} d_i on those columns also computes the faces of the
-lower-level tuples they hit, degenerate ones included.  The face and
-degeneracy matrices of the whole object are built only by
-BarDiagonal.simplicial(), which returns an ordinary SimplicialVectorSpace
-checked on every simplicial identity; the tests compare the two
-normalized complexes.
+The bar diagonal's basis is enumerated inside the weight window only: the
+b codes are ordered by weight, so each choice of a-slots takes the
+prefix of them that fits its remaining weight.  The bar diagonal hands
+NormalizedChains, the one Dold-Kan quotient, the degeneracy image of each
+tuple one level down and the boundary of one tuple.  Every degeneracy
+sends a basis tuple to a single basis tuple, found by looking up the
+tuple of its slots' images under the components' s_i, each read once as
+a row map; so the quotient drops the hit tuples, and the boundary is
+evaluated on the other tuples only.  A face reads the components' d_i
+the same way, from their cached row maps (Mat.unit_rows), one lookup
+per slot, and multiplies terms out only where a column is neither unit
+nor empty.  Checking d_i d_j = d_{j-1} d_i on those columns also
+computes the faces of the lower-level tuples they hit, degenerate ones
+included.  The face and degeneracy matrices of the whole object are
+built only by BarDiagonal.simplicial(), which returns an ordinary
+SimplicialVectorSpace checked on every simplicial identity; the tests
+compare the two normalized complexes.
 
 A map grows with its algebras: extending source and target by weight
 keeps the component that holds the generator images, so AlgebraMap.rebuilt
@@ -35,7 +40,7 @@ same rule that builds the symmetric powers.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .exactfield import (
     QQ,
@@ -330,6 +335,8 @@ def _bar_levels(f, N, T, W):
                    for i in range(a_components[d].level_dims[m])]
         bcodes = [(d, i) for d, comp in enumerate(b_components)
                   for i in range(comp.level_dims[m])]
+        # bcodes is ordered by weight: upto[w] of them have weight <= w
+        upto = list(accumulate(comp.level_dims[m] for comp in b_components))
         basis = []
         # the non-unit slot choices of each length k inside the window,
         # grown one slot at a time, with their a-weight
@@ -344,26 +351,47 @@ def _bar_levels(f, N, T, W):
                     for pos, c in zip(positions, choice):
                         slots[pos] = c
                     slots = tuple(slots)
-                    basis.extend((slots, b) for b in bcodes
-                                 if s * wa + b[0] <= W)
+                    basis.extend((slots, b) for b in bcodes[:upto[W - s * wa]])
         basis.sort()
         bases.append(basis)
         index.append({t: i for i, t in enumerate(basis)})
 
+    face_maps = {}  # (m, i) -> d_i at level m of each a- and b-component
+
     def levelwise(m, i, slots, b):
         """Image of (slots, b) under the levelwise face d_i of every slot
-        and of b, multiplied out into (slots, b, coeff) terms."""
+        and of b, as (slots, b, coeff) terms: one lookup per slot in the
+        components' row maps, multiplied out only when some slot's column
+        is neither unit nor empty."""
+        maps = face_maps.get((m, i))
+        if maps is None:
+            a_faces = [comp.operator(m, i, m - 1) for comp in a_components]
+            b_faces = [comp.operator(m, i, m - 1) for comp in b_components]
+            maps = face_maps[(m, i)] = (
+                a_faces, [mat.unit_rows() for mat in a_faces],
+                b_faces, [mat.unit_rows() for mat in b_faces])
+        a_faces, a_rows, b_faces, b_rows = maps
+        db, jb = b
+        rb = b_rows[db][jb]
+        if rb == -1:
+            return []
+        image = []
+        unit = rb is not None
+        for d, j in slots:
+            r = a_rows[d][j]
+            if r == -1:
+                return []
+            if r is None:
+                unit = False
+            image.append((d, r))
+        if unit:
+            return [(tuple(image), (db, rb), 1)]
         terms = [((), 1)]
         for d, j in slots:
-            img = a_components[d].operator(m, i, m - 1).cols[j]
-            terms = [(prefix + ((d, j2),), coeff * v)
-                     for prefix, coeff in terms for j2, v in img.items()]
-            if not terms:
-                return terms
-        db, jb = b
-        img = b_components[db].operator(m, i, m - 1).cols[jb]
-        return [(prefix, (db, j2), coeff * v)
-                for prefix, coeff in terms for j2, v in img.items()]
+            terms = [(prefix + ((d, j2),), coeff * v) for prefix, coeff in terms
+                     for j2, v in a_faces[d].cols[j].items()]
+        return [(prefix, (db, j2), coeff * v) for prefix, coeff in terms
+                for j2, v in b_faces[db].cols[jb].items()]
 
     def emit(acc, lvl, slots, b, coeff):
         """acc += coeff * (slots, b) at level lvl, or nothing when the
@@ -496,11 +524,15 @@ class BarDiagonal:
         memo = [{} for _ in bases]  # per level: (i, k) -> d_i of tuple k
 
         def face_of(m, i, vec):
+            """d_i of a level-m vector; for {k: 1} the memoised column
+            itself, which callers only read."""
             out = {}
             for k, v in vec.items():
                 col = memo[m].get((i, k))
                 if col is None:
                     col = memo[m][(i, k)] = face(m, i, k)
+                if v == 1 and len(vec) == 1:
+                    return col
                 axpy(out, v, col, p)
             return out
 

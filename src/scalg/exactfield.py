@@ -184,11 +184,18 @@ class Mat:
 
     ``cols[j]`` maps row index to a nonzero field element.  Shapes with
     zero rows or columns are legal and common (empty chain groups).
+
+    Most structure maps send each basis vector to one basis vector or to
+    zero, so every Mat has one row map, ``unit_rows()``: per column the
+    row k when the column is exactly {k: 1}, -1 when it is empty, and
+    None otherwise.  It is computed from ``cols`` on first call, or handed
+    to the constructor by a builder that made the columns from it, and
+    then cached.  A Mat must therefore not be edited after construction.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "cols")
+    __slots__ = ("field", "nrows", "ncols", "cols", "_unit_rows")
 
-    def __init__(self, field, nrows, ncols, cols=None):
+    def __init__(self, field, nrows, ncols, cols=None, unit_rows=None):
         if nrows < 0 or ncols < 0:
             raise ValueError("negative matrix dimensions")
         self.field = field
@@ -199,6 +206,7 @@ class Mat:
         if len(cols) != ncols:
             raise ValueError("column count mismatch")
         self.cols = cols
+        self._unit_rows = unit_rows
 
     # -- constructors -------------------------------------------------
 
@@ -226,6 +234,13 @@ class Mat:
     def identity(cls, field, n):
         return cls(field, n, n, [{i: 1} for i in range(n)])
 
+    @classmethod
+    def from_unit_rows(cls, field, nrows, rows):
+        """The matrix with the given row map, every column unit or empty
+        (see unit_rows)."""
+        return cls(field, nrows, len(rows),
+                   [{r: 1} if r >= 0 else {} for r in rows], rows)
+
     # -- basics ---------------------------------------------------------
 
     def to_rows(self):
@@ -237,6 +252,14 @@ class Mat:
 
     def is_zero(self):
         return all(not c for c in self.cols)
+
+    def unit_rows(self):
+        """Per column: the row k of a column {k: 1}, -1 for an empty column,
+        None for any other; cached (see the class docstring)."""
+        rows = self._unit_rows
+        if rows is None:
+            rows = self._unit_rows = [_unit_row(col) for col in self.cols]
+        return rows
 
     def nnz(self):
         return sum(len(c) for c in self.cols)
@@ -331,13 +354,21 @@ class Mat:
     def kron(self, other):
         """Kronecker product: row/column index pairs flattened row-major.
 
-        A zero column of self gives a block of empty columns.  Over Q a
-        product of nonzero entries is nonzero, so only F_p columns go
-        through canonical.
+        When every column of both factors is unit or empty, column (c1, c2)
+        is {r1 * n2 + r2: 1} or empty, read off the two row maps, and the
+        product's row map comes with it.  Otherwise a zero column of self
+        gives a block of empty columns, and over Q a product of nonzero
+        entries is nonzero, so only F_p columns go through canonical.
         """
         self._check_same_field(other)
         p = self.field.characteristic
         n2 = other.nrows
+        rows1, rows2 = self.unit_rows(), other.unit_rows()
+        if None not in rows1 and None not in rows2:
+            return Mat.from_unit_rows(
+                self.field, self.nrows * n2,
+                [-1 if r1 < 0 or r2 < 0 else r1 * n2 + r2
+                 for r1 in rows1 for r2 in rows2])
         cols = []
         for c1 in self.cols:
             if not c1:
@@ -371,6 +402,17 @@ class Mat:
         self._check_same_field(other)
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
+
+
+def _unit_row(col):
+    """The row map entry of one column (see Mat.unit_rows)."""
+    if not col:
+        return -1
+    if len(col) == 1:
+        for k, v in col.items():
+            if v == 1:
+                return k
+    return None
 
 
 class ColumnEchelon:

@@ -129,8 +129,7 @@ class ChainComplex:
             d = self.diffs[m]
             if d.nrows != self.dims[m - 1] or d.ncols != self.dims[m]:
                 raise SimplicialError("differential shape at level %d" % m)
-            if m >= 2 and any(_composite(self.diffs[m - 1], d, r)
-                              for r in range(d.ncols)):
+            if m >= 2 and not _composes_to_zero(self.diffs[m - 1], d):
                 raise SimplicialError("d o d != 0 at level %d" % m)
 
     @property
@@ -328,22 +327,48 @@ def _composite(a, b, r):
     """Column r of a @ b: a's column k when b's column r is {k: 1} (Mat
     entries are canonical, so that is the product's column), empty when
     b's column r is, else the product's column computed."""
-    col = b.cols[r]
-    if len(col) == 1:
-        for k, v in col.items():
-            if v == 1:
-                return a.cols[k]
-    elif not col:
-        return {}
-    return a.apply(col)
+    k = b.unit_rows()[r]
+    if k is None:
+        return a.apply(b.cols[r])
+    return a.cols[k] if k >= 0 else {}
+
+
+def _composed_rows(a, b):
+    """The row map of a @ b read off those of a and b (see Mat.unit_rows):
+    where b's column r is {k: 1}, a's entry k; -1 where b's column is
+    empty; None where b's column is neither."""
+    rows = a.unit_rows()
+    return [k if k is None or k < 0 else rows[k] for k in b.unit_rows()]
 
 
 def _composites_agree(a, b, c, e):
-    """a @ b == c @ e, compared column by column; the caller checks shapes."""
-    for r in range(b.ncols):
-        if _composite(a, b, r) != _composite(c, e, r):
+    """a @ b == c @ e, compared column by column; the caller checks shapes.
+
+    The two composed row maps decide every column that is unit or empty
+    on both sides; only a column that is neither on one side is
+    multiplied out, through _composite."""
+    left, right = _composed_rows(a, b), _composed_rows(c, e)
+    if left == right and None not in left:
+        return True
+    for r, (x, y) in enumerate(zip(left, right)):
+        if x is None or y is None:
+            if _composite(a, b, r) != _composite(c, e, r):
+                return False
+        elif x != y:
             return False
     return True
+
+
+def _composes_to_zero(a, b):
+    """a @ b is zero: every column r is empty."""
+    return all(k == -1 or (k is None and not _composite(a, b, r))
+               for r, k in enumerate(_composed_rows(a, b)))
+
+
+def _composes_to_identity(a, b):
+    """a @ b is the identity: every column r is {r: 1}."""
+    return all(k == r or (k is None and _composite(a, b, r) == {r: 1})
+               for r, k in enumerate(_composed_rows(a, b)))
 
 
 class SimplicialVectorSpace:
@@ -429,9 +454,10 @@ class SimplicialVectorSpace:
 
     def check_identities(self):
         """Assert every simplicial identity, one column of each side at a
-        time; a unit column composes by lookup (see _composite), and
-        d_i s_j = id asks every column r to be {r: 1}.  No product matrix
-        is built."""
+        time: columns that are unit or empty on both sides compare by
+        their composed row maps, any other is multiplied out (see
+        _composites_agree), and d_i s_j = id asks every column r to be
+        {r: 1}.  No product matrix is built."""
         d, s, T = self.faces, self.degens, self.T
         for m in range(2, T + 1):
             for j in range(m + 1):
@@ -456,8 +482,7 @@ class SimplicialVectorSpace:
                         ok = _composites_agree(d[m + 1][i], s[m][j],
                                                s[m - 1][j - 1], d[m][i])
                     elif i <= j + 1:
-                        ok = all(_composite(d[m + 1][i], s[m][j], r) == {r: 1}
-                                 for r in range(self.level_dims[m]))
+                        ok = _composes_to_identity(d[m + 1][i], s[m][j])
                     else:
                         ok = _composites_agree(d[m + 1][i], s[m][j],
                                                s[m - 1][j], d[m][i - 1])
@@ -469,10 +494,22 @@ class SimplicialVectorSpace:
     # -- chains ----------------------------------------------------------
 
     def _boundary_column(self, m, r):
-        """Alternating sum of the faces out of level m on basis vector r."""
+        """Alternating sum of the faces out of level m on basis vector r; a
+        unit face column adds its sign at its row."""
+        p = self.field.characteristic
         out = {}
         for i, face in enumerate(self.faces[m]):
-            axpy(out, (-1) ** i, face.cols[r], self.field.characteristic)
+            k = face.unit_rows()[r]
+            if k is None:
+                axpy(out, (-1) ** i, face.cols[r], p)
+            elif k >= 0:
+                w = out.get(k, 0) + (-1) ** i
+                if p:
+                    w %= p
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
         return out
 
     def boundary(self, m):
@@ -739,7 +776,9 @@ def gamma(field, complex_dims, complex_diffs, T):
     of the three, and onto which summand, depends on the shape only, and
     so do the levels (_gamma_level) and each operator's column plan
     (_gamma_plan), all cached; a complex only fills its differential
-    blocks into fresh columns.
+    blocks into fresh columns.  Each operator's row map (Mat.unit_rows)
+    is built in the same loop: the unit and zero runs give it directly,
+    and a differential block shifts the differential's own.
     """
     diffs = ChainComplex(field, complex_dims, complex_diffs).diffs
     dims = tuple(complex_dims)
@@ -747,17 +786,21 @@ def gamma(field, complex_dims, complex_diffs, T):
     level_dims = [len(b) for b in bases]
 
     def operator(m, i, to):
-        cols = []
+        cols, rows = [], []
         for run in _gamma_plan(m, i, to, dims):
             if run[0] == "unit":
                 cols += [{r: 1} for r in run[1]]
+                rows += run[1]
             elif run[0] == "zero":
                 cols += [{} for _ in range(run[1])]
+                rows += [-1] * run[1]
             else:
                 _, k, base = run
                 cols += [{base + r: v for r, v in col.items()}
                          for col in diffs[k].cols]
-        return Mat(field, level_dims[to], level_dims[m], cols)
+                rows += [r if r is None or r < 0 else base + r
+                         for r in diffs[k].unit_rows()]
+        return Mat(field, level_dims[to], level_dims[m], cols, rows)
 
     return SimplicialVectorSpace.from_operators(
         field, level_dims, operator, basis_labels=bases)

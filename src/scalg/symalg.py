@@ -92,27 +92,27 @@ def _sym_map(images, src_monomials, dst_index, p):
     return cols
 
 
-def _sym_lookup(f, src_monomials, dst_index):
-    """_sym_map of a map f whose every column is empty or one entry 1, by
-    lookup: a monomial goes to the sorted monomial of its generators' rows
-    with coefficient 1, or to zero when f kills one of them.  None when f
-    has any other column, which leaves it to _sym_map."""
-    rows = []
-    for col in f.cols:
-        if not col:
-            rows.append(None)
-            continue
-        if len(col) != 1:
-            return None
-        (row, v), = col.items()
-        if v != 1:
-            return None
-        rows.append(row)
-    cols = []
+def _sym_rows(f, src_monomials, dst_index):
+    """The row map (Mat.unit_rows) of _sym_map of a map f whose every
+    column is empty or one entry 1, read off f's: a monomial goes to the
+    sorted monomial of its generators' rows, or to zero (-1) when f kills
+    one of them.  None when f has any other column, which leaves it to
+    _sym_map."""
+    rows = f.unit_rows()
+    if None in rows:
+        return None
+    out = []
     for mono in src_monomials:
         image = [rows[a] for a in mono]
-        cols.append({} if None in image else {dst_index[tuple(sorted(image))]: 1})
-    return cols
+        out.append(-1 if -1 in image else dst_index[tuple(sorted(image))])
+    return out
+
+
+def _sym_lookup(f, src_monomials, dst_index):
+    """The columns of _sym_rows, or None where it declines."""
+    rows = _sym_rows(f, src_monomials, dst_index)
+    return None if rows is None else Mat.from_unit_rows(
+        f.field, len(dst_index), rows).cols
 
 
 def _generator_images(f):
@@ -127,13 +127,13 @@ def symmetric_power(V, d):
     multiplicatively on monomials.  d = 0 gives the constant object, d = 1
     gives V back (on the nose).
 
-    Every structure map is _sym_map of V's (by _sym_lookup where V's map
+    Every structure map is _sym_map of V's (by _sym_rows where V's map
     sends each basis vector to a basis vector or to zero, as on K(V, n):
-    the same matrix, without products), and _sym_map preserves
-    composites and identities matrix for matrix (it computes maps of
-    polynomial rings exactly, and reducing mod p is a ring map), so the
-    simplicial identities of Sym^d V follow from V's and are not checked
-    again; shapes are.  The tests check that functoriality and run
+    the same matrix, read off V's row map without products), and
+    _sym_map preserves composites and identities matrix for matrix (it
+    computes maps of polynomial rings exactly, and reducing mod p is a
+    ring map), so the simplicial identities of Sym^d V follow from V's
+    and are not checked again; shapes are.  The tests check that functoriality and run
     check_identities on symmetric powers as the oracle.
     """
     if d < 0:
@@ -150,10 +150,11 @@ def symmetric_power(V, d):
 
     def operator(m, i, to):
         f = V.operator(m, i, to)
-        cols = _sym_lookup(f, monomials[m], indexes[to])
-        if cols is None:
-            cols = _sym_map(_generator_images(f), monomials[m], indexes[to], p)
-        return Mat(field, dims[to], dims[m], cols)
+        rows = _sym_rows(f, monomials[m], indexes[to])
+        if rows is None:
+            return Mat(field, dims[to], dims[m],
+                       _sym_map(_generator_images(f), monomials[m], indexes[to], p))
+        return Mat.from_unit_rows(field, dims[to], rows)
 
     return SimplicialVectorSpace._functor_image(field, dims, operator, monomials)
 
@@ -682,8 +683,10 @@ def indecomposables(A):
 
 
 def induced_homology_matrices(src, dst, chain_maps, up_to):
-    """Matrices induced on homology by a chain map (verified to commute)."""
-    for m in range(1, min(len(chain_maps) - 1, up_to + 1)):
+    """Matrices induced on homology by a chain map, verified to commute at
+    every level it is given through up_to + 1 (H_up_to needs boundaries
+    from level up_to + 1 to go to boundaries)."""
+    for m in range(1, min(len(chain_maps), up_to + 2)):
         if not _composites_agree(dst.diffs[m], chain_maps[m],
                                  chain_maps[m - 1], src.diffs[m]):
             raise ValueError("not a chain map at level %d" % m)

@@ -2,6 +2,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,51 @@ def test_bar_dims_monotone_in_bounds():
     assert small.level_dims == [1, 1, 4, 13, 31]
     assert big.level_dims == [1, 1, 10, 91, 496]
     assert bigger.level_dims == [1, 1, 20, 455, 5456]
+
+
+def bar_bases_by_filtering(f, N, T, W):
+    """The bar bases as _bar_levels enumerated them before taking b codes
+    by weight slice: every b code tested against the weight bound for each
+    (positions, choice)."""
+    s = f.weight_ratio
+    a_components = f.source.components[: W // s + 1]
+    b_components = f.target.components[: W + 1]
+    bases = []
+    for m in range(T + 1):
+        nonunit = [(d, i) for d in range(1, len(a_components))
+                   for i in range(a_components[d].level_dims[m])]
+        bcodes = [(d, i) for d, comp in enumerate(b_components)
+                  for i in range(comp.level_dims[m])]
+        basis = []
+        choices = [((), 0)]
+        for k in range(min(N, m, W // s) + 1):
+            if k:
+                choices = [(choice + (c,), wa + c[0]) for choice, wa in choices
+                           for c in nonunit if s * (wa + c[0]) <= W]
+            for positions in combinations(range(m), k):
+                for choice, wa in choices:
+                    slots = [(0, 0)] * m
+                    for pos, c in zip(positions, choice):
+                        slots[pos] = c
+                    slots = tuple(slots)
+                    basis.extend((slots, b) for b in bcodes
+                                 if s * wa + b[0] <= W)
+        basis.sort()
+        bases.append(basis)
+    return bases
+
+
+@pytest.mark.parametrize("which,N,T,W", [
+    ("power", 2, 6, 2), ("power", 3, 6, 3), ("identity", 2, 4, 2),
+])
+def test_bar_basis_by_weight_slice_equals_the_filtering_loop(which, N, T, W):
+    if which == "power":
+        f = power_map(1, 2, 6, 2)
+    else:
+        f = identity_map(sphere_algebra(QQ, 1, 2, 4, 3))
+    bases = scalg.barcof._bar_levels(f, N, T, W)[0]
+    assert bases == bar_bases_by_filtering(f, N, T, W)
+    assert sum(map(len, bases)) > T + 1  # some level holds several tuples
 
 
 def test_cofiber_homotopy_flags():

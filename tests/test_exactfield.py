@@ -411,6 +411,46 @@ def test_kron_equals_the_product_of_every_entry_pair(field):
         assert Fraction(-1, 3) in half.kron(half).cols[0].values()
 
 
+def random_unit_mat(rng, field, nrows, ncols):
+    """Every column {k: 1} or empty, some of each where the shape allows."""
+    cols = [{rng.randrange(nrows): 1} if nrows and rng.random() < 0.7 else {}
+            for _ in range(ncols)]
+    return Mat(field, nrows, ncols, cols)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_kron_of_unit_matrices_equals_the_definition(field):
+    # unit (x) unit goes by the two row maps; unit (x) dense and
+    # dense (x) unit by the entry products
+    rng = random.Random(22)
+    pairs = {"unit-unit": 0, "unit-dense": 0, "dense-unit": 0}
+    for case in range(300):
+        kind = list(pairs)[case % 3]
+        shapes = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(2)]
+        a, b = (random_unit_mat(rng, field, nr, nc) if part == "unit"
+                else Mat.from_rows(field, random_dense(rng, field, nr, nc),
+                                   ncols=nc)
+                for part, (nr, nc) in zip(kind.split("-"), shapes))
+        got, want = a.kron(b), kron_by_definition(a, b)
+        assert got == want
+        assert [list(c.items()) for c in got.cols] == \
+            [list(c.items()) for c in want.cols]
+        assert len({id(c) for c in got.cols}) == got.ncols
+        assert got.unit_rows() == Mat(field, want.nrows, want.ncols,
+                                      want.cols).unit_rows()
+        if any(not c for c in got.cols) and any(c for c in got.cols):
+            pairs[kind] += 1
+    # every kind of pair was seen with both empty and nonempty columns
+    assert all(pairs.values()), pairs
+
+
+def test_unit_rows_marks_unit_empty_and_other_columns():
+    m = Mat(QQ, 3, 5, [{2: 1}, {}, {0: 2}, {0: 1, 1: 1}, {1: Fraction(1, 2)}])
+    assert m.unit_rows() == [2, -1, None, None, None]
+    assert m.unit_rows() is m.unit_rows()  # computed once
+    assert Mat.from_unit_rows(GF2, 3, [1, -1]).cols == [{1: 1}, {}]
+
+
 def test_block_and_stack_shapes():
     a = Mat.identity(GF2, 2)
     b = Mat.zero(GF2, 1, 3)

@@ -405,9 +405,10 @@ def random_entry(rng, field):
 
 
 def corrupt(rng, obj, how=None):
-    """obj with one entry of one operator changed, added or removed, or
-    with how="empty" one nonempty column emptied, built without any
-    identity check."""
+    """obj with one entry of one operator changed, added or removed, with
+    how="empty" one nonempty column emptied, or with how="scale" one unit
+    column {k: 1} scaled to {k: 2} or {k: -1} (None over F_2), built
+    without any identity check."""
     m, i, to = rng.choice(list(scalg.simplicial._operator_slots(obj.T)))
     target = obj.operator(m, i, to)
     if not target.ncols or not target.nrows:
@@ -418,6 +419,15 @@ def corrupt(rng, obj, how=None):
         if not full:
             return None
         rng.choice(full).clear()
+    elif how == "scale":
+        units = [col for col in cols if list(col.values()) == [1]]
+        p = obj.field.characteristic
+        if not units or p == 2:
+            return None
+        col = rng.choice(units)
+        (k, _), = col.items()
+        c = rng.choice([2, -1])
+        col[k] = c % p if p else c
     else:
         col = cols[rng.randrange(len(cols))]
         how = rng.choice(["change", "add", "remove"])
@@ -438,7 +448,7 @@ def corrupt(rng, obj, how=None):
 
 def test_column_check_agrees_with_the_product_check_on_corrupted_objects():
     rng = random.Random(18)
-    verdicts, emptied_verdicts = set(), set()
+    verdicts, emptied_verdicts, scaled_verdicts = set(), set(), set()
     for case in range(240):
         field = (QQ, GF2, GF3)[case % 3]
         if case % 4:
@@ -448,10 +458,14 @@ def test_column_check_agrees_with_the_product_check_on_corrupted_objects():
             obj = random_gamma_object(rng, field, T, 2)[0].tensor(
                 random_gamma_object(rng, field, T, 2)[0])
         # an entry changed, added or removed; then, drawn apart so that the
-        # first stream stays as it was, one nonempty column emptied
+        # first stream stays as it was, one nonempty column emptied, and
+        # one unit column scaled, so that its row map entry is None on one
+        # side and the check multiplies that column out
         emptied = corrupt(random.Random(case), obj, "empty")
+        scaled = corrupt(random.Random("scale-%d" % case), obj, "scale")
         for bad, seen in [(corrupt(rng, obj), verdicts),
-                          (emptied, emptied_verdicts)]:
+                          (emptied, emptied_verdicts),
+                          (scaled, scaled_verdicts)]:
             if bad is None:
                 continue
             verdict = identity_verdict(SimplicialVectorSpace.check_identities, bad)
@@ -461,6 +475,46 @@ def test_column_check_agrees_with_the_product_check_on_corrupted_objects():
     assert None in verdicts
     assert {v[0] + v[4] for v in verdicts if v} == {"dd", "ss", "ds"}
     assert {v[0] + v[4] for v in emptied_verdicts if v} == {"dd", "ss", "ds"}
+    assert {v[0] + v[4] for v in scaled_verdicts if v} == {"dd", "ss", "ds"}
+
+
+def unit_rows_from_cols(mat):
+    """Mat.unit_rows recomputed from the columns: the row of {k: 1}, -1
+    for an empty column, None for any other."""
+    out = []
+    for col in mat.cols:
+        if not col:
+            out.append(-1)
+        elif list(col.values()) == [1]:
+            out.append(next(iter(col)))
+        else:
+            out.append(None)
+    return out
+
+
+def test_handed_row_maps_agree_with_the_columns():
+    # gamma, symmetric_power (by lookup) and Mat.kron hand their row maps
+    # to the constructor; each must be the one the columns give
+    rng = random.Random(22)
+    objects = []
+    for field in (QQ, GF2, GF3):
+        for _ in range(8):
+            objects.append(random_gamma_object(rng, field, rng.randint(1, 4))[0])
+        T = rng.randint(1, 3)
+        objects.append(random_gamma_object(rng, field, T, 2)[0].tensor(
+            random_gamma_object(rng, field, T, 2)[0]))
+        k = eilenberg_maclane(field, 2, 2, 5)
+        objects += [eilenberg_maclane(field, 1, 3, 5), k,
+                    symmetric_power(k, 2), symmetric_power(k, 3)]
+    kinds = set()
+    for obj in objects:
+        for m, i, to in scalg.simplicial._operator_slots(obj.T):
+            op = obj.operator(m, i, to)
+            expected = unit_rows_from_cols(op)
+            assert op.unit_rows() == expected, (obj, m, i, to)
+            kinds.update(-1 if r == -1 else type(r) for r in expected)
+    # unit, empty and other columns all occur
+    assert kinds == {-1, int, type(None)}
 
 
 @pytest.mark.parametrize("field,entry", [

@@ -642,6 +642,18 @@ def test_induced_homology_matrices_rejects_a_map_that_is_not_a_chain_map():
     assert induced_homology_matrices(cx, cx, [one, one, one], 2)[2] == one
 
 
+@pytest.mark.parametrize("up_to", [1, 2])
+def test_induced_homology_matrices_checks_the_last_level_and_up_to_plus_one(
+        up_to):
+    # C: Q <- Q <- Q with d_1 = 0, d_2 = 1; (id, id, 0) breaks
+    # d_2 f_2 = f_1 d_2, at the last level given, which is level up_to + 1
+    # for up_to = 1: H_1 needs boundaries from level 2 to go to boundaries
+    one, zero = Mat.identity(QQ, 1), Mat.zero(QQ, 1, 1)
+    cx = ChainComplex(QQ, [1, 1, 1], [None, zero, one])
+    with pytest.raises(ValueError, match="^not a chain map at level 2$"):
+        induced_homology_matrices(cx, cx, [one, one, zero], up_to)
+
+
 def test_hurewicz_trivial_algebra_is_all_zero():
     A = sphere_algebra(QQ, 0, 2, 3, 2)
     h = hurewicz(A)
