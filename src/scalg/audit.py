@@ -37,7 +37,6 @@ from .series import (
     phi_eval,
     sphere_series_char0,
     sphere_series_charp,
-    unit_series,
 )
 
 
@@ -129,14 +128,12 @@ def _tower(profile):
 
 def _theta(table, profile, factor, M):
     """theta of the sphere factor (q, degree), computed once per table: the
-    closed form rationally, brute force in characteristic p, the unit series
-    for q = 0."""
+    closed form rationally, brute force in characteristic p (either gives
+    the unit series for q = 0)."""
     if factor not in table:
         q, degree = factor
         p = profile.field.characteristic
-        if q == 0:
-            table[factor] = unit_series(M)
-        elif p == 0:
+        if p == 0:
             table[factor] = sphere_series_char0(q, degree, M)
         else:
             table[factor] = sphere_series_charp(q, degree, p, M)

@@ -17,19 +17,19 @@ The bar diagonal's basis is enumerated inside the weight window only: the
 b codes are ordered by weight, so each choice of a-slots takes the
 prefix of them that fits its remaining weight.  The bar diagonal hands
 NormalizedChains, the one Dold-Kan quotient, the degeneracy image of each
-tuple one level down and the boundary of one tuple.  Every degeneracy
-sends a basis tuple to a single basis tuple, found by looking up the
-tuple of its slots' images under the components' s_i, each read once as
-a row map; so the quotient drops the hit tuples, and the boundary is
-evaluated on the other tuples only.  A face reads the components' d_i
-the same way, from their cached row maps (Mat.unit_rows), one lookup
-per slot, and multiplies terms out only where a column is neither unit
-nor empty.  Checking d_i d_j = d_{j-1} d_i on those columns also
-computes the faces of the lower-level tuples they hit, degenerate ones
-included.  The face and degeneracy matrices of the whole object are
-built only by BarDiagonal.simplicial(), which returns an ordinary
-SimplicialVectorSpace checked on every simplicial identity; the tests
-compare the two normalized complexes.
+tuple one level down and the boundary of one tuple.  Faces and
+degeneracies read the components' d_i and s_i the same way: each once,
+as its cached row map (Mat.unit_rows), checked to send every basis
+vector to one basis vector (or to zero, for a face), and then one lookup
+per slot.  So a degeneracy sends a basis tuple to a single basis tuple,
+the quotient drops the hit tuples, and the boundary is evaluated on the
+other tuples only; a face multiplies or pushes the looked-up slots.
+Checking d_i d_j = d_{j-1} d_i on those columns also computes the faces
+of the lower-level tuples they hit, degenerate ones included.  The face
+and degeneracy matrices of the whole object are built only by
+BarDiagonal.simplicial(), which returns an ordinary SimplicialVectorSpace
+checked on every simplicial identity; the tests compare the two
+normalized complexes.
 
 A map grows with its algebras: extending source and target by weight
 keeps the component that holds the generator images, so AlgebraMap.rebuilt
@@ -307,9 +307,13 @@ def _bar_levels(f, N, T, W):
     Each a-slot and b is a (weight, index) pair naming a monomial of the
     source or target; the unit is (0, 0).
 
-    A degeneracy reads each component's s_i at level m once as a row map
-    (AssertionError unless every column is one entry 1) and looks up the
-    tuple of the mapped slots and b (AssertionError if it is not there).
+    Faces and degeneracies alike read each component's d_i or s_i at
+    level m once, as its row map (Mat.unit_rows), and send every slot and
+    b to its row; AssertionError unless every column is one entry 1, or
+    empty for a face.  A face then multiplies or pushes the mapped slots
+    as the bar face does.  Neither changes a tuple's weight or adds a
+    non-unit slot, so every term lies in the window, and a term missing
+    from the basis raises AssertionError.
     """
     A, B = f.source, f.target
     p = f.field.characteristic
@@ -356,109 +360,75 @@ def _bar_levels(f, N, T, W):
         bases.append(basis)
         index.append({t: i for i, t in enumerate(basis)})
 
-    face_maps = {}  # (m, i) -> d_i at level m of each a- and b-component
+    row_maps = {}  # (m, i, to) -> row maps of the a- and b-components
 
-    def levelwise(m, i, slots, b):
-        """Image of (slots, b) under the levelwise face d_i of every slot
-        and of b, as (slots, b, coeff) terms: one lookup per slot in the
-        components' row maps, multiplied out only when some slot's column
-        is neither unit nor empty."""
-        maps = face_maps.get((m, i))
+    def mapped(m, i, to, k):
+        """bases[m][k] with every slot and b sent to its row under the
+        components' d_i (to = m - 1) or s_i (to = m + 1); None when one
+        of them goes to zero."""
+        maps = row_maps.get((m, i, to))
         if maps is None:
-            a_faces = [comp.operator(m, i, m - 1) for comp in a_components]
-            b_faces = [comp.operator(m, i, m - 1) for comp in b_components]
-            maps = face_maps[(m, i)] = (
-                a_faces, [mat.unit_rows() for mat in a_faces],
-                b_faces, [mat.unit_rows() for mat in b_faces])
-        a_faces, a_rows, b_faces, b_rows = maps
-        db, jb = b
+            maps = tuple([comp.operator(m, i, to).unit_rows()
+                          for comp in components]
+                         for components in (a_components, b_components))
+            for rows in maps[0] + maps[1]:
+                if None in rows or (to > m and -1 in rows):
+                    raise AssertionError(
+                        "face image is neither a single basis tuple nor zero"
+                        if to < m else
+                        "degeneracy image is not a single basis tuple")
+            row_maps[(m, i, to)] = maps
+        a_rows, b_rows = maps
+        slots, (db, jb) = bases[m][k]
         rb = b_rows[db][jb]
         if rb == -1:
-            return []
+            return None
         image = []
-        unit = rb is not None
         for d, j in slots:
             r = a_rows[d][j]
             if r == -1:
-                return []
-            if r is None:
-                unit = False
+                return None
             image.append((d, r))
-        if unit:
-            return [(tuple(image), (db, rb), 1)]
-        terms = [((), 1)]
-        for d, j in slots:
-            terms = [(prefix + ((d, j2),), coeff * v) for prefix, coeff in terms
-                     for j2, v in a_faces[d].cols[j].items()]
-        return [(prefix, (db, j2), coeff * v) for prefix, coeff in terms
-                for j2, v in b_faces[db].cols[jb].items()]
+        return tuple(image), (db, rb)
 
-    def emit(acc, lvl, slots, b, coeff):
-        """acc += coeff * (slots, b) at level lvl, or nothing when the
-        tuple is truncated away (it must lie outside the window)."""
+    def find(lvl, slots, b, message):
+        """The index of the tuple (slots, b) at level lvl."""
         key = index[lvl].get((slots, b))
-        if key is not None:
-            acc[key] = acc.get(key, 0) + coeff
-            return
-        wa = sum(d for d, _ in slots)
-        nonunit = sum(1 for d, _ in slots if d > 0)
-        if s * wa + b[0] <= W and nonunit <= N:
-            raise AssertionError("missing basis tuple inside the window")
+        if key is None:
+            raise AssertionError(message)
+        return key
 
-    def bar_face(acc, i, lvl, slots, b, coeff):
-        """Apply bar face i to (slots, b) at the target level and add."""
+    def bar_face(i, lvl, slots, b):
+        """Bar face i of (slots, b), whose slots are already at the target
+        level, as (slots, b, coeff) terms."""
         if i == 0:
-            if slots[0][0] == 0:
-                emit(acc, lvl, slots[1:], b, coeff)
-        elif i < len(slots):
+            return [(slots[1:], b, 1)] if slots[0][0] == 0 else []
+        if i < len(slots):
             (d1, i1), (d2, i2) = slots[i - 1], slots[i]
             prod = A.multiply_elements(d1, {i1: 1}, d2, {i2: 1}, lvl)
-            for j, v in prod.items():
-                emit(acc, lvl, slots[: i - 1] + ((d1 + d2, j),) + slots[i + 1:],
-                     b, coeff * v)
-        else:
-            # i == len(slots): push the last slot through f and into b
-            dlast, ilast = slots[-1]
-            wmap = f.weight_map(dlast, lvl)
-            if wmap is None:
-                return
-            db, ib = b
-            prod = B.multiply_elements(dlast * s, wmap.cols[ilast], db, {ib: 1}, lvl)
-            for j, v in prod.items():
-                emit(acc, lvl, slots[:-1], (dlast * s + db, j), coeff * v)
+            return [(slots[: i - 1] + ((d1 + d2, j),) + slots[i + 1:], b, v)
+                    for j, v in prod.items()]
+        # i == len(slots): push the last slot through f and into b
+        dlast, ilast = slots[-1]
+        db, ib = b
+        wmap = f.weight_map(dlast, lvl)
+        prod = B.multiply_elements(dlast * s, wmap.cols[ilast], db, {ib: 1}, lvl)
+        return [(slots[:-1], (dlast * s + db, j), v) for j, v in prod.items()]
 
     def face(m, i, k):
+        image = mapped(m, i, m - 1, k)
+        if image is None:
+            return {}
         acc = {}
-        for slots, b, coeff in levelwise(m, i, *bases[m][k]):
-            bar_face(acc, i, m - 1, slots, b, coeff)
+        for slots, b, v in bar_face(i, m - 1, *image):
+            key = find(m - 1, slots, b, "missing basis tuple inside the window")
+            acc[key] = acc.get(key, 0) + v
         return canonical(acc, p)
 
-    def unit_rows(mat):
-        """The row that each column of a degeneracy matrix hits."""
-        rows = []
-        for col in mat.cols:
-            if list(col.values()) != [1]:
-                raise AssertionError(
-                    "degeneracy image is not a single basis tuple")
-            rows.extend(col)
-        return rows
-
-    row_maps = {}  # (m, i) -> s_i at level m of each a- and b-component
-
     def degeneracy(m, i, k):
-        maps = row_maps.get((m, i))
-        if maps is None:
-            maps = row_maps[(m, i)] = tuple(
-                [unit_rows(comp.operator(m, i, m + 1)) for comp in components]
-                for components in (a_components, b_components))
-        a_rows, b_rows = maps
-        slots, (db, jb) = bases[m][k]
-        image = [(d, a_rows[d][j]) for d, j in slots]
-        image.insert(i, unit)
-        key = index[m + 1].get((tuple(image), (db, b_rows[db][jb])))
-        if key is None:
-            raise AssertionError("degeneracy left the window")
-        return {key: 1}
+        slots, b = mapped(m, i, m + 1, k)
+        slots = slots[:i] + (unit,) + slots[i:]
+        return {find(m + 1, slots, b, "degeneracy left the window"): 1}
 
     return bases, face, degeneracy
 
@@ -477,10 +447,10 @@ class BarDiagonal:
     SimplicialVectorSpace.normalized_chains matrix for matrix, with the
     same project and include.
 
-    Checked at construction: every component degeneracy that the tuples
-    go through has one entry 1 in each column, and every degeneracy image
-    lies in the window (AssertionError otherwise); no face term inside the
-    window is missing from the basis; d_i d_j = d_{j-1} d_i on every
+    Checked at construction: every component face and degeneracy that the
+    tuples go through has one entry 1 in each column, or none for a face,
+    and every face term and degeneracy image is a basis tuple
+    (AssertionError otherwise); d_i d_j = d_{j-1} d_i on every
     nondegenerate column (SimplicialError); and d o d = 0 in
     ChainComplex.  simplicial() builds every face and degeneracy matrix
     into a SimplicialVectorSpace, whose constructor checks every

@@ -242,13 +242,7 @@ def cmd_cofiber(args):
 def cmd_series(args):
     n = args.n
     if args.char == 0:
-        if args.q == 0:
-            from .series import unit_series
-
-            payload = unit_series(args.M).to_json_dict()
-            return payload, 0
-        series = sphere_series_char0(args.q, n, args.M)
-        return series.to_json_dict(), 0
+        return sphere_series_char0(args.q, n, args.M).to_json_dict(), 0
     _field(args.char)
     try:
         series = sphere_series_charp(args.q, n, args.char, args.M, W=args.W)

@@ -175,10 +175,13 @@ def sphere_series_char0(q, n, M):
     """Series of the free graded-commutative algebra on q degree-n classes.
 
     (1 - t^n)^{-q} for n even (polynomial generators), (1 + t^n)^q for n
-    odd (exterior generators); the closed form tag is always set.
+    odd (exterior generators); the closed form tag is always set.  No
+    generators (q = 0) give the unit series, as in sphere_series_charp.
     """
-    if q < 1 or n < 1:
-        raise SeriesError("need q >= 1 and n >= 1")
+    if q < 0 or n < 1:
+        raise SeriesError("need q >= 0 and n >= 1")
+    if q == 0:
+        return unit_series(M)
     cf = ClosedForm(1, (((n, -q),) if n % 2 == 0 else ((n, q),)))
     return TruncatedSeries(cf.expand(M), cf)
 

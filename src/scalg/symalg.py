@@ -108,13 +108,6 @@ def _sym_rows(f, src_monomials, dst_index):
     return out
 
 
-def _sym_lookup(f, src_monomials, dst_index):
-    """The columns of _sym_rows, or None where it declines."""
-    rows = _sym_rows(f, src_monomials, dst_index)
-    return None if rows is None else Mat.from_unit_rows(
-        f.field, len(dst_index), rows).cols
-
-
 def _generator_images(f):
     """Columns of a linear map as images keyed by 1-tuple monomials."""
     return [{(j,): v for j, v in col.items()} for col in f.cols]

@@ -399,17 +399,41 @@ def test_bar_simplicial_object_is_checked_when_built(monkeypatch):
     assert calls == [full]
 
 
+def corrupted(mat, j, image):
+    """A fresh copy of mat with column j replaced by image (a built Mat
+    caches its row map, so it is never edited)."""
+    cols = list(mat.cols)
+    cols[j] = image
+    return Mat(mat.field, mat.nrows, mat.ncols, cols)
+
+
 def test_bar_diagonal_rejects_a_degeneracy_image_with_two_terms():
     # s_0 on K(Q, 2) from level 2 to level 3, one column given a second
-    # term, or scaled by 2: the bar tuple ((), generator) at level 2 then
-    # degenerates to two tuples, or to one tuple with coefficient 2
+    # term, or scaled by 2: the bar tuple (units, generator) at level 2
+    # then degenerates to two tuples, or to one tuple with coefficient 2
     for image in ({0: 1, 2: 1}, {2: 2}):
         A = sphere_algebra(QQ, 1, 2, 4, 3)
         f = identity_map(A)
-        s0 = A.components[1].degens[2][0]
-        assert s0.cols[0] == {2: 1}
-        s0.cols[0] = image
+        degens = A.components[1].degens[2]
+        assert degens[0].cols[0] == {2: 1}
+        degens[0] = corrupted(degens[0], 0, image)
         with pytest.raises(AssertionError, match="single basis tuple"):
+            bar_diagonal(f, 2, 4, 2)
+
+
+def test_bar_diagonal_rejects_a_face_image_with_two_terms():
+    # d_0 on K(Q, 2) from level 4 to level 3, one unit column given a
+    # second term, or scaled by 2: the face of a bar tuple whose b is that
+    # basis vector is then neither one tuple nor zero
+    for extra in (1, 0):
+        A = sphere_algebra(QQ, 1, 2, 4, 3)
+        f = identity_map(A)
+        faces = A.components[1].faces[4]
+        j, r = next((j, r) for j, r in enumerate(faces[0].unit_rows())
+                    if r >= 0)
+        image = {r: 1, (r + 1) % faces[0].nrows: 1} if extra else {r: 2}
+        faces[0] = corrupted(faces[0], j, image)
+        with pytest.raises(AssertionError, match="face image is neither"):
             bar_diagonal(f, 2, 4, 2)
 
 
@@ -426,6 +450,24 @@ def test_bar_diagonal_rejects_a_degeneracy_that_leaves_the_window(
 
     monkeypatch.setattr(scalg.barcof, "combinations", fewer)
     with pytest.raises(AssertionError, match="left the window"):
+        bar_diagonal(f, 2, 4, 2)
+
+
+def test_bar_diagonal_rejects_a_face_term_missing_from_the_basis(
+        monkeypatch):
+    # level 2 loses its tuples whose one non-unit slot is the first; no
+    # degeneracy of a level-1 tuple lands there (level 1 of K(Q, 2) is
+    # zero, so its slots are units), but faces of level-3 tuples do
+    f = identity_map(sphere_algebra(QQ, 1, 2, 4, 3))
+    real = scalg.barcof.combinations
+
+    def fewer(pool, k):
+        pool = tuple(pool)
+        return [c for c in real(pool, k) if (len(pool), c) != (2, (0,))]
+
+    monkeypatch.setattr(scalg.barcof, "combinations", fewer)
+    with pytest.raises(AssertionError,
+                       match="missing basis tuple inside the window"):
         bar_diagonal(f, 2, 4, 2)
 
 

@@ -1,6 +1,8 @@
+import ast
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -449,6 +451,37 @@ def test_unit_rows_marks_unit_empty_and_other_columns():
     assert m.unit_rows() == [2, -1, None, None, None]
     assert m.unit_rows() is m.unit_rows()  # computed once
     assert Mat.from_unit_rows(GF2, 3, [1, -1]).cols == [{1: 1}, {}]
+
+
+def test_no_file_assigns_to_an_item_of_a_cols_attribute():
+    # unit_rows() is cached, so a built Mat is never edited: no assignment
+    # under src/ or tests/ stores into x.cols[j] (or into x.cols[j][r])
+    def edits_cols(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(edits_cols(t) for t in target.elts)
+        while isinstance(target, (ast.Subscript, ast.Attribute, ast.Starred)):
+            value = target.value
+            if (isinstance(target, ast.Subscript)
+                    and isinstance(value, ast.Attribute)
+                    and value.attr == "cols"):
+                return True
+            target = value
+        return False
+
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    paths = sorted(p for d in ("src", "tests") for p in root.glob(d + "/**/*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(edits_cols(t) for t in targets):
+                found.append("%s:%d" % (path.relative_to(root), node.lineno))
+    assert found == []
 
 
 def test_block_and_stack_shapes():

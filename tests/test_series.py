@@ -142,8 +142,10 @@ def test_sphere_series_two_even_generators():
 
 
 def test_sphere_series_char0_rejects_bad_input():
-    with pytest.raises(SeriesError):
-        sphere_series_char0(0, 2, 4)
+    # no generators is not bad input: the unit series, as in char p
+    unit = sphere_series_char0(0, 2, 4)
+    assert unit == unit_series(4)
+    assert unit.to_json_dict() == unit_series(4).to_json_dict()
     with pytest.raises(SeriesError):
         sphere_series_char0(1, 0, 4)
 

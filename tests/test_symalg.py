@@ -28,8 +28,8 @@ from scalg.symalg import (
     _face_codes,
     _generator_images,
     _monomials,
-    _sym_lookup,
     _sym_map,
+    _sym_rows,
 )
 
 
@@ -217,8 +217,9 @@ def test_sym_lookup_equals_sym_map_on_em_objects(field, q, n, T):
         for m, i, to in _operator_slots(T):
             f = k.operator(m, i, to)
             src = power.basis_labels[m]
-            lookup = _sym_lookup(f, src, indexes[to])
-            assert lookup is not None
+            rows = _sym_rows(f, src, indexes[to])
+            assert rows is not None
+            lookup = Mat.from_unit_rows(field, len(indexes[to]), rows).cols
             assert lookup == _sym_map(_generator_images(f), src, indexes[to], p)
             assert power.operator(m, i, to).cols == lookup
 
@@ -227,7 +228,7 @@ def test_sym_lookup_equals_sym_map_on_em_objects(field, q, n, T):
 def test_symmetric_power_of_a_conjugated_object_goes_through_sym_map(
         field, monkeypatch):
     # conjugating each level of K(F, 1) by a unitriangular matrix gives
-    # operators with columns of several entries, which _sym_lookup declines
+    # operators with columns of several entries, which _sym_rows declines
     k = eilenberg_maclane(field, 1, 1, 3)
     P = [Mat(field, n, n, [{r: 1 for r in range(j, n)} for j in range(n)])
          for n in k.level_dims]
@@ -246,9 +247,9 @@ def test_symmetric_power_of_a_conjugated_object_goes_through_sym_map(
     monkeypatch.setattr(scalg.symalg, "_sym_map", counted)
     power = symmetric_power(w, 2)
     declined = [(m, i, to) for m, i, to in _operator_slots(3)
-                if _sym_lookup(w.operator(m, i, to), power.basis_labels[m],
-                               {mono: r for r, mono in
-                                enumerate(power.basis_labels[to])}) is None]
+                if _sym_rows(w.operator(m, i, to), power.basis_labels[m],
+                             {mono: r for r, mono in
+                              enumerate(power.basis_labels[to])}) is None]
     assert declined and len(calls) == len(declined)
     for m, i, to in _operator_slots(3):
         assert power.operator(m, i, to) == sym_matrix(w.operator(m, i, to), 2)
