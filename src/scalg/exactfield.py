@@ -39,8 +39,10 @@ number of its rows.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 
 class FieldError(ValueError):
@@ -179,6 +181,36 @@ def axpy(acc, c, vec, p):
     return acc
 
 
+# The shared read-only columns: wherever a builder named in the Mat
+# docstring makes the column {r: 1} or an empty one, it takes
+# _UNIT_COLUMNS[r] or _EMPTY_COLUMN, which costs one list slot instead of
+# one dict.  They are MappingProxyType views, so an in-place edit raises
+# TypeError instead of changing every matrix that holds them.
+_EMPTY_COLUMN = MappingProxyType({})
+_UNIT_COLUMNS = []
+_UNIT_COLUMNS_LOCK = threading.Lock()
+
+
+def _unit_columns(n):
+    """The table of shared columns, grown so that entry r is {r: 1} for
+    every r < n.  Growth appends in order under a lock, so a thread that
+    sees n entries reads finished ones."""
+    table = _UNIT_COLUMNS
+    if len(table) < n:
+        with _UNIT_COLUMNS_LOCK:
+            for r in range(len(table), n):
+                table.append(MappingProxyType({r: 1}))
+    return table
+
+
+def _shared(col):
+    """col, or the shared column equal to it when it is {k: 1} or empty."""
+    k = _unit_row(col)
+    if k is None:
+        return col
+    return _EMPTY_COLUMN if k < 0 else _unit_columns(k + 1)[k]
+
+
 class Mat:
     """Column-sparse exact matrix over a FieldSpec.
 
@@ -191,6 +223,12 @@ class Mat:
     None otherwise.  It is computed from ``cols`` on first call, or handed
     to the constructor by a builder that made the columns from it, and
     then cached.  A Mat must therefore not be edited after construction.
+
+    The unit and empty columns that ``from_unit_rows``, ``zero``,
+    ``identity``, ``kron``, the default ``cols`` and ``simplicial.gamma``
+    build are not fresh dicts: column {r: 1} is the one shared read-only
+    view of row r, and an empty column the one shared empty view, so
+    editing one raises TypeError.  Readers see ordinary mappings.
     """
 
     __slots__ = ("field", "nrows", "ncols", "cols", "_unit_rows")
@@ -202,7 +240,7 @@ class Mat:
         self.nrows = nrows
         self.ncols = ncols
         if cols is None:
-            cols = [dict() for _ in range(ncols)]
+            cols = [_EMPTY_COLUMN] * ncols
         if len(cols) != ncols:
             raise ValueError("column count mismatch")
         self.cols = cols
@@ -232,14 +270,15 @@ class Mat:
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, n, n, [{i: 1} for i in range(n)])
+        return cls(field, n, n, _unit_columns(n)[:n], list(range(n)))
 
     @classmethod
     def from_unit_rows(cls, field, nrows, rows):
         """The matrix with the given row map, every column unit or empty
         (see unit_rows)."""
+        units = _unit_columns(nrows)
         return cls(field, nrows, len(rows),
-                   [{r: 1} if r >= 0 else {} for r in rows], rows)
+                   [units[r] if r >= 0 else _EMPTY_COLUMN for r in rows], rows)
 
     # -- basics ---------------------------------------------------------
 
@@ -263,6 +302,12 @@ class Mat:
 
     def nnz(self):
         return sum(len(c) for c in self.cols)
+
+    def __reduce__(self):
+        # the shared columns are views, which do not pickle: pickle and
+        # copy a Mat with plain dict columns
+        return (Mat, (self.field, self.nrows, self.ncols,
+                      [dict(c) for c in self.cols]))
 
     def __eq__(self, other):
         return (
@@ -358,7 +403,8 @@ class Mat:
         is {r1 * n2 + r2: 1} or empty, read off the two row maps, and the
         product's row map comes with it.  Otherwise a zero column of self
         gives a block of empty columns, and over Q a product of nonzero
-        entries is nonzero, so only F_p columns go through canonical.
+        entries is nonzero, so only F_p columns go through canonical; a
+        product that is unit or empty is the shared column.
         """
         self._check_same_field(other)
         p = self.field.characteristic
@@ -372,12 +418,12 @@ class Mat:
         cols = []
         for c1 in self.cols:
             if not c1:
-                cols += [{} for _ in range(other.ncols)]
+                cols += [_EMPTY_COLUMN] * other.ncols
                 continue
             for c2 in other.cols:
                 col = {i1 * n2 + i2: v1 * v2
                        for i1, v1 in c1.items() for i2, v2 in c2.items()}
-                cols.append(canonical(col, p) if p else col)
+                cols.append(_shared(canonical(col, p) if p else col))
         return Mat(self.field, self.nrows * other.nrows, self.ncols * other.ncols,
                    cols)
 

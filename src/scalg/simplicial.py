@@ -35,8 +35,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .exactfield import (
-    ColumnEchelon, FieldSpec, FieldError, Mat, axpy, canonical, kernel_basis,
-    pivot_rows,
+    ColumnEchelon, FieldSpec, FieldError, Mat, _EMPTY_COLUMN, _unit_columns, axpy,
+    canonical, kernel_basis, pivot_rows,
 )
 
 
@@ -738,7 +738,7 @@ def _gamma_plan(m, i, to, dims):
     differential out of degree k, each row moved down by base.  Adjacent
     unit runs and adjacent zero runs are merged.  The plan holds ints and
     tuples only and depends on the shape only, so it is computed once per
-    process; each object builds its own columns from it.
+    process; each object builds its operators from it.
     """
     offsets = _gamma_level(dims, to)[1]
     runs = []
@@ -776,9 +776,11 @@ def gamma(field, complex_dims, complex_diffs, T):
     of the three, and onto which summand, depends on the shape only, and
     so do the levels (_gamma_level) and each operator's column plan
     (_gamma_plan), all cached; a complex only fills its differential
-    blocks into fresh columns.  Each operator's row map (Mat.unit_rows)
-    is built in the same loop: the unit and zero runs give it directly,
-    and a differential block shifts the differential's own.
+    blocks.  Each operator's row map (Mat.unit_rows) is built in the same
+    loop: the unit and zero runs give it directly, and a differential
+    block shifts the differential's own.  Every unit or empty column is
+    the shared read-only one of exactfield (see Mat); only the other
+    columns of a differential block are fresh dicts.
     """
     diffs = ChainComplex(field, complex_dims, complex_diffs).diffs
     dims = tuple(complex_dims)
@@ -786,20 +788,23 @@ def gamma(field, complex_dims, complex_diffs, T):
     level_dims = [len(b) for b in bases]
 
     def operator(m, i, to):
+        units = _unit_columns(level_dims[to])
         cols, rows = [], []
         for run in _gamma_plan(m, i, to, dims):
             if run[0] == "unit":
-                cols += [{r: 1} for r in run[1]]
+                cols += [units[r] for r in run[1]]
                 rows += run[1]
             elif run[0] == "zero":
-                cols += [{} for _ in range(run[1])]
+                cols += [_EMPTY_COLUMN] * run[1]
                 rows += [-1] * run[1]
             else:
                 _, k, base = run
-                cols += [{base + r: v for r, v in col.items()}
-                         for col in diffs[k].cols]
-                rows += [r if r is None or r < 0 else base + r
+                block = [r if r is None or r < 0 else base + r
                          for r in diffs[k].unit_rows()]
+                cols += [{base + j: v for j, v in col.items()} if r is None
+                         else units[r] if r >= 0 else _EMPTY_COLUMN
+                         for r, col in zip(block, diffs[k].cols)]
+                rows += block
         return Mat(field, level_dims[to], level_dims[m], cols, rows)
 
     return SimplicialVectorSpace.from_operators(

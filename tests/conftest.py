@@ -1,6 +1,30 @@
 import pytest
 
 import scalg.symalg
+from scalg.exactfield import _EMPTY_COLUMN, _unit_columns
+
+
+@pytest.fixture
+def assert_shared_columns():
+    """check(*mats) asserts that every column {k: 1} of the matrices is
+    the shared column of row k, every empty column the shared empty one,
+    and that every other column is its matrix's own: no such column
+    occurs twice among them."""
+
+    def check(*mats):
+        own = []
+        for mat in mats:
+            for col in mat.cols:
+                if not col:
+                    assert col is _EMPTY_COLUMN
+                elif len(col) == 1 and list(col.values()) == [1]:
+                    (k,) = col
+                    assert col is _unit_columns(k + 1)[k]
+                else:
+                    own.append(id(col))
+        assert len(set(own)) == len(own)
+
+    return check
 
 
 @pytest.fixture

@@ -202,6 +202,20 @@ def test_bar_diagonal_validates_truncations():
         bar_diagonal(f, 2, 3, 4)  # W above the target truncation
 
 
+def test_bar_diagonal_checks_the_target_weight_and_the_signs_of_the_bounds():
+    # a source truncated at weight 5 passes its own check, so W = 3 stops
+    # at the target's (W = 1); the field check cannot fire, since
+    # AlgebraMap already refuses a map between two fields
+    target = sphere_algebra(QQ, 1, 2, 3, 1)
+    f = zero_map(target, 2, source_W=5)
+    with pytest.raises(ValueError, match="^target algebra truncated below weight 3$"):
+        bar_diagonal(f, 2, 3, 3)
+    g = identity_map(target)
+    for N, T, W in [(-1, 3, 1), (1, -1, 1), (1, 3, -1)]:
+        with pytest.raises(ValueError, match="^bounds must be nonnegative$"):
+            bar_diagonal(g, N, T, W)
+
+
 def test_bar_dims_monotone_in_bounds():
     A = sphere_algebra(QQ, 1, 2, 4, 3)
     f = identity_map(A)

@@ -1,5 +1,9 @@
 import ast
+import copy
+import pickle
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scalg import exactfield
 from scalg.exactfield import (
     ColumnEchelon,
     FieldSpec,
@@ -22,7 +27,7 @@ from scalg.exactfield import (
     axpy,
     canonical,
 )
-from scalg.simplicial import ChainComplex
+from scalg.simplicial import ChainComplex, eilenberg_maclane
 
 
 # ---------------------------------------------------------------- oracles
@@ -392,7 +397,7 @@ def kron_by_definition(a, b):
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
-def test_kron_equals_the_product_of_every_entry_pair(field):
+def test_kron_equals_the_product_of_every_entry_pair(field, assert_shared_columns):
     rng = random.Random(31)
     zero_columns = 0
     for _ in range(200):
@@ -401,10 +406,11 @@ def test_kron_equals_the_product_of_every_entry_pair(field):
                                for _ in range(2)])
         got, want = a.kron(b), kron_by_definition(a, b)
         assert got == want
-        # same entries in the same order, in one fresh dict per column
+        # same entries in the same order; unit and empty columns shared,
+        # every other one a fresh dict
         assert [list(c.items()) for c in got.cols] == \
             [list(c.items()) for c in want.cols]
-        assert len({id(c) for c in got.cols}) == got.ncols
+        assert_shared_columns(got)
         zero_columns += sum(not c for c in a.cols) if a.nrows and b.ncols else 0
     assert zero_columns  # the block of empty columns was taken
     if field == QQ:
@@ -421,7 +427,7 @@ def random_unit_mat(rng, field, nrows, ncols):
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
-def test_kron_of_unit_matrices_equals_the_definition(field):
+def test_kron_of_unit_matrices_equals_the_definition(field, assert_shared_columns):
     # unit (x) unit goes by the two row maps; unit (x) dense and
     # dense (x) unit by the entry products
     rng = random.Random(22)
@@ -437,7 +443,7 @@ def test_kron_of_unit_matrices_equals_the_definition(field):
         assert got == want
         assert [list(c.items()) for c in got.cols] == \
             [list(c.items()) for c in want.cols]
-        assert len({id(c) for c in got.cols}) == got.ncols
+        assert_shared_columns(got)
         assert got.unit_rows() == Mat(field, want.nrows, want.ncols,
                                       want.cols).unit_rows()
         if any(not c for c in got.cols) and any(c for c in got.cols):
@@ -451,6 +457,67 @@ def test_unit_rows_marks_unit_empty_and_other_columns():
     assert m.unit_rows() == [2, -1, None, None, None]
     assert m.unit_rows() is m.unit_rows()  # computed once
     assert Mat.from_unit_rows(GF2, 3, [1, -1]).cols == [{1: 1}, {}]
+
+
+def test_a_shared_column_cannot_be_edited_in_place(assert_shared_columns):
+    mats = [Mat.from_unit_rows(GF2, 3, [1, -1]), Mat.identity(QQ, 2),
+            Mat.zero(GF3, 2, 2), Mat(QQ, 1, 1)]
+    assert_shared_columns(*mats)
+    for mat in mats:
+        for col in mat.cols:
+            with pytest.raises(TypeError):
+                col[0] = 1
+            for k in col:
+                with pytest.raises(TypeError):
+                    del col[k]
+    # nothing changed, in these matrices or in new ones
+    assert [m.cols for m in mats] == [[{1: 1}, {}], [{0: 1}, {1: 1}],
+                                      [{}, {}], [{}]]
+    assert Mat.identity(GF3, 3).cols == [{0: 1}, {1: 1}, {2: 1}]
+
+
+def test_a_mat_with_shared_columns_pickles_and_copies():
+    # the shared views do not pickle; a Mat holding them still does
+    for mat in (Mat.from_unit_rows(GF3, 3, [2, -1, 1]), Mat.identity(QQ, 2)):
+        for copied in (pickle.loads(pickle.dumps(mat)), copy.deepcopy(mat),
+                       copy.copy(mat)):
+            assert copied == mat
+            assert copied.unit_rows() == mat.unit_rows()
+    K = eilenberg_maclane(QQ, 1, 2, 4)
+    assert pickle.loads(pickle.dumps(K)).faces == K.faces
+
+
+def test_threads_growing_the_shared_columns_at_once_agree():
+    # in each round four threads, released together, ask for tables of
+    # four different lengths, all longer than the table so far
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            start = len(exactfield._UNIT_COLUMNS)
+            sizes = [start + 300 * (t + 1) for t in range(4)]
+            barrier = threading.Barrier(len(sizes), timeout=60)
+            built = [None] * len(sizes)
+
+            def build(t):
+                barrier.wait()
+                built[t] = Mat.from_unit_rows(QQ, sizes[t],
+                                              list(range(sizes[t]))[::-1])
+
+            threads = [threading.Thread(target=build, args=(t,))
+                       for t in range(len(sizes))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            for n, mat in zip(sizes, built):
+                assert mat.cols == [{r: 1} for r in range(n)][::-1]
+            table = exactfield._UNIT_COLUMNS
+            assert len(table) == sizes[-1]
+            assert all(col == {r: 1} for r, col in enumerate(table))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_no_file_assigns_to_an_item_of_a_cols_attribute():
