@@ -2,9 +2,12 @@
 cofibers.
 
 A map out of a sphere algebra is fixed by where the generators go: a class
-is handed over as a cycle in the normalized chains of the target, repaired
-to a representative with every face zero (the Moore position), and spread
-over all levels by degeneracy operators.  The homotopy pushout of
+is handed over as a cycle in the normalized chains of the target and
+lifted, with no elimination, to its Moore representative, the one vector
+of its class with d_0, ..., d_{n-1} zero: (1 - s_i d_i) is applied for
+i = 0, 1, ..., n - 1 in turn.  Each higher level of K(V, n) is spanned by
+single degeneracies of the level below, so the lifts spread up one s_i at
+a time.  The homotopy pushout of
 ground-field <- A -> B is realized by the diagonal of the two-sided bar
 object with k-th layer A^(x k) (x) B; truncation is by bar degree, by
 simplicial level, and by the induced weight s * (A-weights) + B-weight,
@@ -48,8 +51,6 @@ from .exactfield import (
     Mat,
     axpy,
     canonical,
-    kernel_basis,
-    solve,
 )
 from .simplicial import (
     GradedDims,
@@ -60,7 +61,7 @@ from .simplicial import (
     _operator_slots,
 )
 from . import symalg
-from .symalg import _sym_map, induced_homology_matrices, sphere_algebra
+from .symalg import _sym_map, sphere_algebra
 
 
 class CycleError(ValueError):
@@ -70,38 +71,6 @@ class CycleError(ValueError):
 class TableMismatch(AssertionError):
     """Computed cofiber homotopy disagrees with the closed-form table in a
     certified degree; an implementation bug, not a truncation artifact."""
-
-
-# --------------------------------------------------------------------------
-# degeneracy words
-
-
-def _degeneracy_word(sigma):
-    """Factor a surjection into codegeneracies; returns the s_i word to
-    apply, innermost first."""
-    word = []
-    sigma = list(sigma)
-    while True:
-        for i in range(len(sigma) - 1):
-            if sigma[i] == sigma[i + 1]:
-                word.append(i)
-                del sigma[i + 1]
-                break
-        else:
-            return word
-
-
-def _apply_surjection(component_list, weight, sigma, n, vec):
-    """Apply the operator of sigma: [m] ->> [n] to a level-n vector living
-    in the given weight component."""
-    word = _degeneracy_word(sigma)
-    out = dict(vec)
-    level = n
-    for i in reversed(word):
-        mat = component_list[weight].operator(level, i, level + 1)
-        out = mat.apply(out)
-        level += 1
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -134,15 +103,21 @@ class AlgebraMap:
         """Generator images commute with faces and degeneracies."""
         K = self.source.base
         s = self.weight_ratio
-        tgt = self.target.components[s] if s <= self.target.W else None
-        if tgt is None:
+        if type(s) is not int or s < 1:
+            raise ValueError("weight ratio %r is not a positive int" % (s,))
+        if s > self.target.W:
             raise ValueError("target truncated below the image weight")
-        for m, f in enumerate(self.level_maps[:min(K.T, tgt.T) + 1]):
+        tgt = self.target.components[s]
+        top = min(K.T, tgt.T)
+        if len(self.level_maps) < top + 1:
+            raise SimplicialError("level map list length %d, need %d"
+                                  % (len(self.level_maps), top + 1))
+        for m, f in enumerate(self.level_maps[:top + 1]):
             if not f.field == K.field == tgt.field:
                 raise FieldError("level map field mismatch at level %d" % m)
             if (f.nrows, f.ncols) != (tgt.level_dims[m], K.level_dims[m]):
                 raise SimplicialError("level map shape at level %d" % m)
-        for m, i, to in _operator_slots(min(K.T, tgt.T)):
+        for m, i, to in _operator_slots(top):
             if not _composites_agree(tgt.operator(m, i, to), self.level_maps[m],
                                      self.level_maps[to], K.operator(m, i, to)):
                 raise SimplicialError(
@@ -199,35 +174,59 @@ class AlgebraMap:
         )
 
 
-def _moore_representative(component, ncx, n, class_vec):
-    """Lift a normalized degree-n class to a level-n vector with every face
-    zero, inside one weight component with normalized chains ncx.
+def _moore_lift(component, ncx, n, class_vec):
+    """The level-n vector with d_0, ..., d_{n-1} zero whose class in the
+    normalized chains ncx of component is class_vec.
 
-    Returns the representative; raises CycleError if the input is not a
-    cycle or the lift fails.
+    Those vectors, the Moore subspace, map isomorphically onto N_n, so
+    the lift is unique.  It is the class's vector on the normalized basis
+    rows with (1 - s_i d_i) applied for i = 0, 1, ..., n - 1 in turn:
+    step i makes d_i zero, keeps d_j zero for j < i (d_j s_i d_i =
+    s_{i-1} d_{i-1} d_j) and adds a degenerate vector only.  Both
+    properties are checked (AssertionError).  Raises CycleError for an
+    index outside the normalized basis or a class that is not a cycle.
+    """
+    for k in class_vec:
+        if type(k) is not int or not 0 <= k < ncx.dims[n]:
+            raise CycleError("class index %r outside the %d-dimensional "
+                             "degree-%d normalized chains" % (k, ncx.dims[n], n))
+    p = component.field.characteristic
+    want = canonical(class_vec, p)
+    lift = ncx.include(n, want)
+    for i in range(n):
+        face = component.operator(n, i, n - 1).apply(lift)
+        axpy(lift, -1, component.operator(n - 1, i, n).apply(face), p)
+    if (any(component.operator(n, i, n - 1).apply(lift) for i in range(n))
+            or ncx.project(n, lift) != want):
+        raise AssertionError("lift is not the Moore representative of its class")
+    if n >= 1 and component.operator(n, n, n - 1).apply(lift):
+        raise CycleError("input is not a cycle: the boundary is nonzero")
+    if ncx.differential(n).apply(want):
+        raise CycleError("input is not a cycle in the normalized chains")
+    return lift
+
+
+def _spread(K, component, n, lifts):
+    """Level maps K(V, n)_m -> component_m sending generator e to lifts[e].
+
+    K has no basis vector below level n and one per generator at level n,
+    so level n's columns are the lifts.  Above n every basis vector j of K
+    is s_i of one a level down, read off the row map of K's s_i, and its
+    column is the component's s_i applied to that one's column.
     """
     F = component.field
-    dim_n = component.level_dims[n]
-    if n == 0:
-        moore = Mat.identity(F, dim_n)
-    else:
-        stacked = component.operator(n, 0, n - 1)
-        for i in range(1, n):
-            stacked = stacked.vstack(component.operator(n, i, n - 1))
-        moore = kernel_basis(stacked)
-    # coordinates of the Moore columns in the normalized quotient
-    proj_cols = [ncx.project(n, dict(col)) for col in moore.cols]
-    proj = Mat(F, ncx.dims[n], moore.ncols, proj_cols)
-    coeffs = solve(proj, dict(class_vec))
-    if coeffs is None:
-        raise CycleError("class does not lift to the Moore complex")
-    rep = moore.apply(coeffs)
-    # the lift must be an honest cycle: the last face has to vanish too
-    if n >= 1 and component.operator(n, n, n - 1).apply(rep):
-        raise CycleError("input is not a cycle: the boundary is nonzero")
-    if ncx.differential(n).apply(dict(class_vec)):
-        raise CycleError("input is not a cycle in the normalized chains")
-    return rep
+    maps = [Mat.zero(F, component.level_dims[m], 0) for m in range(n)]
+    maps.append(Mat(F, component.level_dims[n], len(lifts), lifts))
+    for m in range(n + 1, K.T + 1):
+        cols = [None] * K.level_dims[m]
+        for i in range(m):
+            s_i = component.operator(m - 1, i, m)
+            rows = K.operator(m - 1, i, m).unit_rows()
+            for j, col in zip(rows, maps[m - 1].cols):
+                if cols[j] is None:
+                    cols[j] = s_i.apply(col)
+        maps.append(Mat(F, component.level_dims[m], K.level_dims[m], cols))
+    return maps
 
 
 def representing_map(target, n, weight, class_vec, source_W=1):
@@ -237,47 +236,25 @@ def representing_map(target, n, weight, class_vec, source_W=1):
     class_vec is one sparse vector over the degree-n normalized chains of
     the target's weight component, or a list of them (one per generator);
     the empty vector gives a generator that factors through the
-    augmentation.  The induced map on degree-n homotopy is computed and
-    verified to hit the requested classes.
+    augmentation.  Each class is lifted to its Moore representative
+    (_moore_lift) and spread over the higher levels by degeneracies
+    (_spread); no elimination is run.  The lift projects to the requested
+    class, and K(V, n) has no normalized chains next to degree n, so the
+    map induces exactly the requested classes on degree-n homotopy.
     """
     field = target.field
     cycles = (list(class_vec) if isinstance(class_vec, (list, tuple))
               else [class_vec])
-    source_q = len(cycles)
     if weight < 1 or weight > target.W:
         raise ValueError("class weight %d outside the target truncation" % weight)
     if n > target.T:
         raise ValueError("class degree above the target truncation")
-    source = sphere_algebra(field, source_q, n, target.T, source_W)
-    K = source.base
+    source = sphere_algebra(field, len(cycles), n, target.T, source_W)
     component = target.components[weight]
     ncx = component.normalized_chains() if any(cycles) else None
-    reps = [
-        _moore_representative(component, ncx, n, c) if c else {}
-        for c in cycles
-    ]
-    level_maps = []
-    for m in range(target.T + 1):
-        cols = []
-        for sigma, k, e in K.basis_labels[m]:
-            # K(V, n) basis elements are indexed by surjections [m] ->> [n]
-            # together with a generator color e
-            cols.append(
-                _apply_surjection(target.components, weight, sigma, n, reps[e])
-            )
-        level_maps.append(
-            Mat(field, component.level_dims[m], K.level_dims[m], cols)
-        )
-    out = AlgebraMap(source, target, weight, level_maps)
-    if any(cycles):
-        src_ncx = K.normalized_chains()
-        chain = src_ncx.induced_map(ncx, level_maps)
-        induced = induced_homology_matrices(src_ncx, ncx, chain, n)[n]
-        _, coords = ncx.homology_reps(n)
-        want_cols = [coords(dict(c)) if c else {} for c in cycles]
-        if induced.cols != want_cols:
-            raise CycleError("map does not induce the requested classes")
-    return out
+    lifts = [_moore_lift(component, ncx, n, c) if c else {} for c in cycles]
+    return AlgebraMap(source, target, weight,
+                      _spread(source.base, component, n, lifts))
 
 
 def identity_map(algebra, source_W=None):

@@ -373,29 +373,6 @@ class Mat:
                 cols[i][j] = v
         return Mat(self.field, self.ncols, self.nrows, cols)
 
-    def hstack(self, other):
-        self._check_same_field(other)
-        if self.nrows != other.nrows:
-            raise ValueError("hstack row mismatch")
-        return Mat(
-            self.field,
-            self.nrows,
-            self.ncols + other.ncols,
-            [dict(c) for c in self.cols] + [dict(c) for c in other.cols],
-        )
-
-    def vstack(self, other):
-        self._check_same_field(other)
-        if self.ncols != other.ncols:
-            raise ValueError("vstack column mismatch")
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            c = dict(a)
-            for i, v in b.items():
-                c[i + self.nrows] = v
-            cols.append(c)
-        return Mat(self.field, self.nrows + other.nrows, self.ncols, cols)
-
     def kron(self, other):
         """Kronecker product: row/column index pairs flattened row-major.
 

@@ -281,22 +281,6 @@ class NormalizedChains(ChainComplex):
         """Normalized coordinates -> the representative on the basis rows."""
         return {self.bases[m][k]: v for k, v in vec.items()}
 
-    def induced_map(self, other, level_maps):
-        """Normalized chain map from simplicial level maps (self -> other).
-
-        level_maps[m] acts between the underlying levels; the result acts
-        between normalized bases.
-        """
-        out = []
-        for m in range(min(self.top, other.top) + 1):
-            f = level_maps[m]
-            cols = []
-            for k in range(self.dims[m]):
-                v = self.include(m, {k: 1})
-                cols.append(other.project(m, f.apply(v)))
-            out.append(Mat(self.field, other.dims[m], self.dims[m], cols))
-        return out
-
 
 # --------------------------------------------------------------------------
 # simplicial vector spaces
@@ -521,7 +505,7 @@ class SimplicialVectorSpace:
                     for r in range(self.level_dims[m])])
 
     def unnormalized_chains(self):
-        """Moore complex on the full levels (the oracle complex)."""
+        """Unnormalized chains on the full levels (the oracle complex)."""
         diffs = [Mat.zero(self.field, 0, self.level_dims[0])]
         for m in range(1, self.T + 1):
             diffs.append(self.boundary(m))

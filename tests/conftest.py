@@ -1,7 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 import scalg.symalg
-from scalg.exactfield import _EMPTY_COLUMN, _unit_columns
+from scalg.exactfield import _EMPTY_COLUMN, Mat, _unit_columns, solve
+from scalg.simplicial import SimplicialVectorSpace, gamma
 
 
 @pytest.fixture
@@ -65,3 +69,53 @@ def limit_weight_pieces(monkeypatch):
         return calls
 
     return limit
+
+
+def random_change_of_basis(rng, field, n):
+    """L @ S for a random permutation S and lower unitriangular L, and its
+    inverse.
+
+    S scatters the degenerate basis vectors of a gamma object (which come
+    first in each level) and L fills each image in below its first entry,
+    so the degenerate span has scattered pivot rows and columns with
+    entries on other pivot rows.  Over Q the entries are not integral.
+    """
+    if field.characteristic == 0:
+        pick = lambda: rng.choice([-1, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    else:
+        pick = lambda: rng.randrange(field.characteristic)
+    L = Mat.from_rows(field, [[1 if i == j else pick() if i > j else 0
+                               for j in range(n)] for i in range(n)], ncols=n)
+    order = rng.sample(range(n), n)
+    P = L @ Mat(field, n, n, [{order[j]: 1} for j in range(n)])
+    inverse = Mat(field, n, n, [solve(P, {j: 1}) for j in range(n)])
+    assert P @ inverse == Mat.identity(field, n)
+    return P, inverse
+
+
+def _conjugated_gamma(field, T):
+    """(v, w): a gamma object v truncated at T, with homotopy F in degrees
+    0, 1 and 2, and w, its conjugate by a random change of basis on each
+    level, built and checked through the constructor.
+
+    Degeneracies of gamma objects send basis vectors to basis vectors;
+    those of w have images with many entries, some on other pivot rows.
+    """
+    dims = [1, 1, 2, 1]
+    diffs = [None, Mat.zero(field, 1, 1), Mat.zero(field, 1, 2),
+             Mat.from_rows(field, [[0], [1]])]
+    v = gamma(field, dims, diffs, T)
+    rng = random.Random(2)
+    P, inv = zip(*[random_change_of_basis(rng, field, n)
+                    for n in v.level_dims])
+    faces = [[]] + [[P[m - 1] @ d @ inv[m] for d in v.faces[m]]
+                    for m in range(1, T + 1)]
+    degens = [[P[m + 1] @ s @ inv[m] for s in v.degens[m]]
+              for m in range(T)] + [[]]
+    return v, SimplicialVectorSpace(field, v.level_dims, faces, degens)
+
+
+@pytest.fixture
+def conjugated_gamma():
+    """The builder (field, T) -> (v, w) of _conjugated_gamma."""
+    return _conjugated_gamma

@@ -1,18 +1,22 @@
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from scalg.cli import main
+from scalg.cli import _random_complex, main
 import scalg.barcof
 import scalg.symalg
-from scalg.exactfield import GF3, ColumnEchelon, FieldError, Mat, QQ
+from scalg.exactfield import (
+    GF2, GF3, ColumnEchelon, FieldError, Mat, QQ, axpy, kernel_basis, solve,
+)
 from scalg.simplicial import (
-    GradedDims, NormalizedChains, SimplicialError, SimplicialVectorSpace,
+    GradedDims, NormalizedChains, SimplicialError, SimplicialVectorSpace, gamma,
 )
 from scalg.symalg import sphere_algebra, symmetric_power
 from scalg.barcof import (
@@ -136,6 +140,208 @@ def test_representing_map_rejects_non_cycle():
     assert ncx.differential(3).apply(bad)
     with pytest.raises(CycleError):
         representing_map(A, 3, 2, bad)
+
+
+@pytest.mark.parametrize("key", [1, -1, 100, "a", 0.0])
+def test_representing_map_rejects_a_class_index_outside_the_basis(key):
+    A = sphere_algebra(QQ, 1, 2, 4, 2)
+    assert A.components[1].normalized_chains().dims[2] == 1
+    representing_map(A, 2, 1, {0: 1})
+    with pytest.raises(CycleError, match="^class index %s outside the "
+                       "1-dimensional degree-2 normalized chains$" % repr(key)):
+        representing_map(A, 2, 1, {key: 1})
+
+
+# The lift and the spreading as representing_map computed them before it
+# lifted by the Moore projection and spread by single degeneracies: the
+# oracles of the two.
+
+def stacked_kernel_lift(component, ncx, n, class_vec):
+    """The combination of a kernel basis of d_0, ..., d_{n-1}, stacked into
+    one matrix, whose normalized class is class_vec (found by solve)."""
+    F, dim = component.field, component.level_dims[n]
+    if n == 0:
+        moore = Mat.identity(F, dim)
+    else:
+        faces = [component.operator(n, i, n - 1) for i in range(n)]
+        rows = component.level_dims[n - 1]
+        moore = kernel_basis(Mat(F, n * rows, dim, [
+            {i * rows + r: v for i, d in enumerate(faces)
+             for r, v in d.cols[j].items()} for j in range(dim)]))
+    proj = Mat(F, ncx.dims[n], moore.ncols,
+               [ncx.project(n, dict(col)) for col in moore.cols])
+    coeffs = solve(proj, dict(class_vec))
+    assert coeffs is not None
+    return moore.apply(coeffs)
+
+
+def degeneracy_word(sigma):
+    """The s_i word of a surjection, innermost first."""
+    word, sigma = [], list(sigma)
+    while True:
+        for i in range(len(sigma) - 1):
+            if sigma[i] == sigma[i + 1]:
+                word.append(i)
+                del sigma[i + 1]
+                break
+        else:
+            return word
+
+
+def spread_by_degeneracy_words(K, component, n, lifts):
+    """Level maps sending basis vector (sigma, k, e) of K(V, n) to the
+    operator of sigma applied to lifts[e], one s_i of its word at a time."""
+    maps = []
+    for m in range(K.T + 1):
+        cols = []
+        for sigma, _, e in K.basis_labels[m]:
+            vec, level = dict(lifts[e]), n
+            for i in reversed(degeneracy_word(sigma)):
+                vec = component.operator(level, i, level + 1).apply(vec)
+                level += 1
+            cols.append(vec)
+        maps.append(Mat(component.field, component.level_dims[m],
+                        K.level_dims[m], cols))
+    return maps
+
+
+def with_operator(obj, key, mat):
+    """obj's field, level dims and operators, except mat at key (m, i, to)."""
+    return SimpleNamespace(
+        field=obj.field, level_dims=obj.level_dims,
+        operator=lambda *at: mat if at == key else obj.operator(*at))
+
+
+def lift_test_objects(field, conjugated_gamma):
+    """Sphere components, random gamma objects and a conjugated gamma
+    object, whose degeneracy images have many entries."""
+    objs = [sphere_algebra(field, q, n, T, W).components[w]
+            for q, n, T, W in [(1, 1, 4, 3), (2, 1, 3, 2), (1, 2, 5, 3),
+                               (2, 2, 4, 2), (1, 3, 5, 2)]
+            for w in range(1, W + 1)]
+    rng = random.Random(25)
+    for _ in range(12):
+        T = rng.randint(1, 4)
+        objs.append(gamma(field, *_random_complex(rng, field, T), T))
+    return objs + [conjugated_gamma(field, 4)[1]]
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_moore_lift_equals_the_stacked_kernel_lift(field, conjugated_gamma):
+    # every normalized cycle of every degree, one by one and summed
+    moved = 0
+    for obj in lift_test_objects(field, conjugated_gamma):
+        ncx = obj.normalized_chains()
+        for n in range(obj.T + 1):
+            cycles = [dict(col) for col in kernel_basis(ncx.differential(n)).cols]
+            total = {}
+            for c in cycles:
+                axpy(total, 1, c, field.characteristic)
+            for c in cycles + [total] * bool(cycles):
+                lift = scalg.barcof._moore_lift(obj, ncx, n, c)
+                assert lift == stacked_kernel_lift(obj, ncx, n, c)
+                moved += lift != ncx.include(n, c)
+    assert moved  # some lift is not the class's vector on the basis rows
+
+
+@pytest.mark.parametrize("make_map", [
+    lambda: power_map(1, 2, 6, 2),
+    lambda: power_map(1, 3, 8, 2),
+] + [
+    lambda q=q, n=n, build=build: build(sphere_algebra(QQ, q, n, n + 3, 2))
+    for q, n in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)]
+    for build in (identity_map, lambda A: zero_map(A, A.n, source_W=2))
+])
+def test_level_maps_equal_the_degeneracy_word_spreading(make_map):
+    # the stacked-kernel lift of each generator's class, spread by the
+    # degeneracy word of each surjection: the map as built before
+    f = make_map()
+    K, n, s = f.source.base, f.source.n, f.weight_ratio
+    component = f.target.components[s]
+    ncx = component.normalized_chains()
+    lifts = [stacked_kernel_lift(component, ncx, n, ncx.project(n, col))
+             for col in f.level_maps[n].cols]
+    assert f.level_maps == spread_by_degeneracy_words(K, component, n, lifts)
+
+
+def lift_or_cycle_error(obj, ncx, n, class_vec):
+    try:
+        return scalg.barcof._moore_lift(obj, ncx, n, class_vec)
+    except CycleError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_skipping_a_projection_step_fails_the_moore_check(field,
+                                                          conjugated_gamma):
+    # on a gamma object or a sphere component a class's vector on the
+    # basis rows has every face but the last zero already; on the
+    # conjugated object it does not.  Skipping step i (s_i made zero)
+    # either changes nothing or leaves a face nonzero, which is caught
+    w = conjugated_gamma(field, 4)[1]
+    ncx = w.normalized_chains()
+    caught = set()
+    for n in (2, 3):
+        for k in range(ncx.dims[n]):
+            want = lift_or_cycle_error(w, ncx, n, {k: 1})
+            for i in range(n):
+                skip = with_operator(w, (n - 1, i, n), Mat.zero(
+                    field, w.level_dims[n], w.level_dims[n - 1]))
+                try:
+                    got = lift_or_cycle_error(skip, ncx, n, {k: 1})
+                except AssertionError as err:
+                    assert str(err) == ("lift is not the Moore representative "
+                                        "of its class")
+                    caught.add((n, i))
+                else:
+                    assert got == want
+    # the steps caught on some basis vector; over Q, every step
+    assert caught == {QQ: {(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)},
+                      GF2: {(2, 1), (3, 1), (3, 2)},
+                      GF3: {(2, 0), (3, 0)}}[field]
+
+
+def test_a_column_spread_by_the_wrong_degeneracy_fails_the_simplicial_check():
+    f = power_map(1, 2, 6, 2)
+    K, component = f.source.base, f.target.components[2]
+    lifts = [dict(col) for col in f.level_maps[4].cols]
+    assert scalg.barcof._spread(K, component, 4, lifts) == f.level_maps
+    for m in (5, 6):
+        wrong = with_operator(component, (m - 1, 0, m),
+                              component.operator(m - 1, 1, m))
+        with pytest.raises(SimplicialError, match="^generator images do not "
+                           "commute with "):
+            AlgebraMap(f.source, f.target, 2,
+                       scalg.barcof._spread(K, wrong, 4, lifts))
+
+
+def test_representing_map_runs_no_elimination(monkeypatch):
+    # the normalized chains of a sphere component drop coordinates, and
+    # the lift and its spreading are formulas: no echelon is built
+    A = sphere_algebra(QQ, 2, 2, 6, 3)
+    class_vec = dict(A.components[2].normalized_chains().homology_reps(4)[0].cols[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination")
+
+    monkeypatch.setattr(ColumnEchelon, "__init__", refuse)
+    identity_map(A)
+    representing_map(A, 4, 2, class_vec)
+
+
+@pytest.mark.parametrize("ratio", [-2, -1, 0, 1.0, True])
+def test_algebra_map_rejects_a_weight_ratio_that_is_no_positive_int(ratio):
+    # a ratio of -2 once read the target component of weight -2, which
+    # made the bar diagonal's levels silently zero
+    f = identity_map(sphere_algebra(QQ, 1, 2, 4, 2))
+    with pytest.raises(ValueError, match="^weight ratio .* is not a positive int$"):
+        AlgebraMap(f.source, f.target, ratio, f.level_maps)
+
+
+def test_algebra_map_rejects_a_short_level_map_list():
+    f = identity_map(sphere_algebra(QQ, 1, 2, 4, 2))
+    with pytest.raises(SimplicialError, match="^level map list length 3, need 5$"):
+        AlgebraMap(f.source, f.target, 1, f.level_maps[:3])
 
 
 def test_algebra_map_rejects_level_maps_that_miss_a_face():

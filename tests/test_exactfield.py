@@ -556,7 +556,3 @@ def test_block_and_stack_shapes():
     b = Mat.zero(GF2, 1, 3)
     d = Mat.block_diag(GF2, [a, b])
     assert (d.nrows, d.ncols) == (3, 5)
-    h = a.hstack(Mat.zero(GF2, 2, 2))
-    assert (h.nrows, h.ncols) == (2, 4)
-    v = a.vstack(Mat.zero(GF2, 3, 2))
-    assert (v.nrows, v.ncols) == (5, 2)

@@ -16,7 +16,6 @@ import scalg.simplicial
 from scalg.cli import _random_complex, _random_matrix, main
 from scalg.exactfield import (
     ColumnEchelon, FieldError, Mat, QQ, GF2, GF3, kernel_basis, pivot_rows, rank,
-    solve,
 )
 from scalg.simplicial import (
     GradedDims,
@@ -615,50 +614,6 @@ def test_normalized_equals_unnormalized_on_gamma_objects():
             assert hn[m] == hu[m]
 
 
-def random_change_of_basis(rng, field, n):
-    """L @ S for a random permutation S and lower unitriangular L, and its
-    inverse.
-
-    S scatters the degenerate basis vectors of a gamma object (which come
-    first in each level) and L fills each image in below its first entry,
-    so the degenerate span has scattered pivot rows and columns with
-    entries on other pivot rows.  Over Q the entries are not integral.
-    """
-    if field.characteristic == 0:
-        pick = lambda: rng.choice([-1, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
-    else:
-        pick = lambda: rng.randrange(field.characteristic)
-    L = Mat.from_rows(field, [[1 if i == j else pick() if i > j else 0
-                               for j in range(n)] for i in range(n)], ncols=n)
-    order = rng.sample(range(n), n)
-    P = L @ Mat(field, n, n, [{order[j]: 1} for j in range(n)])
-    inverse = Mat(field, n, n, [solve(P, {j: 1}) for j in range(n)])
-    assert P @ inverse == Mat.identity(field, n)
-    return P, inverse
-
-
-def conjugated_gamma(field, T):
-    """(v, w): a gamma object v truncated at T, with homotopy F in degrees
-    0, 1 and 2, and w, its conjugate by a random change of basis on each
-    level, built and checked through the constructor.
-
-    Degeneracies of gamma objects send basis vectors to basis vectors;
-    those of w have images with many entries, some on other pivot rows.
-    """
-    dims = [1, 1, 2, 1]
-    diffs = [None, Mat.zero(field, 1, 1), Mat.zero(field, 1, 2),
-             Mat.from_rows(field, [[0], [1]])]
-    v = gamma(field, dims, diffs, T)
-    rng = random.Random(2)
-    P, inv = zip(*[random_change_of_basis(rng, field, n)
-                    for n in v.level_dims])
-    faces = [[]] + [[P[m - 1] @ d @ inv[m] for d in v.faces[m]]
-                    for m in range(1, T + 1)]
-    degens = [[P[m + 1] @ s @ inv[m] for s in v.degens[m]]
-              for m in range(T)] + [[]]
-    return v, SimplicialVectorSpace(field, v.level_dims, faces, degens)
-
-
 def assert_quotient_paths(obj, ncx):
     """Each level of ncx went through a ColumnEchelon exactly when some
     degeneracy image into it has other than one entry; at least one did."""
@@ -670,7 +625,7 @@ def assert_quotient_paths(obj, ncx):
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
-def test_normalized_chains_of_a_conjugated_object(field):
+def test_normalized_chains_of_a_conjugated_object(field, conjugated_gamma):
     # the degeneracy images of the conjugated object have many entries,
     # some on other pivot rows, so the quotient has real elimination to do
     T = 4
@@ -706,7 +661,7 @@ def test_normalized_chains_of_a_conjugated_object(field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
-def test_mixed_levels_of_a_direct_sum_go_through_the_echelon(field):
+def test_mixed_levels_of_a_direct_sum_go_through_the_echelon(field, conjugated_gamma):
     # a gamma object (unit degeneracy images) plus its conjugate (images
     # with many entries): every level above 1 mixes both kinds of column
     T = 4
@@ -733,7 +688,7 @@ def test_mixed_levels_of_a_direct_sum_go_through_the_echelon(field):
     (QQ, 3, 2), (GF2, 4, 2), (GF3, 4, 2), (GF2, 3, 3), (GF3, 3, 3),
 ], ids=["Q-d2", "F2-d2", "F3-d2", "F2-d3", "F3-d3"])
 def test_symmetric_powers_of_a_conjugated_object_satisfy_the_identities(
-        field, T, d):
+        field, T, d, conjugated_gamma):
     # symmetric_power checks no simplicial identity: they follow from the
     # base's.  On the conjugated object every structure map of the power
     # multiplies images with many entries, so _mono_product sums real
