@@ -51,10 +51,6 @@ UNBOUNDED = None
 # eight points unless given t samples
 GRID_LIMIT = 2**40
 
-# _exceeds_log_bound compares p**num with D**den by computing both while
-# num has at most this many bits' worth of p; beyond it, by exact brackets
-LOG_BOUND_BITS = 2_000_000
-
 
 class EnvelopeProfile:
     """Homology dimension profile {s: q_s} of a connected algebra, with an
@@ -242,7 +238,9 @@ def _log2_brackets(x, k):
 
 def _exceeds_log_bound(value, p, D):
     """Exact test value > log_p(D), that is p**num > D**den, for a rational
-    value and a prime p."""
+    value and a prime p, without computing either power: the one tie,
+    D = p**e, compares exponents, and exact bit-length brackets decide
+    every other case."""
     num, den = value.numerator, value.denominator
     if num <= 0:
         return False
@@ -254,8 +252,7 @@ def _exceeds_log_bound(value, p, D):
     if rest == 1:  # D = p**e: the only case where the two powers can tie
         return num > e * den
     # brackets of num*log2(p) and den*log2(D) narrow as k doubles until
-    # they separate, which they do since the powers differ; while p**num
-    # is small, computing both powers is quicker
+    # they separate, which they do since the powers differ
     k = 1
     while True:
         lo_p, hi_p = _log2_brackets(p, k)
@@ -264,8 +261,6 @@ def _exceeds_log_bound(value, p, D):
             return True
         if num * hi_p <= den * lo_D:
             return False
-        if num * math.log2(p) <= LOG_BOUND_BITS:
-            return p**num > D**den
         k *= 2
 
 

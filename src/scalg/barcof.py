@@ -585,16 +585,13 @@ def power_map(r, s, T, W):
     """The rational map S(degree 2rs) -> S(degree 2r) sending the generator
     to the s-th power of the generator, at level bound T; the target is
     truncated at weight W + 1 and the source at (W + 1) // s, so that
-    cofiber_homotopy(f, N, T, W) needs no rebuild."""
+    cofiber_homotopy(f, N, T, W) needs no rebuild.  The class is the one
+    representative of H_2rs of weight s; for s = 1 that is {0: 1}."""
     target = sphere_algebra(QQ, 1, 2 * r, T, W + 1)
-    if s == 1:
-        class_vec = {0: 1}
-    else:
-        reps, _ = target.components[s].normalized_chains().homology_reps(
-            2 * r * s)
-        if reps.ncols != 1:
-            raise AssertionError("power class is not one-dimensional")
-        class_vec = dict(reps.cols[0])
+    reps, _ = target.components[s].normalized_chains().homology_reps(2 * r * s)
+    if reps.ncols != 1:
+        raise AssertionError("power class is not one-dimensional")
+    class_vec = dict(reps.cols[0])
     return representing_map(target, 2 * r * s, s, class_vec,
                             source_W=max(1, (W + 1) // s))
 

@@ -167,7 +167,11 @@ class ChainComplex:
 
         Returns (reps, coords) where reps is a Mat whose columns are chosen
         cycle representatives and coords maps a sparse cycle vector to its
-        coefficients over those representatives (modulo boundaries).
+        coefficients over those representatives (modulo boundaries):
+        coords(reps.cols[j]) is {j: 1} and a boundary has coords {}.  A
+        kernel cycle that reduces into the boundaries and cycles before it
+        still uses up an insertion index of the echelon, so combinations
+        are read back through each surviving cycle's recorded position.
         """
         F = self.field
         d_out = self.differential(m)
@@ -176,13 +180,15 @@ class ChainComplex:
             F, self.dims[m], 0
         )
         ech = ColumnEchelon(F, self.dims[m], track=True)
-        nb = boundary.ncols
         for col in boundary.cols:
             ech.insert(col)
         rep_cols = []
+        position = {}  # insertion index of a surviving cycle -> its rep
         for col in cycles.cols:
+            idx = ech.ninserted
             pivot, _ = ech.insert(col)
             if pivot is not None:
+                position[idx] = len(rep_cols)
                 rep_cols.append(dict(col))
         reps = Mat(F, self.dims[m], len(rep_cols), rep_cols)
 
@@ -192,34 +198,9 @@ class ChainComplex:
             residue, combo = ech.reduce(vec)
             if residue:
                 raise AssertionError("cycle escaped the cycle space")
-            out = {}
-            for k, v in combo.items():
-                if k >= nb:
-                    out[k - nb] = v
-            return out
+            return {position[k]: v for k, v in combo.items() if k in position}
 
         return reps, coords
-
-    def direct_sum(self, other):
-        if self.field != other.field:
-            raise FieldError("field mismatch in direct sum")
-
-        def part_dim(cx, m):
-            return cx.dims[m] if m <= cx.top else 0
-
-        def part_diff(cx, m):
-            if m <= cx.top:
-                return cx.diffs[m]
-            return Mat.zero(cx.field, part_dim(cx, m - 1), 0)
-
-        T = max(self.top, other.top)
-        dims = [part_dim(self, m) + part_dim(other, m) for m in range(T + 1)]
-        diffs = [Mat.zero(self.field, 0, dims[0])]
-        for m in range(1, T + 1):
-            diffs.append(
-                Mat.block_diag(self.field, [part_diff(self, m), part_diff(other, m)])
-            )
-        return ChainComplex(self.field, dims, diffs)
 
 
 class NormalizedChains(ChainComplex):

@@ -668,10 +668,13 @@ def indecomposables(A):
 
     Only algebras constructed by this module are accepted; they are
     levelwise free on their generators, so the quotient of the augmentation
-    ideal by products is literally the weight-1 component.
+    ideal by products is literally the weight-1 component.  An algebra
+    truncated below weight 1 has no such component and is refused.
     """
     if not isinstance(A, WeightGradedAlgebra):
         raise ValueError("indecomposables need an almost-free algebra built here")
+    if A.W < 1:
+        raise ValueError("algebra is truncated below weight 1")
     return A.components[1]
 
 
@@ -696,26 +699,27 @@ def hurewicz(A, up_to=None):
     """Comparison from homotopy of the augmentation ideal to its weight-1
     part, degree by degree.
 
-    Returns {degree: matrix pi_s(IA) -> pi_s(QA)}.  For a sphere algebra on
-    generators in degree n this is invertible in degree n and surjective in
-    degree n + 1.
+    Returns {degree: matrix pi_s(IA) -> pi_s(QA)}.  The ideal is the direct
+    sum of the weights 1..W, so its homotopy is the direct sum of theirs:
+    weight 1 maps by the identity and every higher weight by zero, and the
+    matrix is their blocks side by side in weight order.  For a sphere
+    algebra on generators in degree n this is invertible in degree n and
+    surjective in degree n + 1.
     """
-    if not isinstance(A, WeightGradedAlgebra):
-        raise ValueError("hurewicz needs a weight-graded algebra")
+    weight_one = indecomposables(A)
     if A.base.level_dims[0] != 0:
         raise ValueError("algebra is not connected")
     if up_to is None:
         up_to = A.T - 1
     field = A.field
-    normalized = [A.components[d].normalized_chains() for d in range(1, A.W + 1)]
-    ideal = normalized[0]
-    for cx in normalized[1:]:
-        ideal = ideal.direct_sum(cx)
-    quotient = normalized[0]
-    chain_maps = []
-    for m in range(A.T + 1):
-        n_q = quotient.dims[m]
-        n_i = ideal.dims[m]
-        cols = [{j: 1} if j < n_q else {} for j in range(n_i)]
-        chain_maps.append(Mat(field, n_q, n_i, cols))
-    return induced_homology_matrices(ideal, quotient, chain_maps, up_to)
+    quotient = weight_one.normalized_chains()
+    blocks = [induced_homology_matrices(quotient, quotient, [
+        Mat.identity(field, dim) for dim in quotient.dims], up_to)]
+    for d in range(2, A.W + 1):
+        cx = A.components[d].normalized_chains()
+        blocks.append(induced_homology_matrices(cx, quotient, [
+            Mat.zero(field, n_q, n) for n_q, n in zip(quotient.dims, cx.dims)],
+            up_to))
+    return {s: Mat(field, blocks[0][s].nrows, sum(b[s].ncols for b in blocks),
+                   [col for b in blocks for col in b[s].cols])
+            for s in range(up_to + 1)}

@@ -234,10 +234,9 @@ def test_exceeds_log_bound_ties_at_powers_of_p(p, e):
     assert not exceeds(Fraction(3 * e * den, 3 * den), p, p**e)
 
 
-def test_exceeds_log_bound_brackets_agree_with_the_powers(monkeypatch):
-    # with no power computed directly, the log brackets alone must give the
-    # exact power comparison
-    monkeypatch.setattr(scalg.audit, "LOG_BOUND_BITS", 0)
+def test_exceeds_log_bound_brackets_agree_with_the_powers():
+    # no power is computed, so the log brackets alone must give the exact
+    # power comparison
     rng = random.Random(19)
     primes = [2, 3, 5, 7, 11, 101, 2**31 - 1]
     for _ in range(5000):

@@ -102,6 +102,18 @@ def test_rebuilt_returns_self_unless_a_truncation_grows():
         comp.check_identities()
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_first_power_map_represents_the_generator(r):
+    # power_map reads every class off homology_reps; for s = 1 that is the
+    # generator {0: 1} of the weight-1 component, once written down as is
+    T, W = cofiber_bounds(r, 1)[:2]
+    f = power_map(r, 1, T, W)
+    target = sphere_algebra(QQ, 1, 2 * r, T, W + 1)
+    g = representing_map(target, 2 * r, 1, {0: 1}, source_W=W + 1)
+    assert f.level_maps == g.level_maps
+    assert (f.source.W, f.target.W) == (g.source.W, g.target.W)
+
+
 def test_rebuilt_map_equals_the_map_built_on_the_larger_algebras():
     # extending the algebras gives the map that representing the class
     # afresh on the larger algebras gives

@@ -15,7 +15,8 @@ import scalg.barcof
 import scalg.simplicial
 from scalg.cli import _random_complex, _random_matrix, main
 from scalg.exactfield import (
-    ColumnEchelon, FieldError, Mat, QQ, GF2, GF3, kernel_basis, pivot_rows, rank,
+    ColumnEchelon, FieldError, Mat, QQ, GF2, GF3, axpy, kernel_basis, pivot_rows,
+    rank,
 )
 from scalg.simplicial import (
     GradedDims,
@@ -29,7 +30,9 @@ from scalg.simplicial import (
     zero_object,
 )
 from scalg.barcof import bar_diagonal, power_map
-from scalg.symalg import sym_power_covering_complex, symmetric_power
+from scalg.symalg import (
+    induced_homology_matrices, sym_power_covering_complex, symmetric_power,
+)
 
 
 def random_complex(rng, field, T, max_dim=3):
@@ -550,6 +553,65 @@ def test_gamma_recovers_complex_homology():
             hc = cx.homology_dims()
             for m in range(T + 1):
                 assert hv[m] == hc[m], (field, m, hv.data, hc.data)
+
+
+def assert_reps_coordinatize(cx, rng):
+    """In every degree, coords reads each representative as its own unit
+    vector, a boundary as zero and a random combination of both as its
+    coefficients on the representatives; and the identity chain map
+    induces the identity, every row index inside its matrix."""
+    F = cx.field
+    for m in range(cx.top + 1):
+        reps, coords = cx.homology_reps(m)
+        bounds = cx.diffs[m + 1].cols if m < cx.top else []
+        for j, col in enumerate(reps.cols):
+            assert coords(dict(col)) == {j: 1}, (m, j)
+        for col in bounds:
+            assert coords(dict(col)) == {}, m
+        coeffs = {j: F.element(rng.randint(1, 4)) for j in range(reps.ncols)
+                  if rng.random() < 0.7}
+        vec = {}
+        for j, c in coeffs.items():
+            axpy(vec, c, reps.cols[j], F.characteristic)
+        for col in bounds:
+            axpy(vec, F.element(rng.randint(0, 4)), col, F.characteristic)
+        assert coords(vec) == {j: c for j, c in coeffs.items() if c}, m
+    induced = induced_homology_matrices(
+        cx, cx, [Mat.identity(F, dim) for dim in cx.dims], cx.top)
+    for m, mat in induced.items():
+        assert mat == Mat.identity(F, mat.ncols), m
+        assert all(0 <= r < mat.nrows for col in mat.cols for r in col), m
+
+
+def test_homology_reps_coordinates_index_the_representatives():
+    # d_1 = e_0: the kernel cycle e_0 of degree 0 is a boundary and is
+    # dropped, so e_1 is the one representative, with coordinate 0
+    cx = ChainComplex(QQ, [2, 1], [None, Mat(QQ, 2, 1, [{0: 1}])])
+    reps, coords = cx.homology_reps(0)
+    assert reps.cols == [{1: 1}]
+    assert coords({1: 1}) == {0: 1}
+    assert coords({0: 1}) == {}
+    ident = [Mat.identity(QQ, 2), Mat.identity(QQ, 1)]
+    assert induced_homology_matrices(cx, cx, ident, 0)[0] == Mat.identity(QQ, 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_homology_reps_coordinatize_random_complexes(field):
+    rng = random.Random(26)
+    for _ in range(80):
+        T = rng.randint(1, 5)
+        cx = ChainComplex(field, *_random_complex(rng, field, T))
+        assert_reps_coordinatize(cx, rng)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_homology_reps_coordinatize_a_conjugated_object(field, conjugated_gamma):
+    # the unnormalized chains have many degenerate cycles that are
+    # boundaries, inserted in between the representatives
+    rng = random.Random(27)
+    for obj in conjugated_gamma(field, 4):
+        assert_reps_coordinatize(obj.normalized_chains(), rng)
+        assert_reps_coordinatize(obj.unnormalized_chains(), rng)
 
 
 def test_homology_dims_ranks_each_differential_once(monkeypatch):

@@ -15,6 +15,7 @@ from scalg.symalg import (
     DIM_BUDGET,
     HomotopyReport,
     WeightGradedAlgebra,
+    divided_power_covering_complex,
     hurewicz,
     indecomposables,
     induced_homology_matrices,
@@ -321,6 +322,42 @@ def test_decalage_pins_brute_force_examples(field, n, d, T, dims):
     assert (h.data, h.certified_degree) == (dims, T)
 
 
+def _exterior_on_delta_classes(n, T):
+    """{(weight, degree): dim} through degree T of the exterior algebra on
+    the classes delta_I x of pi_* Sym K(F_2, n): x in degree n, delta_i
+    applied innermost first with 2 <= i <= the degree of the class it acts
+    on, each later i at least twice the one before; delta_I x has degree
+    n + sum(I) and weight 2**len(I) (Dwyer 1980, Goerss 1990)."""
+    classes, frontier = [], [(n, 1, 2)]  # (degree, weight, least next i)
+    while frontier:
+        deg, weight, low = frontier.pop()
+        classes.append((deg, weight))
+        frontier += [(deg + i, 2 * weight, 2 * i)
+                     for i in range(low, deg + 1) if deg + i <= T]
+    dims = {(0, 0): 1}
+    for deg, weight in classes:
+        for (w, m), v in list(dims.items()):
+            if m + deg <= T:
+                key = (w + weight, m + deg)
+                dims[key] = dims.get(key, 0) + v
+    return dims
+
+
+@pytest.mark.parametrize("n,T", [(2, 12), (3, 12), (3, 16), (4, 14), (5, 13),
+                                 (6, 12)])
+def test_decalage_over_f2_is_exterior_on_the_delta_classes(n, T):
+    # pi_{m + 2d} Sym^d K(F_2, n) = H_m Gamma^d K(F_2, n - 2), exact below
+    # the top level T - 2d + 1; weights past (T - n + 2) / 2 start above T
+    closed = _exterior_on_delta_classes(n, T)
+    top_weight = (T - n + 2) // 2
+    assert all(w <= top_weight for w, m in closed)
+    for d in range(1, top_weight + 1):
+        h = divided_power_covering_complex(GF2, n - 2, d, T - 2 * d + 1
+                                           ).homology_dims()
+        assert {m: closed.get((d, m), 0) for m in range(T + 1)} == {
+            m: h[m - 2 * d] if m >= 2 * d else 0 for m in range(T + 1)}, d
+
+
 def test_divided_power_merge_is_the_multinomial():
     assert _divided_power_merge((0, 1, 2), (0, 1, 2)) == 1
     assert _divided_power_merge((0, 1, 2), (0, 0, 1)) == 2  # x y -> 2 x^[2]
@@ -613,6 +650,14 @@ def test_indecomposables_of_trivial_algebra():
     assert Q.level_dims == [0, 0, 0, 0]
 
 
+def test_indecomposables_and_hurewicz_refuse_an_algebra_without_weight_one():
+    b = eilenberg_maclane(QQ, 1, 2, 4)
+    A = WeightGradedAlgebra(b, [symmetric_power(b, 0)])
+    for f in (indecomposables, hurewicz):
+        with pytest.raises(ValueError, match="^algebra is truncated below weight 1$"):
+            f(A)
+
+
 def test_hurewicz_iso_and_surjection():
     for field in (QQ, GF2):
         for n in (1, 2):
@@ -660,6 +705,37 @@ def test_hurewicz_trivial_algebra_is_all_zero():
     h = hurewicz(A)
     for s, m in h.items():
         assert m.nrows == 0 and m.ncols == 0
+
+
+def _block_diagonal_complex(complexes):
+    """The direct sum of chain complexes of one field and one top."""
+    field = complexes[0].field
+    dims = [sum(cx.dims[m] for cx in complexes)
+            for m in range(complexes[0].top + 1)]
+    return ChainComplex(field, dims, [None] + [
+        Mat.block_diag(field, [cx.diffs[m] for cx in complexes])
+        for m in range(1, len(dims))])
+
+
+def _hurewicz_on_the_direct_sum(A, up_to):
+    """The Hurewicz matrices as the projection of the direct-sum complex of
+    every weight onto its weight-1 summand."""
+    normalized = [A.components[d].normalized_chains() for d in range(1, A.W + 1)]
+    ideal, quotient = _block_diagonal_complex(normalized), normalized[0]
+    chain_maps = [Mat(A.field, n_q, n_i, [{j: 1} if j < n_q else {}
+                                          for j in range(n_i)])
+                  for n_q, n_i in zip(quotient.dims, ideal.dims)]
+    return induced_homology_matrices(ideal, quotient, chain_maps, up_to)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("q,n,T,W", [(1, 1, 4, 3), (2, 1, 4, 2), (1, 2, 5, 3),
+                                     (2, 2, 5, 2), (1, 3, 6, 2), (1, 2, 6, 3)])
+def test_hurewicz_weight_by_weight_equals_the_direct_sum(field, q, n, T, W):
+    A = sphere_algebra(field, q, n, T, W)
+    h = hurewicz(A)
+    assert h == _hurewicz_on_the_direct_sum(A, T - 1)
+    assert h[n].ncols >= q
 
 
 def test_sphere_algebra_total_homotopy_matches_report():
