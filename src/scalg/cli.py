@@ -3,8 +3,11 @@ reproducible, machine-readable output.
 
 Exit codes: 0 success, 1 invalid input, 2 honest inconclusiveness at the
 configured truncation (retry with larger bounds), 3 internal invariant
-violation.  Identical invocations, including the seed of property-test,
-produce byte-identical output.
+violation, 141 (128 + SIGPIPE) the reader closed the output pipe, as
+``scalg em ... | head`` does; nothing is written to stderr then.
+Identical invocations, including the seed of property-test, produce
+byte-identical output.  Every subcommand computes its whole result before
+anything is written, so exit codes 1, 2 and 3 write no partial output.
 
 A config file of ``key = value`` lines (# comments allowed) supplies
 defaults which explicit flags override; keys use the long flag names.
@@ -18,8 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
+from itertools import islice
 
 from .exactfield import FieldError, FieldSpec, Mat, QQ, kernel_basis, rank
 from .simplicial import SimplicialError, eilenberg_maclane, gamma
@@ -88,18 +93,30 @@ def _flatten(payload, prefix=""):
     return rows
 
 
-def render(payload, fmt):
+def render(payload, fmt, out):
+    """Write ``payload`` to the stream ``out`` in the format ``fmt``.
+
+    JSON is written as it is encoded, a batch of encoder chunks at a
+    time, so memory does not grow with the size of the output; its text
+    is ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``.  CSV and
+    table output, one row per flattened key, is written in one piece.
+    """
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+        for chunk in chunks:  # a batch is a chunk and the 4095 after it
+            out.write(chunk + "".join(islice(chunks, 4095)))
+        out.write("\n")
+        return
     rows = _flatten(payload)
     if fmt == "csv":
         lines = ["key,value"]
         for k, v in rows:
             v = str(v).replace('"', '""')
             lines.append('%s,"%s"' % (k, v))
-        return "\n".join(lines) + "\n"
+        out.write("\n".join(lines) + "\n")
+        return
     width = max((len(k) for k, _ in rows), default=0)
-    return "".join("%-*s  %s\n" % (width, k, v) for k, v in rows)
+    out.write("".join("%-*s  %s\n" % (width, k, v) for k, v in rows))
 
 
 # ------------------------------------------------------------- config file
@@ -494,6 +511,23 @@ def main(argv=None, stdout=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     stdout = stdout or sys.stdout
     try:
+        code = _run(argv, stdout)
+        if stdout is sys.stdout:
+            stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        if stdout is sys.stdout:
+            # the interpreter flushes sys.stdout again at exit, which into
+            # the closed pipe would print "Exception ignored ..." to stderr
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout.fileno())
+            os.close(devnull)
+        return 141
+
+
+def _run(argv, stdout):
+    """main() without its handling of a closed output pipe."""
+    try:
         config, rest = {}, argv
         idx = next((k for k, a in enumerate(argv)
                     if a == "--config" or a.startswith("--config=")), None)
@@ -527,7 +561,7 @@ def main(argv=None, stdout=None):
         if isinstance(payload, str):
             stdout.write(payload)
         else:
-            stdout.write(render(payload, args.output))
+            render(payload, args.output, stdout)
         return code
     except _Help as exc:
         stdout.write(str(exc))

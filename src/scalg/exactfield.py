@@ -283,9 +283,15 @@ class Mat:
     # -- basics ---------------------------------------------------------
 
     def to_rows(self):
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
+        """Dense row lists; ValueError for a row index outside the matrix,
+        which __init__ does not check."""
+        nrows = self.nrows
+        rows = [[0] * self.ncols for _ in range(nrows)]
         for j, col in enumerate(self.cols):
             for i, v in col.items():
+                if not 0 <= i < nrows:
+                    raise ValueError("column %d has an entry in row %d, "
+                                     "outside rows 0..%d" % (j, i, nrows - 1))
                 rows[i][j] = v
         return rows
 

@@ -678,18 +678,24 @@ def indecomposables(A):
     return A.components[1]
 
 
-def induced_homology_matrices(src, dst, chain_maps, up_to):
+def induced_homology_matrices(src, dst, chain_maps, up_to, dst_classes=None):
     """Matrices induced on homology by a chain map, verified to commute at
     every level it is given through up_to + 1 (H_up_to needs boundaries
-    from level up_to + 1 to go to boundaries)."""
+    from level up_to + 1 to go to boundaries).
+
+    ``dst_classes``, if given, is ``[dst.homology_reps(s) for s in
+    range(up_to + 1)]``, read once by a caller that maps several complexes
+    into ``dst``; a map from ``dst`` to itself reads its classes once.
+    """
     for m in range(1, min(len(chain_maps), up_to + 2)):
         if not _composites_agree(dst.diffs[m], chain_maps[m],
                                  chain_maps[m - 1], src.diffs[m]):
             raise ValueError("not a chain map at level %d" % m)
     out = {}
     for s in range(up_to + 1):
-        reps, _ = src.homology_reps(s)
-        dst_reps, coords = dst.homology_reps(s)
+        dst_reps, coords = (dst_classes[s] if dst_classes is not None
+                            else dst.homology_reps(s))
+        reps = dst_reps if src is dst else src.homology_reps(s)[0]
         cols = [coords(chain_maps[s].apply(dict(col))) for col in reps.cols]
         out[s] = Mat(src.field, dst_reps.ncols, reps.ncols, cols)
     return out
@@ -702,9 +708,10 @@ def hurewicz(A, up_to=None):
     Returns {degree: matrix pi_s(IA) -> pi_s(QA)}.  The ideal is the direct
     sum of the weights 1..W, so its homotopy is the direct sum of theirs:
     weight 1 maps by the identity and every higher weight by zero, and the
-    matrix is their blocks side by side in weight order.  For a sphere
-    algebra on generators in degree n this is invertible in degree n and
-    surjective in degree n + 1.
+    matrix is their blocks side by side in weight order.  The weight-1
+    classes are computed once per degree and shared by every block.  For
+    a sphere algebra on generators in degree n this is invertible in
+    degree n and surjective in degree n + 1.
     """
     weight_one = indecomposables(A)
     if A.base.level_dims[0] != 0:
@@ -713,13 +720,14 @@ def hurewicz(A, up_to=None):
         up_to = A.T - 1
     field = A.field
     quotient = weight_one.normalized_chains()
+    classes = [quotient.homology_reps(s) for s in range(up_to + 1)]
     blocks = [induced_homology_matrices(quotient, quotient, [
-        Mat.identity(field, dim) for dim in quotient.dims], up_to)]
+        Mat.identity(field, dim) for dim in quotient.dims], up_to, classes)]
     for d in range(2, A.W + 1):
         cx = A.components[d].normalized_chains()
         blocks.append(induced_homology_matrices(cx, quotient, [
             Mat.zero(field, n_q, n) for n_q, n in zip(quotient.dims, cx.dims)],
-            up_to))
+            up_to, classes))
     return {s: Mat(field, blocks[0][s].nrows, sum(b[s].ncols for b in blocks),
                    [col for b in blocks for col in b[s].cols])
             for s in range(up_to + 1)}

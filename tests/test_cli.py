@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -16,7 +17,8 @@ import scalg.cli
 import scalg.symalg
 from scalg.barcof import AlgebraMap
 from scalg.cli import (
-    COMMANDS, _nonnegative, _positive, _t_samples, build_parser, main)
+    COMMANDS, OUTPUT_FORMATS, _nonnegative, _positive, _t_samples, build_parser,
+    main)
 from scalg.schemas import SCHEMAS
 from scalg.simplicial import SimplicialError, SimplicialVectorSpace
 
@@ -432,6 +434,93 @@ def test_table_and_csv_formats():
     assert text.splitlines()[0] == "key,value"
 
 
+# ------------------------------------------------------------- streaming
+
+EM_ARGV = ["em", "--char", "0", "-q", "2", "-n", "3", "-T"]
+BATCH = 4096  # encoder chunks per write of render
+
+
+class _Writes:
+    """A stream that records each write, or drops it with keep=False."""
+
+    def __init__(self, keep=True):
+        self.keep, self.writes = keep, []
+
+    def write(self, text):
+        if self.keep:
+            self.writes.append(text)
+
+
+def _chunk_count(payload):
+    return sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2)
+               .iterencode(payload))
+
+
+# list(range(k)) encodes to k + 2 chunks: "[\n  0", one per further item,
+# "\n" and "]"
+@pytest.mark.parametrize("payload,chunks", [
+    (5, 1), ("text", 1), (None, 1), ({}, 1), ([], 1),
+    ({"a": {}, "b": [], "c": [[], {}]}, None),
+    (list(range(98)), 100),
+    (list(range(BATCH - 2)), BATCH),
+    (list(range(2 * BATCH - 2)), 2 * BATCH),
+    (list(range(BATCH - 1)), BATCH + 1),
+])
+def test_streamed_json_is_dumps_in_batches(payload, chunks):
+    if chunks is not None:
+        assert _chunk_count(payload) == chunks
+    out = _Writes()
+    scalg.cli.render(payload, "json", out)
+    assert "".join(out.writes) == json.dumps(payload, sort_keys=True,
+                                             indent=2) + "\n"
+    # one write per batch of chunks, then the newline
+    assert len(out.writes) == -(-_chunk_count(payload) // BATCH) + 1
+
+
+def _render_in_one_string(payload, fmt):
+    """The text of render built as one string, which its writes must
+    reproduce."""
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    rows = scalg.cli._flatten(payload)
+    if fmt == "csv":
+        lines = ["key,value"]
+        for k, v in rows:
+            v = str(v).replace('"', '""')
+            lines.append('%s,"%s"' % (k, v))
+        return "\n".join(lines) + "\n"
+    width = max((len(k) for k, _ in rows), default=0)
+    return "".join("%-*s  %s\n" % (width, k, v) for k, v in rows)
+
+
+def _payload(argv):
+    args = build_parser(argv[0]).parse_args(argv)
+    return COMMANDS[argv[0]][1](args)[0]
+
+
+@pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+@pytest.mark.parametrize("argv", [
+    EM_ARGV + ["5"],
+    ["pi-sphere", "--char", "0", "-q", "2", "-n", "2", "-T", "6", "-W", "3"],
+    ["pi-sphere", "--char", "2", "-q", "1", "-n", "2", "-T", "6", "-W", "6"],
+])
+def test_every_format_writes_the_text_it_wrote_in_one_string(argv, fmt):
+    want = _render_in_one_string(_payload(argv), fmt)
+    assert run_cli(argv + ["--output", fmt]) == (0, want)
+
+
+def test_rendering_em_json_does_not_hold_the_output():
+    # json.dumps of this 2.5 MB output peaks at 15.9 MB
+    payload = _payload(EM_ARGV + ["8"])
+    tracemalloc.start()
+    try:
+        scalg.cli.render(payload, "json", _Writes(keep=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # ------------------------------------------------------------- characteristic
 
 EMPIRICAL_AUDIT = ["audit", "--char", "2", "--profile", "2:1", "--pi-bound", "3",
@@ -632,15 +721,42 @@ def test_main_builds_only_the_named_subparser(monkeypatch):
     assert built == ["pi-sphere"]
 
 
-def test_cofiber_over_the_enumeration_budget_exits_1_at_once():
-    # Sym^4 of level 10 of K(Q, 4) has 83,369,265 monomials: refused before
-    # anything is built, instead of running out of memory
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_cofiber_over_the_enumeration_budget_exits_1_at_once():
+    # Sym^4 of level 10 of K(Q, 4) has 83,369,265 monomials: refused before
+    # anything is built, instead of running out of memory
     proc = subprocess.run(
         [sys.executable, "-m", "scalg.cli", "cofiber", "-r", "2", "-s", "2"],
-        env=env, cwd=ROOT, capture_output=True, text=True, timeout=10)
+        env=_src_env(), cwd=ROOT, capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "83369265 monomials" in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv,head", [
+    # 735 KB overfill the pipe, so a write meets its closed end
+    (EM_ARGV + ["7"], b'{\n  "degen'),
+    # the pipe is closed before the first write, which a buffered stdout
+    # makes only when it is flushed
+    (["rational-example", "-r", "1", "-s", "2"], b""),
+])
+def test_a_closed_output_pipe_exits_141_in_silence(argv, head, unbuffered):
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scalg.cli"] + argv, env=env, cwd=ROOT,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(len(head)) == head
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=30)
+    assert (proc.returncode, err) == (141, b"")

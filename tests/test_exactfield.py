@@ -161,6 +161,15 @@ def test_rank_proportional_rows():
     assert rank(m_2) == 1
 
 
+@pytest.mark.parametrize("row", [2, -1])
+def test_to_rows_refuses_a_row_outside_the_matrix(row):
+    # Mat() builds it unchecked; a negative row would land in the last row
+    m = Mat(QQ, 2, 2, [{0: 1}, {row: 1}])
+    with pytest.raises(ValueError, match=r"^column 1 has an entry in row %d, "
+                       r"outside rows 0\.\.1$" % row):
+        m.to_rows()
+
+
 def test_rank_matches_second_elimination_order():
     rng = random.Random(7)
     for field in (QQ, GF2, GF3):

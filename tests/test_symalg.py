@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -728,14 +729,56 @@ def _hurewicz_on_the_direct_sum(A, up_to):
     return induced_homology_matrices(ideal, quotient, chain_maps, up_to)
 
 
+HUREWICZ_ALGEBRAS = [(1, 1, 4, 3), (2, 1, 4, 2), (1, 2, 5, 3), (2, 2, 5, 2),
+                     (1, 3, 6, 2), (1, 2, 6, 3)]
+
+# pinned digests of the Hurewicz matrices (degree, shape and entries); F_2
+# differs from Q and F_3 at (1, 3, 6, 2) only
+HUREWICZ_DIGESTS = dict(zip(HUREWICZ_ALGEBRAS, [
+    "13f1ca3c5ee8bb48", "3ca1e129cda43edf", "e5fe4309bb72e6f8",
+    "7680e1837eea9082", "645aecb80b13f641", "df94ca454a8efd52"]))
+
+
+def _matrices_digest(h):
+    text = repr([(s, m.nrows, m.ncols, [sorted(c.items()) for c in m.cols])
+                 for s, m in sorted(h.items())])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
-@pytest.mark.parametrize("q,n,T,W", [(1, 1, 4, 3), (2, 1, 4, 2), (1, 2, 5, 3),
-                                     (2, 2, 5, 2), (1, 3, 6, 2), (1, 2, 6, 3)])
+@pytest.mark.parametrize("q,n,T,W", HUREWICZ_ALGEBRAS)
 def test_hurewicz_weight_by_weight_equals_the_direct_sum(field, q, n, T, W):
     A = sphere_algebra(field, q, n, T, W)
     h = hurewicz(A)
     assert h == _hurewicz_on_the_direct_sum(A, T - 1)
     assert h[n].ncols >= q
+    want = HUREWICZ_DIGESTS[q, n, T, W]
+    if field is GF2 and (q, n, T, W) == (1, 3, 6, 2):
+        want = "f93b3696c8197d38"
+    assert _matrices_digest(h) == want
+
+
+def test_hurewicz_reads_the_target_classes_once_per_degree(monkeypatch):
+    A = sphere_algebra(QQ, 1, 2, 6, 3)
+    calls, targets = [], []
+    homology_reps = ChainComplex.homology_reps
+    induced = scalg.symalg.induced_homology_matrices
+
+    def counted(self, m):
+        calls.append((self, m))
+        return homology_reps(self, m)
+
+    def induced_seen(src, dst, *args):
+        targets.append(dst)
+        return induced(src, dst, *args)
+
+    monkeypatch.setattr(ChainComplex, "homology_reps", counted)
+    monkeypatch.setattr(scalg.symalg, "induced_homology_matrices", induced_seen)
+    hurewicz(A)
+    assert len(targets) == A.W and all(t is targets[0] for t in targets)
+    assert [m for cx, m in calls if cx is targets[0]] == list(range(A.T))
+    # and every higher weight once per degree, as the source of its block
+    assert len(calls) == A.W * A.T
 
 
 def test_sphere_algebra_total_homotopy_matches_report():
