@@ -124,8 +124,8 @@ def _tower(profile):
 
 def _theta(table, profile, factor, M):
     """theta of the sphere factor (q, degree), computed once per table: the
-    closed form rationally, brute force in characteristic p (either gives
-    the unit series for q = 0)."""
+    closed form rationally, sphere_homotopy's weights by decalage in
+    characteristic p (either gives the unit series for q = 0)."""
     if factor not in table:
         q, degree = factor
         p = profile.field.characteristic

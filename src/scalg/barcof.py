@@ -61,7 +61,7 @@ from .simplicial import (
     _operator_slots,
 )
 from . import symalg
-from .symalg import _sym_map, sphere_algebra
+from .symalg import _monomial_count, _sym_map, sphere_algebra
 
 
 class CycleError(ValueError):
@@ -614,7 +614,7 @@ def cofiber_bounds(r, s, T=None, W=None, N=None):
     if W + 1 < s:
         raise ValueError("W must be at least s - 1: the s-th power has "
                          "weight s and the target stops at W + 1")
-    monomials = math.comb(math.comb(T, 2 * r) + W, W + 1)
+    monomials = _monomial_count(1, 2 * r, W + 1, T)
     if monomials > symalg.ENUM_BUDGET:
         raise ValueError(
             "T = %d, W = %d need Sym^%d of level %d of K(Q, %d): %d monomials, "

@@ -10,7 +10,8 @@ byte-identical output.  Every subcommand computes its whole result before
 anything is written, so exit codes 1, 2 and 3 write no partial output.
 
 A config file of ``key = value`` lines (# comments allowed) supplies
-defaults which explicit flags override; keys use the long flag names.
+defaults which explicit flags override; keys use the long flag names,
+and a key that names no option of any subcommand exits 1.
 ``-h`` writes its help to main()'s ``stdout`` and returns 0.  ``cofiber``
 refuses, with exit 1, bounds whose largest symmetric power exceeds the
 enumeration budget of ``symalg``.
@@ -123,6 +124,9 @@ def render(payload, fmt, out):
 
 
 def load_config(path):
+    # the option dests of every subcommand: one file may serve several
+    dests = {flag.lstrip("-").replace("-", "_") for _, _, options
+             in COMMANDS.values() for flag in [*options, "--output"]}
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -135,7 +139,11 @@ def load_config(path):
                         "config line %d is not 'key = value'" % lineno
                     )
                 key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key not in dests:
+                    raise CliError("config line %d: %r names no option"
+                                   % (lineno, key))
+                values[key] = value.strip()
     except OSError as exc:
         raise CliError("cannot read config file: %s" % exc)
     return values

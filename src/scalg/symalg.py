@@ -156,15 +156,17 @@ def symmetric_power(V, d):
 # fast normalized complexes for powers of K(V, n)
 
 
-def _covering_count(q, n, d, m):
-    """Number of covering monomials of Sym^d(K(V, n)), dim V = q, at level m.
+def _monomial_count(q, n, d, m):
+    """Number of monomials of Sym^d(K(V, n)), dim V = q, at level m: the
+    d-multisets of its q*C(m, n) codes."""
+    return math.comb(q * math.comb(m, n) + d - 1, d)
 
-    Level m has q*C(m, n) codes; a d-multiset of them covers when their
-    jump masks cover all m positions, counted by inclusion-exclusion over
-    the uncovered positions.
-    """
-    return sum((-1) ** s * math.comb(m, s)
-               * math.comb(q * math.comb(m - s, n) + d - 1, d)
+
+def _covering_count(q, n, d, m):
+    """Number of covering monomials of Sym^d(K(V, n)), dim V = q, at level
+    m, by inclusion-exclusion over the uncovered positions: the codes that
+    miss s given positions are as many as the codes of level m - s."""
+    return sum((-1) ** s * math.comb(m, s) * _monomial_count(q, n, d, m - s)
                for s in range(m + 1))
 
 
@@ -177,10 +179,8 @@ def _covering_dims(q, n, d, T):
     """
     dims = []
     for m in range(T + 1):
-        ncodes = q * math.comb(m, n)
         count = _covering_count(q, n, d, m)
-        if ncodes and (math.comb(ncodes + d - 1, d) > ENUM_BUDGET
-                       or count > DIM_BUDGET):
+        if _monomial_count(q, n, d, m) > ENUM_BUDGET or count > DIM_BUDGET:
             break
         dims.append(count)
     return dims
@@ -678,14 +678,13 @@ def indecomposables(A):
     return A.components[1]
 
 
-def induced_homology_matrices(src, dst, chain_maps, up_to, dst_classes=None):
+def induced_homology_matrices(src, dst, chain_maps, up_to):
     """Matrices induced on homology by a chain map, verified to commute at
     every level it is given through up_to + 1 (H_up_to needs boundaries
     from level up_to + 1 to go to boundaries).
 
-    ``dst_classes``, if given, is ``[dst.homology_reps(s) for s in
-    range(up_to + 1)]``, read once by a caller that maps several complexes
-    into ``dst``; a map from ``dst`` to itself reads its classes once.
+    Each class is read through homology_reps, in the bases it returns for
+    src and dst; the tests use this as the reference for hurewicz.
     """
     for m in range(1, min(len(chain_maps), up_to + 2)):
         if not _composites_agree(dst.diffs[m], chain_maps[m],
@@ -693,9 +692,8 @@ def induced_homology_matrices(src, dst, chain_maps, up_to, dst_classes=None):
             raise ValueError("not a chain map at level %d" % m)
     out = {}
     for s in range(up_to + 1):
-        dst_reps, coords = (dst_classes[s] if dst_classes is not None
-                            else dst.homology_reps(s))
-        reps = dst_reps if src is dst else src.homology_reps(s)[0]
+        dst_reps, coords = dst.homology_reps(s)
+        reps = src.homology_reps(s)[0]
         cols = [coords(chain_maps[s].apply(dict(col))) for col in reps.cols]
         out[s] = Mat(src.field, dst_reps.ncols, reps.ncols, cols)
     return out
@@ -705,29 +703,22 @@ def hurewicz(A, up_to=None):
     """Comparison from homotopy of the augmentation ideal to its weight-1
     part, degree by degree.
 
-    Returns {degree: matrix pi_s(IA) -> pi_s(QA)}.  The ideal is the direct
-    sum of the weights 1..W, so its homotopy is the direct sum of theirs:
-    weight 1 maps by the identity and every higher weight by zero, and the
-    matrix is their blocks side by side in weight order.  The weight-1
-    classes are computed once per degree and shared by every block.  For
-    a sphere algebra on generators in degree n this is invertible in
-    degree n and surjective in degree n + 1.
+    Returns {degree: matrix pi_s(IA) -> pi_s(QA)}.  The weights 1..W are
+    simplicial summands of the ideal and the comparison is the projection
+    onto weight 1, so in the homology_reps bases of the weights, side by
+    side in weight order, the matrix is [identity | 0]: the homology
+    dimensions of each weight fix it, and no class is read.  For a sphere
+    algebra on generators in degree n this is invertible in degree n and
+    surjective in degree n + 1.
     """
-    weight_one = indecomposables(A)
+    weights = [indecomposables(A)] + A.components[2:]
     if A.base.level_dims[0] != 0:
         raise ValueError("algebra is not connected")
     if up_to is None:
         up_to = A.T - 1
-    field = A.field
-    quotient = weight_one.normalized_chains()
-    classes = [quotient.homology_reps(s) for s in range(up_to + 1)]
-    blocks = [induced_homology_matrices(quotient, quotient, [
-        Mat.identity(field, dim) for dim in quotient.dims], up_to, classes)]
-    for d in range(2, A.W + 1):
-        cx = A.components[d].normalized_chains()
-        blocks.append(induced_homology_matrices(cx, quotient, [
-            Mat.zero(field, n_q, n) for n_q, n in zip(quotient.dims, cx.dims)],
-            up_to, classes))
-    return {s: Mat(field, blocks[0][s].nrows, sum(b[s].ncols for b in blocks),
-                   [col for b in blocks for col in b[s].cols])
+    if up_to > A.T:
+        raise ValueError("no differential at level %d" % (A.T + 1))
+    h = [comp.normalized_chains().homology_dims() for comp in weights]
+    return {s: Mat.from_unit_rows(A.field, h[0][s], list(range(h[0][s]))
+                                  + [-1] * sum(hd[s] for hd in h[1:]))
             for s in range(up_to + 1)}

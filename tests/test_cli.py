@@ -421,6 +421,27 @@ def test_config_rejects_garbage(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("text,line,key", [
+    ("w = 1\n", 1, "w"), ("# T, W\nT = 4\nbogus = 3\n", 3, "bogus")])
+def test_config_rejects_a_key_that_names_no_option(tmp_path, capsys, text,
+                                                   line, key):
+    # -W's dest is W: a file's "w = 1" used to be ignored, running at W = T
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    code, out = run_cli(["pi-sphere", "-n", "2", "-T", "4", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == "error: config line %d: %r names no option\n" % (line, key)
+
+
+def test_config_accepts_the_keys_of_other_subcommands(tmp_path):
+    # profile is audit's option: a file shared by several subcommands works
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("profile = 2:1\nW = 2\n")
+    assert run_cli(["pi-sphere", "-n", "2", "-T", "4", "--config", str(cfg)]) \
+        == run_cli(["pi-sphere", "-n", "2", "-T", "4", "-W", "2"])
+
+
 # ------------------------------------------------------------- formats
 
 def test_table_and_csv_formats():

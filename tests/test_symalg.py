@@ -1,11 +1,13 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalg.symalg
+from scalg.cli import _random_complex
 from scalg.exactfield import FieldSpec, Mat, QQ, GF2, GF3, rank, solve
 from scalg.simplicial import (
     ChainComplex, HomotopyDims, SimplicialVectorSpace, eilenberg_maclane, gamma,
@@ -758,27 +760,52 @@ def test_hurewicz_weight_by_weight_equals_the_direct_sum(field, q, n, T, W):
     assert _matrices_digest(h) == want
 
 
-def test_hurewicz_reads_the_target_classes_once_per_degree(monkeypatch):
+def test_hurewicz_pins_the_digest_of_a_larger_algebra():
+    # the digest of _hurewicz_on_the_direct_sum(A, 7), 7 s on a 2-core machine
+    h = hurewicz(sphere_algebra(QQ, 1, 3, 8, 3))
+    assert _matrices_digest(h) == "a86df5537c760131"
+
+
+def test_hurewicz_reads_no_homology_class(monkeypatch):
+    def refused(*args):
+        raise AssertionError("hurewicz read homology classes")
+
+    monkeypatch.setattr(ChainComplex, "homology_reps", refused)
+    monkeypatch.setattr(scalg.symalg, "induced_homology_matrices", refused)
     A = sphere_algebra(QQ, 1, 2, 6, 3)
-    calls, targets = [], []
-    homology_reps = ChainComplex.homology_reps
-    induced = scalg.symalg.induced_homology_matrices
+    assert [(m.nrows, m.ncols) for _, m in sorted(hurewicz(A).items())] == [
+        (0, 0), (0, 0), (1, 1), (0, 0), (0, 1), (0, 0)]
 
-    def counted(self, m):
-        calls.append((self, m))
-        return homology_reps(self, m)
 
-    def induced_seen(src, dst, *args):
-        targets.append(dst)
-        return induced(src, dst, *args)
+def _random_connected_algebra(rng, field):
+    """A weight-truncated algebra on gamma of a random complex with nothing
+    in degree 0: no sphere algebra."""
+    T = rng.randint(2, 4)
+    dims, diffs = _random_complex(rng, field, T)
+    while dims[0]:
+        dims, diffs = _random_complex(rng, field, T)
+    base = gamma(field, dims, diffs, T)
+    return WeightGradedAlgebra(
+        base, [symmetric_power(base, d) for d in range(rng.randint(1, 2) + 1)])
 
-    monkeypatch.setattr(ChainComplex, "homology_reps", counted)
-    monkeypatch.setattr(scalg.symalg, "induced_homology_matrices", induced_seen)
-    hurewicz(A)
-    assert len(targets) == A.W and all(t is targets[0] for t in targets)
-    assert [m for cx, m in calls if cx is targets[0]] == list(range(A.T))
-    # and every higher weight once per degree, as the source of its block
-    assert len(calls) == A.W * A.T
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_hurewicz_equals_the_direct_sum_on_random_algebras(field):
+    rng = random.Random(28)
+    for _ in range(8):
+        A = _random_connected_algebra(rng, field)
+        for up_to in (A.T - 1, A.T):
+            assert hurewicz(A, up_to) == _hurewicz_on_the_direct_sum(A, up_to)
+
+
+def test_hurewicz_degree_range():
+    A = sphere_algebra(GF3, 1, 2, 5, 2)
+    h = hurewicz(A, A.T)
+    assert sorted(h) == list(range(A.T + 1))
+    assert h == _hurewicz_on_the_direct_sum(A, A.T)
+    assert hurewicz(A, -1) == {}
+    with pytest.raises(ValueError, match="^no differential at level 6$"):
+        hurewicz(A, A.T + 1)
 
 
 def test_sphere_algebra_total_homotopy_matches_report():
