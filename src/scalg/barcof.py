@@ -19,14 +19,17 @@ per-degree certification by recomputation at enlarged bounds.
 The bar diagonal's basis is enumerated inside the weight window only: the
 b codes are ordered by weight, so each choice of a-slots takes the
 prefix of them that fits its remaining weight.  The bar diagonal hands
-NormalizedChains, the one Dold-Kan quotient, the degeneracy image of each
-tuple one level down and the boundary of one tuple.  Faces and
-degeneracies read the components' d_i and s_i the same way: each once,
-as its cached row map (Mat.unit_rows), checked to send every basis
-vector to one basis vector (or to zero, for a face), and then one lookup
-per slot.  So a degeneracy sends a basis tuple to a single basis tuple,
-the quotient drops the hit tuples, and the boundary is evaluated on the
-other tuples only; a face multiplies or pushes the looked-up slots.
+NormalizedChains, the one Dold-Kan quotient, the rows of its degenerate
+tuples and the boundary of one tuple.  Faces and degeneracies read the
+components' d_i and s_i the same way: each once, as its cached row map
+(Mat.unit_rows), checked to send every basis vector to one basis vector
+(or to zero, for a face).  So a degeneracy sends a basis tuple to a
+single basis tuple, and D_m is spanned by the tuples hit.  Which tuples
+are hit is read off their slots while they are enumerated, with no image
+computed: the s_i row maps give each slot and b a bitmask of the s_i
+whose image it lies in.  The quotient drops the hit tuples, and the
+boundary is evaluated on the other tuples only; a face looks up each
+slot's row and multiplies or pushes the looked-up slots.
 Checking d_i d_j = d_{j-1} d_i on those columns also computes the faces
 of the lower-level tuples they hit, degenerate ones included.  The face
 and degeneracy matrices of the whole object are built only by
@@ -42,7 +45,6 @@ same rule that builds the symmetric powers.
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate, combinations
 
 from .exactfield import (
@@ -275,22 +277,36 @@ def zero_map(algebra, n, source_W=1):
 
 
 def _bar_levels(f, N, T, W):
-    """Basis and per-tuple structure maps of bar_diagonal(f, N, T, W).
+    """Basis, degenerate rows and per-tuple structure maps of
+    bar_diagonal(f, N, T, W).
 
-    Returns (bases, face, degeneracy): bases[m] lists the level-m tuples
-    (slots, b) in sorted order, and face(m, i, k) and degeneracy(m, i, k)
-    are the images of bases[m][k] under d_i and s_i (which inserts a unit
-    slot) as canonical sparse columns over bases[m - 1] and bases[m + 1].
-    Each a-slot and b is a (weight, index) pair naming a monomial of the
-    source or target; the unit is (0, 0).
+    Returns (bases, hit, face, degeneracy): bases[m] lists the level-m
+    tuples (slots, b) in sorted order, hit[m] the rows of bases[m] that
+    some s_i hits, in increasing order, and face(m, i, k) and
+    degeneracy(m, i, k) are the images of bases[m][k] under d_i and s_i
+    (which inserts a unit slot) as canonical sparse columns over
+    bases[m - 1] and bases[m + 1]; only BarDiagonal.simplicial() calls
+    degeneracy.  Each a-slot and b is a (weight, index) pair naming a
+    monomial of the source or target; the unit is (0, 0).
 
-    Faces and degeneracies alike read each component's d_i or s_i at
-    level m once, as its row map (Mat.unit_rows), and send every slot and
-    b to its row; AssertionError unless every column is one entry 1, or
-    empty for a face.  A face then multiplies or pushes the mapped slots
-    as the bar face does.  Neither changes a tuple's weight or adds a
-    non-unit slot, so every term lies in the window, and a term missing
-    from the basis raises AssertionError.
+    Faces, degeneracies and the hit rows read each component's d_i or s_i
+    at level m once, as its row map (Mat.unit_rows); AssertionError
+    unless every column is one entry 1, or empty for a face.  A face or
+    degeneracy sends every slot and b to its row, and a face then
+    multiplies or pushes the mapped slots as the bar face does.  Neither
+    changes a tuple's weight or adds a non-unit slot, so every term lies
+    in the window, and a term missing from the basis raises
+    AssertionError.
+
+    The hit rows are read off the slots as the window is enumerated: bit i
+    of a slot's or b's mask says it is s_i of an element one level down
+    (always, for the unit), and a tuple is s_i of a tuple one level down,
+    which has its weight and non-unit count and so lies in the window,
+    exactly when bit i is set in its unit-slot positions and in every
+    slot's and b's mask.  The component s_i are injective, so unless some
+    s_i left the window (AssertionError), level m holds at least
+    len(bases[m - 1]) tuples with bit i set; the tuples are tallied by
+    mask as they are enumerated, so that count costs no pass over them.
     """
     A, B = f.source, f.target
     p = f.field.characteristic
@@ -308,41 +324,11 @@ def _bar_levels(f, N, T, W):
     a_components = A.components[: W // s + 1]
     b_components = B.components[: W + 1]
     unit = (0, 0)
-
-    bases = []
-    index = []
-    for m in range(T + 1):
-        nonunit = [(d, i) for d in range(1, len(a_components))
-                   for i in range(a_components[d].level_dims[m])]
-        bcodes = [(d, i) for d, comp in enumerate(b_components)
-                  for i in range(comp.level_dims[m])]
-        # bcodes is ordered by weight: upto[w] of them have weight <= w
-        upto = list(accumulate(comp.level_dims[m] for comp in b_components))
-        basis = []
-        # the non-unit slot choices of each length k inside the window,
-        # grown one slot at a time, with their a-weight
-        choices = [((), 0)]
-        for k in range(min(N, m, W // s) + 1):
-            if k:
-                choices = [(choice + (c,), wa + c[0]) for choice, wa in choices
-                           for c in nonunit if s * (wa + c[0]) <= W]
-            for positions in combinations(range(m), k):
-                for choice, wa in choices:
-                    slots = [unit] * m
-                    for pos, c in zip(positions, choice):
-                        slots[pos] = c
-                    slots = tuple(slots)
-                    basis.extend((slots, b) for b in bcodes[:upto[W - s * wa]])
-        basis.sort()
-        bases.append(basis)
-        index.append({t: i for i, t in enumerate(basis)})
-
     row_maps = {}  # (m, i, to) -> row maps of the a- and b-components
 
-    def mapped(m, i, to, k):
-        """bases[m][k] with every slot and b sent to its row under the
-        components' d_i (to = m - 1) or s_i (to = m + 1); None when one
-        of them goes to zero."""
+    def read(m, i, to):
+        """The row maps of the a- and b-components' d_i (to = m - 1) or
+        s_i (to = m + 1) at level m, read and checked once."""
         maps = row_maps.get((m, i, to))
         if maps is None:
             maps = tuple([comp.operator(m, i, to).unit_rows()
@@ -355,7 +341,66 @@ def _bar_levels(f, N, T, W):
                         if to < m else
                         "degeneracy image is not a single basis tuple")
             row_maps[(m, i, to)] = maps
-        a_rows, b_rows = maps
+        return maps
+
+    bases = []
+    index = []
+    hit = []
+    for m in range(T + 1):
+        # bit i of an element's mask: it is s_i of an element one level down
+        a_masks = [[0] * comp.level_dims[m] for comp in a_components]
+        b_masks = [[0] * comp.level_dims[m] for comp in b_components]
+        for i in range(m):
+            a_rows, b_rows = read(m - 1, i, m)
+            for masks, rows in zip(a_masks + b_masks, a_rows + b_rows):
+                for r in rows:
+                    masks[r] |= 1 << i
+        nonunit = [(d, i) for d in range(1, len(a_components))
+                   for i in range(a_components[d].level_dims[m])]
+        bcodes = [(d, i) for d, comp in enumerate(b_components)
+                  for i in range(comp.level_dims[m])]
+        b_bits = [bits for masks in b_masks for bits in masks]  # per b code
+        # bcodes is ordered by weight: upto[w] of them have weight <= w
+        upto = list(accumulate(comp.level_dims[m] for comp in b_components))
+        basis = []
+        degenerate = []  # the tuples with a nonzero mask
+        tally = {}  # nonzero mask -> number of tuples with it
+        every = (1 << m) - 1
+        # the non-unit slot choices of each length k inside the window,
+        # grown one slot at a time, with their a-weight and joint mask
+        choices = [((), 0, every)]
+        for k in range(min(N, m, W // s) + 1):
+            if k:
+                choices = [(choice + (c,), wa + c[0], bits & a_masks[c[0]][c[1]])
+                           for choice, wa, bits in choices
+                           for c in nonunit if s * (wa + c[0]) <= W]
+            for positions in combinations(range(m), k):
+                units = every - sum(1 << pos for pos in positions)
+                for choice, wa, bits in choices:
+                    slots = [unit] * m
+                    for pos, c in zip(positions, choice):
+                        slots[pos] = c
+                    slots = tuple(slots)
+                    bits &= units
+                    for b, b_bit in zip(bcodes[:upto[W - s * wa]], b_bits):
+                        basis.append((slots, b))
+                        if mask := bits & b_bit:
+                            degenerate.append(basis[-1])
+                            tally[mask] = tally.get(mask, 0) + 1
+        basis.sort()
+        bases.append(basis)
+        index.append({t: i for i, t in enumerate(basis)})
+        hit.append(sorted(index[m][t] for t in degenerate))
+        for i in range(m):
+            if (sum(n for bits, n in tally.items() if bits >> i & 1)
+                    < len(bases[m - 1])):
+                raise AssertionError("degeneracy left the window")
+
+    def mapped(m, i, to, k):
+        """bases[m][k] with every slot and b sent to its row under the
+        components' d_i (to = m - 1) or s_i (to = m + 1); None when one
+        of them goes to zero."""
+        a_rows, b_rows = read(m, i, to)
         slots, (db, jb) = bases[m][k]
         rb = b_rows[db][jb]
         if rb == -1:
@@ -407,7 +452,7 @@ def _bar_levels(f, N, T, W):
         slots = slots[:i] + (unit,) + slots[i:]
         return {find(m + 1, slots, b, "degeneracy left the window"): 1}
 
-    return bases, face, degeneracy
+    return bases, hit, face, degeneracy
 
 
 class BarDiagonal:
@@ -417,29 +462,30 @@ class BarDiagonal:
     Its normalized chains, a NormalizedChains, are built at construction
     without any structure matrix.  Every degeneracy sends a basis tuple to
     a single basis tuple, so the degenerate subspace D_m is spanned by the
-    tuples that some s_i hits, and N_m = C_m / D_m has the other tuples as
-    basis, in basis order.  The boundary sum (-1)^i d_i is computed on
-    those columns only and projected by dropping the hit coordinates, with
-    no elimination; the result equals the generic
-    SimplicialVectorSpace.normalized_chains matrix for matrix, with the
-    same project and include.
+    tuples that some s_i hits, which _bar_levels reads off the slot masks,
+    and N_m = C_m / D_m has the other tuples as basis, in basis order.
+    The boundary sum (-1)^i d_i is computed on those columns only and
+    projected by dropping the hit coordinates, with no elimination; the
+    result equals the generic SimplicialVectorSpace.normalized_chains
+    matrix for matrix, with the same project and include.
 
-    Checked at construction: every component face and degeneracy that the
-    tuples go through has one entry 1 in each column, or none for a face,
-    and every face term and degeneracy image is a basis tuple
-    (AssertionError otherwise); d_i d_j = d_{j-1} d_i on every
-    nondegenerate column (SimplicialError); and d o d = 0 in
-    ChainComplex.  simplicial() builds every face and degeneracy matrix
-    into a SimplicialVectorSpace, whose constructor checks every
-    simplicial identity.
+    Checked at construction: every component face and degeneracy has one
+    entry 1 in each column, or none for a face, every face term is a basis
+    tuple, and each level holds, for each s_i, at least as many tuples
+    with bit i set as the level below holds tuples, so no degeneracy left
+    the window (AssertionError otherwise); d_i d_j = d_{j-1} d_i on every
+    nondegenerate column (SimplicialError); and d o d = 0 in ChainComplex.
+    simplicial() builds every face and degeneracy matrix, each degeneracy
+    image looked up as a basis tuple, into a SimplicialVectorSpace, whose
+    constructor checks every simplicial identity.
     """
 
     def __init__(self, f, N, T, W):
         self.field = f.field
         self.T = T
-        self._bases, self._face, self._degeneracy = _bar_levels(f, N, T, W)
+        self._bases, hit, self._face, self._degeneracy = _bar_levels(f, N, T, W)
         self.level_dims = [len(b) for b in self._bases]
-        self._chains = self._build_chains()
+        self._chains = self._build_chains(hit)
 
     def normalized_chains(self):
         return self._chains
@@ -459,16 +505,14 @@ class BarDiagonal:
 
         return SimplicialVectorSpace.from_operators(self.field, dims, operator)
 
-    def _build_chains(self):
+    def _build_chains(self, hit):
         p = self.field.characteristic
-        bases, face, degeneracy = self._bases, self._face, self._degeneracy
+        face = self._face
 
         def degenerate(m):
-            return (degeneracy(m - 1, i, k)
-                    for k in range(len(bases[m - 1]) if m else 0)
-                    for i in range(m))
+            return ({r: 1} for r in hit[m])
 
-        memo = [{} for _ in bases]  # per level: (i, k) -> d_i of tuple k
+        memo = [{} for _ in hit]  # per level: (i, k) -> d_i of tuple k
 
         def face_of(m, i, vec):
             """d_i of a level-m vector; for {k: 1} the memoised column
@@ -600,13 +644,15 @@ def cofiber_bounds(r, s, T=None, W=None, N=None):
     """The bounds (T, W, N) of power_cofiber_tables, defaults filled in;
     ValueError when the arguments admit no table, or when the largest
     level power_map would build, Sym^(W+1) of level T of K(Q, 2r), has
-    more monomials than symalg.ENUM_BUDGET."""
+    more monomials than symalg.ENUM_BUDGET.  The count is cut off once it
+    passes the budget, so this is quick for any r and s, and the message
+    gives it only when it was reached."""
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
     if T is None:
         T = 2 * r * s + 2
     if W is None:
-        W = max(s, math.ceil((T - 1) / (2 * r)))
+        W = max(s, -(-(T - 1) // (2 * r)))
     if N is None:
         N = W
     if T < 2 * r * s:
@@ -614,12 +660,15 @@ def cofiber_bounds(r, s, T=None, W=None, N=None):
     if W + 1 < s:
         raise ValueError("W must be at least s - 1: the s-th power has "
                          "weight s and the target stops at W + 1")
-    monomials = _monomial_count(1, 2 * r, W + 1, T)
-    if monomials > symalg.ENUM_BUDGET:
+    budget = symalg.ENUM_BUDGET
+    monomials = _monomial_count(1, 2 * r, W + 1, T, budget)
+    if monomials is None or monomials > budget:
         raise ValueError(
-            "T = %d, W = %d need Sym^%d of level %d of K(Q, %d): %d monomials, "
-            "over the budget of %d; lower T or W"
-            % (T, W, W + 1, T, 2 * r, monomials, symalg.ENUM_BUDGET))
+            "T = %d, W = %d need Sym^%d of level %d of K(Q, %d): %s the "
+            "budget of %d; lower T or W"
+            % (T, W, W + 1, T, 2 * r,
+               "more monomials than" if monomials is None
+               else "%d monomials, over" % monomials, budget))
     return T, W, N
 
 

@@ -156,10 +156,34 @@ def symmetric_power(V, d):
 # fast normalized complexes for powers of K(V, n)
 
 
-def _monomial_count(q, n, d, m):
+def _comb_upto(a, k, cap):
+    """math.comb(a, k), or None when it is over cap and not yet reached.
+
+    The product runs over j = min(k, a - k) factors: after i of them it is
+    C(a - j + i, i), which at least doubles at each step, so it passes cap
+    within cap.bit_length() factors for any a and k, and returns None
+    there unless that was the last factor.
+    """
+    if not 0 <= k <= a:
+        return 0
+    j = min(k, a - k)
+    c = 1
+    for i in range(1, j + 1):
+        c = c * (a - j + i) // i
+        if c > cap and i < j:
+            return None
+    return c
+
+
+def _monomial_count(q, n, d, m, cap=None):
     """Number of monomials of Sym^d(K(V, n)), dim V = q, at level m: the
-    d-multisets of its q*C(m, n) codes."""
-    return math.comb(q * math.comb(m, n) + d - 1, d)
+    d-multisets of its q*C(m, n) codes.  With a cap (q, d >= 1), None
+    instead of a count over cap that _comb_upto did not reach, so the
+    answer costs a few products however large the arguments are."""
+    if cap is None:
+        return math.comb(q * math.comb(m, n) + d - 1, d)
+    codes = _comb_upto(m, n, cap)
+    return None if codes is None else _comb_upto(q * codes + d - 1, d, cap)
 
 
 def _covering_count(q, n, d, m):

@@ -1,7 +1,9 @@
 import io
 import json
+import math
 import random
 import sys
+import types
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -13,7 +15,8 @@ from scalg.cli import _random_complex, main
 import scalg.barcof
 import scalg.symalg
 from scalg.exactfield import (
-    GF2, GF3, ColumnEchelon, FieldError, Mat, QQ, axpy, kernel_basis, solve,
+    GF2, GF3, ColumnEchelon, FieldError, Mat, QQ, axpy, canonical, kernel_basis,
+    solve,
 )
 from scalg.simplicial import (
     GradedDims, NormalizedChains, SimplicialError, SimplicialVectorSpace, gamma,
@@ -717,18 +720,22 @@ def generic_degeneracy(f, tuple_, m, i, index):
         for j2, v in f.target.components[db].degens[m][i].cols[jb].items():
             key = index[(prefix[:i] + ((0, 0),) + prefix[i:], (db, j2))]
             col[key] = col.get(key, 0) + c * v
-    return {r: v for r, v in col.items() if v}
+    return canonical(col, f.field.characteristic)
 
 
 @pytest.mark.parametrize("make_map,N,T,W", [
     (lambda: power_map(1, 2, 6, 2), 3, 6, 3),
     (lambda: power_map(1, 2, 5, 2), 2, 5, 2),
-], ids=["cofiber-job-check", "N2-T5-W2"])
+    (lambda: identity_map(sphere_algebra(GF2, 1, 2, 4, 3)), 2, 4, 2),
+    BAR_CASES["identity-F3"],
+    BAR_CASES["power-r1-s3"],
+], ids=["cofiber-job-check", "N2-T5-W2", "identity-F2", "identity-F3",
+        "power-r1-s3"])
 def test_bar_degeneracies_hit_the_rows_of_the_generic_images(make_map, N, T,
                                                               W):
-    # the quotient drops the tuples that the row-lookup degeneracies hit;
-    # the degeneracy matrices of the checked simplicial object, and the
-    # images multiplied out slot by slot, hit the same rows
+    # the quotient drops the tuples that the slot masks mark; the
+    # degeneracy matrices of the checked simplicial object, and the images
+    # multiplied out slot by slot, hit the same rows
     f = make_map()
     bar = bar_diagonal(f, N, T, W)
     full = bar.simplicial()
@@ -740,6 +747,43 @@ def test_bar_degeneracies_hit_the_rows_of_the_generic_images(make_map, N, T,
         assert [col for s in full.degens[m - 1] for col in s.cols] == generic
         hit = {r for col in generic for r in col}
         assert set(range(bar.level_dims[m])) - hit == set(ncx.bases[m])
+
+
+def test_bar_homotopy_computes_no_degeneracy_image():
+    # the hit tuples of the cofiber job's check run are read off the slot
+    # masks: neither the degeneracy rule nor a slot lookup through a
+    # component s_i runs for them; simplicial() still calls the rule once
+    # per tuple and s_i, and its matrices hit the rows that the masks mark
+    nested = {code.co_name: code
+              for code in scalg.barcof._bar_levels.__code__.co_consts
+              if isinstance(code, types.CodeType)}
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code is nested["degeneracy"] or (
+                code is nested["mapped"]
+                and frame.f_locals["to"] > frame.f_locals["m"])):
+            calls.append(code.co_name)
+
+    def profiled(run):
+        sys.setprofile(profile)
+        try:
+            return run()
+        finally:
+            sys.setprofile(None)
+
+    f = power_map(1, 2, 6, 2)
+    bar = profiled(lambda: bar_diagonal(f, 3, 6, 3))
+    assert profiled(bar.homotopy_dims).to_list(5) == [1, 0, 1, 0, 0, 0]
+    assert calls == []
+    full = profiled(bar.simplicial)
+    images = sum((m + 1) * dim for m, dim in enumerate(bar.level_dims[:-1]))
+    assert calls.count("degeneracy") == calls.count("mapped") == images
+    bases = bar.normalized_chains().bases
+    for m in range(1, bar.T + 1):
+        hit = {r for s in full.degens[m - 1] for col in s.cols for r in col}
+        assert sorted(set(range(bar.level_dims[m])) - hit) == bases[m]
 
 
 def test_bar_diagonal_checks_the_face_identities():
@@ -797,6 +841,21 @@ def test_cofiber_bounds_refuse_a_power_over_the_enumeration_budget(monkeypatch):
     monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 679)
     with pytest.raises(ValueError, match=r"Sym\^3 of level 6 of K\(Q, 2\): 680 monomials"):
         power_cofiber_tables(1, 2, W=2)
+
+
+def test_capped_comb_is_exact_or_provably_over_the_cap():
+    comb_upto = scalg.symalg._comb_upto
+    for a in range(-1, 25):
+        for k in range(-1, a + 2):
+            exact = math.comb(a, k) if 0 <= k <= a else 0
+            for cap in (0, 1, 5, 100, 10 ** 4, 10 ** 7):
+                got = comb_upto(a, k, cap)
+                assert got == exact or (got is None and exact > cap), (a, k, cap)
+    # the running product passes the cap after a few factors, however large
+    # the arguments are
+    assert comb_upto(10 ** 12, 10 ** 11, 10 ** 6) is None
+    assert comb_upto(10 ** 12, 10 ** 12 - 2, 10 ** 6) is None
+    assert comb_upto(10 ** 12, 10 ** 12 - 1, 10 ** 6) == 10 ** 12
 
 
 def test_lemma_inequality_on_computed_triple():

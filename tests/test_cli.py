@@ -761,6 +761,24 @@ def test_cofiber_over_the_enumeration_budget_exits_1_at_once():
     assert "83369265 monomials" in proc.stderr
 
 
+@pytest.mark.parametrize("r,s", [
+    (1, 10_000), (1, 300_000), (1, 99_999_999), (99_999_999_999, 2),
+    (1, 10 ** 400),
+], ids=["s1e4", "s3e5", "s1e8", "r1e11", "s1e400"])
+def test_cofiber_far_over_the_enumeration_budget_exits_1_at_once(r, s):
+    # the monomial count stops once it passes the budget: counted exactly,
+    # these took from seconds to minutes, or printed a Python error for a
+    # count of more than 4300 digits; the default W is an integer ceiling,
+    # where a float quotient overflowed for s = 10^400
+    proc = subprocess.run(
+        [sys.executable, "-m", "scalg.cli", "cofiber", "-r", str(r), "-s", str(s)],
+        env=_src_env(), cwd=ROOT, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert ("more monomials than the budget of %d" % scalg.symalg.ENUM_BUDGET
+            in proc.stderr)
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize("argv,head", [
     # 735 KB overfill the pipe, so a write meets its closed end
