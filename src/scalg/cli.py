@@ -11,7 +11,8 @@ anything is written, so exit codes 1, 2 and 3 write no partial output.
 
 A config file of ``key = value`` lines (# comments allowed) supplies
 defaults which explicit flags override; keys use the long flag names,
-and a key that names no option of any subcommand exits 1.
+and a key that names no option of any subcommand exits 1.  ``--config``
+is accepted once, before or after the subcommand; a second one exits 1.
 ``-h`` writes its help to main()'s ``stdout`` and returns 0.  ``cofiber``
 refuses, with exit 1, bounds whose largest symmetric power exceeds the
 enumeration budget of ``symalg``.
@@ -426,8 +427,7 @@ def cmd_property_test(args):
 # ------------------------------------------------------------- parser
 
 # Every subcommand once: its help line, its handler, and its options as
-# add_argument keywords by flag, in help order; each also takes --output
-# and a hidden --config.
+# add_argument keywords by flag, in help order; each also takes --output.
 COMMANDS = {
     "pi-sphere": ("homotopy of a sphere algebra", cmd_pi_sphere, {
         "--char": dict(type=int, default=0),
@@ -497,21 +497,30 @@ COMMANDS = {
 }
 
 
+def _add_options(parser, command):
+    """Give ``parser`` the options of ``command``; return it."""
+    for flag, kwargs in COMMANDS[command][2].items():
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--output", choices=OUTPUT_FORMATS, default="json")
+    parser.set_defaults(command=command)
+    return parser
+
+
 def build_parser(command=None):
-    """The scalg parser with the subparser of ``command`` only (building
-    the other nine costs more than a small computation), or with all of
-    them when ``command`` names no subcommand."""
+    """The parser of ``command`` alone when ``command`` names a subcommand:
+    it reads the tokens after that name (building the other nine costs
+    more than a small computation).  Otherwise the scalg parser, which
+    reads the whole argv and keeps its subcommands' parsers in
+    ``.subcommands``; its help and errors are those of each one alone."""
+    if command in COMMANDS:
+        return _add_options(_Parser(prog="scalg " + command), command)
     parser = _Parser(prog="scalg", description=__doc__.splitlines()[0])
+    # for the help text only: main() takes --config out before parsing
     parser.add_argument("--config", help="key = value defaults file")
     sub = parser.add_subparsers(dest="command")
     parser.subcommands = sub.choices
-    for name in [command] if command in COMMANDS else COMMANDS:
-        summary, _, options = COMMANDS[name]
-        p = sub.add_parser(name, help=summary)
-        for flag, kwargs in options.items():
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--output", choices=OUTPUT_FORMATS, default="json")
-        p.add_argument("--config", help=argparse.SUPPRESS)
+    for name, (summary, _, _) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=summary), name)
     return parser
 
 
@@ -533,34 +542,47 @@ def main(argv=None, stdout=None):
         return 141
 
 
+def _split_config(argv):
+    """(values of the --config file, argv without that flag): argparse
+    never sees --config, which may stand before or after the subcommand,
+    in the form "--config PATH" or "--config=PATH", once."""
+    at = [k for k, a in enumerate(argv)
+          if a == "--config" or a.startswith("--config=")]
+    if not at:
+        return {}, argv
+    if len(at) > 1:
+        raise CliError("--config is given twice")
+    k = at[0]
+    if argv[k] != "--config":
+        return load_config(argv[k][len("--config="):]), argv[:k] + argv[k + 1:]
+    if k + 1 >= len(argv):
+        raise CliError("--config needs a path")
+    return load_config(argv[k + 1]), argv[:k] + argv[k + 2:]
+
+
 def _run(argv, stdout):
     """main() without its handling of a closed output pipe."""
     try:
-        config, rest = {}, argv
-        idx = next((k for k, a in enumerate(argv)
-                    if a == "--config" or a.startswith("--config=")), None)
-        if idx is not None:
-            # argparse takes both "--config PATH" and "--config=PATH"
-            if argv[idx] == "--config":
-                if idx + 1 >= len(argv):
-                    raise CliError("--config needs a path")
-                path, rest = argv[idx + 1], argv[:idx] + argv[idx + 2:]
-            else:
-                path, rest = argv[idx][len("--config="):], argv[:idx] + argv[idx + 1:]
-            config = load_config(path)
+        config, rest = _split_config(argv)
         parser = build_parser(rest[0] if rest else None)
-        command = next((a for a in rest if a in parser.subcommands), None)
-        if command is not None:
+        if hasattr(parser, "subcommands"):
+            # the full parser reads all of rest; the subcommand it may run
+            # is the first word of rest that names one
+            name = next((a for a in rest if a in parser.subcommands), None)
+            target, tokens = parser.subcommands.get(name), rest
+        else:
+            target, tokens = parser, rest[1:]
+        if target is not None:
             # the file's values become the chosen subcommand's defaults,
             # which argparse converts with each option's type; explicit
             # flags win, and an option the file supplies is not required
-            for action in parser.subcommands[command]._actions:
+            for action in target._actions:
                 if action.dest in config:
                     value = config[action.dest]
                     if isinstance(action.default, bool):
                         value = value.lower() in ("1", "true", "yes")
                     action.default, action.required = value, False
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
         if args.command is None:
             raise CliError("a subcommand is required (see --help)")
         if args.output not in OUTPUT_FORMATS:

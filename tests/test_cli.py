@@ -515,7 +515,7 @@ def _render_in_one_string(payload, fmt):
 
 
 def _payload(argv):
-    args = build_parser(argv[0]).parse_args(argv)
+    args = build_parser(argv[0]).parse_args(argv[1:])
     return COMMANDS[argv[0]][1](args)[0]
 
 
@@ -710,6 +710,7 @@ def parity_corpus(cfg):
                ["--config=" + cfg, "em"], ["em", "--config=" + cfg, "-q", "2"],
                ["--config", cfg, "-h"], ["--config", cfg, "bogus"],
                ["--config", cfg], ["pi-sphere", "--config"]]
+    corpus += _repeated_config(cfg)
     for name, (_, _, options) in COMMANDS.items():
         corpus += [[name, flag, BAD_VALUES[kwargs["type"]]]
                    for flag, kwargs in options.items() if "type" in kwargs]
@@ -730,16 +731,52 @@ def test_one_subparser_answers_as_all_of_them(monkeypatch, tmp_path):
 
 
 def test_main_builds_only_the_named_subparser(monkeypatch):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    # a named subcommand gets its own parser and nothing else; the other
+    # calls build the scalg parser with every subparser
+    progs, actions = [], []
+    init_parser = scalg.cli._Parser.__init__
+    init_action = argparse._SubParsersAction.__init__
 
-    def counted(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def parser(self, *args, **kwargs):
+        progs.append(kwargs["prog"])
+        init_parser(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    def action(self, *args, **kwargs):
+        actions.append(self)
+        init_action(self, *args, **kwargs)
+
+    monkeypatch.setattr(scalg.cli._Parser, "__init__", parser)
+    monkeypatch.setattr(argparse._SubParsersAction, "__init__", action)
     assert run_cli(["pi-sphere", "-n", "2"])[0] == 0
-    assert built == ["pi-sphere"]
+    assert (progs, actions) == (["scalg pi-sphere"], [])
+    every = ["scalg"] + ["scalg " + name for name in COMMANDS]
+    for argv in (["-h"], ["--help"], [], ["bogus"],
+                 ["--output", "csv", "pi-sphere", "-n", "2"]):
+        progs.clear()
+        actions.clear()
+        with contextlib.redirect_stderr(io.StringIO()):
+            run_cli(argv)
+        assert (progs, len(actions)) == (every, 1), argv
+
+
+def _repeated_config(cfg):
+    """argvs that give --config twice, in each form and place; in some the
+    second file is missing."""
+    missing = cfg + ".missing"
+    return [["pi-sphere", "-n", "2", "--config", cfg, "--config", missing,
+             "-W", "1"],
+            ["--config", cfg, "--config", cfg, "pi-sphere", "-W", "1"],
+            ["--config=" + cfg, "em", "--config=" + missing],
+            ["--config", missing, "pi-sphere", "-n", "2", "--config=" + cfg]]
+
+
+def test_a_repeated_config_is_exit_1_with_one_line(tmp_path):
+    # the second --config used to be read as an option and ignored, its
+    # file unread, even a missing one: the first three argvs exited 0
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("n = 2\nT = 3\n")
+    for argv in _repeated_config(str(cfg)):
+        assert run_captured(argv) == (1, "", "error: --config is given twice\n"), argv
 
 
 def _src_env():
@@ -777,6 +814,19 @@ def test_cofiber_far_over_the_enumeration_budget_exits_1_at_once(r, s):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert ("more monomials than the budget of %d" % scalg.symalg.ENUM_BUDGET
             in proc.stderr)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["pi-sphere", "-n", "2", "-T", "3000", "-W", "1"], 0),
+    (["series", "--char", "2", "-q", "1", "-n", "2", "-M", "3000"], 2),
+])
+def test_a_huge_level_bound_certifies_at_once(argv, code):
+    # certification counts the covering levels through d*n only; counted
+    # through T = 3000, these ran for minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "scalg.cli"] + argv,
+        env=_src_env(), cwd=ROOT, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

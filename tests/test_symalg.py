@@ -27,6 +27,7 @@ from scalg.symalg import (
     sym_power_covering_complex,
     sym_power_homology,
     symmetric_power,
+    _certified,
     _covering_dims,
     _divided_power_merge,
     _face_codes,
@@ -555,6 +556,23 @@ def test_tail_weights_match_the_built_complex_and_stay_tails(dim_budget):
                             assert (h.data, h.certified_degree) == (
                                 {}, built[d].certified_degree)
                             assert built[d].data == {}
+
+
+@pytest.mark.parametrize("budgets", [None, (50, 20)])
+def test_certification_counts_no_level_above_the_natural_top(budgets,
+                                                            monkeypatch):
+    # _certified counts the covering levels through min(T, d*n) only: at
+    # T = 800 counting every level took seconds; it certifies as the count
+    # through T does, also where the budgets stop the count early
+    if budgets:
+        monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", budgets[0])
+        monkeypatch.setattr(scalg.symalg, "DIM_BUDGET", budgets[1])
+    for q in (1, 2, 3):
+        for n in range(1, 6):
+            for d in range(1, 7):
+                for T in range(40):
+                    assert _certified(q, n, d, T) == _certified_by_count(
+                        q, n, d, T), (q, n, d, T)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
