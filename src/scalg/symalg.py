@@ -4,21 +4,22 @@ The free commutative algebra on a simplicial vector space splits by word
 length (weight); weight d is the levelwise d-th symmetric power, taken in
 the quotient (coinvariant) sense so that the same monomial bases work in
 every characteristic.  Homotopy of a sphere algebra is computed one weight
-at a time and summed, and a degree is only flagged weight-stable when
-recomputing with one more weight adds nothing at or below it.
+at a time (_weight), up to the first weight certified below n, and summed;
+a degree is only flagged weight-stable when recomputing with one more
+weight adds nothing at or below it.
 
 For powers of an Eilenberg-MacLane object a basis monomial is degenerate
 exactly when the jump positions of its factors fail to cover all
 positions of the level, so normalized complexes live on "covering"
 monomials and are written down directly, without materializing the full
-(often huge) unnormalized levels.  One generator goes by decalage, a
-theorem valid in every characteristic: pi_i Sym^d K(F, n) is
-pi_{i-2d} Gamma^d K(F, n-2) for n >= 2, and Sym^d K(F, 1) has Lambda^d(F)
-in degree d.  Gamma^d K(F, n-2) is built on covering divided-power
-monomials, sharing the basis and the face tables (read from gamma's
-cached action) of the Sym^d covering complex (sym_power_covering_complex,
-the brute force kept as the tests' reference); only the coefficient of
-a face that merges codes differs.
+(often huge) unnormalized levels, up to level d*n + 1 at most.  One
+generator goes by decalage, a theorem valid in every characteristic:
+pi_i Sym^d K(F, n) is pi_{i-2d} Gamma^d K(F, n-2) for n >= 2, and
+Sym^d K(F, 1) has Lambda^d(F) in degree d.  Gamma^d K(F, n-2) is built
+on covering divided-power monomials, sharing the basis and the face
+tables (read from gamma's cached action) of the Sym^d covering complex
+(sym_power_covering_complex, the brute force kept as the tests'
+reference); only the coefficient of a face that merges codes differs.
 More generators are never built either: Sym(V + V') = Sym V (x) Sym V'
 levelwise, so with Eilenberg-Zilber and Kunneth over a field the homotopy
 of Sym^d K(F^q, n) is the weight-d part of the q-fold convolution of the
@@ -281,16 +282,19 @@ def _divided_power_merge(mono, image):
 
 
 def _covering_complex(field, n, d, top, merge):
-    """Normalized chains, levels 0..top, of a d-th power functor of K(F, n)
-    whose level-m basis is the d-multisets of level-m codes.
+    """Normalized chains, levels 0..min(top, d*n + 1), of a d-th power
+    functor of K(F, n) whose level-m basis is the d-multisets of level-m
+    codes.
 
     K(F, n)'s faces and degeneracies send each code to one code or to 0,
     and its degeneracies are injective on codes, so a basis monomial is
     degenerate exactly when the jump masks of its codes fail to cover all
     m positions: the chains live on covering monomials.  A face acts code
     by code; merge(mono, image) is the coefficient the functor gives the
-    image where codes merge.
+    image where codes merge.  No level above d*n has a covering monomial,
+    as each code owns n jump positions.
     """
+    top = min(top, d * n + 1)
     bases = [_covering_basis(n, d, m) for m in range(top + 1)]
     dims = [len(basis) for basis in bases]
     diffs = [Mat.zero(field, 0, dims[0])]
@@ -329,8 +333,8 @@ def sym_power_covering_complex(field, n, d, T):
 
     A monomial of level-m generators is nondegenerate exactly when the jump
     sets of its factors jointly cover all m positions.  Returns a pair
-    (complex, built_to): the complex carries levels 0..built_to, where
-    built_to < T means a size budget stopped the construction early.
+    (complex, built_to): the complex carries levels 0..built_to, which is
+    min(T, d*n + 1) unless a size budget stopped the construction early.
 
     This is the brute force that sym_power_homology replaces by decalage;
     it stays as the reference the tests compare against.
@@ -343,13 +347,13 @@ def sym_power_covering_complex(field, n, d, T):
             Mat.zero(field, dims[m - 1], dims[m]) for m in range(1, T + 1)
         ]
         return ChainComplex(field, dims, diffs), T
-    built_to = len(_covering_dims(1, n, d, T)) - 1
+    built_to = len(_covering_dims(1, n, d, min(T, d * n + 1))) - 1
     return _covering_complex(field, n, d, built_to, _sym_merge), built_to
 
 
 def divided_power_covering_complex(field, n, d, top):
-    """Normalized chains of Gamma^d(K(F, n)), levels 0..top, on covering
-    divided-power monomials.
+    """Normalized chains of Gamma^d(K(F, n)), levels 0..min(top, d*n + 1),
+    on covering divided-power monomials.
 
     The basis and faces are those of sym_power_covering_complex; only a
     face that merges codes carries a multinomial coefficient.
@@ -367,83 +371,67 @@ def sym_power_homology(field, q, n, d, T):
     equivalences, so pi_i Sym^d K(F, n) = pi_{i-2d} Gamma^d K(F, n-2) for
     n >= 2, and Sym^d K(F, 1) has Lambda^d(F) in degree d: F for d = 1,
     zero for d >= 2.  Gamma^d K(F, n-2) is built on covering divided-power
-    monomials up to level certified - 2d + 1, whose degrees below the top
-    are exact.  More generators are convolved from one-generator pieces
-    (see _weights).  For every q the budgets bound the q-generator Sym^d
-    covering complex, which defines certification and is only counted,
-    not built.
+    monomials up to level certified - 2d + 1, or one past its last covering
+    level if that comes first, and its degrees below the top are exact.
+    More generators are convolved from one-generator pieces (see _weight).
+    For every q the budgets bound the q-generator Sym^d covering complex,
+    which defines certification and is only counted, not built.
     """
     if d == 0:
         return HomotopyDims({0: 1}, T)
     if q == 0:
         return HomotopyDims({}, T)
     if q > 1:
-        return _weight(list(_weights(field, q, n, T, d)), q, n, d, T)
+        return _weight(field, q, n, d, T, [])
     certified = _certified(1, n, d, T)
     if n == 1:
         return HomotopyDims({1: 1} if d == 1 and certified >= 1 else {}, certified)
-    # Gamma^d K(F, n-2) has no covering monomials below level n-2 or above
-    # level d*(n-2)
-    top = min(certified - 2 * d + 1, d * (n - 2) + 1)
-    if top <= n - 2:
+    top = certified - 2 * d + 1
+    if top <= n - 2:  # Gamma^d K(F, n-2) has no chains below level n-2
         return HomotopyDims({}, certified)
     cx = divided_power_covering_complex(field, n - 2, d, top)
     return HomotopyDims({m + 2 * d: v for m, v in cx.homology_dims().data.items()
-                         if m < top}, certified)
+                         if m < cx.top}, certified)
 
 
-def _weights(field, q, n, T, D):
-    """Homotopy dims of Sym^d(K(V, n)), dim V = q >= 1, for d = 0, 1, ...,
-    D, ending after the first tail weight.
+def _weight(field, q, n, d, T, pieces):
+    """Homotopy dims of Sym^d(K(V, n)), dim V = q >= 1.
 
-    Weight d needs the one-generator piece sym_power_homology(field, 1, n,
-    d, T), computed once; for q = 1 it is the weight.  For q > 1,
+    One generator is sym_power_homology itself.  For q > 1,
     Sym(V + V') = Sym V (x) Sym V' levelwise, so by Eilenberg-Zilber and
     Kunneth over a field weight d is the weight-d part of the q-fold
-    convolution of the pieces 0..d.  Its certification keeps the rule of
-    the q-generator covering complex, counted once; the pieces always
-    certify at least that far, since padding a one-generator covering
-    multiset of size a with d - a copies of the last code is injective.
+    convolution of the one-generator pieces 0..d: pieces holds those
+    computed so far, and grows to d + 1 here.  The certification keeps the
+    rule of the q-generator covering complex, counted once; the pieces
+    always certify at least that far, since padding a one-generator
+    covering multiset of size a with d - a copies of the last code is
+    injective.
 
-    A tail weight is one certified below n.  It is zero where certified,
-    as there are no chains below level n, so it needs no piece.  Its
-    count stops at a level built_to <= n below the natural top d*n, and
-    that level does not grow with d, since C(ncodes + d - 1, d) grows
-    with d and padding a covering multiset with a copy of its last code
-    injects weight d into weight d + 1; so every later weight is a tail
-    weight too, with a certified degree no larger, and the loop ends.
+    A weight certified below n is a tail weight.  It is zero where
+    certified, as there are no chains below level n, so it needs no piece.
+    Its count stops at a level built_to <= n below the natural top d*n, and
+    that level does not grow with d, since C(ncodes + d - 1, d) grows with
+    d and padding a covering multiset with a copy of its last code injects
+    weight d into weight d + 1: every later weight is a tail weight too,
+    with a certified degree no larger.
     """
-    pieces = []
-    for d in range(D + 1):
-        certified = _certified(q, n, d, T) if d and q > 1 else T
-        if certified >= n:
-            pieces.append(sym_power_homology(field, 1, n, d, T))
-        if q == 1 or d == 0:
-            weight = pieces[d]
-        elif certified < n:
-            weight = HomotopyDims({}, certified)
-        else:
-            assert min(h.certified_degree for h in pieces) >= certified, \
-                "one-generator pieces certify less than the split power"
-            power = [GradedDims({0: 1})] + [GradedDims()] * d
-            for _ in range(q):
-                power = [
-                    sum((power[b].convolve(pieces[w - b], upto=certified)
-                         for b in range(w + 1)), GradedDims())
-                    for w in range(d + 1)
-                ]
-            weight = HomotopyDims(power[d].data, certified)
-        yield weight
-        if weight.certified_degree < n:
-            return
-
-
-def _weight(weights, q, n, d, T):
-    """Weight d of a list from _weights; past its end, a tail weight read
-    from its count alone."""
-    if d < len(weights):
-        return weights[d]
-    return HomotopyDims({}, _certified(q, n, d, T))
+    if q == 1:
+        return sym_power_homology(field, 1, n, d, T)
+    certified = _certified(q, n, d, T) if d else T
+    if certified < n:
+        return HomotopyDims({}, certified)
+    while len(pieces) <= d:
+        pieces.append(sym_power_homology(field, 1, n, len(pieces), T))
+    assert min(h.certified_degree for h in pieces[:d + 1]) >= certified, \
+        "one-generator pieces certify less than the split power"
+    power = [GradedDims({0: 1})] + [GradedDims()] * d
+    for _ in range(q):
+        power = [
+            sum((power[b].convolve(pieces[w - b], upto=certified)
+                 for b in range(w + 1)), GradedDims())
+            for w in range(d + 1)
+        ]
+    return HomotopyDims(power[d].data, certified)
 
 
 # --------------------------------------------------------------------------
@@ -651,9 +639,9 @@ def sphere_homotopy(field, q, n, T, W):
     """Homotopy of the sphere algebra on q generators in degree n.
 
     Sums the homotopy of Sym^d(K(V, n)) over weights 0..W and checks
-    stability against weight W+1.  Nothing is assumed about where a given
-    weight can contribute; degrees whose stability check was not
-    computable within budget are flagged unstable.
+    stability against weight W+1, where weight W stands for every weight
+    after the first tail weight (see _weight).  Degrees whose stability
+    check was not computable within budget are flagged unstable.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -663,11 +651,15 @@ def sphere_homotopy(field, q, n, T, W):
         raise ValueError("W must be nonnegative")
     if q == 0:  # the ground field: every weight d >= 1 is zero
         return HomotopyReport(field, q, n, T, W, [1] + [0] * T, T, [True] * (T + 1))
-    # the weights after the loop's last are tails whose certified degrees
-    # do not grow, so weights W and W+1 stand for them
-    weights = list(_weights(field, q, n, T, W + 1))
-    per_weight = weights[:W] + [_weight(weights, q, n, W, T)]
-    check = _weight(weights, q, n, W + 1, T)
+    pieces = []
+    per_weight = []
+    for d in range(W + 1):
+        per_weight.append(_weight(field, q, n, d, T, pieces))
+        if per_weight[-1].certified_degree < n:
+            break
+    if d < W:  # weight d is a tail weight
+        per_weight.append(_weight(field, q, n, W, T, pieces))
+    check = _weight(field, q, n, W + 1, T, pieces)
     certified = min([T] + [h.certified_degree for h in per_weight])
     # each weight contributes only where it is certified; entries above the
     # overall certified degree are lower bounds from the complete weights

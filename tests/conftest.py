@@ -44,28 +44,34 @@ def dim_budget(monkeypatch):
 
 @pytest.fixture
 def limit_weight_pieces(monkeypatch):
-    """limit(count) makes sym_power_homology raise after count more calls,
-    so that a loop over every weight up to a huge W fails instead of
-    running for ever; it returns the list of calls made.
+    """limit(count) makes sym_power_homology and _certified each raise
+    after count more calls, so that a loop over every weight up to a huge
+    W fails instead of running for ever; it returns the list of
+    sym_power_homology calls made.
 
-    sphere_homotopy calls it once per weight it computes, for that
-    weight's one-generator piece, whatever the number of generators.
+    sphere_homotopy calls sym_power_homology once per weight it computes
+    for q = 1, and once per one-generator piece for q > 1.  A weight of
+    q > 1 generators that is certified below n needs no piece, but it
+    reads its count, _certified, once.
 
     The complex built inside, divided_power_covering_complex, would be no
     guard: a weight whose certified range ends below 2d builds nothing.
     """
-    compute = scalg.symalg.sym_power_homology
 
-    def limit(count):
-        calls = []
-
+    def limited(compute, calls, count):
         def counted(*args, **kwargs):
             calls.append(args)
             if len(calls) > count:
                 raise AssertionError("enumerates every weight")
             return compute(*args, **kwargs)
 
-        monkeypatch.setattr(scalg.symalg, "sym_power_homology", counted)
+        return counted
+
+    def limit(count):
+        calls = []
+        for name, log in (("sym_power_homology", calls), ("_certified", [])):
+            compute = getattr(scalg.symalg, name)
+            monkeypatch.setattr(scalg.symalg, name, limited(compute, log, count))
         return calls
 
     return limit

@@ -95,15 +95,21 @@ def test_sym_power_rejects_negative():
         (GF2, 3, 2, 2, 5),
         (GF3, 2, 2, 3, 5),
         (GF3, 3, 1, 2, 4),
+        # T < n: nothing in any degree, certified as the count says
+        (GF2, 2, 3, 1, 1),
+        (GF2, 2, 3, 2, 2),
+        (GF2, 2, 2, 1, 1),
     ],
 )
 def test_fast_path_agrees_with_generic(field, q, n, d, T):
-    k = eilenberg_maclane(field, q, n, T)
+    k = eilenberg_maclane(field, q, n, max(n, T))
     generic = symmetric_power(k, d)
     h_generic = generic.homotopy_dims()
     h_fast = sym_power_homology(field, q, n, d, T)
     for m in range(T):
         assert h_fast[m] == h_generic[m], (field, q, n, d, m)
+    if T < n:
+        assert (h_fast.data, h_fast.certified_degree) == ({}, _certified(q, n, d, T))
 
 
 @pytest.mark.parametrize(
@@ -116,6 +122,10 @@ def test_fast_path_agrees_with_generic(field, q, n, d, T):
         (QQ, 2, 2, 2, 5, 10),  # level 3 has 12
         (GF2, 3, 1, 2, 4, 8),  # level 2 has 9
         (GF3, 3, 2, 2, 5, DIM_BUDGET),
+        # T > d*n + 1: the brute force stops at level d*n + 1
+        (GF2, 1, 1, 2, 6, DIM_BUDGET),
+        (QQ, 1, 2, 2, 7, DIM_BUDGET),
+        (GF3, 1, 3, 1, 6, DIM_BUDGET),
     ],
 )
 def test_counted_covering_dims_match_generic_normalized_chains(
@@ -130,7 +140,33 @@ def test_counted_covering_dims_match_generic_normalized_chains(
     assert _covering_dims(q, n, d, T) == full[:built_to + 1]
     if q == 1:
         cx, top = sym_power_covering_complex(field, n, d, T)
-        assert (cx.dims, top) == (full[:built_to + 1], built_to)
+        assert top == cx.top == min(built_to, d * n + 1)
+        assert cx.dims == full[:top + 1]
+
+
+def test_covering_complexes_end_past_their_last_monomial(monkeypatch):
+    # no level above d*n has a covering monomial, so both builders stop at
+    # level d*n + 1 whatever top they are asked for, and the brute force
+    # counts its budget that far only; enumerating every level of the d = 1
+    # complex of K(F, 2) through 80 takes over a minute
+    levels, counted = [], []
+    basis, count = scalg.symalg._covering_basis, scalg.symalg._covering_dims
+
+    def recorded_basis(n, d, m):
+        levels.append(m)
+        return basis(n, d, m)
+
+    def recorded_count(*args):
+        counted.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(scalg.symalg, "_covering_basis", recorded_basis)
+    monkeypatch.setattr(scalg.symalg, "_covering_dims", recorded_count)
+    cx = divided_power_covering_complex(GF2, 2, 1, 80)
+    assert (cx.top, cx.homology_dims().data) == (3, {2: 1})
+    cx, built_to = sym_power_covering_complex(GF2, 2, 1, 80)
+    assert (built_to, cx.top, cx.homology_dims().data) == (3, 3, {2: 1})
+    assert max(levels) == 3 and counted == [(1, 2, 1, 3)]
 
 
 def test_face_table_matches_the_coface_enumeration():
