@@ -28,6 +28,7 @@ stabilized, and says "inconclusive at current truncation" otherwise.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .exactfield import FieldSpec
@@ -200,16 +201,16 @@ def growth_polynomials(profile):
 
     Left: q_{n-1}/(n-2)! * t^(n-2) + q_n/(n-1)! * t^(n-1).
     Right: log_p(D) + sum over 1 <= s <= n-2 of q_s/s! * t^s.
-    Each is the sum of the growth terms of its sphere factors, zero terms
-    left out.  The identification of the left coefficients is this
-    module's reading of the growth law applied to the two top stages; it
-    is recorded in every trace.
+    Each is the sum of the growth terms of its nonzero sphere factors.
+    The identification of the left coefficients is this module's reading
+    of the growth law applied to the two top stages; it is recorded in
+    every trace.
     """
     if profile.top < 2:
         raise ProfileError("polynomials only make sense for top degree >= 2")
 
     def poly(factors):
-        return dict(term for term in map(_growth_term, factors) if term[1])
+        return dict(_growth_term(f) for f in factors if f[0])
 
     top, stages = _tower(profile)
     return poly(top), poly(stages)
@@ -298,6 +299,18 @@ class AuditVerdict:
         return "AuditVerdict(%s, witness=%r)" % (self.outcome, self.witness)
 
 
+@contextmanager
+def _reported(n):
+    """Turn a trace number that Python cannot print (an integer past the
+    digit limit, ValueError) or hold as a float (OverflowError) into a
+    ProfileError."""
+    try:
+        yield
+    except (OverflowError, ValueError):
+        raise ProfileError("top degree %d: the audit trace has numbers too "
+                           "large to print; lower the top degree" % n)
+
+
 def _trace_skeleton(profile, mode):
     return {
         "mode": mode,
@@ -345,8 +358,12 @@ def serre_audit(profile, mode="asymptotic", t_samples=None, M=6):
 
     if mode == "asymptotic":
         lhs, rhs = growth_polynomials(profile)
-        trace["lhs_poly"] = {str(d): str(c) for d, c in lhs.items()}
-        trace["rhs_poly"] = {str(d): str(c) for d, c in rhs.items()}
+        # the trace prints exact coefficients, and Python refuses to print
+        # an integer past its digit limit (4300 by default): the size of
+        # (n-1)! is checked here, before the witness search
+        with _reported(n):
+            trace["lhs_poly"] = {str(d): str(c) for d, c in lhs.items()}
+            trace["rhs_poly"] = {str(d): str(c) for d, c in rhs.items()}
         trace["rhs_constant"] = "log_%d(%d)" % (p, D)
         trace["chain_stages"] = [
             {"stage": s, "growth_term": "%s*t^%d" % (c, s)}
@@ -374,24 +391,25 @@ def serre_audit(profile, mode="asymptotic", t_samples=None, M=6):
                 lo = mid
         witness = hi
         diff = _poly_eval(lhs, witness) - _poly_eval(rhs, witness)
-        trace["verification"] = {
-            "witness": witness,
-            "lhs_value": float(_poly_eval(lhs, witness)),
-            "rhs_value_without_log_term": float(_poly_eval(rhs, witness)),
-            "comparison": "%d^%s > %d^%s" % (
-                p, diff.numerator, D, diff.denominator),
-            "exact": True,
-        }
         log_bound = math.log(D, p)
-        trace["evaluation_table"] = [
-            {
-                "t": t_pt,
-                "lhs": float(_poly_eval(lhs, t_pt)),
-                "rhs": float(_poly_eval(rhs, t_pt)) + log_bound,
-                "lhs_exceeds": wins(t_pt),
+        with _reported(n):
+            trace["verification"] = {
+                "witness": witness,
+                "lhs_value": float(_poly_eval(lhs, witness)),
+                "rhs_value_without_log_term": float(_poly_eval(rhs, witness)),
+                "comparison": "%d^%s > %d^%s" % (
+                    p, diff.numerator, D, diff.denominator),
+                "exact": True,
             }
-            for t_pt in sorted({max(1, witness // 2), witness, 2 * witness})
-        ]
+            trace["evaluation_table"] = [
+                {
+                    "t": t_pt,
+                    "lhs": float(_poly_eval(lhs, t_pt)),
+                    "rhs": float(_poly_eval(rhs, t_pt)) + log_bound,
+                    "lhs_exceeds": wins(t_pt),
+                }
+                for t_pt in sorted({max(1, witness // 2), witness, 2 * witness})
+            ]
         verdict = AuditVerdict("contradiction", witness, trace)
         if not verdict.verify():
             raise AssertionError("witness failed re-verification")

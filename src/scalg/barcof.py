@@ -45,6 +45,7 @@ same rule that builds the symmetric powers.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate, combinations
 
 from .exactfield import (
@@ -640,13 +641,41 @@ def power_map(r, s, T, W):
                             source_W=max(1, (W + 1) // s))
 
 
+def _bar_level_size(r, s, N, m, W, cap):
+    """Number of level-m tuples of bar_diagonal(power_map(r, s, T, W), N,
+    T, W), or None once the count passes cap.
+
+    It is counted as _bar_levels enumerates the tuples: C(m, k) positions
+    of k <= min(N, m, W // s) non-unit a-slots, the ordered choices of
+    those slots by their total a-weight wa (a slot of weight d is one of
+    the C(cA + d - 1, d) monomials on the cA = C(m, 2rs) source codes),
+    and the C(cB + j, j) b monomials of weight at most j = W - s*wa on the
+    cB = C(m, 2r) target codes.
+    """
+    cA, cB = math.comb(m, 2 * r * s), math.comb(m, 2 * r)
+    top = W // s if cA else 0  # no level below 2rs has a non-unit slot
+    one = [0] + [math.comb(cA + d - 1, d) for d in range(1, top + 1)]
+    ways = [1] + [0] * top  # ordered choices of k slots, by a-weight
+    size = math.comb(cB + W, W)  # k = 0: every slot is the unit
+    for k in range(1, min(N, m, top) + 1):
+        prev, ways = ways, [0] * (top + 1)
+        for wa in range(k, top + 1):
+            ways[wa] = sum(prev[wa - d] * one[d] for d in range(1, wa - k + 2))
+            size += math.comb(m, k) * ways[wa] * math.comb(cB + W - s * wa, cB)
+            if size > cap:
+                return None
+    return None if size > cap else size
+
+
 def cofiber_bounds(r, s, T=None, W=None, N=None):
     """The bounds (T, W, N) of power_cofiber_tables, defaults filled in;
-    ValueError when the arguments admit no table, or when the largest
-    level power_map would build, Sym^(W+1) of level T of K(Q, 2r), has
-    more monomials than symalg.ENUM_BUDGET.  The count is cut off once it
-    passes the budget, so this is quick for any r and s, and the message
-    gives it only when it was reached."""
+    ValueError when the arguments admit no table, when the largest level
+    power_map would build, Sym^(W+1) of level T of K(Q, 2r), has more
+    monomials than symalg.ENUM_BUDGET, or when a level of the larger bar
+    diagonal that cofiber_homotopy builds, at (N + 1, W + 1), has more
+    tuples than that budget.  Each count is cut off once it passes the
+    budget, so this is quick for any r and s, and the message gives the
+    monomial count only when it was reached."""
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
     if T is None:
@@ -669,6 +698,12 @@ def cofiber_bounds(r, s, T=None, W=None, N=None):
             % (T, W, W + 1, T, 2 * r,
                "more monomials than" if monomials is None
                else "%d monomials, over" % monomials, budget))
+    for m in range(T + 1):
+        if _bar_level_size(r, s, N + 1, m, W + 1, budget) is None:
+            raise ValueError(
+                "T = %d, W = %d, N = %d need a bar diagonal with more tuples "
+                "at level %d than the budget of %d; lower T, W or N"
+                % (T, W, N, m, budget))
     return T, W, N
 
 

@@ -14,8 +14,13 @@ defaults which explicit flags override; keys use the long flag names,
 and a key that names no option of any subcommand exits 1.  ``--config``
 is accepted once, before or after the subcommand; a second one exits 1.
 ``-h`` writes its help to main()'s ``stdout`` and returns 0.  ``cofiber``
-refuses, with exit 1, bounds whose largest symmetric power exceeds the
-enumeration budget of ``symalg``.
+refuses, with exit 1, bounds whose largest symmetric power or bar level
+exceeds the enumeration budget of ``symalg``.
+
+Each option is checked once, by its argparse type, and ``_run`` alone maps
+exceptions to exit codes: a library's input errors (ProfileError,
+SeriesInputError) exit 1, any other SeriesError exits 2, and the internal
+faults exit 3.
 """
 
 from __future__ import annotations
@@ -49,14 +54,7 @@ from .audit import EnvelopeProfile, ProfileError, rational_check, serre_audit
 
 
 class CliError(Exception):
-    def __init__(self, message, code=1):
-        super().__init__(message)
-        self.code = code
-
-
-class Inconclusive(CliError):
-    def __init__(self, message):
-        super().__init__(message, code=2)
+    """Invalid input: one error line, exit 1."""
 
 
 class _Help(Exception):
@@ -74,7 +72,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise CliError(message, code=1)
+        raise CliError(message)
 
     def print_help(self, file=None):
         raise _Help(self.format_help())
@@ -153,7 +151,14 @@ def load_config(path):
 # ------------------------------------------------------------- arguments
 
 
+# Each option's check is its argparse type, so it is checked once, for
+# flags and config-file values alike (argparse converts string defaults);
+# a ValueError from a type reads "invalid <name> value", and a CliError
+# passes through argparse with its own message.
+
+
 def _parse_profile(text):
+    """{degree: dim} of a comma-separated 'degree:dim' list."""
     dims = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -170,11 +175,6 @@ def _parse_profile(text):
             raise CliError("profile degree %d is given twice" % degree)
         dims[degree] = dim
     return dims
-
-
-# Each numeric option's range is its argparse type, so it is checked once,
-# for flags and config-file values alike (argparse converts string
-# defaults); a ValueError from a type reads "invalid <name> value".
 
 
 def _int_at_least(low, name):
@@ -205,37 +205,40 @@ def _t_samples(text):
 _t_samples.__name__ = "t-sample list"
 
 
-def _field(char):
+def _field(text):
+    # a FieldError is a ValueError, which argparse would report as an
+    # invalid int: the field's message goes out as a CliError
     try:
-        return FieldSpec(char)
+        return FieldSpec(int(text))
     except FieldError as exc:
         raise CliError(str(exc))
+
+
+_field.__name__ = "int"
 
 
 # ------------------------------------------------------------- subcommands
 
 
 def cmd_pi_sphere(args):
-    field = _field(args.char)
     n = args.n
     T = args.T if args.T is not None else n + 4
     W = args.W if args.W is not None else T
     if T < n:
         raise CliError("T must be at least n")
-    report = sphere_homotopy(field, args.q, n, T, W)
+    report = sphere_homotopy(args.char, args.q, n, T, W)
     return report.to_json_dict(), 0
 
 
 def cmd_hq_sphere(args):
-    field = _field(args.char)
     n = args.n
     T = args.T if args.T is not None else n + 4
     if T < n:
         raise CliError("T must be at least n")
-    A = sphere_algebra(field, args.q, n, T, 1)
+    A = sphere_algebra(args.char, args.q, n, T, 1)
     h = indecomposables(A).homotopy_dims()
     payload = {
-        "field": field.characteristic,
+        "field": args.char.characteristic,
         "q": args.q,
         "n": n,
         "T": T,
@@ -246,16 +249,13 @@ def cmd_hq_sphere(args):
 
 
 def cmd_em(args):
-    field = _field(args.char)
     if args.T < args.n:
         raise CliError("T must be at least n")
-    v = eilenberg_maclane(field, args.q, args.n, args.T)
+    v = eilenberg_maclane(args.char, args.q, args.n, args.T)
     return v.to_json_dict(), 0
 
 
 def cmd_cofiber(args):
-    if args.char != 0:
-        raise CliError("cofiber tables are a characteristic-zero computation")
     try:
         bounds = cofiber_bounds(args.r, args.s, args.T, args.W, args.N)
     except ValueError as exc:
@@ -266,14 +266,10 @@ def cmd_cofiber(args):
 
 
 def cmd_series(args):
-    n = args.n
-    if args.char == 0:
+    n, p = args.n, args.char.characteristic
+    if p == 0:
         return sphere_series_char0(args.q, n, args.M).to_json_dict(), 0
-    _field(args.char)
-    try:
-        series = sphere_series_charp(args.q, n, args.char, args.M, W=args.W)
-    except SeriesError as exc:
-        raise Inconclusive(str(exc))
+    series = sphere_series_charp(args.q, n, p, args.M, W=args.W)
     payload = series.to_json_dict()
     code = 0
     if series.truncation < args.M:
@@ -283,29 +279,19 @@ def cmd_series(args):
 
 
 def cmd_audit(args):
-    if args.char == 0:
+    if args.char.characteristic == 0:
         raise CliError(
             "the audit needs characteristic p != 0; use rational-check"
         )
-    _field(args.char)
-    dims = _parse_profile(args.profile)
-    try:
-        profile = EnvelopeProfile(args.char, dims, pi_bound=args.pi_bound)
-        verdict = serre_audit(profile, mode=args.mode,
-                              t_samples=args.t_samples, M=args.M)
-    except (ProfileError, SeriesError) as exc:
-        raise CliError(str(exc))
+    profile = EnvelopeProfile(args.char, args.profile, pi_bound=args.pi_bound)
+    verdict = serre_audit(profile, mode=args.mode,
+                          t_samples=args.t_samples, M=args.M)
     payload = verdict.to_json_dict()
     return payload, 2 if verdict.outcome == "inconclusive" else 0
 
 
 def cmd_rational_check(args):
-    dims = _parse_profile(args.profile)
-    try:
-        profile = EnvelopeProfile(0, dims)
-        verdict = rational_check(profile, args.pi_finite)
-    except ProfileError as exc:
-        raise CliError(str(exc))
+    verdict = rational_check(EnvelopeProfile(0, args.profile), args.pi_finite)
     return verdict.to_json_dict(), 0
 
 
@@ -327,16 +313,10 @@ def cmd_rational_example(args):
 
 
 def cmd_asymptotic(args):
-    n, p = args.n, args.p
-    _field(p)
+    n, p = args.n, args.p.characteristic
     if not args.t_samples:
         raise CliError("need at least one t sample")
-    try:
-        rep = asymptotic_check(args.q, n, p, args.t_samples, M=args.M)
-    except SeriesInputError as exc:
-        raise CliError(str(exc))
-    except SeriesError as exc:
-        raise Inconclusive(str(exc))
+    rep = asymptotic_check(args.q, n, p, args.t_samples, M=args.M)
     if args.output == "csv":
         return rep.to_csv(), 0
     payload = {
@@ -430,7 +410,7 @@ def cmd_property_test(args):
 # add_argument keywords by flag, in help order; each also takes --output.
 COMMANDS = {
     "pi-sphere": ("homotopy of a sphere algebra", cmd_pi_sphere, {
-        "--char": dict(type=int, default=0),
+        "--char": dict(type=_field, default="0"),
         "-q": dict(type=_nonnegative, default=1),
         "-n": dict(type=_positive, required=True),
         "-T": dict(type=_nonnegative),
@@ -438,19 +418,18 @@ COMMANDS = {
     }),
     "hq-sphere": ("homology of a sphere algebra (homotopy of its "
                   "indecomposables)", cmd_hq_sphere, {
-        "--char": dict(type=int, default=0),
+        "--char": dict(type=_field, default="0"),
         "-q": dict(type=_nonnegative, default=1),
         "-n": dict(type=_positive, required=True),
         "-T": dict(type=_nonnegative),
     }),
     "em": ("Eilenberg-MacLane object as JSON data", cmd_em, {
-        "--char": dict(type=int, default=0),
+        "--char": dict(type=_field, default="0"),
         "-q": dict(type=_nonnegative, default=1),
         "-n": dict(type=_nonnegative, required=True),
         "-T": dict(type=_nonnegative, required=True),
     }),
     "cofiber": ("bar-cofiber tables of the power map", cmd_cofiber, {
-        "--char": dict(type=int, default=0),
         "-r": dict(type=_positive, required=True),
         "-s": dict(type=_positive, required=True),
         "-T": dict(type=_nonnegative),
@@ -458,22 +437,22 @@ COMMANDS = {
         "-N": dict(type=_nonnegative),
     }),
     "series": ("sphere Poincare series", cmd_series, {
-        "--char": dict(type=int, default=0),
+        "--char": dict(type=_field, default="0"),
         "-q": dict(type=_nonnegative, default=1),
         "-n": dict(type=_positive, required=True),
         "-M": dict(type=_nonnegative, default=8),
         "-W": dict(type=_nonnegative),
     }),
     "audit": ("boundedness audit of a homology profile", cmd_audit, {
-        "--char": dict(type=int, required=True),
-        "--profile": dict(required=True),
+        "--char": dict(type=_field, required=True),
+        "--profile": dict(type=_parse_profile, required=True),
         "--pi-bound": dict(type=_positive),
         "--mode": dict(choices=("asymptotic", "empirical"), default="asymptotic"),
         "--t-samples": dict(type=_t_samples),
         "-M": dict(type=_nonnegative, default=6),
     }),
     "rational-check": ("characteristic-zero vanishing check", cmd_rational_check, {
-        "--profile": dict(required=True),
+        "--profile": dict(type=_parse_profile, required=True),
         "--pi-finite": dict(action="store_true"),
     }),
     "rational-example": ("closed-form tables of the rational power cofiber",
@@ -486,7 +465,7 @@ COMMANDS = {
         # q >= 1: the growth reference is proportional to q
         "-q": dict(type=_positive, default=1),
         "-n": dict(type=_positive, required=True),
-        "-p": dict(type=_positive, required=True),
+        "-p": dict(type=_field, required=True),
         "--t-samples": dict(type=_t_samples, default="0.25,0.5,1,2,4,8"),
         "-M": dict(type=_nonnegative, default=6),
     }),
@@ -596,12 +575,12 @@ def _run(argv, stdout):
     except _Help as exc:
         stdout.write(str(exc))
         return 0
-    except Inconclusive as exc:
+    except (CliError, ProfileError, SeriesInputError) as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return 1
+    except SeriesError as exc:
         stdout.write("inconclusive: %s\n" % exc)
         return 2
-    except CliError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return exc.code
     except (TableMismatch, SimplicialError, CycleError, FieldError,
             AssertionError) as exc:
         sys.stderr.write("internal invariant violation: %s\n" % exc)

@@ -193,15 +193,18 @@ def sphere_series_charp(q, n, p, M, W=None):
 
     Only degrees whose weight-stability was established are kept, so the
     returned truncation can be shorter than requested.  That is a signal,
-    not an error.
+    not an error.  For n > M the series is 1 through M, with no weight
+    computed: no weight d >= 1 has chains below level n.
     """
     field = FieldSpec(p)
     if p == 0:
-        raise SeriesError("use the closed forms in characteristic zero")
+        raise SeriesInputError("use the closed forms in characteristic zero")
     if n < 1:
-        raise SeriesError("spheres need n >= 1")
+        raise SeriesInputError("spheres need n >= 1")
     if q == 0:
         return unit_series(M)
+    if n > M:
+        return TruncatedSeries([1] + [0] * M)
     if W is None:
         W = M
     report = sphere_homotopy(field, q, n, max(n, M + 1), W)
@@ -326,7 +329,11 @@ def asymptotic_check(q, n, p, t_samples, M=6):
     rows = []
     for t in t_samples:
         pv = phi_eval(series, p, t)
-        ref = reference_growth(q, n, t)
+        try:
+            ref = reference_growth(q, n, t)
+        except OverflowError:  # t^(n-1) or (n-1)! past the float range
+            raise SeriesInputError("the growth reference at t = %r is out of "
+                                   "float range" % (t,))
         if ref == 0:
             raise SeriesInputError("the growth reference underflows to 0 at "
                                    "t = %r" % (t,))

@@ -221,11 +221,12 @@ def _certified(q, n, d, T):
     to T is certified (higher degrees are zero).  Otherwise certification
     stops one short of the last counted level, but never below n - 1: no
     level below n has a covering monomial, so those degrees are zero
-    whatever the budgets.  Levels above d*n cannot change the answer, so
-    they are not counted: each costs an (m+1)-term inclusion-exclusion.
+    whatever the budgets.  Nothing past T is certified.  Levels above d*n
+    cannot change the answer, so they are not counted: each costs an
+    (m+1)-term inclusion-exclusion.
     """
     built_to = len(_covering_dims(q, n, d, min(T, d * n))) - 1
-    return T if d * n <= built_to else max(built_to - 1, n - 1)
+    return T if d * n <= built_to else min(T, max(built_to - 1, n - 1))
 
 
 def _covering_basis(n, d, m):

@@ -27,6 +27,7 @@ from scalg.barcof import (
     BarDiagonal,
     CycleError,
     LesVerdict,
+    _bar_level_size,
     bar_diagonal,
     cofiber_bounds,
     cofiber_homotopy,
@@ -836,11 +837,29 @@ def test_cofiber_bounds_refuse_a_power_over_the_enumeration_budget(monkeypatch):
     assert cofiber_bounds(1, 3) == (8, 4, 4)  # 201,376 monomials
     with pytest.raises(ValueError, match="83369265 monomials"):
         cofiber_bounds(2, 2)
-    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 680)
+    # the checking bar diagonal, at (N + 1, W + 1) = (3, 3), has 2,256
+    # tuples at level 6
+    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 2256)
     assert cofiber_bounds(1, 2, W=2) == (6, 2, 2)
+    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 2255)
+    with pytest.raises(ValueError, match="tuples at level 6 than the budget of 2255"):
+        cofiber_bounds(1, 2, W=2)
     monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 679)
     with pytest.raises(ValueError, match=r"Sym\^3 of level 6 of K\(Q, 2\): 680 monomials"):
         power_cofiber_tables(1, 2, W=2)
+
+
+@pytest.mark.parametrize("r,s,T,W,N", [
+    (1, 2, 6, 2, 2), (1, 2, 6, 3, 3), (1, 1, 4, 3, 1), (1, 2, 6, 2, 0),
+    (1, 3, 7, 3, 2), (2, 1, 5, 2, 2), (1, 2, 5, 5, 2),
+])
+def test_bar_level_sizes_are_counted_as_enumerated(r, s, T, W, N):
+    f = power_map(r, s, T, W)
+    counted = [_bar_level_size(r, s, N, m, W, math.inf) for m in range(T + 1)]
+    assert counted == bar_diagonal(f, N, T, W).level_dims
+    # over the cap the count stops
+    top = max(counted)
+    assert _bar_level_size(r, s, N, counted.index(top), W, top - 1) is None
 
 
 def test_capped_comb_is_exact_or_provably_over_the_cap():

@@ -17,9 +17,10 @@ import scalg.cli
 import scalg.symalg
 from scalg.barcof import AlgebraMap
 from scalg.cli import (
-    COMMANDS, OUTPUT_FORMATS, _nonnegative, _positive, _t_samples, build_parser,
-    main)
+    COMMANDS, OUTPUT_FORMATS, _field, _nonnegative, _parse_profile, _positive,
+    _t_samples, build_parser, main)
 from scalg.schemas import SCHEMAS
+from scalg.series import SeriesError
 from scalg.simplicial import SimplicialError, SimplicialVectorSpace
 
 
@@ -571,6 +572,20 @@ EMPIRICAL_AUDIT = ["audit", "--char", "2", "--profile", "2:1", "--pi-bound", "3"
     ["pi-sphere", "--config", {"W": "-1"}, "-n", "2"],
     # the growth reference is 0 at q = 0, so the ratio column would be NaN
     ["asymptotic", "-n", "1", "-p", "2", "-q", "0"],
+    # the checking bar diagonal, at (N + 1, W + 1), would hold over 20
+    # million tuples at level 10, though Sym^3 of level 10 is in budget
+    ["cofiber", "-r", "4", "-s", "1"],
+    ["cofiber", "-r", "7", "-s", "1", "-N", "7"],
+    ["cofiber", "-r", "1", "-s", "1", "-T", "2", "-W", "3000"],
+    # the power cofiber is rational only, like rational-example
+    ["cofiber", "--char", "0", "-r", "1", "-s", "2"],
+    # numbers the audit trace cannot print: float() of the left side at
+    # twice the witness overflows; 1/19999! has more digits than Python
+    # prints (its witness search took about a minute before a traceback)
+    ["audit", "--char", "2", "--profile", "1021:1", "--pi-bound", "3"],
+    ["audit", "--char", "2", "--profile", "20000:1", "--pi-bound", "3"],
+    # 171! does not fit a float
+    ["asymptotic", "-q", "1", "-n", "172", "-p", "2"],
 ])
 def test_bad_characteristic_is_exit_1_with_one_line(argv, capsys, tmp_path):
     for k, arg in enumerate(argv):
@@ -606,6 +621,27 @@ def test_asymptotic_reference_underflow_prints_no_nan(capsys):
     assert err == "error: the growth reference underflows to 0 at t = 1e-200\n"
 
 
+def test_config_characteristic_fails_with_the_fields_message(tmp_path, capsys):
+    cfg = tmp_path / "char.cfg"
+    cfg.write_text("char = 4\n")
+    for argv in (["pi-sphere", "-n", "2"], ["audit", "--profile", "1:1"]):
+        assert run_cli(argv + ["--config", str(cfg)]) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: characteristic must be 0 or a prime, got 4\n")
+
+
+def test_a_series_error_of_the_audit_is_inconclusive(monkeypatch, capsys):
+    # _run maps every SeriesError that is not an input error to exit 2
+    def fail(*args, **kwargs):
+        raise SeriesError("no certified coefficients at these budgets")
+
+    monkeypatch.setattr(scalg.cli, "serre_audit", fail)
+    code, out = run_cli(EMPIRICAL_AUDIT)
+    assert (code, out) == (
+        2, "inconclusive: no certified coefficients at these budgets\n")
+    assert capsys.readouterr().err == ""
+
+
 def test_cofiber_internal_fault_is_exit_3(monkeypatch, capsys):
     # only the argument checks of the power tables are bad input; a failed
     # invariant past them is an internal fault
@@ -634,7 +670,7 @@ FUZZ_FLAGS = {
     "pi-sphere": ["--char", "-q", "-n", "-T", "-W"],
     "hq-sphere": ["--char", "-q", "-n", "-T"],
     "em": ["--char", "-q", "-n", "-T"],
-    "cofiber": ["--char", "-r", "-s", "-W", "-N"],
+    "cofiber": ["-r", "-s", "-W", "-N"],
     "series": ["--char", "-q", "-n", "-M", "-W"],
     "audit": ["--char", "--profile", "--pi-bound", "--mode", "--t-samples", "-M"],
     "rational-check": ["--profile", "--pi-finite"],
@@ -679,7 +715,8 @@ def test_fuzzed_argv_exits_cleanly(argv):
 # ------------------------------------------------------------- parser
 
 ROOT = Path(__file__).resolve().parent.parent
-BAD_VALUES = {_positive: "0", _nonnegative: "-1", _t_samples: "nan", int: "x"}
+BAD_VALUES = {_positive: "0", _nonnegative: "-1", _t_samples: "nan", int: "x",
+              _field: "4", _parse_profile: "1"}
 
 
 def run_captured(argv):

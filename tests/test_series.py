@@ -3,12 +3,14 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scalg.exactfield import QQ
+from scalg.exactfield import QQ, FieldSpec
 from scalg.simplicial import GradedDims, HomotopyDims, eilenberg_maclane
+from scalg.symalg import sphere_homotopy
 from scalg.series import (
     AsymptoticReport,
     ClosedForm,
     SeriesError,
+    SeriesInputError,
     TruncatedSeries,
     asymptotic_check,
     from_dims,
@@ -175,6 +177,26 @@ def test_sphere_series_charp_prefix():
     # degree 0 is the unit, degree 1 the generator
     assert s[0] == 1 and s[1] == 1
     assert s.truncation <= 4
+
+
+@pytest.mark.parametrize("q,n,p,M", [
+    (1, 7, 2, 6), (1, 12, 2, 6), (2, 9, 3, 6), (3, 8, 5, 4), (2, 2, 3, 1),
+    (1, 1, 2, 0),
+])
+def test_sphere_series_charp_above_the_truncation_computes_no_weight(q, n, p, M):
+    # for n > M the series is 1 through M, as the weights computed to level
+    # n say: no weight d >= 1 has chains below level n
+    report = sphere_homotopy(FieldSpec(p), q, n, max(n, M + 1), M)
+    good = min(report.certified_degree, report.stable_through(), M)
+    series = sphere_series_charp(q, n, p, M)
+    assert series == TruncatedSeries(report.dims[: good + 1])
+    assert series.coeffs == (1,) + (0,) * M and series.closed_form is None
+
+
+@pytest.mark.parametrize("n,p", [(2, 0), (0, 2)])
+def test_sphere_series_charp_input_no_bound_fixes(n, p):
+    with pytest.raises(SeriesInputError):
+        sphere_series_charp(1, n, p, 4)
 
 
 def test_sphere_series_charp_signals_short_truncation(dim_budget):

@@ -95,10 +95,13 @@ def test_sym_power_rejects_negative():
         (GF2, 3, 2, 2, 5),
         (GF3, 2, 2, 3, 5),
         (GF3, 3, 1, 2, 4),
-        # T < n: nothing in any degree, certified as the count says
+        # T < n: nothing in any degree, certified as the count says and
+        # never past T
         (GF2, 2, 3, 1, 1),
         (GF2, 2, 3, 2, 2),
         (GF2, 2, 2, 1, 1),
+        (GF2, 1, 3, 1, 1),
+        (GF2, 1, 4, 2, 1),
     ],
 )
 def test_fast_path_agrees_with_generic(field, q, n, d, T):
@@ -108,6 +111,7 @@ def test_fast_path_agrees_with_generic(field, q, n, d, T):
     h_fast = sym_power_homology(field, q, n, d, T)
     for m in range(T):
         assert h_fast[m] == h_generic[m], (field, q, n, d, m)
+    assert h_fast.certified_degree <= T
     if T < n:
         assert (h_fast.data, h_fast.certified_degree) == ({}, _certified(q, n, d, T))
 
@@ -323,15 +327,16 @@ def test_sym_power_dual_oracle(field, q, n, d, T):
 def _certified_by_count(q, n, d, T):
     """Certified degree of Sym^d K(F^q, n), d >= 1: through T when the
     counted covering complex reaches its natural top d*n, else one short of
-    its last level, but at least n - 1, as no level below n has chains."""
+    its last level, but at least n - 1, as no level below n has chains,
+    and never past T."""
     built_to = len(_covering_dims(q, n, d, T)) - 1
-    return T if d * n <= built_to else max(built_to - 1, n - 1)
+    return T if d * n <= built_to else min(T, max(built_to - 1, n - 1))
 
 
 def _brute_force_piece(field, n, d, T):
     """(dims, certified degree) of Sym^d K(F, n) from its covering complex."""
     cx, built_to = sym_power_covering_complex(field, n, d, T)
-    certified = T if d * n <= built_to else max(built_to - 1, n - 1)
+    certified = T if d * n <= built_to else min(T, max(built_to - 1, n - 1))
     return {m: v for m, v in cx.homology_dims().data.items()
             if m <= certified and v}, certified
 
