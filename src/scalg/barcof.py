@@ -29,7 +29,10 @@ are hit is read off their slots while they are enumerated, with no image
 computed: the s_i row maps give each slot and b a bitmask of the s_i
 whose image it lies in.  The quotient drops the hit tuples, and the
 boundary is evaluated on the other tuples only; a face looks up each
-slot's row and multiplies or pushes the looked-up slots.
+slot's row and multiplies or pushes the looked-up slots, a unit slot
+multiplying as the identity with no product computed.  A cofiber builds
+one bar diagonal, at (N+1, W+1), and reads the table at (N, W) off it as
+a window of its normalized chains.
 Checking d_i d_j = d_{j-1} d_i on those columns also computes the faces
 of the lower-level tuples they hit, degenerate ones included.  The face
 and degeneracy matrices of the whole object are built only by
@@ -56,6 +59,7 @@ from .exactfield import (
     canonical,
 )
 from .simplicial import (
+    ChainComplex,
     GradedDims,
     NormalizedChains,
     SimplicialError,
@@ -294,7 +298,8 @@ def _bar_levels(f, N, T, W):
     at level m once, as its row map (Mat.unit_rows); AssertionError
     unless every column is one entry 1, or empty for a face.  A face or
     degeneracy sends every slot and b to its row, and a face then
-    multiplies or pushes the mapped slots as the bar face does.  Neither
+    multiplies or pushes the mapped slots as the bar face does, with a
+    unit slot dropped instead of multiplied.  Neither
     changes a tuple's weight or adds a non-unit slot, so every term lies
     in the window, and a term missing from the basis raises
     AssertionError.
@@ -423,16 +428,24 @@ def _bar_levels(f, N, T, W):
 
     def bar_face(i, lvl, slots, b):
         """Bar face i of (slots, b), whose slots are already at the target
-        level, as (slots, b, coeff) terms."""
+        level, as (slots, b, coeff) terms.  A unit slot multiplies as the
+        identity, with no product computed: the other factor stays, with
+        coefficient 1 (every slot weight is at most A.W, and every b
+        weight at most B.W, so no product of a unit is truncated away)."""
         if i == 0:
             return [(slots[1:], b, 1)] if slots[0][0] == 0 else []
         if i < len(slots):
             (d1, i1), (d2, i2) = slots[i - 1], slots[i]
+            if not d1 or not d2:  # drop the unit of the two
+                cut = i - 1 if not d1 else i
+                return [(slots[:cut] + slots[cut + 1:], b, 1)]
             prod = A.multiply_elements(d1, {i1: 1}, d2, {i2: 1}, lvl)
             return [(slots[: i - 1] + ((d1 + d2, j),) + slots[i + 1:], b, v)
                     for j, v in prod.items()]
         # i == len(slots): push the last slot through f and into b
         dlast, ilast = slots[-1]
+        if not dlast:
+            return [(slots[:-1], b, 1)]
         db, ib = b
         wmap = f.weight_map(dlast, lvl)
         prod = B.multiply_elements(dlast * s, wmap.cols[ilast], db, {ib: 1}, lvl)
@@ -479,17 +492,64 @@ class BarDiagonal:
     simplicial() builds every face and degeneracy matrix, each degeneracy
     image looked up as a basis tuple, into a SimplicialVectorSpace, whose
     constructor checks every simplicial identity.
+
+    window(N, W) reads the normalized chains of the bar at smaller bounds
+    off these, so cofiber_homotopy builds only its checking bar, at
+    (N+1, W+1), and takes the (N, W) table as that bar's window; every
+    check above runs on the bar built, which holds the window's tuples,
+    faces and identities.
     """
 
     def __init__(self, f, N, T, W):
         self.field = f.field
-        self.T = T
+        self.N, self.T, self.W = N, T, W
+        self._ratio = f.weight_ratio
         self._bases, hit, self._face, self._degeneracy = _bar_levels(f, N, T, W)
         self.level_dims = [len(b) for b in self._bases]
         self._chains = self._build_chains(hit)
 
     def normalized_chains(self):
         return self._chains
+
+    def window(self, N, W):
+        """The normalized chains of bar_diagonal(f, N, T, W), for N <= self.N
+        and W <= self.W, read off these as a ChainComplex.
+
+        Its basis is the nondegenerate tuples with at most N non-unit
+        a-slots and induced weight at most W, in basis order, and its
+        differentials are these restricted to them.  A face keeps a tuple's
+        weight and adds no non-unit slot, and a tuple of the window is
+        degenerate here exactly when it is there (the same slot masks), so
+        these are the smaller bar's matrices; a differential term outside
+        the window raises AssertionError.
+        """
+        if N < 0 or W < 0:
+            raise ValueError("bounds must be nonnegative")
+        if N > self.N or W > self.W:
+            raise ValueError("window (N, W) = (%d, %d) outside the bar's "
+                             "(%d, %d)" % (N, W, self.N, self.W))
+        s = self._ratio
+        chains = self._chains
+        inside = []  # per level: position here -> position in the window
+        for m, rows in enumerate(chains.bases):
+            pos = {}
+            for k, r in enumerate(rows):
+                slots, (db, _) = self._bases[m][r]
+                weights = [d for d, _ in slots if d]
+                if len(weights) <= N and s * sum(weights) + db <= W:
+                    pos[k] = len(pos)
+            inside.append(pos)
+        dims = [len(pos) for pos in inside]
+        diffs = [Mat.zero(self.field, 0, dims[0])]
+        for m in range(1, self.T + 1):
+            rows, cols = inside[m - 1], []
+            for k in inside[m]:
+                col = chains.diffs[m].cols[k]
+                if not rows.keys() >= col.keys():
+                    raise AssertionError("face term outside the window")
+                cols.append({rows[r]: v for r, v in col.items()})
+            diffs.append(Mat(self.field, dims[m - 1], dims[m], cols))
+        return ChainComplex(self.field, dims, diffs)
 
     def homotopy_dims(self):
         """Homology of the normalized chains; certified through T - 1."""
@@ -599,15 +659,19 @@ def cofiber_homotopy(f, N, T, W):
     """Homotopy dims of the bar diagonal with per-degree stability flags,
     from its normalized chains (no face or degeneracy matrix is built).
 
-    Runs the construction at (N, W) and (N+1, W+1); a degree is flagged
-    when both runs agree at and below it inside the certified range.
+    Builds one bar diagonal, the checking one at (N+1, W+1), with f
+    extended as far as it needs; the table at (N, W) is its window
+    (BarDiagonal.window), whose tuples, faces and identity checks all lie
+    inside it.  A degree is flagged when both tables agree at and below it
+    inside the certified range.
     """
-    base = bar_diagonal(f, N, T, W).homotopy_dims()
     big_f = f.rebuilt(
         source_W=max(f.source.W, (W + 1) // f.weight_ratio),
         target_W=max(f.target.W, W + 1),
     )
-    check = bar_diagonal(big_f, N + 1, T, W + 1).homotopy_dims()
+    bar = bar_diagonal(big_f, N + 1, T, W + 1)
+    base = bar.window(N, W).homology_dims()
+    check = bar.homotopy_dims()
     certified = min(base.certified_degree, check.certified_degree)
     flags = []
     for m in range(T + 1):
@@ -620,7 +684,14 @@ def power_cofiber_closed_form(r, s, upto):
     """Closed-form tables of the rational cofiber of the s-th power of the
     degree-2r generator: homotopy dims 0..upto (1 at degrees 2ri for
     0 <= i < s, else 0) and the homology GradedDims (1 at 2r and at 2rs+1).
+    ValueError when the homotopy table would have more entries than
+    symalg.ENUM_BUDGET.
     """
+    budget = symalg.ENUM_BUDGET
+    if upto + 1 > budget:
+        raise ValueError("a table through degree %d has %d entries, over the "
+                         "budget of %d; lower T, r or s"
+                         % (upto, upto + 1, budget))
     pi = [1 if m % (2 * r) == 0 and m // (2 * r) < s else 0
           for m in range(upto + 1)]
     return pi, GradedDims({2 * r: 1, 2 * r * s + 1: 1})

@@ -15,7 +15,8 @@ and a key that names no option of any subcommand exits 1.  ``--config``
 is accepted once, before or after the subcommand; a second one exits 1.
 ``-h`` writes its help to main()'s ``stdout`` and returns 0.  ``cofiber``
 refuses, with exit 1, bounds whose largest symmetric power or bar level
-exceeds the enumeration budget of ``symalg``.
+exceeds the enumeration budget of ``symalg``, and ``rational-example`` a
+table with more entries than that budget.
 
 Each option is checked once, by its argparse type, and ``_run`` alone maps
 exceptions to exit codes: a library's input errors (ProfileError,
@@ -298,7 +299,10 @@ def cmd_rational_check(args):
 def cmd_rational_example(args):
     r, s = args.r, args.s
     upto = args.T if args.T is not None else 2 * r * s + 2
-    pi, hq = power_cofiber_closed_form(r, s, upto)
+    try:
+        pi, hq = power_cofiber_closed_form(r, s, upto)
+    except ValueError as exc:
+        raise CliError(str(exc))
     hq = {str(m): v for m, v in hq.data.items()}
     notes = []
     if s == 1:

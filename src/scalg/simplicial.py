@@ -684,10 +684,13 @@ def _gamma_level(dims, m):
     """Level m of gamma of a complex with dimensions dims (a tuple): its
     basis, the (sigma, k, e) in gamma's order, and the position of the
     first of them for each k.  This depends on the shape only, so it is
-    computed once per process."""
+    computed once per process.  A degree k with dims[k] = 0 adds no basis
+    vector, so its C(m, k) surjections are not listed."""
     basis, starts = [], []
     for k in range(min(m, len(dims) - 1) + 1):
         starts.append(len(basis))
+        if not dims[k]:
+            continue
         for sigma in surjections(m, k):
             for e in range(dims[k]):
                 basis.append((sigma, k, e))

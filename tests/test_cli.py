@@ -871,6 +871,43 @@ def test_a_huge_level_bound_certifies_at_once(argv, code):
     assert (proc.returncode, proc.stderr) == (code, "")
 
 
+def test_an_eilenberg_maclane_object_of_high_degree_prints_at_once():
+    # gamma lists no surjection onto a degree of dimension 0: listing
+    # C(25, k) of them for each k < 25 did not end in 100 s
+    proc = subprocess.run(
+        [sys.executable, "-m", "scalg.cli", "em", "-n", "25", "-T", "25"],
+        env=_src_env(), cwd=ROOT, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["level_dims"] == [0] * 25 + [1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["-r", "100000", "-s", "100000"], ["-r", "1", "-s", "2", "-T", "100000000"],
+], ids=["rs", "T"])
+def test_rational_example_over_the_enumeration_budget_exits_1_at_once(argv):
+    # tables of 2 * 10^10 + 3 and 10^8 + 1 entries: built, they ran past
+    # 5 s and grew memory without bound
+    proc = subprocess.run(
+        [sys.executable, "-m", "scalg.cli", "rational-example"] + argv,
+        env=_src_env(), cwd=ROOT, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "over the budget of %d" % scalg.symalg.ENUM_BUDGET in proc.stderr
+
+
+def test_rational_example_table_may_fill_the_budget(monkeypatch, capsys):
+    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 10)
+    code, out = run_cli(["rational-example", "-r", "1", "-s", "2", "-T", "9"])
+    assert code == 0 and len(json.loads(out)["pi"]) == 10
+    assert run_cli(["rational-example", "-r", "1", "-s", "2", "-T", "10"]) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: a table through degree 10 has 11 entries, over the budget of "
+        "10; lower T, r or s\n")
+    # the default table, through degree 2rs + 2, is refused the same way
+    assert run_cli(["rational-example", "-r", "2", "-s", "2"]) == (1, "")
+    assert "through degree 10 has 11 entries" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize("argv,head", [
     # 735 KB overfill the pipe, so a write meets its closed end

@@ -277,6 +277,32 @@ def test_gamma_equals_the_per_basis_construction():
             assert v.operator(m, i, to) == operator(m, i, to), (case, m, i, to)
 
 
+def gamma_level_listing_every_degree(dims, m):
+    """_gamma_level as it was before degrees with dims[k] = 0 were skipped:
+    the surjections [m] ->> [k] listed for every k <= m."""
+    basis, starts = [], []
+    for k in range(min(m, len(dims) - 1) + 1):
+        starts.append(len(basis))
+        for sigma in surjections(m, k):
+            for e in range(dims[k]):
+                basis.append((sigma, k, e))
+    return tuple(basis), tuple(starts)
+
+
+def test_gamma_levels_skip_empty_degrees_and_keep_their_starts():
+    # zeros are drawn often, as in K(V, n), whose dims are [0] * n + [q]
+    rng = random.Random(32)
+    for case in range(200):
+        dims = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(rng.randint(1, 7)))
+        m = rng.randint(0, 9)
+        assert (scalg.simplicial._gamma_level(dims, m)
+                == gamma_level_listing_every_degree(dims, m)), (dims, m)
+    # one basis vector at level 25: C(25, k) surjections for each k < 25
+    # were listed before
+    basis, starts = scalg.simplicial._gamma_level((0,) * 25 + (1,), 25)
+    assert basis == ((tuple(range(26)), 25, 0),) and starts == (0,) * 26
+
+
 def test_a_second_gamma_of_the_same_shape_only_reads_the_cache():
     dims = [1, 2, 1, 3]
     diffs = [None, Mat.zero(GF3, 1, 2), Mat.from_rows(GF3, [[1], [2]]),
