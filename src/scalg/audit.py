@@ -34,6 +34,7 @@ from fractions import Fraction
 from .exactfield import FieldSpec
 from .series import (
     SeriesError,
+    growth_term,
     mul,
     phi_eval,
     sphere_series_char0,
@@ -140,8 +141,8 @@ def _theta(table, profile, factor, M):
 def _growth_term(factor):
     """(exponent, coefficient) of the leading term q/(d-1)! * t^(d-1) of the
     transformed sphere factor theta(q, d)."""
-    q, degree = factor
-    return degree - 1, Fraction(q, math.factorial(degree - 1))
+    exponent, q, den = growth_term(*factor)
+    return exponent, Fraction(q, den)
 
 
 class EnvelopeStage:
@@ -337,6 +338,8 @@ def serre_audit(profile, mode="asymptotic", t_samples=None, M=6):
     contradiction only when every right-hand partial sum stabilized;
     otherwise it is inconclusive at the current truncation.
     """
+    if mode not in ("asymptotic", "empirical"):
+        raise ProfileError("mode must be 'asymptotic' or 'empirical'")
     p = profile.field.characteristic
     if p == 0:
         raise ProfileError(
@@ -414,9 +417,6 @@ def serre_audit(profile, mode="asymptotic", t_samples=None, M=6):
         if not verdict.verify():
             raise AssertionError("witness failed re-verification")
         return verdict
-
-    if mode != "empirical":
-        raise ProfileError("mode must be 'asymptotic' or 'empirical'")
 
     # empirical mode: evaluate transforms from certified truncations
     table = {}

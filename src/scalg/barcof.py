@@ -71,6 +71,11 @@ from . import symalg
 from .symalg import _monomial_count, _sym_map, sphere_algebra
 
 
+class BoundsError(ValueError):
+    """Bounds that admit no power cofiber table, or whose table or bar
+    would exceed symalg.ENUM_BUDGET: bad input, not a fault."""
+
+
 class CycleError(ValueError):
     """The supplied vector is not a usable cycle for a representing map."""
 
@@ -684,12 +689,12 @@ def power_cofiber_closed_form(r, s, upto):
     """Closed-form tables of the rational cofiber of the s-th power of the
     degree-2r generator: homotopy dims 0..upto (1 at degrees 2ri for
     0 <= i < s, else 0) and the homology GradedDims (1 at 2r and at 2rs+1).
-    ValueError when the homotopy table would have more entries than
+    BoundsError when the homotopy table would have more entries than
     symalg.ENUM_BUDGET.
     """
     budget = symalg.ENUM_BUDGET
     if upto + 1 > budget:
-        raise ValueError("a table through degree %d has %d entries, over the "
+        raise BoundsError("a table through degree %d has %d entries, over the "
                          "budget of %d; lower T, r or s"
                          % (upto, upto + 1, budget))
     pi = [1 if m % (2 * r) == 0 and m // (2 * r) < s else 0
@@ -740,7 +745,7 @@ def _bar_level_size(r, s, N, m, W, cap):
 
 def cofiber_bounds(r, s, T=None, W=None, N=None):
     """The bounds (T, W, N) of power_cofiber_tables, defaults filled in;
-    ValueError when the arguments admit no table, when the largest level
+    BoundsError when the arguments admit no table, when the largest level
     power_map would build, Sym^(W+1) of level T of K(Q, 2r), has more
     monomials than symalg.ENUM_BUDGET, or when a level of the larger bar
     diagonal that cofiber_homotopy builds, at (N + 1, W + 1), has more
@@ -748,7 +753,7 @@ def cofiber_bounds(r, s, T=None, W=None, N=None):
     budget, so this is quick for any r and s, and the message gives the
     monomial count only when it was reached."""
     if r < 1 or s < 1:
-        raise ValueError("need r >= 1 and s >= 1")
+        raise BoundsError("need r >= 1 and s >= 1")
     if T is None:
         T = 2 * r * s + 2
     if W is None:
@@ -756,14 +761,14 @@ def cofiber_bounds(r, s, T=None, W=None, N=None):
     if N is None:
         N = W
     if T < 2 * r * s:
-        raise ValueError("level bound below the source generator degree")
+        raise BoundsError("level bound below the source generator degree")
     if W + 1 < s:
-        raise ValueError("W must be at least s - 1: the s-th power has "
+        raise BoundsError("W must be at least s - 1: the s-th power has "
                          "weight s and the target stops at W + 1")
     budget = symalg.ENUM_BUDGET
     monomials = _monomial_count(1, 2 * r, W + 1, T, budget)
     if monomials is None or monomials > budget:
-        raise ValueError(
+        raise BoundsError(
             "T = %d, W = %d need Sym^%d of level %d of K(Q, %d): %s the "
             "budget of %d; lower T or W"
             % (T, W, W + 1, T, 2 * r,
@@ -771,7 +776,7 @@ def cofiber_bounds(r, s, T=None, W=None, N=None):
                else "%d monomials, over" % monomials, budget))
     for m in range(T + 1):
         if _bar_level_size(r, s, N + 1, m, W + 1, budget) is None:
-            raise ValueError(
+            raise BoundsError(
                 "T = %d, W = %d, N = %d need a bar diagonal with more tuples "
                 "at level %d than the budget of %d; lower T, W or N"
                 % (T, W, N, m, budget))

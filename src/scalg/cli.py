@@ -9,19 +9,22 @@ Identical invocations, including the seed of property-test, produce
 byte-identical output.  Every subcommand computes its whole result before
 anything is written, so exit codes 1, 2 and 3 write no partial output.
 
-A config file of ``key = value`` lines (# comments allowed) supplies
-defaults which explicit flags override; keys use the long flag names,
-and a key that names no option of any subcommand exits 1.  ``--config``
-is accepted once, before or after the subcommand; a second one exits 1.
-``-h`` writes its help to main()'s ``stdout`` and returns 0.  ``cofiber``
-refuses, with exit 1, bounds whose largest symmetric power or bar level
-exceeds the enumeration budget of ``symalg``, and ``rational-example`` a
-table with more entries than that budget.
+An argv whose first word (after ``--config`` and its path) names a
+subcommand is parsed by that subcommand's parser alone; the scalg parser,
+which knows only the subcommands' names, prints the help or the error of
+any other.  A config file of ``key = value`` lines (# comments allowed)
+names options as ``T`` or ``pi_bound``, and a key that names no option of
+any subcommand exits 1; the named subcommand's values go in as
+``flag=value`` right after its name (a switch as its bare flag), so later
+flags win.  ``--config`` is accepted once, before or after the
+subcommand.  ``-h`` writes its help to main()'s ``stdout`` and returns 0.
+``em``, ``cofiber`` and ``rational-example`` refuse, with exit 1, output
+or bounds over the enumeration budget of ``symalg``.
 
-Each option is checked once, by its argparse type, and ``_run`` alone maps
-exceptions to exit codes: a library's input errors (ProfileError,
-SeriesInputError) exit 1, any other SeriesError exits 2, and the internal
-faults exit 3.
+Each option is checked once, by its argparse type and choices, and
+``_run`` alone maps exceptions to exit codes: a library's input errors
+(ProfileError, SeriesInputError, BoundsError) exit 1, any other
+SeriesError exits 2, and the internal faults exit 3.
 """
 
 from __future__ import annotations
@@ -36,11 +39,12 @@ from itertools import islice
 
 from .exactfield import FieldError, FieldSpec, Mat, QQ, kernel_basis, rank
 from .simplicial import SimplicialError, eilenberg_maclane, gamma
+from . import symalg
 from .symalg import indecomposables, sphere_algebra, sphere_homotopy
 from .barcof import (
+    BoundsError,
     CycleError,
     TableMismatch,
-    cofiber_bounds,
     power_cofiber_closed_form,
     power_cofiber_tables,
 )
@@ -123,10 +127,14 @@ def render(payload, fmt, out):
 # ------------------------------------------------------------- config file
 
 
+def _dest(flag):
+    return flag.lstrip("-").replace("-", "_")
+
+
 def load_config(path):
     # the option dests of every subcommand: one file may serve several
-    dests = {flag.lstrip("-").replace("-", "_") for _, _, options
-             in COMMANDS.values() for flag in [*options, "--output"]}
+    dests = {_dest(flag) for _, _, options in COMMANDS.values()
+             for flag in [*options, "--output"]}
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -153,9 +161,9 @@ def load_config(path):
 
 
 # Each option's check is its argparse type, so it is checked once, for
-# flags and config-file values alike (argparse converts string defaults);
-# a ValueError from a type reads "invalid <name> value", and a CliError
-# passes through argparse with its own message.
+# flags and config-file values alike (the file's values are parsed as
+# flags); a ValueError from a type reads "invalid <name> value", and a
+# CliError passes through argparse with its own message.
 
 
 def _parse_profile(text):
@@ -250,20 +258,26 @@ def cmd_hq_sphere(args):
 
 
 def cmd_em(args):
-    if args.T < args.n:
+    q, n, T = args.q, args.n, args.T
+    if T < n:
         raise CliError("T must be at least n")
-    v = eilenberg_maclane(args.char, args.q, args.n, args.T)
+    # the JSON writes each face and degeneracy as a list of dense rows:
+    # between levels m - 1 and m, m + 1 faces and m degeneracies, each of
+    # q*C(m - 1, n) x q*C(m, n) entries; the count stops past the budget
+    size = 0
+    for m in range(1, T + 1):
+        size += (2 * m + 1) * (1 + q * q * math.comb(m - 1, n) * math.comb(m, n))
+        if size > symalg.ENUM_BUDGET:
+            raise CliError("K(V, n) through level %d has more face and "
+                           "degeneracy entries than the budget of %d; lower "
+                           "T or q" % (m, symalg.ENUM_BUDGET))
+    v = eilenberg_maclane(args.char, q, n, T)
     return v.to_json_dict(), 0
 
 
 def cmd_cofiber(args):
-    try:
-        bounds = cofiber_bounds(args.r, args.s, args.T, args.W, args.N)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    # past the argument checks every ValueError (SimplicialError, CycleError,
-    # FieldError) is an internal fault
-    return power_cofiber_tables(args.r, args.s, *bounds).to_json_dict(), 0
+    tables = power_cofiber_tables(args.r, args.s, args.T, args.W, args.N)
+    return tables.to_json_dict(), 0
 
 
 def cmd_series(args):
@@ -299,10 +313,7 @@ def cmd_rational_check(args):
 def cmd_rational_example(args):
     r, s = args.r, args.s
     upto = args.T if args.T is not None else 2 * r * s + 2
-    try:
-        pi, hq = power_cofiber_closed_form(r, s, upto)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    pi, hq = power_cofiber_closed_form(r, s, upto)
     hq = {str(m): v for m, v in hq.data.items()}
     notes = []
     if s == 1:
@@ -480,30 +491,24 @@ COMMANDS = {
 }
 
 
-def _add_options(parser, command):
-    """Give ``parser`` the options of ``command``; return it."""
-    for flag, kwargs in COMMANDS[command][2].items():
-        parser.add_argument(flag, **kwargs)
-    parser.add_argument("--output", choices=OUTPUT_FORMATS, default="json")
-    parser.set_defaults(command=command)
-    return parser
-
-
 def build_parser(command=None):
-    """The parser of ``command`` alone when ``command`` names a subcommand:
-    it reads the tokens after that name (building the other nine costs
-    more than a small computation).  Otherwise the scalg parser, which
-    reads the whole argv and keeps its subcommands' parsers in
-    ``.subcommands``; its help and errors are those of each one alone."""
+    """The parser of ``command`` when it names a subcommand, which reads
+    the tokens after that name.  Otherwise the scalg parser, which knows
+    only the subcommands' names and help lines: it prints the help of
+    ``scalg -h`` and the error of an argv that names no subcommand
+    first."""
     if command in COMMANDS:
-        return _add_options(_Parser(prog="scalg " + command), command)
+        parser = _Parser(prog="scalg " + command)
+        for flag, kwargs in COMMANDS[command][2].items():
+            parser.add_argument(flag, **kwargs)
+        parser.add_argument("--output", choices=OUTPUT_FORMATS, default="json")
+        return parser
     parser = _Parser(prog="scalg", description=__doc__.splitlines()[0])
     # for the help text only: main() takes --config out before parsing
     parser.add_argument("--config", help="key = value defaults file")
     sub = parser.add_subparsers(dest="command")
-    parser.subcommands = sub.choices
     for name, (summary, _, _) in COMMANDS.items():
-        _add_options(sub.add_parser(name, help=summary), name)
+        sub.add_parser(name, help=summary)
     return parser
 
 
@@ -543,34 +548,34 @@ def _split_config(argv):
     return load_config(argv[k + 1]), argv[:k] + argv[k + 2:]
 
 
+def _config_flags(config, command):
+    """``command``'s config values as ``flag=value`` tokens; a switch is
+    its bare flag for 1, true or yes, and absent for 0, false or no."""
+    tokens = []
+    for flag, kwargs in [*COMMANDS[command][2].items(), ("--output", {})]:
+        value = config.get(_dest(flag))
+        switch = kwargs.get("action") == "store_true"
+        if value is None or switch and value.lower() in ("0", "false", "no"):
+            continue
+        if switch and value.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+        else:  # argparse refuses any other value of a switch
+            tokens.append(flag + "=" + value)
+    return tokens
+
+
 def _run(argv, stdout):
     """main() without its handling of a closed output pipe."""
     try:
         config, rest = _split_config(argv)
-        parser = build_parser(rest[0] if rest else None)
-        if hasattr(parser, "subcommands"):
-            # the full parser reads all of rest; the subcommand it may run
-            # is the first word of rest that names one
-            name = next((a for a in rest if a in parser.subcommands), None)
-            target, tokens = parser.subcommands.get(name), rest
-        else:
-            target, tokens = parser, rest[1:]
-        if target is not None:
-            # the file's values become the chosen subcommand's defaults,
-            # which argparse converts with each option's type; explicit
-            # flags win, and an option the file supplies is not required
-            for action in target._actions:
-                if action.dest in config:
-                    value = config[action.dest]
-                    if isinstance(action.default, bool):
-                        value = value.lower() in ("1", "true", "yes")
-                    action.default, action.required = value, False
-        args = parser.parse_args(tokens)
-        if args.command is None:
+        if not rest or rest[0] not in COMMANDS:
+            build_parser().parse_args(rest)  # help, or an error
             raise CliError("a subcommand is required (see --help)")
-        if args.output not in OUTPUT_FORMATS:
-            raise CliError("output must be one of %s" % (OUTPUT_FORMATS,))
-        payload, code = COMMANDS[args.command][1](args)
+        name = rest[0]
+        # the file's values come first, so the flags given after them win
+        tokens = _config_flags(config, name) + rest[1:]
+        args = build_parser(name).parse_args(tokens)
+        payload, code = COMMANDS[name][1](args)
         if isinstance(payload, str):
             stdout.write(payload)
         else:
@@ -579,7 +584,7 @@ def _run(argv, stdout):
     except _Help as exc:
         stdout.write(str(exc))
         return 0
-    except (CliError, ProfileError, SeriesInputError) as exc:
+    except (CliError, ProfileError, SeriesInputError, BoundsError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except SeriesError as exc:

@@ -265,9 +265,16 @@ def phi_eval(series, p, t):
     return PhiValue(value, bool(stabilized), M + 1, tail)
 
 
+def growth_term(q, n):
+    """(exponent, numerator, denominator) of the growth-law term
+    q * t^(n-1) / (n-1)! of the transformed sphere factor theta(q, n)."""
+    return n - 1, q, math.factorial(n - 1)
+
+
 def reference_growth(q, n, t):
-    """The growth-law reference term q * t^(n-1) / (n-1)!."""
-    return q * float(t) ** (n - 1) / math.factorial(n - 1)
+    """The growth-law reference term q * t^(n-1) / (n-1)!, in floats."""
+    exponent, q, den = growth_term(q, n)
+    return q * float(t) ** exponent / den
 
 
 class AsymptoticRow:

@@ -25,8 +25,10 @@ from scalg.audit import (
     splitting_series,
 )
 from scalg.series import (
+    growth_term,
     leq,
     mul,
+    reference_growth,
     sphere_series_char0,
     sphere_series_charp,
     unit_series,
@@ -153,6 +155,14 @@ def test_audit_empty_profile_is_consistent():
     assert v.outcome == "consistent"
 
 
+@pytest.mark.parametrize("dims", [{}, {1: 4}, {2: 1}])
+def test_audit_refuses_an_unknown_mode_before_any_verdict(dims):
+    # the empty and the top-degree-1 profile used to return "consistent"
+    # with the unknown mode in their trace
+    with pytest.raises(ProfileError, match="mode must be"):
+        serre_audit(EnvelopeProfile(2, dims, pi_bound=3), mode="bogus")
+
+
 def test_audit_simple_contradiction_with_witness():
     v = serre_audit(EnvelopeProfile(2, {2: 1}, pi_bound=3))
     assert v.outcome == "contradiction"
@@ -196,6 +206,19 @@ def test_growth_polynomials_match_the_hand_formula():
                             for s in range(1, n - 1)}
                 assert lhs == {d: c for d, c in want_lhs.items() if c}, dims
                 assert rhs == {d: c for d, c in want_rhs.items() if c}, dims
+
+
+def test_one_growth_term_for_the_float_and_the_exact_reading():
+    # reference_growth keeps its float operations bit for bit, and the
+    # audit's exact leading term is q / (n-1)! from the same triple
+    for q in range(9):
+        for n in range(1, 40):
+            assert growth_term(q, n) == (n - 1, q, math.factorial(n - 1))
+            assert scalg.audit._growth_term((q, n)) == (
+                n - 1, Fraction(q, math.factorial(n - 1)))
+            for t in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 8.0):
+                assert reference_growth(q, n, t) == (
+                    q * float(t) ** (n - 1) / math.factorial(n - 1))
 
 
 def test_exceeds_log_bound_is_the_exact_power_comparison():

@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalg.barcof
 import scalg.cli
 import scalg.symalg
 from scalg.barcof import AlgebraMap
@@ -235,7 +236,7 @@ def test_asymptotic_json_schema():
 
 
 def test_every_subcommand_has_a_schema():
-    assert sorted(SCHEMAS) == sorted(build_parser().subcommands)
+    assert sorted(SCHEMAS) == sorted(COMMANDS)
 
 
 def test_property_test_schema_and_pass():
@@ -734,10 +735,7 @@ def run_captured(argv):
 def test_help_goes_to_the_callers_stdout(argv):
     code, out, err = run_captured(argv)
     assert (code, err) == (0, "")
-    parser = build_parser()
-    if len(argv) > 1:
-        parser = parser.subcommands[argv[0]]
-    assert out == parser.format_help()
+    assert out == build_parser(argv[0] if len(argv) > 1 else None).format_help()
     assert out.startswith("usage: scalg " + " ".join(argv[:-1]))
 
 
@@ -759,22 +757,112 @@ def parity_corpus(cfg):
     return corpus
 
 
-def test_one_subparser_answers_as_all_of_them(monkeypatch, tmp_path):
+CFG = "{cfg}"  # the config path in the record
+PARITY = ROOT / "tests" / "data" / "cli_parity.json"
+
+
+def parity_record(cfg):
+    """Each corpus argv with its exit code, the SHA-256 of its stdout and
+    its stderr, the config path written as CFG."""
+    record = []
+    for argv in parity_corpus(cfg):
+        code, out, err = run_captured(argv)
+        record.append({
+            "argv": [a.replace(cfg, CFG) for a in argv], "exit": code,
+            "stdout_sha256": hashlib.sha256(
+                out.replace(cfg, CFG).encode()).hexdigest(),
+            "stderr": err.replace(cfg, CFG)})
+    return record
+
+
+def _computed(row):
+    """A row without argparse's wording: its help text and messages."""
+    help_out = "-h" in row["argv"]
+    return dict(row, stderr=None,
+                stdout_sha256=None if help_out else row["stdout_sha256"])
+
+
+def test_the_corpus_answers_as_recorded(tmp_path):
+    # PARITY holds parity_record as the parser printed it when the file's
+    # values were argparse defaults and the scalg parser held every
+    # subcommand's options, under Python 3.11; argparse words its help
+    # and errors differently in other versions, which are held to the
+    # rest of each row
     cfg = tmp_path / "parity.cfg"
     cfg.write_text("n = 2\nT = 3\n")
-    corpus = parity_corpus(str(cfg))
-    one = [run_captured(argv) for argv in corpus]
-    monkeypatch.setattr(scalg.cli, "build_parser", lambda command=None: build_parser())
-    every = [run_captured(argv) for argv in corpus]
-    for argv, a, b in zip(corpus, one, every):
-        assert a == b, argv
+    want = json.loads(PARITY.read_text())
+    got, rows = parity_record(str(cfg)), want["rows"]
     # each kind of outcome is in the corpus
-    assert {code for code, _, _ in one} == {0, 1, 2}
+    assert {row["exit"] for row in got} == {0, 1, 2}
+    assert [row["argv"] for row in got] == [row["argv"] for row in rows]
+    if "%d.%d" % sys.version_info[:2] != want["python"]:
+        got, rows = map(_computed, got), map(_computed, rows)
+    for a, b in zip(got, rows):
+        assert a == b, a["argv"]
+
+
+@pytest.mark.parametrize("text,argv,err", [
+    # a file's value meets the option's choices, as a flag's does; it
+    # used to run an audit whose trace said "mode": "bogus"
+    ("mode = bogus\n", ["audit", "--char", "2", "--profile", "1:1",
+                        "--pi-bound", "3"],
+     "error: argument --mode: invalid choice: 'bogus'"),
+    ("output = xml\n", ["pi-sphere", "-n", "2"],
+     "error: argument --output: invalid choice: 'xml'"),
+    # every value of the file is checked, even one a flag overrides
+    ("T = x\n", ["pi-sphere", "-n", "2", "-T", "4"],
+     "error: argument -T: invalid nonnegative integer value: 'x'\n"),
+    # a switch takes 1, true or yes, or 0, false or no; "maybe" read as no
+    ("pi_finite = maybe\n", ["rational-check", "--profile", "2:1"],
+     "error: argument --pi-finite: ignored explicit argument 'maybe'\n"),
+    # the scalg parser has no -n to require: -x is the error
+    ("", ["-x", "pi-sphere"], "error: unrecognized arguments: -x\n"),
+], ids=["mode", "output", "T-overridden", "switch", "leading-option"])
+def test_a_changed_outcome_is_exit_1_with_one_line(tmp_path, text, argv, err):
+    # err is how the one stderr line starts: how argparse lists the
+    # choices after it varies with the Python version
+    cfg = tmp_path / "changed.cfg"
+    cfg.write_text(text)
+    code, out, got = run_captured(argv + ["--config", str(cfg)])
+    assert (code, out, got.count("\n")) == (1, "", 1)
+    assert got.startswith(err), got
+
+
+@pytest.mark.parametrize("value,want", [
+    ("yes", "forced_empty"), ("1", "forced_empty"), ("TRUE", "forced_empty"),
+    ("no", "not_applicable"), ("0", "not_applicable"),
+    ("False", "not_applicable")])
+def test_config_switch_values(tmp_path, value, want):
+    cfg = tmp_path / "switch.cfg"
+    cfg.write_text("pi_finite = %s\n" % value)
+    argv = ["rational-check", "--profile", "2:1", "--config", str(cfg)]
+    code, data = run_json(argv)
+    assert (code, data["outcome"]) == (0, want)
+    # a flag after the file still sets the switch
+    assert run_json(argv + ["--pi-finite"])[1]["outcome"] == "forced_empty"
+
+
+def test_cofiber_bounds_run_once_per_cofiber(monkeypatch, capsys):
+    calls = []
+    real = scalg.barcof.cofiber_bounds
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scalg.barcof, "cofiber_bounds", count)
+    assert run_json(["cofiber", "-r", "1", "-s", "2", "-W", "2"])[0] == 0
+    assert calls == [(1, 2, None, 2, None)]
+    calls.clear()
+    assert run_cli(["cofiber", "-r", "4", "-s", "1"]) == (1, "")
+    assert len(calls) == 1
+    assert "budget of" in capsys.readouterr().err
 
 
 def test_main_builds_only_the_named_subparser(monkeypatch):
     # a named subcommand gets its own parser and nothing else; the other
-    # calls build the scalg parser with every subparser
+    # calls build the scalg parser with every subparser, which holds no
+    # option of its subcommand
     progs, actions = [], []
     init_parser = scalg.cli._Parser.__init__
     init_action = argparse._SubParsersAction.__init__
@@ -799,6 +887,11 @@ def test_main_builds_only_the_named_subparser(monkeypatch):
         with contextlib.redirect_stderr(io.StringIO()):
             run_cli(argv)
         assert (progs, len(actions)) == (every, 1), argv
+    # the scalg parser's subparsers carry no options: only -h
+    for name in COMMANDS:
+        with pytest.raises(scalg.cli._Help) as help_text:
+            build_parser().parse_args([name, "-h"])
+        assert str(help_text.value).startswith("usage: scalg %s [-h]\n" % name)
 
 
 def _repeated_config(cfg):
@@ -869,6 +962,47 @@ def test_a_huge_level_bound_certifies_at_once(argv, code):
         [sys.executable, "-m", "scalg.cli"] + argv,
         env=_src_env(), cwd=ROOT, capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stderr) == (code, "")
+
+
+def _em_entries(payload):
+    """The JSON values of em's faces and degeneracies: each matrix, and
+    each entry of its dense rows."""
+    return sum(1 + sum(map(len, mat)) for key in ("faces", "degeneracies")
+               for level in payload[key] for mat in level)
+
+
+def test_em_budget_counts_the_dense_matrices(monkeypatch, capsys):
+    argv = EM_ARGV + ["7"]
+    code, data = run_json(argv)
+    assert (code, _em_entries(data)) == (0, 54_367)
+    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 54_367)
+    assert run_json(argv) == (0, data)
+    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 54_366)
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: K(V, n) through level 7 has more face and degeneracy entries "
+        "than the budget of 54366; lower T or q\n")
+
+
+def _address_space_limit():
+    """Caps a child's memory at 2 GiB, so a regression fails instead of
+    filling the machine."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+@pytest.mark.parametrize("argv", [["-n", "3", "-T", "30"],
+                                  ["-n", "0", "-T", "10000000000"]])
+def test_em_over_the_enumeration_budget_exits_1_at_once(argv):
+    # -n 3 -T 30 grew to 7.7 GB before a 120 s timeout; the count stops
+    # once it passes the budget, so a huge T is refused as fast
+    proc = subprocess.run(
+        [sys.executable, "-m", "scalg.cli", "em"] + argv, env=_src_env(),
+        cwd=ROOT, capture_output=True, text=True, timeout=10,
+        preexec_fn=_address_space_limit)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "budget of %d" % scalg.symalg.ENUM_BUDGET in proc.stderr
 
 
 def test_an_eilenberg_maclane_object_of_high_degree_prints_at_once():
