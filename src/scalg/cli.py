@@ -14,9 +14,9 @@ subcommand is parsed by that subcommand's parser alone; the scalg parser,
 which knows only the subcommands' names, prints the help or the error of
 any other.  A config file of ``key = value`` lines (# comments allowed)
 names options as ``T`` or ``pi_bound``, and a key that names no option of
-any subcommand exits 1; the named subcommand's values go in as
-``flag=value`` right after its name (a switch as its bare flag), so later
-flags win.  ``--config`` is accepted once, before or after the
+any subcommand, or one given twice, exits 1; the named subcommand's values
+go in as ``flag=value`` right after its name (a switch as its bare flag),
+so later flags win.  ``--config`` is accepted once, before or after the
 subcommand.  ``-h`` writes its help to main()'s ``stdout`` and returns 0.
 ``em``, ``cofiber`` and ``rational-example`` refuse, with exit 1, output
 or bounds over the enumeration budget of ``symalg``.
@@ -38,7 +38,7 @@ import sys
 from itertools import islice
 
 from .exactfield import FieldError, FieldSpec, Mat, QQ, kernel_basis, rank
-from .simplicial import SimplicialError, eilenberg_maclane, gamma
+from .simplicial import SimplicialError, SimplicialVectorSpace, eilenberg_maclane, gamma
 from . import symalg
 from .symalg import indecomposables, sphere_algebra, sphere_homotopy
 from .barcof import (
@@ -135,7 +135,7 @@ def load_config(path):
     # the option dests of every subcommand: one file may serve several
     dests = {_dest(flag) for _, _, options in COMMANDS.values()
              for flag in [*options, "--output"]}
-    values = {}
+    values, seen = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -151,6 +151,10 @@ def load_config(path):
                 if key not in dests:
                     raise CliError("config line %d: %r names no option"
                                    % (lineno, key))
+                if key in seen:
+                    raise CliError("config lines %d and %d both give %r"
+                                   % (seen[key], lineno, key))
+                seen[key] = lineno
                 values[key] = value.strip()
     except OSError as exc:
         raise CliError("cannot read config file: %s" % exc)
@@ -261,12 +265,9 @@ def cmd_em(args):
     q, n, T = args.q, args.n, args.T
     if T < n:
         raise CliError("T must be at least n")
-    # the JSON writes each face and degeneracy as a list of dense rows:
-    # between levels m - 1 and m, m + 1 faces and m degeneracies, each of
-    # q*C(m - 1, n) x q*C(m, n) entries; the count stops past the budget
-    size = 0
-    for m in range(1, T + 1):
-        size += (2 * m + 1) * (1 + q * q * math.comb(m - 1, n) * math.comb(m, n))
+    # level m of K(V, n) has q*C(m, n) basis vectors; the count stops past the budget
+    level_dims = (q * math.comb(m, n) for m in range(T + 1))
+    for m, size in SimplicialVectorSpace.json_entry_counts(level_dims):
         if size > symalg.ENUM_BUDGET:
             raise CliError("K(V, n) through level %d has more face and "
                            "degeneracy entries than the budget of %d; lower "

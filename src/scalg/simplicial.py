@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations, pairwise
 
 from .exactfield import (
     ColumnEchelon, FieldSpec, FieldError, Mat, _EMPTY_COLUMN, _unit_columns, axpy,
@@ -541,6 +541,17 @@ class SimplicialVectorSpace:
                              for m in range(self.T + 1)],
         }
 
+    @staticmethod
+    def json_entry_counts(level_dims):
+        """(m, count) for m = 1, 2, ...: the JSON values to_json_dict writes
+        for the faces and degeneracies through level m, level dims read
+        lazily: between levels m - 1 and m, m + 1 faces and m degeneracies,
+        each a list of dense rows, itself and rows x cols entries."""
+        count = 0
+        for m, (below, dim) in enumerate(pairwise(level_dims), 1):
+            count += (2 * m + 1) * (1 + below * dim)
+            yield m, count
+
     @classmethod
     def from_json_dict(cls, data):
         """Inverse of to_json_dict; malformed data raises SimplicialError."""
@@ -620,63 +631,43 @@ def _mat_from_lists(field, rows, nrows, ncols):
 # the inverse Dold-Kan functor
 
 
-def _jump_surjections(m, k):
-    """(values, jump mask) of each order-preserving surjection [m] ->> [k].
+@lru_cache(maxsize=None)
+def _jump_masks(m, k):
+    """The jump masks of the order-preserving surjections [m] ->> [k], in
+    surjections(m, k) order, and the position of each mask in it.
 
     A surjection is determined by its k jump positions inside {0..m-1}
     (bit j of the mask is set when the value steps up from j to j + 1), so
-    there are C(m, k) of them; they come in sorted order.
+    there are C(m, k) of them.  Computed once per process.
     """
-    for jumps in combinations(range(m), k):
-        mask = 0
-        for j in jumps:
-            mask |= 1 << j
-        vals = [0] * (m + 1)
-        for i in range(m):
-            vals[i + 1] = vals[i] + (mask >> i & 1)
-        yield tuple(vals), mask
+    masks = tuple(sum(1 << j for j in jumps) for jumps in combinations(range(m), k))
+    return masks, {mask: c for c, mask in enumerate(masks)}
 
 
 def surjections(m, k):
     """Order-preserving surjections [m] ->> [k] as value tuples, sorted."""
-    return [vals for vals, _ in _jump_surjections(m, k)]
+    return [tuple(accumulate((mask >> j & 1 for j in range(m)), initial=0))
+            for mask in _jump_masks(m, k)[0]]
 
 
-def _coface(m, i):
-    """delta^i: [m-1] -> [m] skipping i, as a value tuple."""
-    return tuple(x if x < i else x + 1 for x in range(m))
-
-
-def _codegeneracy(m, i):
-    """eta^i: [m+1] -> [m] repeating i, as a value tuple."""
-    return tuple(x if x <= i else x - 1 for x in range(m + 2))
-
-
-@lru_cache(maxsize=None)
-def _gamma_action(m, i, to, k):
-    """How d_i (to = m - 1) or s_i (to = m + 1) acts on the sigma summands
-    of level m with sigma: [m] ->> [k], in surjections(m, k) order.
-
-    Each entry is ("id", j) for the identity onto the j-th summand of
-    surjections(to, k), ("d", j) for the differential onto the j-th of
-    surjections(to, k - 1), or None for zero: the epi-mono factorization
-    of sigma o phi has a trivial mono part, one missing exactly the top
-    element, or another.  This depends on the shape (m, i, to, k) only,
-    never on the complex, so it is computed once per process.
-    """
-    phi = _coface(m, i) if to < m else _codegeneracy(m, i)
-    same = {sigma: j for j, sigma in enumerate(surjections(to, k))}
-    lower = {sigma: j for j, sigma in enumerate(surjections(to, k - 1))} if k else {}
-    out = []
-    for sigma in surjections(m, k):
-        comp = tuple(sigma[phi[x]] for x in range(to + 1))
-        if comp in same:
-            out.append(("id", same[comp]))
-        elif comp in lower:
-            out.append(("d", lower[comp]))
-        else:
-            out.append(None)
-    return tuple(out)
+def _act(mask, m, i, to):
+    """The epi-mono factorization of sigma o delta^i (to = m - 1) or
+    sigma o eta^i (to = m + 1), sigma: [m] ->> [k] given by its jump mask:
+    ("id", e) when the mono part is trivial, ("d", e) when it misses
+    exactly k, None otherwise, e the epi part's mask.  eta^i adds a flat
+    step at i; delta^i merges steps i - 1 and i, missing sigma(i) when
+    both jump (delta^0 misses 0 when step 0 does, delta^m misses k when
+    step m - 1 does)."""
+    low = mask & ((1 << i) - 1)
+    if to > m:
+        return "id", low | mask >> i << (i + 1)
+    if i == m and mask >> (m - 1) & 1:
+        return "d", mask ^ (1 << (m - 1))
+    if i == 0:
+        return None if mask & 1 else ("id", mask >> 1)
+    if mask >> (i - 1) & 3 == 3:
+        return None
+    return "id", low | mask >> i << (i - 1)
 
 
 @lru_cache(maxsize=None)
@@ -714,19 +705,22 @@ def _gamma_plan(m, i, to, dims):
         n = dims[k]
         if not n:
             continue
-        for action in _gamma_action(m, i, to, k):
+        for mask in _jump_masks(m, k)[0]:
+            action = _act(mask, m, i, to)
             if action is None:
-                run = ("zero", n)
+                run = ["zero", n]
             elif action[0] == "id":
-                base = offsets[k] + action[1] * n
-                run = ("unit", tuple(range(base, base + n)))
+                base = offsets[k] + _jump_masks(to, k)[1][action[1]] * n
+                run = ["unit", list(range(base, base + n))]
             else:
-                run = ("d", k, offsets[k - 1] + action[1] * dims[k - 1])
+                run = ["d", k, offsets[k - 1]
+                       + _jump_masks(to, k - 1)[1][action[1]] * dims[k - 1]]
             if run[0] != "d" and runs and runs[-1][0] == run[0]:
-                runs[-1] = (run[0], runs[-1][1] + run[1])
+                runs[-1][1] += run[1]  # in place, so merging stays linear
             else:
                 runs.append(run)
-    return tuple(runs)
+    return tuple((run[0], tuple(run[1])) if run[0] == "unit" else tuple(run)
+                 for run in runs)
 
 
 def gamma(field, complex_dims, complex_diffs, T):
@@ -738,17 +732,18 @@ def gamma(field, complex_dims, complex_diffs, T):
     sigma: [m] ->> [k] of a copy of degree k, ordered by k, then sigma (as
     in surjections), then the basis vector e of degree k; basis_labels
     lists the (sigma, k, e).  A simplicial operator phi acts on the sigma
-    summand through the epi-mono factorization of sigma o phi, applying
-    the identity when the mono part is trivial, the differential when the
-    mono part misses exactly the top element, and zero otherwise.  Which
-    of the three, and onto which summand, depends on the shape only, and
-    so do the levels (_gamma_level) and each operator's column plan
-    (_gamma_plan), all cached; a complex only fills its differential
-    blocks.  Each operator's row map (Mat.unit_rows) is built in the same
-    loop: the unit and zero runs give it directly, and a differential
-    block shifts the differential's own.  Every unit or empty column is
-    the shared read-only one of exactfield (see Mat); only the other
-    columns of a differential block are fresh dicts.
+    summand through the epi-mono factorization of sigma o phi, read off
+    sigma's jump mask by _act: the identity when the mono part is
+    trivial, the differential when the mono part misses exactly the top
+    element, and zero otherwise.  Which of the three, and onto which
+    summand, depends on the shape only, and so do the levels
+    (_gamma_level) and each operator's column plan (_gamma_plan), both
+    cached; a complex only fills its differential blocks.  Each
+    operator's row map (Mat.unit_rows) is built in the same loop: the
+    unit and zero runs give it directly, and a differential block shifts
+    the differential's own.  Every unit or empty column is the shared
+    read-only one of exactfield (see Mat); only the other columns of a
+    differential block are fresh dicts.
     """
     diffs = ChainComplex(field, complex_dims, complex_diffs).diffs
     dims = tuple(complex_dims)

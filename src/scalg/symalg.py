@@ -17,7 +17,7 @@ generator goes by decalage, a theorem valid in every characteristic:
 pi_i Sym^d K(F, n) is pi_{i-2d} Gamma^d K(F, n-2) for n >= 2, and
 Sym^d K(F, 1) has Lambda^d(F) in degree d.  Gamma^d K(F, n-2) is built
 on covering divided-power monomials, sharing the basis and the face
-tables (read from gamma's cached action) of the Sym^d covering complex
+tables (read off jump masks by gamma's rule) of the Sym^d covering complex
 (sym_power_covering_complex, the brute force kept as the tests'
 reference); only the coefficient of a face that merges codes differs.
 More generators are never built either: Sym(V + V') = Sym V (x) Sym V'
@@ -41,9 +41,9 @@ from .simplicial import (
     SimplicialVectorSpace,
     constant_object,
     eilenberg_maclane,
+    _act,
     _composites_agree,
-    _gamma_action,
-    _jump_surjections,
+    _jump_masks,
 )
 
 
@@ -231,8 +231,8 @@ def _certified(q, n, d, T):
 
 def _covering_basis(n, d, m):
     """Covering d-multisets of the level-m codes of K(F, n), in
-    lexicographic order; code c is the c-th of _jump_surjections(m, n)."""
-    masks = [mask for _, mask in _jump_surjections(m, n)]
+    lexicographic order; code c is the c-th of _jump_masks(m, n)."""
+    masks = _jump_masks(m, n)[0]
     full = (1 << m) - 1
     basis = []
     for mono in combinations_with_replacement(range(len(masks)), d):
@@ -251,13 +251,13 @@ def _face_codes(m, n):
     per code, the (code, jump mask) it goes to at level m - 1, or None
     where the face kills it.
 
-    This is gamma's cached action on the surjections [m] ->> [n]: the face
-    keeps a code where it acts as the identity onto a summand, and kills
-    it elsewhere, since K(F, n) has zero differential.
+    This is gamma's rule on jump masks (simplicial._act): the face keeps
+    a code where it acts as the identity onto a summand, and kills it
+    elsewhere, since K(F, n) has zero differential.
     """
-    masks = [mask for _, mask in _jump_surjections(m - 1, n)]
-    return [[(a[1], masks[a[1]]) if a and a[0] == "id" else None
-             for a in _gamma_action(m, i, m - 1, n)]
+    position = _jump_masks(m - 1, n)[1]
+    return [[(position[a[1]], a[1]) if a and a[0] == "id" else None
+             for a in (_act(mask, m, i, m - 1) for mask in _jump_masks(m, n)[0])]
             for i in range(m + 1)]
 
 

@@ -441,6 +441,22 @@ def test_config_rejects_a_key_that_names_no_option(tmp_path, capsys, text,
     assert err == "error: config line %d: %r names no option\n" % (line, key)
 
 
+@pytest.mark.parametrize("text,first,second,key", [
+    ("T = x\nT = 4\n", 1, 2, "T"),
+    ("pi-bound = 3\n# again\npi_bound = 4\n", 1, 3, "pi_bound"),
+    ("T = 4\nT = 4\n", 1, 2, "T")])
+def test_config_rejects_a_repeated_key(tmp_path, capsys, text, first, second,
+                                       key):
+    # the last value used to win unchecked: "T = x" then "T = 4" ran at T = 4
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    code, out = run_cli(["pi-sphere", "-n", "2", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == "error: config lines %d and %d both give %r\n" % (
+        first, second, key)
+
+
 def test_config_accepts_the_keys_of_other_subcommands(tmp_path):
     # profile is audit's option: a file shared by several subcommands works
     cfg = tmp_path / "shared.cfg"

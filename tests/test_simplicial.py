@@ -232,10 +232,48 @@ def test_only_the_property_test_generator_multiplies_matrices():
 
 # ------------------------------------------- fast paths against the old ones
 
+def coface(m, i):
+    """delta^i: [m-1] -> [m] skipping i, as a value tuple."""
+    return tuple(x if x < i else x + 1 for x in range(m))
+
+
+def codegeneracy(m, i):
+    """eta^i: [m+1] -> [m] repeating i, as a value tuple."""
+    return tuple(x if x <= i else x - 1 for x in range(m + 2))
+
+
+def mask_of(vals):
+    """The jump mask of a monotone value tuple with steps 0 or 1."""
+    return sum((b - a) << j for j, (a, b) in enumerate(zip(vals, vals[1:])))
+
+
+def test_the_mask_rule_matches_tuple_composition():
+    # every sigma: [m] ->> [k] with m <= 10 and every d_i and s_i out of
+    # level m: compose the value tuples and factor the composite by its
+    # image, [k] for the identity, [k - 1] for the differential
+    cases = 0
+    for m in range(11):
+        for k in range(m + 1):
+            for sigma, mask in zip(surjections(m, k),
+                                   scalg.simplicial._jump_masks(m, k)[0]):
+                assert mask_of(sigma) == mask
+                for i, to in [(i, m - 1) for i in range(m + 1) if m] + \
+                             [(i, m + 1) for i in range(m + 1)]:
+                    phi = coface(m, i) if to < m else codegeneracy(m, i)
+                    comp = tuple(sigma[phi[x]] for x in range(to + 1))
+                    image = set(comp)
+                    expect = ("id", mask_of(comp)) if len(image) == k + 1 else \
+                        ("d", mask_of(comp)) if image == set(range(k)) else None
+                    assert scalg.simplicial._act(mask, m, i, to) == expect, \
+                        (sigma, i, to)
+                    cases += 1
+    assert cases == 40_961
+
+
 def per_basis_gamma(field, dims, diffs, T):
     """(bases, operator) of gamma computed basis vector by basis vector:
     sigma o phi and its image set for every (sigma, k, e), looked up by
-    label.  The oracle for gamma's cached action and block offsets."""
+    label.  The oracle for gamma's rule on jump masks and block offsets."""
     kmax = len(dims) - 1
     bases = [[(sigma, k, e) for k in range(min(m, kmax) + 1)
               for sigma in surjections(m, k) for e in range(dims[k])]
@@ -243,8 +281,7 @@ def per_basis_gamma(field, dims, diffs, T):
     index = [{b: i for i, b in enumerate(basis)} for basis in bases]
 
     def operator(m, i, to):
-        phi = scalg.simplicial._coface(m, i) if to < m else \
-            scalg.simplicial._codegeneracy(m, i)
+        phi = coface(m, i) if to < m else codegeneracy(m, i)
         cols = []
         for sigma, k, e in bases[m]:
             comp = tuple(sigma[phi[j]] for j in range(to + 1))
@@ -308,10 +345,19 @@ def test_a_second_gamma_of_the_same_shape_only_reads_the_cache():
     diffs = [None, Mat.zero(GF3, 1, 2), Mat.from_rows(GF3, [[1], [2]]),
              Mat.zero(GF3, 1, 3)]
     gamma(GF3, dims, diffs, 6)
-    before = scalg.simplicial._gamma_action.cache_info()
+    # the jump masks depend on (m, k) only, so a complex of other
+    # dimensions reads them from the cache
+    before = scalg.simplicial._jump_masks.cache_info()
     gamma(QQ, [2, 1, 1, 1], [None] + [Mat.zero(QQ, a, b) for a, b in
                                       [(2, 1), (1, 1), (1, 1)]], 6)
-    after = scalg.simplicial._gamma_action.cache_info()
+    after = scalg.simplicial._jump_masks.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    # the plans depend on the dimensions, not on the field or the complex
+    before = scalg.simplicial._gamma_plan.cache_info()
+    gamma(QQ, dims, [None] + [Mat.zero(QQ, dims[k - 1], dims[k])
+                              for k in range(1, 4)], 6)
+    after = scalg.simplicial._gamma_plan.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
 

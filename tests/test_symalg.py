@@ -11,7 +11,7 @@ from scalg.cli import _random_complex
 from scalg.exactfield import FieldSpec, Mat, QQ, GF2, GF3, rank, solve
 from scalg.simplicial import (
     ChainComplex, HomotopyDims, SimplicialVectorSpace, eilenberg_maclane, gamma,
-    constant_object, _jump_surjections, _operator_slots,
+    constant_object, surjections, _jump_masks, _operator_slots,
 )
 from scalg.series import sphere_series_charp
 from scalg.symalg import (
@@ -174,15 +174,15 @@ def test_covering_complexes_end_past_their_last_monomial(monkeypatch):
 
 
 def test_face_table_matches_the_coface_enumeration():
-    # the covering complexes' face table, read from gamma's cached action,
-    # against composing each code with the coface delta^i and looking the
-    # result up among the level-(m - 1) surjections
+    # the covering complexes' face table, read off the jump masks, against
+    # composing each code's value tuple with the coface delta^i and looking
+    # the result up among the level-(m - 1) surjections
     for m in range(1, 9):
         for n in range(5):
             target = {vals: (c, mask) for c, (vals, mask)
-                      in enumerate(_jump_surjections(m - 1, n))}
+                      in enumerate(zip(surjections(m - 1, n), _jump_masks(m - 1, n)[0]))}
             expect = [[target.get(tuple(vals[a + (a >= i)] for a in range(m)))
-                       for vals, _ in _jump_surjections(m, n)]
+                       for vals in surjections(m, n)]
                       for i in range(m + 1)]
             assert _face_codes(m, n) == expect, (m, n)
 
