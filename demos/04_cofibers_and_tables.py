@@ -2,7 +2,8 @@
 
 The cofiber of an algebra map is ground (x)^h_source target, realized as
 the diagonal of the bar object and truncated by bar degree, level, and the
-induced weight.  Certification is by recomputation at enlarged bounds.
+induced weight.  Certification is by weight connectivity: the weight
+blocks the truncation drops have no homotopy below a known degree.
 
 The showpiece is the rational family: the cofiber of the map representing
 the s-th power of the degree-2r polynomial generator has homotopy l at

@@ -13,8 +13,10 @@ object with k-th layer A^(x k) (x) B; truncation is by bar degree, by
 simplicial level, and by the induced weight s * (A-weights) + B-weight,
 where s is the weight of the generator images.  All three truncations are
 closed under the structure maps, so the result is an honest simplicial
-vector space and its homotopy approximates the cofiber from below, with
-per-degree certification by recomputation at enlarged bounds.
+vector space.  Faces and degeneracies keep the induced weight, so the
+bar splits into weight blocks, and its homotopy is certified per degree
+by the first degree of the blocks the truncation drops
+(cofiber_homotopy), with no second bar built.
 
 The bar diagonal's basis is enumerated inside the weight window only: the
 b codes are ordered by weight, so each choice of a-slots takes the
@@ -30,11 +32,9 @@ computed: the s_i row maps give each slot and b a bitmask of the s_i
 whose image it lies in.  The quotient drops the hit tuples, and the
 boundary is evaluated on the other tuples only; a face looks up each
 slot's row and multiplies or pushes the looked-up slots, a unit slot
-multiplying as the identity with no product computed.  A cofiber builds
-one bar diagonal, at (N+1, W+1), and reads the table at (N, W) off it as
-a window of its normalized chains.
-Checking d_i d_j = d_{j-1} d_i on those columns also computes the faces
-of the lower-level tuples they hit, degenerate ones included.  The face
+multiplying as the identity with no product computed.  Checking
+d_i d_j = d_{j-1} d_i on those columns also computes the faces of the
+lower-level tuples they hit, degenerate ones included.  The face
 and degeneracy matrices of the whole object are built only by
 BarDiagonal.simplicial(), which returns an ordinary SimplicialVectorSpace
 checked on every simplicial identity; the tests compare the two
@@ -59,7 +59,6 @@ from .exactfield import (
     canonical,
 )
 from .simplicial import (
-    ChainComplex,
     GradedDims,
     NormalizedChains,
     SimplicialError,
@@ -68,7 +67,7 @@ from .simplicial import (
     _operator_slots,
 )
 from . import symalg
-from .symalg import _monomial_count, _sym_map, sphere_algebra
+from .symalg import _first_degree, _monomial_count, _sym_map, sphere_algebra
 
 
 class BoundsError(ValueError):
@@ -497,64 +496,17 @@ class BarDiagonal:
     simplicial() builds every face and degeneracy matrix, each degeneracy
     image looked up as a basis tuple, into a SimplicialVectorSpace, whose
     constructor checks every simplicial identity.
-
-    window(N, W) reads the normalized chains of the bar at smaller bounds
-    off these, so cofiber_homotopy builds only its checking bar, at
-    (N+1, W+1), and takes the (N, W) table as that bar's window; every
-    check above runs on the bar built, which holds the window's tuples,
-    faces and identities.
     """
 
     def __init__(self, f, N, T, W):
         self.field = f.field
         self.N, self.T, self.W = N, T, W
-        self._ratio = f.weight_ratio
         self._bases, hit, self._face, self._degeneracy = _bar_levels(f, N, T, W)
         self.level_dims = [len(b) for b in self._bases]
         self._chains = self._build_chains(hit)
 
     def normalized_chains(self):
         return self._chains
-
-    def window(self, N, W):
-        """The normalized chains of bar_diagonal(f, N, T, W), for N <= self.N
-        and W <= self.W, read off these as a ChainComplex.
-
-        Its basis is the nondegenerate tuples with at most N non-unit
-        a-slots and induced weight at most W, in basis order, and its
-        differentials are these restricted to them.  A face keeps a tuple's
-        weight and adds no non-unit slot, and a tuple of the window is
-        degenerate here exactly when it is there (the same slot masks), so
-        these are the smaller bar's matrices; a differential term outside
-        the window raises AssertionError.
-        """
-        if N < 0 or W < 0:
-            raise ValueError("bounds must be nonnegative")
-        if N > self.N or W > self.W:
-            raise ValueError("window (N, W) = (%d, %d) outside the bar's "
-                             "(%d, %d)" % (N, W, self.N, self.W))
-        s = self._ratio
-        chains = self._chains
-        inside = []  # per level: position here -> position in the window
-        for m, rows in enumerate(chains.bases):
-            pos = {}
-            for k, r in enumerate(rows):
-                slots, (db, _) = self._bases[m][r]
-                weights = [d for d, _ in slots if d]
-                if len(weights) <= N and s * sum(weights) + db <= W:
-                    pos[k] = len(pos)
-            inside.append(pos)
-        dims = [len(pos) for pos in inside]
-        diffs = [Mat.zero(self.field, 0, dims[0])]
-        for m in range(1, self.T + 1):
-            rows, cols = inside[m - 1], []
-            for k in inside[m]:
-                col = chains.diffs[m].cols[k]
-                if not rows.keys() >= col.keys():
-                    raise AssertionError("face term outside the window")
-                cols.append({rows[r]: v for r, v in col.items()})
-            diffs.append(Mat(self.field, dims[m - 1], dims[m], cols))
-        return ChainComplex(self.field, dims, diffs)
 
     def homotopy_dims(self):
         """Homology of the normalized chains; certified through T - 1."""
@@ -661,28 +613,36 @@ class CofiberReport:
 
 
 def cofiber_homotopy(f, N, T, W):
-    """Homotopy dims of the bar diagonal with per-degree stability flags,
-    from its normalized chains (no face or degeneracy matrix is built).
+    """Homotopy dims of the bar diagonal at (N, T, W), from its normalized
+    chains (no face or degeneracy matrix is built); per-degree flags, True
+    where they equal the untruncated bar's; and the last flagged degree.
 
-    Builds one bar diagonal, the checking one at (N+1, W+1), with f
-    extended as far as it needs; the table at (N, W) is its window
-    (BarDiagonal.window), whose tuples, faces and identity checks all lie
-    inside it.  A degree is flagged when both tables agree at and below it
-    inside the certified range.
+    One bar is built, at (min(N, W // s), T, W), with f extended as far as
+    it needs: a tuple of induced weight at most W has at most W // s
+    non-unit slots.  Faces and degeneracies keep induced weight, so the
+    untruncated bar is a direct sum of weight blocks, and the blocks of
+    weight at most W are this bar when N >= W // s.  By Eilenberg-Zilber
+    and Kunneth the skeletal filtration of a block has E^1 terms
+    Sigma^k A-bar^(x k) (x) B; a term of A-weight D and B-weight e starts
+    in degree [D > 0] (1 + first_A(D)) + first_B(e), first_* being
+    symalg._first_degree.  So the blocks of weight above W start at the
+    least of these with e = max(0, W + 1 - s D), and every lower degree
+    is exact.  For N < W // s the bar is the N-skeleton, whose quotient
+    has N + 1 slots or more, each of degree n_A or more: it is exact
+    through (N + 1)(n_A + 1) - 2.  Degree T is never flagged.
     """
-    big_f = f.rebuilt(
-        source_W=max(f.source.W, (W + 1) // f.weight_ratio),
-        target_W=max(f.target.W, W + 1),
-    )
-    bar = bar_diagonal(big_f, N + 1, T, W + 1)
-    base = bar.window(N, W).homology_dims()
-    check = bar.homotopy_dims()
-    certified = min(base.certified_degree, check.certified_degree)
-    flags = []
-    for m in range(T + 1):
-        ok = m <= certified and all(base[j] == check[j] for j in range(m + 1))
-        flags.append(bool(ok))
-    return base, flags, certified
+    s = f.weight_ratio
+    f = f.rebuilt(source_W=max(f.source.W, W // s),
+                  target_W=max(f.target.W, W))
+    dims = bar_diagonal(f, min(N, W // s), T, W).homotopy_dims()
+    p, nA, nB = f.field.characteristic, f.source.n, f.target.n
+    dropped = min((1 + _first_degree(p, nA, D) if D else 0)
+                  + _first_degree(p, nB, max(0, W + 1 - s * D))
+                  for D in range(W // s + 2))
+    certified = min(dims.certified_degree, dropped - 1)
+    if N < W // s:
+        certified = min(certified, (N + 1) * (nA + 1) - 2)
+    return dims, [m <= certified for m in range(T + 1)], certified
 
 
 def power_cofiber_closed_form(r, s, upto):
@@ -705,16 +665,16 @@ def power_cofiber_closed_form(r, s, upto):
 def power_map(r, s, T, W):
     """The rational map S(degree 2rs) -> S(degree 2r) sending the generator
     to the s-th power of the generator, at level bound T; the target is
-    truncated at weight W + 1 and the source at (W + 1) // s, so that
-    cofiber_homotopy(f, N, T, W) needs no rebuild.  The class is the one
-    representative of H_2rs of weight s; for s = 1 that is {0: 1}."""
-    target = sphere_algebra(QQ, 1, 2 * r, T, W + 1)
+    truncated at weight max(W, s) and the source at max(1, W // s), so
+    that cofiber_homotopy(f, N, T, W) needs no rebuild.  The class is the
+    one representative of H_2rs of weight s; for s = 1 that is {0: 1}."""
+    target = sphere_algebra(QQ, 1, 2 * r, T, max(W, s))
     reps, _ = target.components[s].normalized_chains().homology_reps(2 * r * s)
     if reps.ncols != 1:
         raise AssertionError("power class is not one-dimensional")
     class_vec = dict(reps.cols[0])
     return representing_map(target, 2 * r * s, s, class_vec,
-                            source_W=max(1, (W + 1) // s))
+                            source_W=max(1, W // s))
 
 
 def _bar_level_size(r, s, N, m, W, cap):
@@ -746,12 +706,12 @@ def _bar_level_size(r, s, N, m, W, cap):
 def cofiber_bounds(r, s, T=None, W=None, N=None):
     """The bounds (T, W, N) of power_cofiber_tables, defaults filled in;
     BoundsError when the arguments admit no table, when the largest level
-    power_map would build, Sym^(W+1) of level T of K(Q, 2r), has more
-    monomials than symalg.ENUM_BUDGET, or when a level of the larger bar
-    diagonal that cofiber_homotopy builds, at (N + 1, W + 1), has more
-    tuples than that budget.  Each count is cut off once it passes the
-    budget, so this is quick for any r and s, and the message gives the
-    monomial count only when it was reached."""
+    power_map would build, Sym^max(W, s) of level T of K(Q, 2r), has more
+    monomials than symalg.ENUM_BUDGET, or when a level of the bar diagonal
+    that cofiber_homotopy builds, at (min(N, W // s), W), has more tuples
+    than that budget.  Each count is cut off once it passes the budget, so
+    this is quick for any r and s, and the message gives the monomial
+    count only when it was reached."""
     if r < 1 or s < 1:
         raise BoundsError("need r >= 1 and s >= 1")
     if T is None:
@@ -763,19 +723,19 @@ def cofiber_bounds(r, s, T=None, W=None, N=None):
     if T < 2 * r * s:
         raise BoundsError("level bound below the source generator degree")
     if W + 1 < s:
-        raise BoundsError("W must be at least s - 1: the s-th power has "
-                         "weight s and the target stops at W + 1")
+        raise BoundsError("W must be at least s - 1, one below the weight "
+                         "s of the s-th power")
     budget = symalg.ENUM_BUDGET
-    monomials = _monomial_count(1, 2 * r, W + 1, T, budget)
+    monomials = _monomial_count(1, 2 * r, max(W, s), T, budget)
     if monomials is None or monomials > budget:
         raise BoundsError(
             "T = %d, W = %d need Sym^%d of level %d of K(Q, %d): %s the "
             "budget of %d; lower T or W"
-            % (T, W, W + 1, T, 2 * r,
+            % (T, W, max(W, s), T, 2 * r,
                "more monomials than" if monomials is None
                else "%d monomials, over" % monomials, budget))
     for m in range(T + 1):
-        if _bar_level_size(r, s, N + 1, m, W + 1, budget) is None:
+        if _bar_level_size(r, s, N, m, W, budget) is None:
             raise BoundsError(
                 "T = %d, W = %d, N = %d need a bar diagonal with more tuples "
                 "at level %d than the budget of %d; lower T, W or N"

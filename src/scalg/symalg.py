@@ -362,6 +362,21 @@ def divided_power_covering_complex(field, n, d, top):
     return _covering_complex(field, n, d, top, _divided_power_merge)
 
 
+def _first_degree(p, n, d):
+    """A degree below which Sym^d(K(V, n)) over a field of characteristic
+    p has no homotopy, for any dim V: 0 for d = 0; n*d over Q, where it
+    is the polynomial (or exterior) degree; d for n = 1 (Lambda^d in
+    degree d); and 2d + n - 2 over F_p for n >= 2, by decalage (Illusie,
+    LNM 239, I.4.3; Quillen 1970).  The bound grows with d, and a tensor
+    product of factors of weights d_1 + ... + d_k = d (one-generator
+    pieces, or the slots of a bar tuple) starts at or above it: n*d and d
+    add, and 2d + n - 2 adds up to n - 2 >= 0 per extra factor.
+    """
+    if d == 0:
+        return 0
+    return n * d if p == 0 or n < 2 else 2 * d + n - 2
+
+
 def sym_power_homology(field, q, n, d, T):
     """Homotopy dims of Sym^d(K(V, n)), dim V = q, with the honest certified
     degree.

@@ -33,6 +33,7 @@ from scalg.barcof import (
     cofiber_homotopy,
     identity_map,
     les_feasibility,
+    power_cofiber_closed_form,
     power_cofiber_tables,
     power_map,
     representing_map,
@@ -112,8 +113,8 @@ def test_first_power_map_represents_the_generator(r):
     # generator {0: 1} of the weight-1 component, once written down as is
     T, W = cofiber_bounds(r, 1)[:2]
     f = power_map(r, 1, T, W)
-    target = sphere_algebra(QQ, 1, 2 * r, T, W + 1)
-    g = representing_map(target, 2 * r, 1, {0: 1}, source_W=W + 1)
+    target = sphere_algebra(QQ, 1, 2 * r, T, W)
+    g = representing_map(target, 2 * r, 1, {0: 1}, source_W=W)
     assert f.level_maps == g.level_maps
     assert (f.source.W, f.target.W) == (g.source.W, g.target.W)
 
@@ -489,7 +490,7 @@ def bar_bases_by_filtering(f, N, T, W):
 ])
 def test_bar_basis_by_weight_slice_equals_the_filtering_loop(which, N, T, W):
     if which == "power":
-        f = power_map(1, 2, 6, 2)
+        f = power_map(1, 2, 6, W)
     else:
         f = identity_map(sphere_algebra(QQ, 1, 2, 4, 3))
     bases = scalg.barcof._bar_levels(f, N, T, W)[0]
@@ -506,12 +507,88 @@ def test_cofiber_homotopy_flags():
     assert [dims[m] for m in range(4)] == [1, 0, 0, 0]
 
 
+def bar_two_weights_up(f, T, W):
+    """Homotopy of the bar of f at (floor((W + 2) / s), T, W + 2), f moved
+    onto the algebras that bar needs: the oracle of the flags."""
+    top = (W + 2) // f.weight_ratio
+    g = f.rebuilt(source_W=top, target_W=W + 2)
+    return bar_diagonal(g, top, T, W + 2).homotopy_dims()
+
+
+# (r, s, T, W, N): cofiber_bounds' default W at a small T for each power
+# map, a W below it (T = 8, W = 1 is `cofiber -r 1 -s 2 -W 1 -T 8`), and
+# N = 0 < W // s, where the skeletal bound is the one that acts
+CONNECTIVITY_CASES = [
+    (1, 1, 3, None, None), (1, 2, 5, None, None), (2, 1, 5, None, None),
+    (1, 3, 6, None, None), (1, 1, 4, 1, None), (1, 2, 8, 1, None),
+    (2, 1, 5, 0, None), (1, 3, 7, 2, None), (1, 1, 4, 1, 0), (1, 2, 5, 2, 0),
+]
+
+
+@pytest.mark.parametrize("r,s,T,W,N", CONNECTIVITY_CASES)
+def test_power_cofiber_flags_hold_two_weights_up(r, s, T, W, N):
+    # every flagged degree is the bar's two weights up and the closed form;
+    # for the power map the weight bound is 2r(W + 1) and the skeletal one
+    # (N + 1)(2rs + 1) - 2
+    T, W, N = cofiber_bounds(r, s, T, W, N)
+    f = power_map(r, s, T, W)
+    dims, flags, certified = cofiber_homotopy(f, N, T, W)
+    skeletal = (N + 1) * (2 * r * s + 1) - 2 if N < W // s else T
+    assert certified == min(T - 1, 2 * r * (W + 1) - 1, skeletal)
+    assert flags == [m <= certified for m in range(T + 1)]
+    big = bar_two_weights_up(f, T, W)
+    closed = power_cofiber_closed_form(r, s, T)[0]
+    assert [dims[m] for m in range(certified + 1)] == closed[:certified + 1]
+    assert [big[m] for m in range(certified + 1)] == closed[:certified + 1]
+    if skeletal < T:  # the N-skeleton is wrong right past its bound
+        assert dims[certified + 1] != closed[certified + 1]
+
+
+@pytest.mark.parametrize("make_map", [
+    lambda A: zero_map(A, 2, source_W=A.W), identity_map,
+], ids=["zero", "identity"])
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["F2", "F3"])
+@pytest.mark.parametrize("T,W,N", [(4, 1, 1), (4, 1, 0), (3, 2, 2)])
+def test_self_map_cofiber_flags_hold_two_weights_up(make_map, field, T, W, N):
+    # the zero and identity self-maps of S(2) over F_p: Sym^d K(F, 2) starts
+    # in degree 2d, so the weight bound is 2(W + 1) and the skeletal one
+    # 3(N + 1) - 2
+    f = make_map(sphere_algebra(field, 1, 2, T, W))
+    dims, flags, certified = cofiber_homotopy(f, N, T, W)
+    skeletal = 3 * (N + 1) - 2 if N < W else T
+    assert certified == min(T - 1, 2 * (W + 1) - 1, skeletal)
+    assert flags == [m <= certified for m in range(T + 1)]
+    big = bar_two_weights_up(f, T, W)
+    assert all(dims[m] == big[m] for m in range(certified + 1))
+
+
+@pytest.mark.parametrize("field,nA,nB,T,certified,wrong", [
+    # Sym^2 K(F_2, 3) starts in degree 5 = 2d + n - 2, below the rational
+    # 3d = 6, which would flag degree 5
+    (GF2, 3, 3, 6, 4, 5),
+    # one a-slot of weight W + 1 = 2 starts in degree 1 + 2 * 2 = 5, below
+    # the b-weight 2 of K(Q, 4) (degree 8), which would flag degree 7
+    (QQ, 2, 4, 8, 4, 7),
+], ids=["F2-decalage", "Q-a-slot"])
+def test_each_term_of_the_connectivity_bound_is_needed(field, nA, nB, T,
+                                                       certified, wrong):
+    # the zero map S(nA) -> S(nB) at W = 1: the flags stop at certified,
+    # and the bar one weight up differs in degree wrong, which a bound
+    # without the term named above would have flagged
+    f = zero_map(sphere_algebra(field, 1, nB, T, 2), nA, source_W=2)
+    dims, flags, got = cofiber_homotopy(f, 1, T, 1)
+    big = bar_diagonal(f, 2, T, 2).homotopy_dims()
+    assert got == certified
+    assert all(dims[m] == big[m] for m in range(certified + 1))
+    assert dims[wrong] != big[wrong]
+
+
 # ------------------------------------------- normalized bar chains vs oracle
 
 # (map, N, T, W): the two maps of S(2) above, over Q and over F_3; the
-# cofiber job's map (r=1, s=2, W=2) at (N, W) and at (N+1, W+1), the
-# latter also the base run of the acceptance test's (r=1, s=2) cofiber;
-# that cofiber's check run; and the other two power cofibers of the
+# cofiber job's map (r=1, s=2, W=2) at (N, W) and one weight up, the
+# latter also the acceptance test's (r=1, s=2) cofiber with N = W; that
+# cofiber one weight up again; and the other two power cofibers of the
 # acceptance test at their (N, W)
 BAR_CASES = {
     "identity": (lambda: identity_map(sphere_algebra(QQ, 1, 2, 4, 3)), 2, 4, 2),
@@ -520,8 +597,8 @@ BAR_CASES = {
     "identity-F3": (lambda: identity_map(sphere_algebra(GF3, 1, 2, 4, 3)),
                     2, 4, 2),
     "cofiber-job": (lambda: power_map(1, 2, 6, 2), 2, 6, 2),
-    "cofiber-job-check": (lambda: power_map(1, 2, 6, 2), 3, 6, 3),
-    "power-r1-s2-check": (lambda: power_map(1, 2, 6, 3), 4, 6, 4),
+    "cofiber-job-check": (lambda: power_map(1, 2, 6, 3), 3, 6, 3),
+    "power-r1-s2-check": (lambda: power_map(1, 2, 6, 4), 4, 6, 4),
     "power-r1-s3": (lambda: power_map(1, 3, 7, 3), 3, 7, 3),
     "power-r2-s2": (lambda: power_map(2, 2, 8, 2), 2, 8, 2),
 }
@@ -546,79 +623,37 @@ def test_direct_bar_chains_match_the_generic_normalized_chains(case):
 
 
 def test_bar_chains_of_the_cofiber_check_run():
-    # the (N+1, W+1) run of `cofiber -r 1 -s 2 -W 2`: of the full levels
-    # [1, 1, 4, 20, 112, 561, 2256], these many tuples are nondegenerate
-    bar = bar_diagonal(power_map(1, 2, 6, 2), 3, 6, 3)
+    # the (r=1, s=2) bar one weight above `cofiber -r 1 -s 2 -W 2`, at
+    # (3, 6, 3): of the full levels [1, 1, 4, 20, 112, 561, 2256], these
+    # many tuples are nondegenerate
+    bar = bar_diagonal(power_map(1, 2, 6, 3), 3, 6, 3)
     assert bar.level_dims == [1, 1, 4, 20, 112, 561, 2256]
     assert bar.normalized_chains().dims == [1, 0, 3, 10, 53, 165, 225]
 
 
-# (map, (N, T, W) pairs): the maps cofiber_homotopy reads windows of, each
-# truncated so that the (N + 1, W + 1) bar needs no rebuild
-WINDOW_CASES = {
-    "power-r1-s1": (lambda: power_map(1, 1, 4, 3), [(1, 4, 2), (3, 4, 3)]),
-    "power-r1-s2": (lambda: power_map(1, 2, 6, 3), [(2, 6, 2), (1, 5, 3)]),
-    "power-r2-s1": (lambda: power_map(2, 1, 5, 2), [(2, 5, 2), (0, 5, 1)]),
-    "zero-F2": (lambda: zero_map(sphere_algebra(GF2, 1, 2, 4, 3), 2,
-                                 source_W=3), [(2, 4, 2), (1, 3, 1)]),
-    "identity": (lambda: identity_map(sphere_algebra(QQ, 1, 2, 4, 3)),
-                 [(2, 4, 2), (1, 4, 1)]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
-def test_window_equals_the_smaller_bar_matrix_for_matrix(case):
-    make_map, bounds = WINDOW_CASES[case]
-    f = make_map()
-    for N, T, W in bounds:
-        window = bar_diagonal(f, N + 1, T, W + 1).window(N, W)
-        small_bar = bar_diagonal(f, N, T, W)
-        small = small_bar.normalized_chains()
-        assert window.dims == small.dims, (N, T, W)
-        assert window.diffs == small.diffs, (N, T, W)
-        assert sum(window.dims) > 1  # more than the ground field
-        # a bar's window at its own bounds is its normalized chains
-        assert small_bar.window(N, W).diffs == small.diffs
-
-
-def test_window_refuses_bounds_outside_its_bar():
-    bar = bar_diagonal(identity_map(sphere_algebra(QQ, 1, 2, 4, 3)), 2, 4, 2)
-    for N, W in [(3, 2), (2, 3)]:
-        with pytest.raises(ValueError, match="outside the bar"):
-            bar.window(N, W)
-    for N, W in [(-1, 2), (2, -1)]:
-        with pytest.raises(ValueError, match="^bounds must be nonnegative$"):
-            bar.window(N, W)
-
-
-def test_a_face_that_leaves_the_window_fails_the_window_only(monkeypatch):
-    # d_3 of one nondegenerate level-3 tuple of the identity cofiber's
-    # (2, 2) window also hits X = (unit, unit; g^3), of induced weight 3.
-    # Every face of X is zero (level 1 of K(Q, 2) is), so the (3, 3, 3)
-    # bar still passes its identity and d o d checks; only the window,
-    # whose differential now has a term outside it, raises
+def test_a_face_that_leaves_the_bar_fails_its_construction(monkeypatch):
+    # the source product of two weight-1 slots at level 2 also hits a
+    # weight-2 monomial past the end of its basis, so an inner face of
+    # some nondegenerate level-3 tuple of the identity cofiber's bar at
+    # (2, 3, 2) has a term that is no tuple of the bar: building it, and
+    # so cofiber_homotopy, raises instead of dropping the term
     f = identity_map(sphere_algebra(QQ, 1, 2, 4, 3))
-    real = scalg.barcof._bar_levels
+    A = f.source
+    real = A.multiply_elements
 
-    def leaky(*args):
-        bases, hit, face, degeneracy = real(*args)
-        x = bases[2].index((((0, 0), (0, 0)), (3, 0)))
-        k = next(k for k, (slots, b) in enumerate(bases[3])
-                 if k not in hit[3] and sum(d for d, _ in slots) + b[0] <= 2)
-
-        def face_leaving(m, i, j):
-            col = face(m, i, j)
-            return {**col, x: 1} if (m, i, j) == (3, 3, k) else col
-
-        return bases, hit, face_leaving, degeneracy
+    def leaky(a, vec_a, b, vec_b, m):
+        prod = real(a, vec_a, b, vec_b, m)
+        if (a, b, m) == (1, 1, 2):
+            prod = {**prod, A.components[2].level_dims[2]: 1}
+        return prod
 
     assert cofiber_homotopy(f, 2, 3, 2)[0].to_list(2) == [1, 0, 0]
-    monkeypatch.setattr(scalg.barcof, "_bar_levels", leaky)
-    bar = bar_diagonal(f, 3, 3, 3)
-    assert bar.window(3, 3).dims == bar.normalized_chains().dims
-    with pytest.raises(AssertionError, match="face term outside the window"):
-        bar.window(2, 2)
-    with pytest.raises(AssertionError, match="face term outside the window"):
+    monkeypatch.setattr(A, "multiply_elements", leaky)
+    with pytest.raises(AssertionError,
+                       match="missing basis tuple inside the window"):
+        bar_diagonal(f, 2, 3, 2).homotopy_dims()
+    with pytest.raises(AssertionError,
+                       match="missing basis tuple inside the window"):
         cofiber_homotopy(f, 2, 3, 2)
 
 
@@ -631,7 +666,7 @@ def test_cofiber_homotopy_builds_one_bar_diagonal(monkeypatch):
 
     monkeypatch.setattr(scalg.barcof, "bar_diagonal", counted)
     assert_cofiber_job_prints_its_golden_output()
-    assert built == [(3, 6, 3)]
+    assert built == [(1, 6, 2)]
 
 
 def generic_face(f, tuple_, m, i, index):
@@ -675,7 +710,7 @@ def generic_face(f, tuple_, m, i, index):
 
 @pytest.mark.parametrize("make_map,N,T,W", [
     (lambda: power_map(1, 2, 5, 2), 2, 5, 2),
-    (lambda: power_map(1, 1, 4, 2), 3, 4, 3),
+    (lambda: power_map(1, 1, 4, 3), 3, 4, 3),
     (lambda: zero_map(sphere_algebra(GF2, 1, 2, 4, 3), 2, source_W=3), 2, 4, 2),
     BAR_CASES["identity-F3"],
 ], ids=["power-r1-s2", "power-r1-s1", "zero-F2", "identity-F3"])
@@ -869,7 +904,7 @@ def generic_degeneracy(f, tuple_, m, i, index):
 
 
 @pytest.mark.parametrize("make_map,N,T,W", [
-    (lambda: power_map(1, 2, 6, 2), 3, 6, 3),
+    (lambda: power_map(1, 2, 6, 3), 3, 6, 3),
     (lambda: power_map(1, 2, 5, 2), 2, 5, 2),
     (lambda: identity_map(sphere_algebra(GF2, 1, 2, 4, 3)), 2, 4, 2),
     BAR_CASES["identity-F3"],
@@ -895,8 +930,8 @@ def test_bar_degeneracies_hit_the_rows_of_the_generic_images(make_map, N, T,
 
 
 def test_bar_homotopy_computes_no_degeneracy_image():
-    # the hit tuples of the cofiber job's check run are read off the slot
-    # masks: neither the degeneracy rule nor a slot lookup through a
+    # the hit tuples of the (r=1, s=2) bar at (3, 6, 3) are read off the
+    # slot masks: neither the degeneracy rule nor a slot lookup through a
     # component s_i runs for them; simplicial() still calls the rule once
     # per tuple and s_i, and its matrices hit the rows that the masks mark
     nested = {code.co_name: code
@@ -918,7 +953,7 @@ def test_bar_homotopy_computes_no_degeneracy_image():
         finally:
             sys.setprofile(None)
 
-    f = power_map(1, 2, 6, 2)
+    f = power_map(1, 2, 6, 3)
     bar = profiled(lambda: bar_diagonal(f, 3, 6, 3))
     assert profiled(bar.homotopy_dims).to_list(5) == [1, 0, 1, 0, 0, 0]
     assert calls == []
@@ -975,21 +1010,22 @@ def test_power_cofiber_rejects_bad_input():
 
 
 def test_cofiber_bounds_refuse_a_power_over_the_enumeration_budget(monkeypatch):
-    # the largest level power_map builds is Sym^(W+1) of level T of K(Q, 2r):
-    # C(C(6, 2) + 2, 3) = 680 monomials for r = 1, T = 6, W = 2
+    # the largest level power_map builds is Sym^max(W, s) of level T of
+    # K(Q, 2r): C(C(6, 2) + 1, 2) = 120 monomials for r = 1, s = 2, T = 6,
+    # W = 2
     assert cofiber_bounds(1, 2, W=2) == (6, 2, 2)
-    assert cofiber_bounds(1, 3) == (8, 4, 4)  # 201,376 monomials
+    assert cofiber_bounds(1, 3) == (8, 4, 4)  # 31,465 monomials
     with pytest.raises(ValueError, match="83369265 monomials"):
-        cofiber_bounds(2, 2)
-    # the checking bar diagonal, at (N + 1, W + 1) = (3, 3), has 2,256
+        cofiber_bounds(2, 2, W=4)
+    # the one bar diagonal, at (min(N, W // s), W) = (1, 2), has 226
     # tuples at level 6
-    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 2256)
+    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 226)
     assert cofiber_bounds(1, 2, W=2) == (6, 2, 2)
-    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 2255)
-    with pytest.raises(ValueError, match="tuples at level 6 than the budget of 2255"):
+    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 225)
+    with pytest.raises(ValueError, match="tuples at level 6 than the budget of 225"):
         cofiber_bounds(1, 2, W=2)
-    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 679)
-    with pytest.raises(ValueError, match=r"Sym\^3 of level 6 of K\(Q, 2\): 680 monomials"):
+    monkeypatch.setattr(scalg.symalg, "ENUM_BUDGET", 119)
+    with pytest.raises(ValueError, match=r"Sym\^2 of level 6 of K\(Q, 2\): 120 monomials"):
         power_cofiber_tables(1, 2, W=2)
 
 

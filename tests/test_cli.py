@@ -589,10 +589,11 @@ EMPIRICAL_AUDIT = ["audit", "--char", "2", "--profile", "2:1", "--pi-bound", "3"
     ["pi-sphere", "--config", {"W": "-1"}, "-n", "2"],
     # the growth reference is 0 at q = 0, so the ratio column would be NaN
     ["asymptotic", "-n", "1", "-p", "2", "-q", "0"],
-    # the checking bar diagonal, at (N + 1, W + 1), would hold over 20
-    # million tuples at level 10, though Sym^3 of level 10 is in budget
-    ["cofiber", "-r", "4", "-s", "1"],
-    ["cofiber", "-r", "7", "-s", "1", "-N", "7"],
+    # the bar diagonal would hold 4,229,686 tuples at level 18, though
+    # Sym^2 of level 18 (11,781 monomials) is in budget; N above W // s
+    # adds no tuple
+    ["cofiber", "-r", "8", "-s", "1"],
+    ["cofiber", "-r", "8", "-s", "1", "-N", "8"],
     ["cofiber", "-r", "1", "-s", "1", "-T", "2", "-W", "3000"],
     # the power cofiber is rational only, like rational-example
     ["cofiber", "--char", "0", "-r", "1", "-s", "2"],
@@ -870,7 +871,7 @@ def test_cofiber_bounds_run_once_per_cofiber(monkeypatch, capsys):
     assert run_json(["cofiber", "-r", "1", "-s", "2", "-W", "2"])[0] == 0
     assert calls == [(1, 2, None, 2, None)]
     calls.clear()
-    assert run_cli(["cofiber", "-r", "4", "-s", "1"]) == (1, "")
+    assert run_cli(["cofiber", "-r", "8", "-s", "1"]) == (1, "")
     assert len(calls) == 1
     assert "budget of" in capsys.readouterr().err
 
@@ -942,7 +943,8 @@ def test_cofiber_over_the_enumeration_budget_exits_1_at_once():
     # Sym^4 of level 10 of K(Q, 4) has 83,369,265 monomials: refused before
     # anything is built, instead of running out of memory
     proc = subprocess.run(
-        [sys.executable, "-m", "scalg.cli", "cofiber", "-r", "2", "-s", "2"],
+        [sys.executable, "-m", "scalg.cli", "cofiber", "-r", "2", "-s", "2",
+         "-W", "4"],
         env=_src_env(), cwd=ROOT, capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

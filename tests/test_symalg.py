@@ -148,6 +148,28 @@ def test_counted_covering_dims_match_generic_normalized_chains(
         assert cx.dims == full[:top + 1]
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_first_degree_bounds_the_covering_complex_homology(field):
+    # Sym^d K(F, n) has no homotopy below _first_degree; the bound is met
+    # where the weight has homotopy at all, and over F_p for n >= 3 it lies
+    # below the rational n*d (F_2: degree 5 for n = 3, d = 2, not 6)
+    p = field.characteristic
+    first = {}
+    for n, d in [(n, d) for n in (1, 2, 3) for d in range(4)] + [(4, 2)]:
+        bound = scalg.symalg._first_degree(p, n, d)
+        cx, top = sym_power_covering_complex(field, n, d, bound + 1)
+        assert top == bound + 1
+        h = cx.homology_dims()
+        degrees = [m for m in range(top) if h[m]]
+        assert all(m >= bound for m in degrees), (n, d)
+        if degrees:
+            first[n, d] = degrees[0]
+            assert degrees[0] == bound, (n, d)
+    assert {(1, 1), (2, 1), (2, 2), (2, 3)} <= first.keys()
+    if p == 2:
+        assert (first[3, 2], first[4, 2]) == (5, 6)
+
+
 def test_covering_complexes_end_past_their_last_monomial(monkeypatch):
     # no level above d*n has a covering monomial, so both builders stop at
     # level d*n + 1 whatever top they are asked for, and the brute force
