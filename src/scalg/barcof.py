@@ -18,27 +18,20 @@ bar splits into weight blocks, and its homotopy is certified per degree
 by the first degree of the blocks the truncation drops
 (cofiber_homotopy), with no second bar built.
 
-The bar diagonal's basis is enumerated inside the weight window only: the
-b codes are ordered by weight, so each choice of a-slots takes the
-prefix of them that fits its remaining weight.  The bar diagonal hands
-NormalizedChains, the one Dold-Kan quotient, the rows of its degenerate
-tuples and the boundary of one tuple.  Faces and degeneracies read the
-components' d_i and s_i the same way: each once, as its cached row map
-(Mat.unit_rows), checked to send every basis vector to one basis vector
-(or to zero, for a face).  So a degeneracy sends a basis tuple to a
-single basis tuple, and D_m is spanned by the tuples hit.  Which tuples
-are hit is read off their slots while they are enumerated, with no image
-computed: the s_i row maps give each slot and b a bitmask of the s_i
-whose image it lies in.  The quotient drops the hit tuples, and the
-boundary is evaluated on the other tuples only; a face looks up each
-slot's row and multiplies or pushes the looked-up slots, a unit slot
-multiplying as the identity with no product computed.  Checking
-d_i d_j = d_{j-1} d_i on those columns also computes the faces of the
-lower-level tuples they hit, degenerate ones included.  The face
-and degeneracy matrices of the whole object are built only by
-BarDiagonal.simplicial(), which returns an ordinary SimplicialVectorSpace
-checked on every simplicial identity; the tests compare the two
-normalized complexes.
+The bar diagonal's tuples are enumerated inside the weight window only:
+the b codes are ordered by weight, so each choice of a-slots takes the
+prefix of them that fits its remaining weight.  By Eilenberg-Zilber its
+normalized chains live on the nondegenerate tuples, and those are all the
+bar keeps: the components' s_i send basis vectors to basis vectors, so
+whether a tuple is s_i of one a level down is read off its slots'
+bitmasks, with no image computed (_bar_levels).  The bar hands
+NormalizedChains, the one Dold-Kan quotient, its nondegenerate tuples, the
+boundary of one tuple and that mask test.  A face is computed from the
+tuple itself: it looks up each slot's row under the components' d_i and
+multiplies or pushes the looked-up slots, a unit slot multiplying as the
+identity with no product computed.  No face or degeneracy matrix of the
+whole object is built; the tests build it from their own rules and
+compare the normalized complexes.
 
 A map grows with its algebras: extending source and target by weight
 keeps the component that holds the generator images, so AlgebraMap.rebuilt
@@ -62,7 +55,6 @@ from .simplicial import (
     GradedDims,
     NormalizedChains,
     SimplicialError,
-    SimplicialVectorSpace,
     _composites_agree,
     _operator_slots,
 )
@@ -286,37 +278,38 @@ def zero_map(algebra, n, source_W=1):
 
 
 def _bar_levels(f, N, T, W):
-    """Basis, degenerate rows and per-tuple structure maps of
+    """Nondegenerate tuples, level dims and per-tuple rules of
     bar_diagonal(f, N, T, W).
 
-    Returns (bases, hit, face, degeneracy): bases[m] lists the level-m
-    tuples (slots, b) in sorted order, hit[m] the rows of bases[m] that
-    some s_i hits, in increasing order, and face(m, i, k) and
-    degeneracy(m, i, k) are the images of bases[m][k] under d_i and s_i
-    (which inserts a unit slot) as canonical sparse columns over
-    bases[m - 1] and bases[m + 1]; only BarDiagonal.simplicial() calls
-    degeneracy.  Each a-slot and b is a (weight, index) pair naming a
-    monomial of the source or target; the unit is (0, 0).
+    Returns (bases, level_dims, face, degenerate): bases[m] lists the
+    level-m tuples (slots, b) that no s_i hits, in sorted order;
+    level_dims[m] counts every tuple in the window; face(m, i, t) is d_i
+    of a level-m tuple t of the window, degenerate or not, as a canonical
+    sparse column keyed by level-(m - 1) tuples; and degenerate(m, t)
+    says whether a level-m tuple is s_i of a tuple one level down.  Each
+    a-slot and b is a (weight, index) pair naming a monomial of the source
+    or target; the unit is (0, 0).
 
-    Faces, degeneracies and the hit rows read each component's d_i or s_i
-    at level m once, as its row map (Mat.unit_rows); AssertionError
-    unless every column is one entry 1, or empty for a face.  A face or
-    degeneracy sends every slot and b to its row, and a face then
-    multiplies or pushes the mapped slots as the bar face does, with a
-    unit slot dropped instead of multiplied.  Neither
-    changes a tuple's weight or adds a non-unit slot, so every term lies
-    in the window, and a term missing from the basis raises
-    AssertionError.
+    Faces and the slot masks read each component's d_i or s_i at level m
+    once, as its row map (Mat.unit_rows); AssertionError unless every
+    column is one entry 1, or empty for a face.  A face sends every slot
+    and b to its row, then multiplies or pushes the mapped slots as the
+    bar face does, with a unit slot dropped instead of multiplied.
+    Neither changes a tuple's weight or adds a non-unit slot, so every
+    term lies in the window; a term that is neither in bases nor
+    degenerate raises AssertionError.
 
-    The hit rows are read off the slots as the window is enumerated: bit i
-    of a slot's or b's mask says it is s_i of an element one level down
-    (always, for the unit), and a tuple is s_i of a tuple one level down,
-    which has its weight and non-unit count and so lies in the window,
-    exactly when bit i is set in its unit-slot positions and in every
-    slot's and b's mask.  The component s_i are injective, so unless some
-    s_i left the window (AssertionError), level m holds at least
-    len(bases[m - 1]) tuples with bit i set; the tuples are tallied by
-    mask as they are enumerated, so that count costs no pass over them.
+    Bit i of a slot's or b's mask says it is s_i of an element one level
+    down (always, for the unit), and a tuple is s_i of a tuple one level
+    down, which has its weight and non-unit count and so lies in the
+    window, exactly when bit i is set in its unit-slot positions and in
+    every slot's and b's mask: degenerate reads that off one tuple, and
+    the enumeration of the window carries it along the slot choices.  The
+    component s_i are injective, so unless some s_i left the window
+    (AssertionError), level m holds at least level_dims[m - 1] tuples with
+    bit i set; the tuples are tallied by mask as they are enumerated, so
+    that count costs no pass over them, and only the nondegenerate ones
+    are kept.
     """
     A, B = f.source, f.target
     p = f.field.characteristic
@@ -354,26 +347,27 @@ def _bar_levels(f, N, T, W):
         return maps
 
     bases = []
-    index = []
-    hit = []
+    level_dims = []
+    masks = []  # per level: the a- and b-components' masks
     for m in range(T + 1):
         # bit i of an element's mask: it is s_i of an element one level down
         a_masks = [[0] * comp.level_dims[m] for comp in a_components]
         b_masks = [[0] * comp.level_dims[m] for comp in b_components]
         for i in range(m):
             a_rows, b_rows = read(m - 1, i, m)
-            for masks, rows in zip(a_masks + b_masks, a_rows + b_rows):
+            for bits, rows in zip(a_masks + b_masks, a_rows + b_rows):
                 for r in rows:
-                    masks[r] |= 1 << i
+                    bits[r] |= 1 << i
+        masks.append((a_masks, b_masks))
         nonunit = [(d, i) for d in range(1, len(a_components))
                    for i in range(a_components[d].level_dims[m])]
         bcodes = [(d, i) for d, comp in enumerate(b_components)
                   for i in range(comp.level_dims[m])]
-        b_bits = [bits for masks in b_masks for bits in masks]  # per b code
+        b_bits = [bits for level in b_masks for bits in level]  # per b code
         # bcodes is ordered by weight: upto[w] of them have weight <= w
         upto = list(accumulate(comp.level_dims[m] for comp in b_components))
         basis = []
-        degenerate = []  # the tuples with a nonzero mask
+        count = 0
         tally = {}  # nonzero mask -> number of tuples with it
         every = (1 << m) - 1
         # the non-unit slot choices of each length k inside the window,
@@ -392,26 +386,41 @@ def _bar_levels(f, N, T, W):
                         slots[pos] = c
                     slots = tuple(slots)
                     bits &= units
-                    for b, b_bit in zip(bcodes[:upto[W - s * wa]], b_bits):
-                        basis.append((slots, b))
+                    fits = upto[W - s * wa]
+                    count += fits
+                    for b, b_bit in zip(bcodes[:fits], b_bits):
                         if mask := bits & b_bit:
-                            degenerate.append(basis[-1])
                             tally[mask] = tally.get(mask, 0) + 1
+                        else:
+                            basis.append((slots, b))
         basis.sort()
         bases.append(basis)
-        index.append({t: i for i, t in enumerate(basis)})
-        hit.append(sorted(index[m][t] for t in degenerate))
+        level_dims.append(count)
         for i in range(m):
             if (sum(n for bits, n in tally.items() if bits >> i & 1)
-                    < len(bases[m - 1])):
+                    < level_dims[m - 1]):
                 raise AssertionError("degeneracy left the window")
+    kept = [set(basis) for basis in bases]
 
-    def mapped(m, i, to, k):
-        """bases[m][k] with every slot and b sent to its row under the
-        components' d_i (to = m - 1) or s_i (to = m + 1); None when one
-        of them goes to zero."""
-        a_rows, b_rows = read(m, i, to)
-        slots, (db, jb) = bases[m][k]
+    def degenerate(m, t):
+        """Whether the level-m tuple t is s_i of a tuple one level down for
+        some i; False for a slot or b outside its component's basis."""
+        a_masks, b_masks = masks[m]
+        slots, (db, jb) = t
+        try:
+            bits = b_masks[db][jb]
+            for pos, (d, j) in enumerate(slots):
+                if d:
+                    bits &= a_masks[d][j] & ~(1 << pos)
+        except IndexError:
+            return False
+        return bits != 0
+
+    def mapped(m, i, t):
+        """t with every slot and b sent to its row under the components'
+        d_i; None when one of them goes to zero."""
+        a_rows, b_rows = read(m, i, m - 1)
+        slots, (db, jb) = t
         rb = b_rows[db][jb]
         if rb == -1:
             return None
@@ -422,13 +431,6 @@ def _bar_levels(f, N, T, W):
                 return None
             image.append((d, r))
         return tuple(image), (db, rb)
-
-    def find(lvl, slots, b, message):
-        """The index of the tuple (slots, b) at level lvl."""
-        key = index[lvl].get((slots, b))
-        if key is None:
-            raise AssertionError(message)
-        return key
 
     def bar_face(i, lvl, slots, b):
         """Bar face i of (slots, b), whose slots are already at the target
@@ -455,55 +457,46 @@ def _bar_levels(f, N, T, W):
         prod = B.multiply_elements(dlast * s, wmap.cols[ilast], db, {ib: 1}, lvl)
         return [(slots[:-1], (dlast * s + db, j), v) for j, v in prod.items()]
 
-    def face(m, i, k):
-        image = mapped(m, i, m - 1, k)
+    def face(m, i, t):
+        image = mapped(m, i, t)
         if image is None:
             return {}
         acc = {}
         for slots, b, v in bar_face(i, m - 1, *image):
-            key = find(m - 1, slots, b, "missing basis tuple inside the window")
+            key = (slots, b)
+            if key not in kept[m - 1] and not degenerate(m - 1, key):
+                raise AssertionError("missing basis tuple inside the window")
             acc[key] = acc.get(key, 0) + v
         return canonical(acc, p)
 
-    def degeneracy(m, i, k):
-        slots, b = mapped(m, i, m + 1, k)
-        slots = slots[:i] + (unit,) + slots[i:]
-        return {find(m + 1, slots, b, "degeneracy left the window"): 1}
-
-    return bases, hit, face, degeneracy
+    return bases, level_dims, face, degenerate
 
 
 class BarDiagonal:
     """The bar diagonal that bar_diagonal returns: level dims, normalized
-    chains and homotopy, with the full simplicial object on request.
+    chains and homotopy.
 
-    Its normalized chains, a NormalizedChains, are built at construction
-    without any structure matrix.  Every degeneracy sends a basis tuple to
-    a single basis tuple, so the degenerate subspace D_m is spanned by the
-    tuples that some s_i hits, which _bar_levels reads off the slot masks,
-    and N_m = C_m / D_m has the other tuples as basis, in basis order.
-    The boundary sum (-1)^i d_i is computed on those columns only and
-    projected by dropping the hit coordinates, with no elimination; the
-    result equals the generic SimplicialVectorSpace.normalized_chains
-    matrix for matrix, with the same project and include.
+    Its normalized chains, a NormalizedChains on the nondegenerate tuples
+    of _bar_levels, are built at construction without any structure
+    matrix or any store of the degenerate tuples.  The boundary sum
+    (-1)^i d_i is computed on the nondegenerate tuples only and projected
+    by dropping the degenerate terms, with no elimination.
 
     Checked at construction: every component face and degeneracy has one
     entry 1 in each column, or none for a face, every face term is a basis
-    tuple, and each level holds, for each s_i, at least as many tuples
-    with bit i set as the level below holds tuples, so no degeneracy left
-    the window (AssertionError otherwise); d_i d_j = d_{j-1} d_i on every
-    nondegenerate column (SimplicialError); and d o d = 0 in ChainComplex.
-    simplicial() builds every face and degeneracy matrix, each degeneracy
-    image looked up as a basis tuple, into a SimplicialVectorSpace, whose
-    constructor checks every simplicial identity.
+    tuple or degenerate, and each level holds, for each s_i, at least as
+    many tuples with bit i set as the level below holds tuples, so no
+    degeneracy left the window (AssertionError otherwise); d_i d_j =
+    d_{j-1} d_i on every nondegenerate tuple, reading the faces of the
+    tuples its faces hit, degenerate ones included (SimplicialError); and
+    d o d = 0 in ChainComplex.
     """
 
     def __init__(self, f, N, T, W):
         self.field = f.field
         self.N, self.T, self.W = N, T, W
-        self._bases, hit, self._face, self._degeneracy = _bar_levels(f, N, T, W)
-        self.level_dims = [len(b) for b in self._bases]
-        self._chains = self._build_chains(hit)
+        bases, self.level_dims, face, degenerate = _bar_levels(f, N, T, W)
+        self._chains = self._build_chains(bases, face, degenerate)
 
     def normalized_chains(self):
         return self._chains
@@ -512,48 +505,39 @@ class BarDiagonal:
         """Homology of the normalized chains; certified through T - 1."""
         return self._chains.homology_dims()
 
-    def simplicial(self):
-        """The whole bar diagonal as a checked SimplicialVectorSpace."""
-        dims = self.level_dims
-
-        def operator(m, i, to):
-            rule = self._face if to < m else self._degeneracy
-            return Mat(self.field, dims[to], dims[m],
-                       [rule(m, i, k) for k in range(dims[m])])
-
-        return SimplicialVectorSpace.from_operators(self.field, dims, operator)
-
-    def _build_chains(self, hit):
+    def _build_chains(self, bases, face, degenerate):
         p = self.field.characteristic
-        face = self._face
+        memo = [{} for _ in bases]  # per level: t -> the faces of tuple t
 
-        def degenerate(m):
-            return ({r: 1} for r in hit[m])
-
-        memo = [{} for _ in hit]  # per level: (i, k) -> d_i of tuple k
-
-        def face_of(m, i, vec):
-            """d_i of a level-m vector; for {k: 1} the memoised column
-            itself, which callers only read."""
-            out = {}
-            for k, v in vec.items():
-                col = memo[m].get((i, k))
-                if col is None:
-                    col = memo[m][(i, k)] = face(m, i, k)
-                if v == 1 and len(vec) == 1:
-                    return col
-                axpy(out, v, col, p)
+        def faces(m, t):
+            """d_0, ..., d_m of the level-m tuple t, memoised; callers only
+            read them."""
+            out = memo[m].get(t)
+            if out is None:
+                out = memo[m][t] = [face(m, i, t) for i in range(m + 1)]
             return out
 
-        def boundary(m, k):
+        def face_of(terms, i):
+            """d_i of the vector whose (coeff, faces) pairs are terms; for
+            one term with coefficient 1 the memoised column itself."""
+            if len(terms) == 1 and terms[0][0] == 1:
+                return terms[0][1][i]
+            out = {}
+            for v, columns in terms:
+                axpy(out, v, columns[i], p)
+            return out
+
+        def boundary(m, t):
             if m >= 2:
                 memo[m - 2] = None  # level m reads faces of levels m, m - 1 only
-            images = [face_of(m, i, {k: 1}) for i in range(m + 1)]
-            # d_i d_j = d_{j-1} d_i for i < j; level 0 has no faces
-            for j in range(m + 1) if m > 1 else ():
+            images = faces(m, t)
+            # d_i d_j = d_{j-1} d_i for i < j, every face of a term of d_j t
+            # read once; level 0 has no faces
+            terms = [[(v, faces(m - 1, u)) for u, v in col.items()]
+                     for col in images] if m > 1 else ()
+            for j in range(len(terms)):
                 for i in range(j):
-                    if (face_of(m - 1, i, images[j])
-                            != face_of(m - 1, j - 1, images[i])):
+                    if face_of(terms[j], i) != face_of(terms[i], j - 1):
                         raise SimplicialError(
                             "d_%d d_%d identity fails at level %d" % (i, j, m)
                         )
@@ -562,7 +546,7 @@ class BarDiagonal:
                 axpy(bd, (-1) ** i, col, p)
             return bd
 
-        return NormalizedChains(self.field, self.level_dims, degenerate, boundary)
+        return NormalizedChains(self.field, bases, boundary, degenerate)
 
 
 def bar_diagonal(f, N, T, W):
@@ -573,9 +557,7 @@ def bar_diagonal(f, N, T, W):
     monomials with at most N non-unit a-slots and induced weight at most W;
     faces multiply adjacent slots, drop a unit first slot, or push the last
     slot through the map into b.  Returns a BarDiagonal, whose homotopy
-    approximates the cofiber homotopy from below; its NormalizedChains are
-    built without the face and degeneracy matrices, which only
-    BarDiagonal.simplicial() builds.
+    approximates the cofiber homotopy from below.
     """
     return BarDiagonal(f, N, T, W)
 
@@ -722,9 +704,6 @@ def cofiber_bounds(r, s, T=None, W=None, N=None):
         N = W
     if T < 2 * r * s:
         raise BoundsError("level bound below the source generator degree")
-    if W + 1 < s:
-        raise BoundsError("W must be at least s - 1, one below the weight "
-                         "s of the s-th power")
     budget = symalg.ENUM_BUDGET
     monomials = _monomial_count(1, 2 * r, max(W, s), T, budget)
     if monomials is None or monomials > budget:

@@ -11,17 +11,16 @@ to an object already checked (symalg.symmetric_power, through
 _functor_image): its identities are the images of checked ones, so only
 shapes are checked there.
 
-Homotopy is computed as the homology of the normalized chain complex
-(levelwise quotient by the span of the degeneracy images, with the
-alternating-sum differential taken on normalized columns only).  Where
-every degeneracy image is one basis vector, as on every object the
-constructions here build, that span is the set of hit coordinates and
-the quotient drops them; only a level with other images (a conjugated
-object, say, or edited serialized data) is reduced through
-``exactfield.ColumnEchelon``.  The unnormalized complex on full levels is
-kept alongside as an independent oracle.  Degrees up to T - 1 are
-certified, the degree-T value is reported but provisional since its
-cycles see no boundaries from the missing level T + 1.
+Homotopy is computed as the homology of the normalized chain complex, the
+levelwise quotient by the span of the degeneracy images.  NormalizedChains
+is that quotient for every object, here and in symalg and barcof: it
+takes a normalized basis of hashable keys and the boundary of one basis
+element, so an object that knows its nondegenerate elements (covering
+monomials, bar tuples) never builds its full levels.  The unnormalized
+complex on full levels is kept alongside as an independent oracle.
+Degrees up to T - 1 are certified, the degree-T value is reported but
+provisional since its cycles see no boundaries from the missing level
+T + 1.
 
 Objects are built through the inverse Dold-Kan functor ``gamma``: feeding
 it a chain complex concentrated in degree n yields the Eilenberg-MacLane
@@ -205,46 +204,39 @@ class ChainComplex:
 
 class NormalizedChains(ChainComplex):
     """Normalized chain complex N_m = C_m / D_m of a simplicial vector space
-    (Dold-Kan): the one place where a level is taken modulo its degenerate
-    subspace.
+    (Dold-Kan): the one place where a normalized differential is assembled.
 
-    degenerate(m) yields field columns spanning D_m, the degeneracy images
-    in level m.  Where each of them has one entry (every degeneracy of a
-    gamma object, a symmetric power or the bar diagonal sends a basis
-    vector to a basis vector), D_m is spanned by the rows they hit:
-    echelons[m] is None, the other rows, bases[m], form the normalized
-    basis, and project drops the hit coordinates.  A level with any other
-    column inserts them all into echelons[m], a ColumnEchelon, whose
+    The complex is keyed by basis element.  bases[m] lists the keys of the
+    normalized basis of level m, any hashable ones: row indices of a
+    SimplicialVectorSpace, covering monomials, bar tuples.
+    boundary(m, key) is the unnormalized boundary sum (-1)^i d_i of basis
+    element key as {key: coeff}; it is called on bases[m] only, level by
+    level upwards, and the differential is its projection.  It may leave
+    out terms it knows to be degenerate.
+
+    Where every degeneracy image into level m is a single basis element,
+    D_m is spanned by the elements hit, and bases[m] holds the others:
+    project keeps the basis keys, drops those that degenerate(m, key)
+    marks (with degenerate None, the boundary leaves them all out), and
+    raises AssertionError on any other key.  A level with other images
+    has a ColumnEchelon of them as echelons[m], keyed by rows, whose
     non-pivot rows form bases[m] and whose normal_form projects.  On unit
-    columns the pivot rows are the hit rows, so both rules give the same
+    images the pivot rows are the rows hit, so both rules give the same
     bases, differentials and projections; every coset of D_m has exactly
-    one representative supported on bases[m].  boundary(m, r) is the
-    unnormalized boundary sum (-1)^i d_i of basis vector r of level m; it
-    is called on the normalized basis rows only, level by level upwards,
-    and the differential is its projection.  project and include push
+    one representative supported on bases[m].  project and include push
     simplicial maps to normalized chain maps (project o f o include).
     """
 
-    def __init__(self, field, level_dims, degenerate, boundary):
+    def __init__(self, field, bases, boundary, degenerate=None, echelons=None):
         self.field = field
-        self.echelons = []
-        self.bases = []
-        for m, dim in enumerate(level_dims):
-            cols = list(degenerate(m))
-            if all(len(col) == 1 for col in cols):
-                ech, hit = None, {r for col in cols for r in col}
-            else:
-                ech = ColumnEchelon(field, dim)
-                for col in cols:
-                    ech.insert(col)
-                hit = ech.pivots
-            self.echelons.append(ech)
-            self.bases.append([r for r in range(dim) if r not in hit])
-        self._positions = [{r: k for k, r in enumerate(b)} for b in self.bases]
-        dims = [len(b) for b in self.bases]
+        self.bases = bases
+        self.echelons = echelons or [None] * len(bases)
+        self._degenerate = degenerate
+        self._positions = [{key: k for k, key in enumerate(b)} for b in bases]
+        dims = [len(b) for b in bases]
         diffs = [Mat.zero(field, 0, dims[0])]
         for m in range(1, len(dims)):
-            cols = [self.project(m - 1, boundary(m, r)) for r in self.bases[m]]
+            cols = [self.project(m - 1, boundary(m, key)) for key in bases[m]]
             diffs.append(Mat(field, dims[m - 1], dims[m], cols))
         super().__init__(field, dims, diffs)
 
@@ -252,14 +244,20 @@ class NormalizedChains(ChainComplex):
         """Sparse level vector -> sparse coordinates in the normalized basis."""
         position = self._positions[m]
         ech = self.echelons[m]
-        if ech is None:
-            return {position[r]: v
-                    for r, v in canonical(vec, self.field.characteristic).items()
-                    if r in position}
-        return {position[r]: v for r, v in ech.normal_form(vec).items()}
+        if ech is not None:
+            return {position[r]: v for r, v in ech.normal_form(vec).items()}
+        out = {}
+        for key, v in canonical(vec, self.field.characteristic).items():
+            k = position.get(key)
+            if k is not None:
+                out[k] = v
+            elif self._degenerate is None or not self._degenerate(m, key):
+                raise AssertionError("%r is neither a basis element of level %d "
+                                     "nor degenerate" % (key, m))
+        return out
 
     def include(self, m, vec):
-        """Normalized coordinates -> the representative on the basis rows."""
+        """Normalized coordinates -> the representative on the basis keys."""
         return {self.bases[m][k]: v for k, v in vec.items()}
 
 
@@ -494,12 +492,24 @@ class SimplicialVectorSpace:
 
     def normalized_chains(self):
         """Quotient of each level by the span of its degeneracy images,
-        with the boundary evaluated on normalized basis columns only."""
-        def degenerate(m):
-            return (col for s_i in self.degens[m - 1] for col in s_i.cols) if m else ()
-
-        return NormalizedChains(self.field, self.level_dims, degenerate,
-                                self._boundary_column)
+        with the boundary evaluated on normalized basis rows only: a level
+        whose images are all unit columns drops the rows hit, any other
+        goes through a ColumnEchelon (see NormalizedChains)."""
+        bases, echelons, hit = [], [], []
+        for m, dim in enumerate(self.level_dims):
+            cols = [col for s_i in self.degens[m - 1] for col in s_i.cols] if m else []
+            if all(len(col) == 1 for col in cols):
+                ech, rows = None, {r for col in cols for r in col}
+            else:
+                ech = ColumnEchelon(self.field, dim)
+                for col in cols:
+                    ech.insert(col)
+                rows = ech.pivots
+            echelons.append(ech)
+            hit.append(rows)
+            bases.append([r for r in range(dim) if r not in rows])
+        return NormalizedChains(self.field, bases, self._boundary_column,
+                                lambda m, r: r in hit[m], echelons)
 
     def homotopy_dims(self):
         """Homology of the normalized chains; certified through T - 1."""

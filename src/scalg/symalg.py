@@ -11,11 +11,11 @@ weight adds nothing at or below it.
 For powers of an Eilenberg-MacLane object a basis monomial is degenerate
 exactly when the jump positions of its factors fail to cover all
 positions of the level, so normalized complexes live on "covering"
-monomials and are written down directly, without materializing the full
-(often huge) unnormalized levels, up to level d*n + 1 at most.  One
-generator goes by decalage, a theorem valid in every characteristic:
-pi_i Sym^d K(F, n) is pi_{i-2d} Gamma^d K(F, n-2) for n >= 2, and
-Sym^d K(F, 1) has Lambda^d(F) in degree d.  Gamma^d K(F, n-2) is built
+monomials, which NormalizedChains takes as its basis keys, without the
+full (often huge) unnormalized levels, from level n up to level d*n + 1
+at most.  One generator goes by decalage, a theorem valid in every
+characteristic: pi_i Sym^d K(F, n) is pi_{i-2d} Gamma^d K(F, n-2) for
+n >= 2, and Sym^d K(F, 1) has Lambda^d(F) in degree d.  Gamma^d K(F, n-2) is built
 on covering divided-power monomials, sharing the basis and the face
 tables (read off jump masks by gamma's rule) of the Sym^d covering complex
 (sym_power_covering_complex, the brute force kept as the tests'
@@ -34,9 +34,9 @@ from itertools import combinations_with_replacement, groupby
 
 from .exactfield import Mat, canonical
 from .simplicial import (
-    ChainComplex,
     GradedDims,
     HomotopyDims,
+    NormalizedChains,
     SimplicialError,
     SimplicialVectorSpace,
     constant_object,
@@ -292,41 +292,34 @@ def _covering_complex(field, n, d, top, merge):
     degenerate exactly when the jump masks of its codes fail to cover all
     m positions: the chains live on covering monomials.  A face acts code
     by code; merge(mono, image) is the coefficient the functor gives the
-    image where codes merge.  No level above d*n has a covering monomial,
-    as each code owns n jump positions.
+    image where codes merge.  No level below n has a code, and no level
+    above d*n a covering monomial, as each code owns n jump positions.
+    NormalizedChains assembles the differential; the boundary leaves out
+    the non-covering images, so any other key it returns is an error.
     """
     top = min(top, d * n + 1)
-    bases = [_covering_basis(n, d, m) for m in range(top + 1)]
-    dims = [len(basis) for basis in bases]
-    diffs = [Mat.zero(field, 0, dims[0])]
-    for m in range(1, top + 1):
-        face_code = _face_codes(m, n)
-        index = {b: i for i, b in enumerate(bases[m - 1])}
-        full_target = (1 << (m - 1)) - 1
-        cols = []
-        for mono in bases[m]:
-            col = {}
-            for i in range(m + 1):
-                per_code = face_code[i]
-                image = []
-                dead = False
-                acc = 0
-                for c in mono:
-                    fc = per_code[c]
-                    if fc is None:
-                        dead = True
-                        break
-                    image.append(fc[0])
-                    acc |= fc[1]
-                if dead or acc != full_target:
-                    continue
-                image = tuple(sorted(image))
-                k = index[image]
-                sign = 1 if i % 2 == 0 else -1
-                col[k] = col.get(k, 0) + sign * merge(mono, image)
-            cols.append(canonical(col, field.characteristic))
-        diffs.append(Mat(field, dims[m - 1], dims[m], cols))
-    return ChainComplex(field, dims, diffs)
+    bases = [_covering_basis(n, d, m) if m >= n else [] for m in range(top + 1)]
+    face_codes = {m: _face_codes(m, n) for m in range(max(n, 1), top + 1)}
+
+    def boundary(m, mono):
+        full = (1 << (m - 1)) - 1
+        col = {}
+        for i, per_code in enumerate(face_codes[m]):
+            image = []
+            acc = 0
+            for c in mono:
+                fc = per_code[c]
+                if fc is None:
+                    break
+                image.append(fc[0])
+                acc |= fc[1]
+            else:  # no code killed; an image that fails to cover is degenerate
+                if acc == full:
+                    image = tuple(sorted(image))
+                    col[image] = col.get(image, 0) + (-1) ** i * merge(mono, image)
+        return col
+
+    return NormalizedChains(field, bases, boundary)
 
 
 def sym_power_covering_complex(field, n, d, T):
@@ -342,12 +335,8 @@ def sym_power_covering_complex(field, n, d, T):
     """
     if n < 1:
         raise ValueError("generators must live in positive degree")
-    if d == 0:
-        dims = [1] + [0] * T
-        diffs = [Mat.zero(field, 0, 1)] + [
-            Mat.zero(field, dims[m - 1], dims[m]) for m in range(1, T + 1)
-        ]
-        return ChainComplex(field, dims, diffs), T
+    if d == 0:  # the empty monomial covers level 0 only
+        return NormalizedChains(field, [[()]] + [[] for _ in range(T)], None), T
     built_to = len(_covering_dims(1, n, d, min(T, d * n + 1))) - 1
     return _covering_complex(field, n, d, built_to, _sym_merge), built_to
 

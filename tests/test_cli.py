@@ -582,9 +582,6 @@ EMPIRICAL_AUDIT = ["audit", "--char", "2", "--profile", "2:1", "--pi-bound", "3"
     ["asymptotic", "-n", "2", "-p", "2", "-M", "-1"],
     EMPIRICAL_AUDIT + ["--t-samples", "nan"],  # would print NaN
     ["asymptotic", "-n", "2", "-p", "2", "--t-samples", "inf"],  # Infinity
-    # the s-th power needs target weight s <= W + 1
-    ["cofiber", "-r", "1", "-s", "2", "-W", "0"],
-    ["cofiber", "-r", "1", "-s", "3", "-W", "1"],
     # a config-file value passes through the same range check as a flag
     ["pi-sphere", "--config", {"W": "-1"}, "-n", "2"],
     # the growth reference is 0 at q = 0, so the ratio column would be NaN
@@ -615,6 +612,20 @@ def test_bad_characteristic_is_exit_1_with_one_line(argv, capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,pi,certified", [
+    (["cofiber", "-r", "1", "-s", "2", "-W", "0"], [1, 0], 1),
+    (["cofiber", "-r", "1", "-s", "3", "-W", "1"], [1, 0, 1, 0], 3),
+])
+def test_cofiber_below_the_power_weight_exits_0(argv, pi, certified):
+    # W < s - 1: power_map builds its target at weight max(W, s), and
+    # power_cofiber_tables checks every flagged degree against the closed
+    # form, so the table is honest through the certified degree
+    code, data = run_json(argv)
+    assert code == 0
+    assert data["certified_degree"] == certified
+    assert data["pi"][:certified + 1] == pi
 
 
 @pytest.mark.parametrize("value", ["", ",", "  ", " , ,"])

@@ -857,27 +857,28 @@ def test_normalized_chains_evaluate_the_boundary_on_normalized_columns_only(
     assert sum(ncx.dims[1:]) < sum(v.level_dims[1:])  # some columns skipped
 
 
-class EchelonQuotient(ChainComplex):
-    """The oracle quotient: every level's degenerate columns inserted into
-    one ColumnEchelon, whose non-pivot rows are the basis and whose
-    normal_form projects, whatever the columns look like."""
+class EchelonQuotient:
+    """The oracle quotient of a whole object: every level's degeneracy
+    images inserted into one ColumnEchelon, whose non-pivot rows are the
+    basis and whose normal_form projects, whatever the columns look like,
+    and the whole-level boundary of each basis row projected."""
 
-    def __init__(self, field, level_dims, degenerate, boundary):
+    def __init__(self, obj):
         self.echelons = []
-        for m, dim in enumerate(level_dims):
-            ech = ColumnEchelon(field, dim)
-            for col in degenerate(m):
-                ech.insert(col)
+        for m, dim in enumerate(obj.level_dims):
+            ech = ColumnEchelon(obj.field, dim)
+            for s in obj.degens[m - 1] if m else ():
+                for col in s.cols:
+                    ech.insert(col)
             self.echelons.append(ech)
         self.bases = [[r for r in range(ech.nrows) if r not in ech.pivots]
                       for ech in self.echelons]
         self._positions = [{r: k for k, r in enumerate(b)} for b in self.bases]
         dims = [len(b) for b in self.bases]
-        diffs = [Mat.zero(field, 0, dims[0])] + [
-            Mat(field, dims[m - 1], dims[m],
-                [self.project(m - 1, boundary(m, r)) for r in self.bases[m]])
+        self.diffs = [Mat.zero(obj.field, 0, dims[0])] + [
+            Mat(obj.field, dims[m - 1], dims[m],
+                [self.project(m - 1, obj.boundary(m).cols[r]) for r in self.bases[m]])
             for m in range(1, len(dims))]
-        super().__init__(field, dims, diffs)
 
     def project(self, m, vec):
         position = self._positions[m]
@@ -905,33 +906,39 @@ UNIT_OBJECTS = {
     **{"sym%d-k2-%s" % (d, name):
        (lambda f=f, d=d: symmetric_power(eilenberg_maclane(f, 1, 2, 6), d))
        for name, f in FIELDS.items() for d in (2, 3)},
-    "bar": lambda: bar_diagonal(power_map(1, 2, 6, 3), 3, 6, 3),
 }
 
 
-@pytest.mark.parametrize("case", sorted(UNIT_OBJECTS))
-def test_coordinate_quotient_equals_the_echelon_quotient(case, monkeypatch):
+@pytest.mark.parametrize("case", sorted(UNIT_OBJECTS) + ["bar"])
+def test_coordinate_quotient_equals_the_echelon_quotient(case, full_bar):
     # every degeneracy image of these objects is one basis vector, so each
-    # level takes the coordinate path; the same degenerate and boundary
-    # callables, handed to an echelon quotient instead, give the oracle
-    # (each object is built twice: the bar builds its chains at once)
-    module = scalg.barcof if case == "bar" else scalg.simplicial
-    ncx = UNIT_OBJECTS[case]().normalized_chains()
-    with monkeypatch.context() as patch:
-        patch.setattr(module, "NormalizedChains", EchelonQuotient)
-        oracle = UNIT_OBJECTS[case]().normalized_chains()
-    assert isinstance(oracle, EchelonQuotient)
+    # level takes the coordinate path; an echelon quotient of the whole
+    # object is the oracle.  The bar is bar_diagonal(power_map(1, 2, 6, 3),
+    # 3, 6, 3), keyed by tuples, against the whole object built from the
+    # tests' rules: keys[m][r] is the key of row r of level m
+    if case == "bar":
+        f = power_map(1, 2, 6, 3)
+        ncx = bar_diagonal(f, 3, 6, 3).normalized_chains()
+        full, keys = full_bar(f, 3, 6, 3)
+    else:
+        full = UNIT_OBJECTS[case]()
+        ncx = full.normalized_chains()
+        keys = [range(dim) for dim in full.level_dims]
+    oracle = EchelonQuotient(full)
 
     assert all(ech is None for ech in ncx.echelons)
-    assert ncx.bases == oracle.bases
+    assert ncx.bases == [[keys[m][r] for r in basis]
+                         for m, basis in enumerate(oracle.bases)]
     assert ncx.diffs == oracle.diffs
     rng = random.Random(case)
     for m in range(ncx.top + 1):
         for _ in range(20):
-            vec = random_sparse(rng, ncx.field, oracle.echelons[m].nrows)
-            assert ncx.project(m, vec) == oracle.project(m, vec)
+            vec = random_sparse(rng, ncx.field, full.level_dims[m])
+            assert (ncx.project(m, {keys[m][r]: v for r, v in vec.items()})
+                    == oracle.project(m, vec))
             coords = random_sparse(rng, ncx.field, ncx.dims[m])
-            assert ncx.include(m, coords) == oracle.include(m, coords)
+            assert ncx.include(m, coords) == {
+                keys[m][r]: v for r, v in oracle.include(m, coords).items()}
 
 
 def test_boundary_is_the_alternating_sum_of_faces():

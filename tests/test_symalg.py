@@ -195,6 +195,30 @@ def test_covering_complexes_end_past_their_last_monomial(monkeypatch):
     assert max(levels) == 3 and counted == [(1, 2, 1, 3)]
 
 
+def test_covering_complexes_skip_the_levels_below_n(monkeypatch):
+    # no level below n has a code of K(F, n), so each gets an empty basis
+    # with no covering enumeration and no face table; Gamma^1 K(F, 298) is
+    # the weight-1 piece of `pi-sphere --char 2 -n 300`
+    levels = []
+    basis, faces = scalg.symalg._covering_basis, scalg.symalg._face_codes
+
+    def recorded_basis(n, d, m):
+        levels.append(("basis", m))
+        return basis(n, d, m)
+
+    def recorded_faces(m, n):
+        levels.append(("faces", m))
+        return faces(m, n)
+
+    monkeypatch.setattr(scalg.symalg, "_covering_basis", recorded_basis)
+    monkeypatch.setattr(scalg.symalg, "_face_codes", recorded_faces)
+    cx = divided_power_covering_complex(GF2, 298, 1, 300)
+    assert cx.dims == [0] * 298 + [1, 0]
+    assert cx.homology_dims().data == {298: 1}
+    assert sorted(levels) == [("basis", 298), ("basis", 299),
+                              ("faces", 298), ("faces", 299)]
+
+
 def test_face_table_matches_the_coface_enumeration():
     # the covering complexes' face table, read off the jump masks, against
     # composing each code's value tuple with the coface delta^i and looking
