@@ -582,6 +582,9 @@ EMPIRICAL_AUDIT = ["audit", "--char", "2", "--profile", "2:1", "--pi-bound", "3"
     ["asymptotic", "-n", "2", "-p", "2", "-M", "-1"],
     EMPIRICAL_AUDIT + ["--t-samples", "nan"],  # would print NaN
     ["asymptotic", "-n", "2", "-p", "2", "--t-samples", "inf"],  # Infinity
+    # there is no zeroth power map, and no negative truncation
+    ["cofiber", "-r", "1", "-s", "0"],
+    ["cofiber", "-r", "1", "-s", "2", "-N", "-1"],
     # a config-file value passes through the same range check as a flag
     ["pi-sphere", "--config", {"W": "-1"}, "-n", "2"],
     # the growth reference is 0 at q = 0, so the ratio column would be NaN
