@@ -295,9 +295,6 @@ class Mat:
                 rows[i][j] = v
         return rows
 
-    def is_zero(self):
-        return all(not c for c in self.cols)
-
     def unit_rows(self):
         """Per column: the row k of a column {k: 1}, -1 for an empty column,
         None for any other; cached (see the class docstring)."""
@@ -340,16 +337,6 @@ class Mat:
         cols = [axpy(dict(a), 1, b, p) for a, b in zip(self.cols, other.cols)]
         return Mat(self.field, self.nrows, self.ncols, cols)
 
-    def scale(self, a):
-        a = self.field.element(a)
-        p = self.field.characteristic
-        return Mat(
-            self.field,
-            self.nrows,
-            self.ncols,
-            [canonical({i: a * v for i, v in c.items()}, p) for c in self.cols],
-        )
-
     def __matmul__(self, other):
         """Composition self @ other, i.e. (self o other) on column vectors."""
         if not isinstance(other, Mat):
@@ -371,13 +358,6 @@ class Mat:
         for k, bv in vec.items():
             axpy(acc, bv, self.cols[k], p)
         return acc
-
-    def transpose(self):
-        cols = [dict() for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                cols[i][j] = v
-        return Mat(self.field, self.ncols, self.nrows, cols)
 
     def kron(self, other):
         """Kronecker product: row/column index pairs flattened row-major.

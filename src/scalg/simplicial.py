@@ -6,10 +6,11 @@ SimplicialVectorSpace.from_operators one rule operator(m, i, to) giving
 d_i (to = m - 1) or s_i (to = m + 1) out of level m, and reads maps back
 through the same signature; how they are stored is known to this module
 only.  The constructors verify every simplicial identity, so an instance
-that exists is honest.  The one exception is a levelwise functor applied
-to an object already checked (symalg.symmetric_power, through
-_functor_image): its identities are the images of checked ones, so only
-shapes are checked there.
+that exists is honest.  The exceptions are levelwise functors applied to
+checked objects through _functor_image (symalg.symmetric_power, tensor,
+direct_sum): their identities are images of checked ones, so only shapes
+are checked there.  constant_object is built once per (field, T) per
+process, and an object keeps its normalized chains.
 
 Homotopy is computed as the homology of the normalized chain complex, the
 levelwise quotient by the span of the degeneracy images.  NormalizedChains
@@ -345,9 +346,10 @@ class SimplicialVectorSpace:
     reads one back; only this module knows the list layout above.  The
     constructors check shapes and every simplicial identity; violation
     raises SimplicialError.  _functor_image checks shapes only, for objects
-    whose identities follow from those of a checked object; check_identities
+    whose identities follow from those of checked objects; check_identities
     re-checks any instance.  Instances are immutable by convention; nothing
     mutates them after construction, so concurrent reads are safe.
+    normalized_chains is computed on first call and kept (not pickled).
     """
 
     def __init__(self, field, level_dims, faces, degens, basis_labels=None):
@@ -365,12 +367,12 @@ class SimplicialVectorSpace:
     @classmethod
     def _functor_image(cls, field, level_dims, operator, basis_labels):
         """The object whose faces and degeneracies are F(d_i) and F(s_i) for
-        those of a checked object and a levelwise functor F that preserves
-        composites and identities matrix for matrix, given as one rule as
-        in from_operators.
+        those of checked objects and a levelwise functor F (of one object
+        or two) that preserves composites and identities matrix for matrix,
+        given as one rule as in from_operators.
 
-        Each simplicial identity is then F of one that holds, so it holds
-        and is not checked again; shapes are.
+        Each simplicial identity is then F of identities that hold, so it
+        holds and is not checked again; shapes are.
         """
         obj = cls.__new__(cls)
         obj._set_levels(field, level_dims,
@@ -392,7 +394,12 @@ class SimplicialVectorSpace:
         self.faces = faces
         self.degens = degens
         self.basis_labels = basis_labels
+        self._chains = None
         self._check_shapes()
+
+    def __getstate__(self):
+        # the kept chains hold closures, which do not pickle
+        return dict(vars(self), _chains=None)
 
     def _check_shapes(self):
         T = self.T
@@ -494,7 +501,10 @@ class SimplicialVectorSpace:
         """Quotient of each level by the span of its degeneracy images,
         with the boundary evaluated on normalized basis rows only: a level
         whose images are all unit columns drops the rows hit, any other
-        goes through a ColumnEchelon (see NormalizedChains)."""
+        goes through a ColumnEchelon (see NormalizedChains).  Computed on
+        first call and kept."""
+        if self._chains is not None:
+            return self._chains
         bases, echelons, hit = [], [], []
         for m, dim in enumerate(self.level_dims):
             cols = [col for s_i in self.degens[m - 1] for col in s_i.cols] if m else []
@@ -508,8 +518,9 @@ class SimplicialVectorSpace:
             echelons.append(ech)
             hit.append(rows)
             bases.append([r for r in range(dim) if r not in rows])
-        return NormalizedChains(self.field, bases, self._boundary_column,
-                                lambda m, r: r in hit[m], echelons)
+        self._chains = NormalizedChains(self.field, bases, self._boundary_column,
+                                        lambda m, r: r in hit[m], echelons)
+        return self._chains
 
     def homotopy_dims(self):
         """Homology of the normalized chains; certified through T - 1."""
@@ -528,15 +539,17 @@ class SimplicialVectorSpace:
 
     def _levelwise_pair(self, other, name, dim, combine):
         """The object with levels dim(a, b) and each operator combine(f, g)
-        of the two objects' operators."""
+        of the two objects' operators: a functor image, since Mat.kron and
+        Mat.block_diag keep composites and identities matrix for matrix."""
         if self.field != other.field:
             raise FieldError("%s over different fields" % name)
         if self.T != other.T:
             raise SimplicialError("%s of different truncations" % name)
         dims = [dim(a, b) for a, b in zip(self.level_dims, other.level_dims)]
-        return SimplicialVectorSpace.from_operators(
+        return SimplicialVectorSpace._functor_image(
             self.field, dims,
-            lambda m, i, to: combine(self.operator(m, i, to), other.operator(m, i, to)))
+            lambda m, i, to: combine(self.operator(m, i, to), other.operator(m, i, to)),
+            None)
 
     # -- serialization ----------------------------------------------------
 
@@ -799,8 +812,10 @@ def eilenberg_maclane(field, q, n, T):
     return gamma(field, dims, diffs, T)
 
 
+@lru_cache(maxsize=None)
 def constant_object(field, T):
-    """The constant simplicial object on the ground field."""
+    """The constant simplicial object on the ground field, built and
+    checked once per (field, T) per process and shared by every caller."""
     return gamma(field, [1], [None], T)
 
 

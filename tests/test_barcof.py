@@ -19,7 +19,8 @@ from scalg.exactfield import (
     solve,
 )
 from scalg.simplicial import (
-    GradedDims, NormalizedChains, SimplicialError, SimplicialVectorSpace, gamma,
+    GradedDims, NormalizedChains, SimplicialError, SimplicialVectorSpace,
+    constant_object, gamma,
 )
 from scalg.symalg import sphere_algebra, symmetric_power
 from scalg.barcof import (
@@ -40,6 +41,7 @@ from scalg.barcof import (
     zero_map,
 )
 from scalg.series import from_dims, leq, mul, sphere_series_char0
+from mat_helpers import is_zero
 
 
 # --------------------------------------------------------- representing maps
@@ -69,7 +71,7 @@ def test_zero_cycle_factors_through_augmentation():
     f = zero_map(A, 2)
     assert f.weight_ratio == 1
     for m in range(5):
-        assert f.level_maps[m].is_zero()
+        assert is_zero(f.level_maps[m])
 
 
 def test_identity_class_gives_identity_on_generators():
@@ -752,6 +754,32 @@ def assert_cofiber_job_prints_its_golden_output():
     out = io.StringIO()
     assert main(argv, stdout=out) == 0
     assert out.getvalue() == golden[" ".join(argv)]["stdout"]
+
+
+def test_power_map_source_and_target_share_their_weight_zero_object():
+    f = power_map(1, 2, 6, 2)
+    assert f.source.components[0] is f.target.components[0]
+    assert f.source.components[0] is constant_object(QQ, 6)
+
+
+def test_cofiber_job_builds_each_quotient_once(monkeypatch):
+    # power_map reads the class off the Sym^2 quotient and representing_map
+    # lifts it through the same quotient: one object, whose normalized
+    # chains are built once
+    normalize = SimplicialVectorSpace.normalized_chains.__code__
+    init = NormalizedChains.__init__
+    owners = []
+
+    def counted(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        if frame.f_code is normalize:
+            owners.append(frame.f_locals["self"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NormalizedChains, "__init__", counted)
+    assert_cofiber_job_prints_its_golden_output()
+    assert len(owners) == 1
+    assert all(len(mono) == 2 for level in owners[0].basis_labels for mono in level)
 
 
 def test_cofiber_job_eliminates_no_degenerate_column(monkeypatch):

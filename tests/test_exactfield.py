@@ -28,6 +28,7 @@ from scalg.exactfield import (
     canonical,
 )
 from scalg.simplicial import ChainComplex, eilenberg_maclane
+from mat_helpers import is_zero, transpose
 
 
 # ---------------------------------------------------------------- oracles
@@ -229,7 +230,7 @@ def test_kernel_columns_are_killed_and_independent():
             nc = rng.randint(0, 6)
             m = Mat.from_rows(field, random_dense(rng, field, nr, nc), ncols=nc)
             k = kernel_basis(m)
-            assert (m @ k).is_zero()
+            assert is_zero(m @ k)
             assert rank(k) == k.ncols
             assert k.ncols == nc - rank(m)
 
@@ -293,7 +294,7 @@ def test_homology_koszul_style_pair():
     # out of it, composing to zero; rank-nullity gives H = (3-1) - 1 = 1.
     d_in = Mat.from_rows(QQ, [[1], [0], [0]])
     d_out = Mat.from_rows(QQ, [[0, 0, 1]])
-    assert (d_out @ d_in).is_zero()
+    assert is_zero(d_out @ d_in)
     assert homology_dim(d_in, d_out) == 1
 
 
@@ -341,7 +342,7 @@ def test_rank_invariant_under_permutation_and_transpose(field, nr, nc, data, rng
     rng.shuffle(cols)
     permuted = [[row[c] for c in cols] for row in shuffled]
     assert rank(Mat.from_rows(field, permuted, ncols=nc)) == r
-    assert rank(m.transpose()) == r
+    assert rank(transpose(m)) == r
     # the column space maps isomorphically onto the pivot rows
     pivots = pivot_rows(m)
     assert len(pivots) == r
@@ -360,7 +361,7 @@ def test_rank_invariant_under_permutation_and_transpose(field, nr, nc, data, rng
 def test_rank_nullity_rational(rows):
     m = Mat.from_rows(QQ, rows)
     assert rank(m) + kernel_basis(m).ncols == m.ncols
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(transpose(m))
 
 
 def test_homology_dim_agrees_with_second_pivot_rule():
@@ -459,6 +460,36 @@ def test_kron_of_unit_matrices_equals_the_definition(field, assert_shared_column
             pairs[kind] += 1
     # every kind of pair was seen with both empty and nonempty columns
     assert all(pairs.values()), pairs
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_kron_and_block_diag_keep_composites_and_identities(field):
+    # tensor and direct_sum check no identity of their result: each is the
+    # image of a pair of identities under one of these, which must send
+    # composites to composites and identities to identities on the nose
+    rng = random.Random(37)
+
+    def draw(nrows, ncols):
+        if rng.random() < 0.5:
+            return random_unit_mat(rng, field, nrows, ncols)
+        return Mat.from_rows(field, random_dense(rng, field, nrows, ncols),
+                             ncols=ncols)
+
+    nonzero = 0
+    for _ in range(200):
+        n = [rng.randint(0, 3) for _ in range(6)]
+        a, c = draw(n[0], n[1]), draw(n[1], n[2])
+        b, d = draw(n[3], n[4]), draw(n[4], n[5])
+        assert a.kron(b) @ c.kron(d) == (a @ c).kron(b @ d)
+        assert (Mat.block_diag(field, [a, b]) @ Mat.block_diag(field, [c, d])
+                == Mat.block_diag(field, [a @ c, b @ d]))
+        nonzero += any((a @ c).kron(b @ d).cols)
+        k, l = n[0], n[3]
+        assert Mat.identity(field, k).kron(Mat.identity(field, l)) == \
+            Mat.identity(field, k * l)
+        assert Mat.block_diag(field, [Mat.identity(field, k), Mat.identity(field, l)]) \
+            == Mat.identity(field, k + l)
+    assert nonzero
 
 
 def test_unit_rows_marks_unit_empty_and_other_columns():

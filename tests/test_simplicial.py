@@ -1,11 +1,14 @@
 import ast
+import copy
 import io
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,11 +18,12 @@ import scalg.barcof
 import scalg.simplicial
 from scalg.cli import _random_complex, _random_matrix, main
 from scalg.exactfield import (
-    ColumnEchelon, FieldError, Mat, QQ, GF2, GF3, axpy, kernel_basis, pivot_rows,
-    rank,
+    ColumnEchelon, FieldError, FieldSpec, Mat, QQ, GF2, GF3, axpy, kernel_basis,
+    pivot_rows, rank,
 )
 from scalg.simplicial import (
     GradedDims,
+    NormalizedChains,
     SimplicialError,
     SimplicialVectorSpace,
     ChainComplex,
@@ -33,6 +37,7 @@ from scalg.barcof import bar_diagonal, power_map
 from scalg.symalg import (
     induced_homology_matrices, sym_power_covering_complex, symmetric_power,
 )
+from mat_helpers import is_zero, scale
 
 
 def random_complex(rng, field, T, max_dim=3):
@@ -304,7 +309,7 @@ def test_gamma_equals_the_per_basis_construction():
         field = (QQ, GF2, GF3)[case % 3]
         T = 1 + case % 5
         dims, diffs = random_complex(rng, field, T)
-        while all(d.is_zero() for d in diffs[1:]):
+        while all(is_zero(d) for d in diffs[1:]):
             dims, diffs = random_complex(rng, field, T)
         v = gamma(field, dims, diffs, T)
         bases, operator = per_basis_gamma(field, dims, diffs, T)
@@ -948,7 +953,7 @@ def test_boundary_is_the_alternating_sum_of_faces():
         for m in range(1, v.T + 1):
             total = Mat.zero(field, v.level_dims[m - 1], v.level_dims[m])
             for i, face in enumerate(v.faces[m]):
-                total = total + face.scale((-1) ** i)
+                total = total + scale(face, (-1) ** i)
             assert v.boundary(m) == total
 
 
@@ -1033,6 +1038,118 @@ def test_tensor_kunneth_on_random_objects():
         )
         for m in range(T):
             assert got[m] == expect[m], (field, T, m)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_tensor_and_direct_sum_pass_the_full_identity_check(field, conjugated_gamma):
+    # tensor and direct_sum check shapes only (functor images of Mat.kron
+    # and Mat.block_diag); the full check and the product oracle must pass
+    # on what they build, from gamma objects and from a conjugated one,
+    # whose faces and degeneracies are dense
+    rng = random.Random(29)
+    pairs = []
+    for _ in range(6):
+        T = rng.randint(1, 3)
+        pairs.append((random_gamma_object(rng, field, T, 2)[0],
+                      random_gamma_object(rng, field, T, 2)[0]))
+    v, w = conjugated_gamma(field, 3)
+    pairs += [(v, w), (w, v), (w, w)]
+    for a, b in pairs:
+        for obj in (a.tensor(b), a.direct_sum(b)):
+            obj.check_identities()
+            assert identity_verdict(matmul_check_identities, obj) is None
+
+
+def test_property_test_checks_no_identity_of_a_tensor_product(monkeypatch):
+    # the identities of a tensor product are Mat.kron images of its
+    # factors' (test_kron_and_block_diag_keep_composites_and_identities in
+    # tests/test_exactfield.py), so property-test must run without
+    # checking them; the gamma objects it tensors are still checked
+    check = SimplicialVectorSpace.check_identities
+    tensor = SimplicialVectorSpace.tensor.__code__
+    checked = []
+
+    def guarded(self):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is tensor:
+                raise AssertionError("checked the identities of a tensor product")
+            frame = frame.f_back
+        checked.append(self)
+        return check(self)
+
+    monkeypatch.setattr(SimplicialVectorSpace, "check_identities", guarded)
+    out = io.StringIO()
+    assert main(["property-test", "--seed", "3", "--cases", "300"], stdout=out) == 0
+    payload = json.loads(out.getvalue())
+    assert payload["failures"] == []
+    assert payload["checks"]["kunneth"] == 60
+    assert checked
+
+
+def test_constant_object_is_built_once_per_field_and_truncation():
+    for field in (QQ, GF2, GF3):
+        c = constant_object(field, 3)
+        assert constant_object(field, 3) is c
+        assert constant_object(FieldSpec(field.characteristic), 3) is c
+        assert constant_object(field, 4) is not c
+        assert symmetric_power(eilenberg_maclane(field, 1, 2, 3), 0) is c
+    assert constant_object(QQ, 3) is not constant_object(GF2, 3)
+
+
+def test_normalized_chains_are_computed_once_and_kept(monkeypatch):
+    v = eilenberg_maclane(GF3, 1, 2, 4)
+    init = NormalizedChains.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NormalizedChains, "__init__", counted)
+    chains = v.normalized_chains()
+    assert v.normalized_chains() is chains
+    assert v.homotopy_dims() == chains.homology_dims()
+    assert built == [chains]
+    # a pickled or copied object drops the kept chains, which hold
+    # closures, and computes its own
+    for back in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        again = back.normalized_chains()
+        assert again is not chains
+        assert (again.bases, again.diffs) == (chains.bases, chains.diffs)
+    assert len(built) == 4
+
+
+def test_threads_reading_shared_objects_at_once_agree():
+    # in each round six threads, released together, read one new object's
+    # normalized chains and the constant object of a truncation no other
+    # test asks for; a race may build either twice, never a different one
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for T in (17, 18, 19):
+            v = eilenberg_maclane(GF3, 1, 2, 6)
+            barrier = threading.Barrier(6, timeout=60)
+            got = [None] * 6
+
+            def read(t):
+                barrier.wait()
+                got[t] = (v.normalized_chains(), constant_object(GF2, T))
+
+            threads = [threading.Thread(target=read, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            chains, constant = v.normalized_chains(), constant_object(GF2, T)
+            assert any(c is chains for c, _ in got)
+            assert any(c is constant for _, c in got)
+            for c, const in got:
+                assert (c.bases, c.diffs) == (chains.bases, chains.diffs)
+                assert (const.faces, const.degens) == (constant.faces, constant.degens)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -------------------------------------------------------------- serialization
