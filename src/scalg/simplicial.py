@@ -9,8 +9,8 @@ only.  The constructors verify every simplicial identity, so an instance
 that exists is honest.  The exceptions are levelwise functors applied to
 checked objects through _functor_image (symalg.symmetric_power, tensor,
 direct_sum): their identities are images of checked ones, so only shapes
-are checked there.  constant_object is built once per (field, T) per
-process, and an object keeps its normalized chains.
+are checked there.  constant_object is one shared identity, built once
+per (field, T) per process, and an object keeps its normalized chains.
 
 Homotopy is computed as the homology of the normalized chain complex, the
 levelwise quotient by the span of the degeneracy images.  NormalizedChains
@@ -23,9 +23,10 @@ Degrees up to T - 1 are certified, the degree-T value is reported but
 provisional since its cycles see no boundaries from the missing level
 T + 1.
 
-Objects are built through the inverse Dold-Kan functor ``gamma``: feeding
-it a chain complex concentrated in degree n yields the Eilenberg-MacLane
-object K(V, n) with level dimensions C(m, n) * dim V.
+Objects are built through the inverse Dold-Kan functor ``gamma``: the
+complex with V in degree n alone yields the Eilenberg-MacLane object
+K(V, n), level m of dimension C(m, n) * dim V, each operator a row map
+cached per shape plus the blocks of the complex's nonzero differentials.
 """
 
 from __future__ import annotations
@@ -713,37 +714,34 @@ def _gamma_level(dims, m):
 
 @lru_cache(maxsize=None)
 def _gamma_plan(m, i, to, dims):
-    """The columns of gamma's d_i (to = m - 1) or s_i (to = m + 1) out of
-    level m, for a complex with dimensions dims, as runs in column order:
-    ("unit", rows) for the columns {r: 1}, r in rows, ("zero", n) for n
-    empty columns, and ("d", k, base) for the columns of the complex's
-    differential out of degree k, each row moved down by base.  Adjacent
-    unit runs and adjacent zero runs are merged.  The plan holds ints and
-    tuples only and depends on the shape only, so it is computed once per
-    process; each object builds its operators from it.
+    """Gamma's d_i (to = m - 1) or s_i (to = m + 1) out of level m, for a
+    complex with dimensions dims, as (rows, blocks): the row map
+    (Mat.unit_rows) with a row per unit column, -1 per empty column and
+    None per block column, and each block (k, base, start): the columns
+    from start on are the complex's d_k, each row moved down by base.  A
+    differential into a degree of dimension 0 gives empty columns, not a
+    block, so every operator of K(V, n) is a row map alone.  The plan
+    holds ints and tuples and depends on the shape only, so it is
+    computed once per process.
     """
     offsets = _gamma_level(dims, to)[1]
-    runs = []
+    rows, blocks = [], []
     for k in range(min(m, len(dims) - 1) + 1):
         n = dims[k]
         if not n:
             continue
         for mask in _jump_masks(m, k)[0]:
             action = _act(mask, m, i, to)
-            if action is None:
-                run = ["zero", n]
+            if action is None or action[0] == "d" and not dims[k - 1]:
+                rows += [-1] * n
             elif action[0] == "id":
                 base = offsets[k] + _jump_masks(to, k)[1][action[1]] * n
-                run = ["unit", list(range(base, base + n))]
+                rows += range(base, base + n)
             else:
-                run = ["d", k, offsets[k - 1]
-                       + _jump_masks(to, k - 1)[1][action[1]] * dims[k - 1]]
-            if run[0] != "d" and runs and runs[-1][0] == run[0]:
-                runs[-1][1] += run[1]  # in place, so merging stays linear
-            else:
-                runs.append(run)
-    return tuple((run[0], tuple(run[1])) if run[0] == "unit" else tuple(run)
-                 for run in runs)
+                blocks.append((k, offsets[k - 1] + _jump_masks(to, k - 1)[1][action[1]]
+                               * dims[k - 1], len(rows)))
+                rows += [None] * n
+    return tuple(rows), tuple(blocks)
 
 
 def gamma(field, complex_dims, complex_diffs, T):
@@ -760,13 +758,12 @@ def gamma(field, complex_dims, complex_diffs, T):
     trivial, the differential when the mono part misses exactly the top
     element, and zero otherwise.  Which of the three, and onto which
     summand, depends on the shape only, and so do the levels
-    (_gamma_level) and each operator's column plan (_gamma_plan), both
-    cached; a complex only fills its differential blocks.  Each
-    operator's row map (Mat.unit_rows) is built in the same loop: the
-    unit and zero runs give it directly, and a differential block shifts
-    the differential's own.  Every unit or empty column is the shared
-    read-only one of exactfield (see Mat); only the other columns of a
-    differential block are fresh dicts.
+    (_gamma_level) and each operator's row map and differential blocks
+    (_gamma_plan), both cached.  A complex fills in only the block entries
+    of the row map, shifting its differential's; an operator that is then
+    unit or empty in every column is Mat.from_unit_rows of it.  Every unit
+    or empty column is the shared read-only one of exactfield (see Mat);
+    only the other columns of a block are fresh dicts.
     """
     diffs = ChainComplex(field, complex_dims, complex_diffs).diffs
     dims = tuple(complex_dims)
@@ -774,23 +771,19 @@ def gamma(field, complex_dims, complex_diffs, T):
     level_dims = [len(b) for b in bases]
 
     def operator(m, i, to):
+        rows, blocks = _gamma_plan(m, i, to, dims)
+        rows = list(rows)
+        for k, base, start in blocks:
+            rows[start:start + dims[k]] = [r if r is None or r < 0 else base + r
+                                           for r in diffs[k].unit_rows()]
+        if None not in rows:
+            return Mat.from_unit_rows(field, level_dims[to], rows)
         units = _unit_columns(level_dims[to])
-        cols, rows = [], []
-        for run in _gamma_plan(m, i, to, dims):
-            if run[0] == "unit":
-                cols += [units[r] for r in run[1]]
-                rows += run[1]
-            elif run[0] == "zero":
-                cols += [_EMPTY_COLUMN] * run[1]
-                rows += [-1] * run[1]
-            else:
-                _, k, base = run
-                block = [r if r is None or r < 0 else base + r
-                         for r in diffs[k].unit_rows()]
-                cols += [{base + j: v for j, v in col.items()} if r is None
-                         else units[r] if r >= 0 else _EMPTY_COLUMN
-                         for r, col in zip(block, diffs[k].cols)]
-                rows += block
+        cols = [_EMPTY_COLUMN if r is None or r < 0 else units[r] for r in rows]
+        for k, base, start in blocks:
+            for j, col in enumerate(diffs[k].cols, start):
+                if rows[j] is None:
+                    cols[j] = {base + a: v for a, v in col.items()}
         return Mat(field, level_dims[to], level_dims[m], cols, rows)
 
     return SimplicialVectorSpace.from_operators(
@@ -814,9 +807,13 @@ def eilenberg_maclane(field, q, n, T):
 
 @lru_cache(maxsize=None)
 def constant_object(field, T):
-    """The constant simplicial object on the ground field, built and
-    checked once per (field, T) per process and shared by every caller."""
-    return gamma(field, [1], [None], T)
+    """gamma(field, [1], [None], T), the constant object on the ground
+    field, with one shared 1 x 1 identity for every operator; built and
+    checked in full once per (field, T) per process, shared by callers."""
+    one = Mat.identity(field, 1)
+    return SimplicialVectorSpace.from_operators(
+        field, [1] * (T + 1), lambda m, i, to: one,
+        basis_labels=[[((0,) * (m + 1), 0, 0)] for m in range(T + 1)])
 
 
 def zero_object(field, T):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement, groupby
+from operator import itemgetter
 
 from .exactfield import Mat, canonical
 from .simplicial import (
@@ -95,18 +96,20 @@ def _sym_map(images, src_monomials, dst_index, p):
 
 def _sym_rows(f, src_monomials, dst_index):
     """The row map (Mat.unit_rows) of _sym_map of a map f whose every
-    column is empty or one entry 1, read off f's: a monomial goes to the
-    sorted monomial of its generators' rows, or to zero (-1) when f kills
-    one of them.  None when f has any other column, which leaves it to
-    _sym_map."""
+    column is empty or one entry 1, read off f's; None when f has any
+    other column, which leaves it to _sym_map.  One pass maps the
+    monomials (of one degree d >= 1): each factor position's generators
+    go through f's row map, each image is sorted, and one whose first row
+    is -1 (f kills a generator) goes to -1, any other to its index in
+    dst_index (KeyError if it is no key)."""
     rows = f.unit_rows()
     if None in rows:
         return None
-    out = []
-    for mono in src_monomials:
-        image = [rows[a] for a in mono]
-        out.append(-1 if -1 in image else dst_index[tuple(sorted(image))])
-    return out
+    d = len(src_monomials[0]) if src_monomials else 0
+    images = zip(*[map(rows.__getitem__, map(itemgetter(j), src_monomials))
+                   for j in range(d)])
+    return [-1 if image[0] < 0 else dst_index[image]
+            for image in map(tuple, map(sorted, images))]
 
 
 def _generator_images(f):
@@ -127,8 +130,8 @@ def symmetric_power(V, d):
     _sym_map preserves composites and identities matrix for matrix (it
     computes maps of polynomial rings exactly, and reducing mod p is a
     ring map), so the simplicial identities of Sym^d V follow from V's
-    and are not checked again; shapes are.  The tests check that functoriality and run
-    check_identities on symmetric powers as the oracle.
+    and are not checked again; shapes are.  The tests check that
+    functoriality and run check_identities on symmetric powers.
     """
     if d < 0:
         raise ValueError("negative symmetric power")

@@ -1097,6 +1097,43 @@ def test_constant_object_is_built_once_per_field_and_truncation():
     assert constant_object(QQ, 3) is not constant_object(GF2, 3)
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
+def test_constant_object_equals_gamma_of_the_field_in_degree_0(field):
+    # the oracle for the shared identity: gamma's own construction
+    for T in range(7):
+        c, g = constant_object(field, T), gamma(field, [1], [None], T)
+        assert c.level_dims == g.level_dims
+        assert c.basis_labels == g.basis_labels
+        for m, i, to in scalg.simplicial._operator_slots(T):
+            assert c.operator(m, i, to) == g.operator(m, i, to), (T, m, i, to)
+            assert c.operator(m, i, to).unit_rows() == [0]
+
+
+def test_constant_object_is_checked_once_and_looks_up_no_gamma_plan(monkeypatch):
+    check = SimplicialVectorSpace.check_identities
+    checked = []
+
+    def counted(self):
+        checked.append(self)
+        return check(self)
+
+    monkeypatch.setattr(SimplicialVectorSpace, "check_identities", counted)
+    info = scalg.simplicial._gamma_plan.cache_info()
+    for field in (QQ, GF2, GF3):
+        for T in range(7):
+            # the uncached builder, so that what earlier calls cached does
+            # not matter: one full check per build, and the cache hands
+            # that build out again unchecked
+            built = constant_object.__wrapped__(field, T)
+            assert checked == [built], (field, T)
+            checked.clear()
+    after = scalg.simplicial._gamma_plan.cache_info()
+    assert (after.hits, after.misses) == (info.hits, info.misses)
+    c = constant_object(GF3, 5)
+    checked.clear()
+    assert constant_object(GF3, 5) is c and checked == []
+
+
 def test_normalized_chains_are_computed_once_and_kept(monkeypatch):
     v = eilenberg_maclane(GF3, 1, 2, 4)
     init = NormalizedChains.__init__

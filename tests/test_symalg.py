@@ -315,6 +315,56 @@ def test_sym_lookup_equals_sym_map_on_em_objects(field, q, n, T):
             assert power.operator(m, i, to).cols == lookup
 
 
+def sym_rows_per_monomial(f, src_monomials, dst_index):
+    """_sym_rows one monomial at a time, the loop its one pass replaced:
+    the oracle for it."""
+    rows = f.unit_rows()
+    if None in rows:
+        return None
+    out = []
+    for mono in src_monomials:
+        image = [rows[a] for a in mono]
+        out.append(-1 if -1 in image else dst_index[tuple(sorted(image))])
+    return out
+
+
+def test_sym_rows_in_one_pass_equal_the_per_monomial_loop():
+    rng = random.Random(39)
+    seen = set()
+    for case in range(300):
+        field = (QQ, GF2, GF3)[case % 3]
+        d = 1 + case % 4
+        src_dim, dst_dim = rng.choice((0, 1, 1, 2, 3, 5)), rng.choice((0, 1, 2, 4))
+        # -1 (a killed generator) is drawn often
+        rows = [rng.choice([-1, -1] + list(range(dst_dim))) for _ in range(src_dim)]
+        f = Mat.from_unit_rows(field, dst_dim, rows)
+        src = _monomials(src_dim, d)
+        index = {mono: r for r, mono in enumerate(_monomials(dst_dim, d))}
+        got = _sym_rows(f, src, index)
+        assert got == sym_rows_per_monomial(f, src, index), (case, rows)
+        seen.add((src_dim, -1 in rows, -1 in got))
+    assert {(0, False, False), (1, False, False), (1, True, True)} <= seen
+    assert any(dim > 1 and killed for dim, _, killed in seen)
+    # a column that is neither unit nor empty leaves the map to _sym_map
+    for col in ({0: 1, 1: 1}, {1: 2}):
+        f = Mat(GF3, 2, 3, [{0: 1}, col, {}])
+        src = _monomials(3, 2)
+        index = {mono: r for r, mono in enumerate(_monomials(2, 2))}
+        assert _sym_rows(f, src, index) is None
+        assert sym_rows_per_monomial(f, src, index) is None
+
+
+def test_sym_rows_refuses_an_image_outside_the_target_basis():
+    # both forms raise KeyError on an image the index lacks, with and
+    # without a killed generator
+    index = {mono: r for r, mono in enumerate(_monomials(2, 2)) if mono != (0, 1)}
+    for rows in ([0, 1], [0, 1, -1]):
+        f = Mat.from_unit_rows(QQ, 2, rows)
+        for sym_rows in (_sym_rows, sym_rows_per_monomial):
+            with pytest.raises(KeyError):
+                sym_rows(f, _monomials(len(rows), 2), index)
+
+
 @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "F2", "F3"])
 def test_symmetric_power_of_a_conjugated_object_goes_through_sym_map(
         field, monkeypatch):
